@@ -18,16 +18,25 @@ The table of a group G is computed in five steps:
    permuted exponents.
 
 The finished table is verified before it is returned: degree sum, first
-column, orthogonality (exactly in cyclotomic arithmetic up to a size
-threshold, modulo l above it), consistency of the lifted values with the
-mod-l table, and the rational-row = rational-class count.
+column, orthogonality (exactly in cyclotomic arithmetic up to
+EXACT_VERIFY_LIMIT classes, modulo l above it), consistency of the lifted
+values with the mod-l table, and the rational-row = rational-class count.
+The F_l linear algebra (row reduction, null spaces) comes from fpmat.
+
+Kernels are read off the table as sets of class indices, the classes where
+chi(c) = chi(1); |G : ker chi| is |G| over the sum of their sizes, and two
+kernels are equal iff their class sets are.  Each class set is checked to
+contain the identity class and to have a size dividing |G|.  Only
+Character.kernel() builds the kernel as a Subgroup of elements, and it
+checks that the closure of its generators is the set itself.
 """
 from __future__ import annotations
 
 import numpy as np
 
+from . import fpmat
 from .cyclotomic import Cyclotomic, cyc
-from .numth import factorize, find_dixon_prime, multiplicative_order
+from .numth import factorize, find_dixon_prime
 from .perm import ConjugacyClass, PermGroup, Subgroup
 
 EXACT_VERIFY_LIMIT = 40
@@ -41,40 +50,60 @@ class TableVerificationError(AssertionError):
 class Character:
     """One row of a character table."""
 
-    __slots__ = ("table", "index", "degree", "values", "_kernel", "_stab")
+    __slots__ = (
+        "table", "index", "degree", "values", "_kernel_classes", "_kernel", "_stab"
+    )
 
     def __init__(self, table: "CharacterTable", index: int, degree: int, values):
         self.table = table
         self.index = index
         self.degree = degree
         self.values: tuple[Cyclotomic, ...] = tuple(values)
+        self._kernel_classes: frozenset[int] | None = None
         self._kernel: Subgroup | None = None
         self._stab: frozenset | None = None
 
     def __call__(self, class_index: int) -> Cyclotomic:
         return self.values[class_index]
 
-    def kernel(self) -> Subgroup:
-        """Union of the classes where the value equals the degree."""
-        if self._kernel is None:
-            group = self.table.group
+    def kernel_classes(self) -> frozenset[int]:
+        """Indices of the classes where the value equals the degree.
+
+        A kernel is a normal subgroup, so the identity class (index 0) must
+        be in the set and the class sizes must sum to a divisor of |G|;
+        a row failing either is not a character of G.
+        """
+        if self._kernel_classes is None:
             deg = cyc(self.degree)
             # mod-l prescreen (necessary condition), then exact confirmation
-            mod_row = self.table.mod_table[self.index]
             d_mod = self.degree % self.table.dixon_prime
-            members = []
-            for j in np.nonzero(mod_row == d_mod)[0]:
-                if self.values[j] == deg:
-                    c = self.table.classes[j]
-                    members.extend(group.elements[i] for i in c.element_ids)
-            sub = group.subgroup_from_elements(members)
-            if not sub.is_normal():
-                raise TableVerificationError("character kernel is not normal")
-            self._kernel = sub
-        return self._kernel
+            candidates = np.nonzero(self.table.mod_table[self.index] == d_mod)[0]
+            members = frozenset(int(j) for j in candidates if self.values[j] == deg)
+            size = sum(self.table.classes[j].size for j in members)
+            if 0 not in members or self.table.group.order % size:
+                raise TableVerificationError("character kernel is not a subgroup")
+            self._kernel_classes = members
+        return self._kernel_classes
 
     def kernel_index(self) -> int:
-        return self.table.group.order // self.kernel().order
+        """|G : ker chi|, from the class sizes alone."""
+        size = sum(self.table.classes[j].size for j in self.kernel_classes())
+        return self.table.group.order // size
+
+    def kernel(self) -> Subgroup:
+        """The kernel as a subgroup: the union of the kernel classes."""
+        if self._kernel is None:
+            group = self.table.group
+            members = [
+                group.elements[i]
+                for j in self.kernel_classes()
+                for i in self.table.classes[j].element_ids
+            ]
+            sub = group.subgroup_from_elements(members)
+            if group.close(sub.generating_set()) != sub.elements:
+                raise TableVerificationError("character kernel is not a subgroup")
+            self._kernel = sub
+        return self._kernel
 
     def is_rational(self) -> bool:
         return all(v.is_rational for v in self.values)
@@ -228,48 +257,6 @@ class CharacterTable:
 # -- mod-l linear algebra helpers -------------------------------------------------
 
 
-def _row_reduce_mod(m: np.ndarray, ell: int) -> np.ndarray:
-    m = m.copy() % ell
-    rows, cols = m.shape
-    r = 0
-    for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if m[i, c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        if pivot != r:
-            m[[r, pivot]] = m[[pivot, r]]
-        m[r] = m[r] * pow(int(m[r, c]), ell - 2, ell) % ell
-        col = m[:, c].copy()
-        col[r] = 0
-        m -= np.outer(col, m[r])
-        m %= ell
-        r += 1
-        if r == rows:
-            break
-    return m
-
-
-def _nullspace_mod(m: np.ndarray, ell: int) -> np.ndarray:
-    rows, cols = m.shape
-    red = _row_reduce_mod(m, ell)
-    pivots = []
-    for r in range(rows):
-        nz = np.nonzero(red[r])[0]
-        if len(nz):
-            pivots.append(int(nz[0]))
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for i, c in enumerate(free):
-        basis[i, c] = 1
-        for r_i, pc in enumerate(pivots):
-            basis[i, pc] = (-red[r_i, c]) % ell
-    return basis
-
-
 def _poly_roots_mod(coeffs: np.ndarray, ell: int) -> list[int]:
     """Roots in F_l of the polynomial with ascending coeffs (vectorized)."""
     xs = np.arange(ell, dtype=np.int64)
@@ -312,7 +299,7 @@ class _Splitter:
 
     def _restrict(self, basis: np.ndarray, mt: np.ndarray) -> np.ndarray:
         """Matrix A with basis @ mt = A @ basis (basis rows in RREF)."""
-        red = _row_reduce_mod(basis, self.ell)
+        red = fpmat.row_reduce(basis, self.ell)
         pivots = []
         for r in range(len(red)):
             nz = np.nonzero(red[r])[0]
@@ -371,12 +358,12 @@ class _Splitter:
             total = 0
             for lam in sorted(seen_roots):
                 shifted = (a - lam * ident) % self.ell
-                rows = _nullspace_mod(shifted.T.copy(), self.ell)
+                rows = fpmat.null_space(shifted.T.copy(), self.ell)
                 spans[lam] = (list(rows), [int(np.nonzero(r0)[0][0]) for r0 in rows])
                 total += len(rows)
                 residual = residual @ shifted % self.ell
             if total < m:
-                rest = _row_reduce_mod(residual, self.ell)
+                rest = fpmat.row_reduce(residual, self.ell)
                 rest = rest[rest.any(axis=1)]
                 if len(rest):
                     spans[self.ell] = (list(rest), [])
@@ -557,9 +544,7 @@ def _cyclotomic_mod(value: Cyclotomic, ell: int, w_e: int, e: int) -> int:
     return total % ell
 
 
-def character_table(
-    group: PermGroup, seed: int = 0, exact_verify: bool | None = None
-) -> CharacterTable:
+def character_table(group: PermGroup, seed: int = 0) -> CharacterTable:
     """Exact irreducible character table of a permutation group."""
     classes = group.conjugacy_classes()
     k = len(classes)
@@ -598,11 +583,11 @@ def character_table(
     table = CharacterTable(
         group, classes, values, degrees, e, ell, table_mod, seed
     )
-    _verify(table, w_e, exact_verify)
+    _verify(table, w_e)
     return table
 
 
-def _verify(table: CharacterTable, w_e: int, exact_verify: bool | None) -> None:
+def _verify(table: CharacterTable, w_e: int) -> None:
     group = table.group
     k = table.n_classes
     ell = table.dixon_prime
@@ -633,9 +618,7 @@ def _verify(table: CharacterTable, w_e: int, exact_verify: bool | None) -> None:
     rational_rows = sum(1 for chi in table.chars if chi.is_rational())
     if rational_classes != rational_rows:
         raise TableVerificationError("rational row/class counts differ")
-    if exact_verify is None:
-        exact_verify = k <= EXACT_VERIFY_LIMIT
-    if exact_verify:
+    if k <= EXACT_VERIFY_LIMIT:
         verify_orthogonality_exact(table)
 
 

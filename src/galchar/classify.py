@@ -24,8 +24,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import fpmat
-from .chartab import Character, CharacterTable, character_table
-from .cyclotomic import Cyclotomic
+from .chartab import CharacterTable, character_table
 from .numth import factorize, is_mersenne_prime, is_prime, is_prime_power, primitive_root
 from .perm import (
     PermGroup,
@@ -173,10 +172,7 @@ def _p_prime_part(x: Permutation, p: int) -> Permutation:
 
 
 def find_complement(
-    group: PermGroup,
-    psub: Subgroup,
-    seed: int = COMPLEMENT_SEED,
-    max_closures: int = COMPLEMENT_CLOSURE_CAP,
+    group: PermGroup, psub: Subgroup, seed: int = COMPLEMENT_SEED
 ) -> Subgroup:
     """A subgroup H with H meet P = 1 and |H| = |G|/|P|, for P a normal
     Sylow p-subgroup (exists by Schur-Zassenhaus).
@@ -199,7 +195,7 @@ def find_complement(
     rng = random.Random(seed)
     gens: list[Permutation] = []
     closures = 0
-    while closures < max_closures:
+    while closures < COMPLEMENT_CLOSURE_CAP:
         g = group.elements[rng.randrange(group.order)]
         h = _p_prime_part(g, p)
         if h.is_identity:
@@ -214,7 +210,8 @@ def find_complement(
         if len(closure) % p:
             gens = candidate
     raise ComplementNotFound(
-        f"no complement of order {target} found within {max_closures} closures"
+        f"no complement of order {target} found within "
+        f"{COMPLEMENT_CLOSURE_CAP} closures"
     )
 
 
@@ -289,7 +286,7 @@ def analyze_structure(
 
     report.verdict = VERDICT_SINGLE if single else VERDICT_NOT_SINGLE
     if not single:
-        kernels = {table.chars[i].kernel().elements for i in part.exceptional}
+        kernels = {table.chars[i].kernel_classes() for i in part.exceptional}
         orbits = [
             o for o in table.galois_orbits() if o[0] in set(part.exceptional)
         ]
@@ -357,12 +354,12 @@ def _structural_checklist(group, table, part, report, seed) -> tuple[bool, str |
     )
     report.order_C = csub.order
 
-    kernels = [table.chars[i].kernel() for i in part.exceptional]
-    ok = all(k.elements == kernels[0].elements for k in kernels)
+    kernels = {table.chars[i].kernel_classes() for i in part.exceptional}
+    ok = len(kernels) == 1
     checklist["kernels_all_equal"] = ok
     if not ok:
         return False, "exceptional characters have different kernels"
-    ksub = kernels[0]
+    ksub = table.chars[part.exceptional[0]].kernel()
     report.order_K = ksub.order
     product = _subgroup_product(group, csub, usub)
     ok = (

@@ -11,12 +11,12 @@ import json
 import sys
 
 from .chartab import character_table
-from .classify import analyze_structure, VERDICT_SINGLE
+from .classify import analyze_structure, irr_partition, VERDICT_SINGLE
 from .constructors import CaseParams, ParamsInvalid, construct_case, sweep_parameter_points
 from .corpus import CORPUS, build
 from .cyclotomic import CONDUCTOR_BOUND
 from .numth import zsigmondy_prime
-from .perm import ORDER_BOUND, group_to_json, load_group, save_group
+from .perm import ORDER_BOUND, group_to_json, load_group
 
 
 def _config(args) -> dict:
@@ -27,13 +27,17 @@ def _config(args) -> dict:
     }
 
 
-def _dump_json(doc, path=None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def _write(text: str, path=None) -> None:
+    """Write text to the file at path, or to stdout when no path is given."""
     if path:
         with open(path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _json_text(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def cmd_zsigmondy(args) -> int:
@@ -48,15 +52,9 @@ def cmd_chartab(args) -> int:
     if args.format == "json":
         doc = table.to_dict()
         doc["config"].update(_config(args))
-        _dump_json(doc, args.out)
+        _write(_json_text(doc), args.out)
     else:
-        lines = table.text_lines()
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write("\n".join(table.text_lines()) + "\n", args.out)
     return 0
 
 
@@ -67,7 +65,7 @@ def cmd_classify(args) -> int:
     doc = report.to_dict()
     doc["config"] = _config(args)
     if args.report == "json":
-        _dump_json(doc, args.out)
+        _write(_json_text(doc), args.out)
     else:
         lines = [f"verdict: {report.verdict}"]
         if report.case_tag:
@@ -78,12 +76,7 @@ def cmd_classify(args) -> int:
             lines.append(f"  [{_mark(value)}] {item}")
         if report.theorem_violation:
             lines.append(f"THEOREM-VIOLATION: {report.theorem_violation}")
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write("\n".join(lines) + "\n", args.out)
     if report.theorem_violation:
         return 2
     if args.assert_single and report.verdict != VERDICT_SINGLE:
@@ -104,10 +97,7 @@ def cmd_construct(args) -> int:
     except ParamsInvalid as exc:
         print(f"PARAMS-INVALID: {exc.condition}", file=sys.stderr)
         return 1
-    if args.out:
-        save_group(group, args.out)
-    else:
-        sys.stdout.write(group_to_json(group))
+    _write(group_to_json(group), args.out)
     return 0
 
 
@@ -144,7 +134,7 @@ def cmd_sweep(args) -> int:
             violations += 1
         records.append(record)
     doc = {"config": _config(args), "records": records}
-    _dump_json(doc, args.out)
+    _write(_json_text(doc), args.out)
     return 2 if violations else 0
 
 
@@ -158,8 +148,6 @@ def cmd_check_theorem(args) -> int:
         lines.append(f"[{'PASS' if ok else 'FAIL'}] {label}")
         if not ok:
             failures += 1
-
-    from .classify import irr_partition, is_single_galois_class
 
     for entry in CORPUS:
         group = build(entry.key)

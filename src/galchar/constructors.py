@@ -21,13 +21,14 @@ from .classify import (
     check_scalar_transitivity,
 )
 from .numth import (
+    divisors,
     is_mersenne_prime,
     is_prime,
     is_prime_power,
     primitive_polynomial,
     primitive_root,
 )
-from .perm import PermGroup, Permutation, direct_product
+from .perm import PermGroup, Permutation
 
 PN_CONSTRUCT_BOUND = 10**6
 
@@ -117,18 +118,31 @@ def heisenberg(p: int) -> PermGroup:
         return quaternion8()
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    pts = {(a, b, c): a * p * p + b * p + c for a in range(p) for b in range(p) for c in range(p)}
+    return PermGroup(p**3, _heisenberg_generators(p), name=f"Heis({p})")
 
-    def left_mul(g):
-        ga, gb, gc = g
-        images = [0] * (p**3)
-        for (a, b, c), i in pts.items():
-            images[i] = pts[((ga + a) % p, (gb + b) % p, (gc + c + ga * b) % p)]
-        return Permutation(images)
 
-    x = left_mul((1, 0, 0))
-    y = left_mul((0, 1, 0))
-    return PermGroup(p**3, [x, y], name=f"Heis({p})")
+def _heisenberg_images(p: int, fn) -> list[int]:
+    """Images of the points a p^2 + b p + c, i.e. (a, b, c) in Heis(p),
+    under the map (a, b, c) -> fn(a, b, c) (components reduced mod p)."""
+    images = []
+    for a in range(p):
+        for b in range(p):
+            for c in range(p):
+                a2, b2, c2 = fn(a, b, c)
+                images.append(a2 * p * p + b2 * p + c2)
+    return images
+
+
+def _heisenberg_generators(p: int) -> list[list[int]]:
+    """Left multiplication by x = (1, 0, 0) and y = (0, 1, 0), where
+    (a, b, c)(a', b', c') = (a + a', b + b', c + c' + a b')."""
+
+    def left_mul(ga, gb):
+        return _heisenberg_images(
+            p, lambda a, b, c: ((ga + a) % p, (gb + b) % p, (c + ga * b) % p)
+        )
+
+    return [left_mul(1, 0), left_mul(0, 1)]
 
 
 # -- linear-algebra ingredients -----------------------------------------------------
@@ -138,13 +152,7 @@ def singer_matrix(p: int, n: int) -> np.ndarray:
     """Companion matrix of a primitive polynomial: order p^n - 1 in GL(n,p)."""
     if p**n > PN_CONSTRUCT_BOUND:
         raise ValueError("p^n exceeds the construction bound")
-    coeffs = primitive_polynomial(p, n)
-    mat = np.zeros((n, n), dtype=np.int64)
-    for i in range(1, n):
-        mat[i, i - 1] = 1
-    for i in range(n):
-        mat[i, n - 1] = (-coeffs[i]) % p
-    return mat
+    return fpmat.companion(primitive_polynomial(p, n), p)
 
 
 def quaternion_subgroup_SL2(p: int, target_order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -189,6 +197,42 @@ def _sl2_elements(p: int):
 # -- semidirect products -------------------------------------------------------------
 
 
+def _semidirect(base, acting, mats, p, central_height, name, what) -> PermGroup:
+    """The group generated by base and acting, checked to have the order of
+    B x| <mats> (h = 1) or B x| C_{q^(a+h-1)} (h > 1).
+
+    base lists the images of generators of a group B acting regularly on
+    its len(base[0]) points; acting lists the images of one automorphism of
+    B per matrix of mats, in the same order.  With central height h > 1,
+    <mats> must be cyclic of prime-power order q^a; the cyclic cover acts
+    on B through <mats> and is made faithful by one extra regular orbit of
+    length q^(a+h-1), which the base generators fix and the acting
+    generator cycles.
+    """
+    n_base = len(base[0])
+    if central_height == 1:
+        gens = base + acting
+        expected = n_base * (len(fpmat.close_matrix_group(mats, p)) if mats else 1)
+        failure = f"{what} action is not faithful"
+    else:
+        if len(mats) != 1:
+            raise ParamsInvalid("central height > 1 needs a single cyclic generator")
+        mord = fpmat.mat_order(mats[0], p)
+        pp = is_prime_power(mord)
+        if pp is None:
+            raise ParamsInvalid("central height > 1 needs a prime-power order action")
+        cyc_order = mord * pp[0] ** (central_height - 1)
+        fixed = list(range(n_base, n_base + cyc_order))
+        cycle = [n_base + (i + 1) % cyc_order for i in range(cyc_order)]
+        gens = [b + fixed for b in base] + [acting[0] + cycle]
+        expected = n_base * cyc_order
+        failure = "cyclic cover action is not faithful"
+    group = PermGroup(len(gens[0]), gens, name=name)
+    if group.order != expected:
+        raise ParamsInvalid(failure)
+    return group
+
+
 def affine_semidirect(p, n, mats, central_height: int = 1, name=None) -> PermGroup:
     """V x| H on p^n vector points, V = F_p^n with H = <mats> acting linearly.
 
@@ -203,60 +247,17 @@ def affine_semidirect(p, n, mats, central_height: int = 1, name=None) -> PermGro
     for m in mats:
         if fpmat.mat_rank(m, p) < n:
             raise ParamsInvalid("singular matrix in the acting set")
+    if central_height < 1:
+        raise ValueError("central height must be >= 1")
     vecs = fpmat.all_vectors(p, n)
     index = {tuple(int(x) for x in v): i for i, v in enumerate(vecs)}
 
-    def vec_perm(images_fn, extra, total):
-        images = [images_fn(v) for v in vecs] + extra
-        assert len(images) == total
-        return Permutation(images)
+    def images(fn):
+        return [index[tuple(int(x) for x in fn(v) % p)] for v in vecs]
 
-    if central_height < 1:
-        raise ValueError("central height must be >= 1")
-    if central_height == 1:
-        total = p**n
-        gens = []
-        for i in range(n):
-            e = np.zeros(n, dtype=np.int64)
-            e[i] = 1
-            gens.append(vec_perm(lambda v, e=e: index[tuple(int(x) for x in ((v + e) % p))], [], total))
-        for m in mats:
-            gens.append(vec_perm(lambda v, m=m: index[tuple(int(x) for x in (m @ v % p))], [], total))
-        group = PermGroup(p**n, gens, name=name)
-        expected = p**n * len(fpmat.close_matrix_group(mats, p)) if mats else p**n
-        if group.order != expected:
-            raise ParamsInvalid("affine action is not faithful")
-        return group
-
-    if len(mats) != 1:
-        raise ParamsInvalid("central height > 1 needs a single cyclic generator")
-    m0 = mats[0]
-    mord = fpmat.mat_order(m0, p)
-    pp = is_prime_power(mord)
-    if pp is None:
-        raise ParamsInvalid("central height > 1 needs a prime-power order action")
-    q = pp[0]
-    cyc_order = mord * q ** (central_height - 1)
-    total = p**n + cyc_order
-    gens = []
-    for i in range(n):
-        e = np.zeros(n, dtype=np.int64)
-        e[i] = 1
-        gens.append(
-            vec_perm(
-                lambda v, e=e: index[tuple(int(x) for x in ((v + e) % p))],
-                list(range(p**n, total)),
-                total,
-            )
-        )
-    extra = [p**n + ((i + 1) % cyc_order) for i in range(cyc_order)]
-    gens.append(
-        vec_perm(lambda v: index[tuple(int(x) for x in (m0 @ v % p))], extra, total)
-    )
-    group = PermGroup(total, gens, name=name)
-    if group.order != p**n * cyc_order:
-        raise ParamsInvalid("cyclic cover action is not faithful")
-    return group
+    translations = [images(lambda v, e=e: v + e) for e in np.eye(n, dtype=np.int64)]
+    linear = [images(lambda v, m=m: m @ v) for m in mats]
+    return _semidirect(translations, linear, mats, p, central_height, name, "affine")
 
 
 def _heisenberg_automorphism(p: int, g: np.ndarray) -> "callable":
@@ -299,62 +300,10 @@ def extraspecial_semidirect(p, mats, central_height: int = 1, name=None) -> Perm
     for m in mats:
         if fpmat.mat_rank(m, p) < 2:
             raise ParamsInvalid("singular matrix in the acting set")
-    pts = {
-        (a, b, c): a * p * p + b * p + c
-        for a in range(p)
-        for b in range(p)
-        for c in range(p)
-    }
-    n_p = p**3
-
-    def left_mul_images(g):
-        ga, gb, gc = g
-        images = [0] * n_p
-        for (a, b, c), i in pts.items():
-            images[i] = pts[((ga + a) % p, (gb + b) % p, (gc + c + ga * b) % p)]
-        return images
-
-    def auto_images(phi):
-        images = [0] * n_p
-        for (a, b, c), i in pts.items():
-            images[i] = pts[phi(a, b, c)]
-        return images
-
-    if central_height == 1:
-        total = n_p
-        gens = [
-            Permutation(left_mul_images((1, 0, 0))),
-            Permutation(left_mul_images((0, 1, 0))),
-        ]
-        for m in mats:
-            gens.append(Permutation(auto_images(_heisenberg_automorphism(p, m))))
-        group = PermGroup(total, gens, name=name)
-        expected = n_p * (len(fpmat.close_matrix_group(mats, p)) if mats else 1)
-        if group.order != expected:
-            raise ParamsInvalid("extraspecial action is not faithful")
-        return group
-
-    if len(mats) != 1:
-        raise ParamsInvalid("central height > 1 needs a single cyclic generator")
-    mord = fpmat.mat_order(mats[0], p)
-    pp = is_prime_power(mord)
-    if pp is None:
-        raise ParamsInvalid("central height > 1 needs a prime-power order action")
-    q = pp[0]
-    cyc_order = mord * q ** (central_height - 1)
-    total = n_p + cyc_order
-    gens = [
-        Permutation(left_mul_images((1, 0, 0)) + list(range(n_p, total))),
-        Permutation(left_mul_images((0, 1, 0)) + list(range(n_p, total))),
-    ]
-    extra = [n_p + ((i + 1) % cyc_order) for i in range(cyc_order)]
-    gens.append(
-        Permutation(auto_images(_heisenberg_automorphism(p, mats[0])) + extra)
+    autos = [_heisenberg_images(p, _heisenberg_automorphism(p, m)) for m in mats]
+    return _semidirect(
+        _heisenberg_generators(p), autos, mats, p, central_height, name, "extraspecial"
     )
-    group = PermGroup(total, gens, name=name)
-    if group.order != n_p * cyc_order:
-        raise ParamsInvalid("cyclic cover action is not faithful")
-    return group
 
 
 def _q8_order3_automorphism() -> Permutation:
@@ -398,24 +347,8 @@ def _q8_semidirect(mats, central_height: int, name) -> PermGroup:
         if central_height != 1:
             raise ParamsInvalid("trivial action cannot have central height > 1")
         return q8
-
-    cyc_order = 3**central_height
-    if central_height == 1:
-        gens = list(q8.generators) + [act]
-        group = PermGroup(8, gens, name=name)
-        if group.order != 24:
-            raise ParamsInvalid("Q8 action is not faithful")
-        return group
-    total = 8 + cyc_order
-    gens = [
-        Permutation(list(g.images) + list(range(8, total))) for g in q8.generators
-    ]
-    extra = [8 + ((i + 1) % cyc_order) for i in range(cyc_order)]
-    gens.append(Permutation(list(act.images) + extra))
-    group = PermGroup(total, gens, name=name)
-    if group.order != 8 * cyc_order:
-        raise ParamsInvalid("Q8 cover action is not faithful")
-    return group
+    base = [list(g.images) for g in q8.generators]
+    return _semidirect(base, [list(act.images)], [m], 2, central_height, name, "Q8")
 
 
 # -- the case constructors --------------------------------------------------------------
@@ -562,7 +495,7 @@ def sweep_parameter_points(
             if tag == "a1":
                 n = 1
                 while p**n <= max_pn:
-                    for d in _divisors(p - 1):
+                    for d in divisors(p - 1):
                         order = p**n * (p**n - 1) // d
                         if 2 <= order <= max_order:
                             points.append(CaseParams("a1", p, n, d))
@@ -570,7 +503,7 @@ def sweep_parameter_points(
             elif tag == "a2":
                 if not is_mersenne_prime(p) or p * p > max_pn:
                     continue
-                for d in _divisors(p - 1):
+                for d in divisors(p - 1):
                     order = p * p * (p * p - 1) // d
                     if order <= max_order:
                         points.append(CaseParams("a2", p, 2, d))
@@ -616,7 +549,3 @@ def sweep_parameter_points(
                     points.append(CaseParams("a7", 2, 2, 1, height))
                     height += 1
     return points
-
-
-def _divisors(m: int) -> list[int]:
-    return [d for d in range(1, m + 1) if m % d == 0] if m >= 1 else []

@@ -25,7 +25,6 @@ from .constructors import (
     singer_matrix,
     symmetric,
 )
-from .fpmat import mat_pow
 from .perm import PermGroup, direct_product
 
 

@@ -1,4 +1,13 @@
-"""Small utilities for matrix groups over prime fields (numpy int64)."""
+"""Linear algebra over prime fields F_p, on numpy int64 arrays.
+
+This is the one home of F_p matrix arithmetic in the package: row reduction,
+rank and null spaces (used by the character-table splitter over F_l as well
+as by the action checks), powers and orders of matrices, companion matrices
+(used by the primitive-polynomial search and the Singer cycles), and
+closures of small matrix groups and vector orbits.  Entries are reduced to
+[0, p) after every product, so a product of n x n matrices stays exact while
+n * (p - 1)**2 < 2**63.
+"""
 from __future__ import annotations
 
 import numpy as np
@@ -14,10 +23,6 @@ def mat_key(m: np.ndarray) -> bytes:
     return m.tobytes()
 
 
-def mat_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    return (a @ b) % p
-
-
 def mat_pow(m: np.ndarray, n: int, p: int) -> np.ndarray:
     result = np.eye(len(m), dtype=np.int64)
     base = m % p
@@ -27,6 +32,17 @@ def mat_pow(m: np.ndarray, n: int, p: int) -> np.ndarray:
         base = base @ base % p
         n >>= 1
     return result
+
+
+def companion(coeffs, p: int) -> np.ndarray:
+    """Companion matrix of the monic polynomial with ascending coeffs."""
+    n = len(coeffs) - 1
+    m = np.zeros((n, n), dtype=np.int64)
+    for i in range(1, n):
+        m[i, i - 1] = 1
+    for i in range(n):
+        m[i, n - 1] = (-coeffs[i]) % p
+    return m
 
 
 def mat_inv(m: np.ndarray, p: int) -> np.ndarray:

@@ -9,7 +9,11 @@ are reproducible across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd
+
+import numpy as np
+
+from .fpmat import companion, mat_pow
 
 PN_BOUND = 10**6          # default bound for prime-power sweeps
 DIXON_PRIME_CAP = 2**62   # give up (loudly) past this
@@ -193,45 +197,14 @@ def zsigmondy_exception_expected(p: int, n: int) -> bool:
     return p**n == 2 or (n == 2 and is_mersenne_prime(p)) or p**n == 64
 
 
-def _companion_matrix(coeffs: list[int], p: int) -> list[list[int]]:
-    """Companion matrix of the monic polynomial with ascending coeffs."""
-    n = len(coeffs) - 1
-    mat = [[0] * n for _ in range(n)]
-    for i in range(1, n):
-        mat[i][i - 1] = 1
-    for i in range(n):
-        mat[i][n - 1] = (-coeffs[i]) % p
-    return mat
-
-
-def _mat_mul(a: list[list[int]], b: list[list[int]], p: int) -> list[list[int]]:
-    n = len(a)
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(n)) % p for j in range(n)]
-        for i in range(n)
-    ]
-
-
-def _mat_pow(m: list[list[int]], exp: int, p: int) -> list[list[int]]:
-    n = len(m)
-    result = [[int(i == j) for j in range(n)] for i in range(n)]
-    base = [row[:] for row in m]
-    while exp:
-        if exp & 1:
-            result = _mat_mul(result, base, p)
-        base = _mat_mul(base, base, p)
-        exp >>= 1
-    return result
-
-
-def matrix_order_is(mat: list[list[int]], p: int, target: int) -> bool:
+def matrix_order_is(mat: np.ndarray, p: int, target: int) -> bool:
     """True iff mat has multiplicative order exactly target over F_p."""
-    n = len(mat)
-    ident = [[int(i == j) for j in range(n)] for i in range(n)]
-    if _mat_pow(mat, target, p) != ident:
+    ident = np.eye(len(mat), dtype=np.int64)
+    if not np.array_equal(mat_pow(mat, target, p), ident):
         return False
     return all(
-        _mat_pow(mat, target // q, p) != ident for q in factorize(target)
+        not np.array_equal(mat_pow(mat, target // q, p), ident)
+        for q in factorize(target)
     )
 
 
@@ -250,10 +223,6 @@ def primitive_polynomial(p: int, n: int, bound: int = PN_BOUND) -> list[int]:
     if p**n > bound:
         raise ValueError(f"p**n exceeds configured bound {bound}")
     target = p**n - 1
-    if target == 1:
-        # x over F_2: companion matrix [0] is the zero of GL(1,2)? No: the
-        # unique unit of F_2 is 1, so we need constant term 1 (poly x + 1).
-        return [1, 1]
     tuples = [[]]
     for _ in range(n):
         tuples = [t + [c] for t in tuples for c in range(p)]
@@ -261,7 +230,7 @@ def primitive_polynomial(p: int, n: int, bound: int = PN_BOUND) -> list[int]:
         if coeffs[0] == 0:
             continue  # reducible: x divides
         full = coeffs + [1]
-        if matrix_order_is(_companion_matrix(full, p), p, target):
+        if matrix_order_is(companion(full, p), p, target):
             return full
     raise AssertionError(f"no primitive polynomial found for p={p}, n={n}")
 

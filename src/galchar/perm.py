@@ -13,8 +13,8 @@ minimal member), cosets by minimal member.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from math import gcd, lcm
+from dataclasses import dataclass
+from math import lcm
 
 import numpy as np
 
@@ -344,13 +344,18 @@ class PermGroup:
     def full_subgroup(self) -> "Subgroup":
         return Subgroup(self, frozenset(self.elements), self.generators)
 
-    def normal_closure(self, gens) -> "Subgroup":
+    def normal_closure(self, gens, ambient_gens=None) -> "Subgroup":
+        """Closure of gens under products and conjugation by ambient_gens
+        (default: this group's generators), generated by the seeds plus
+        the conjugates that enlarged it."""
+        if ambient_gens is None:
+            ambient_gens = self.generators
         work = [g for g in gens if not g.is_identity]
         closure = self.close(work)
         queue = list(work)
         while queue:
             s = queue.pop()
-            for g in self.generators:
+            for g in ambient_gens:
                 t = g * s * g.inv()
                 if t not in closure:
                     work.append(t)
@@ -391,9 +396,10 @@ class PermGroup:
             cur = series[-1]
             gens = cur.generating_set()
             comms = [a.commutator(b) for a in gens for b in gens]
-            nxt_gens = [c for c in comms if not c.is_identity]
-            # normal closure inside the current term
-            closure = _normal_closure_in(self, gens, nxt_gens)
+            # normal closure inside the current term; the term is kept
+            # without normal_closure's generators (every commutator seed),
+            # because the next step takes commutators of all pairs of them
+            closure = self.normal_closure(comms, gens).elements
             if closure == cur.elements:
                 break
             nxt = Subgroup(self, closure, None)
@@ -529,22 +535,6 @@ def _generating_set(other) -> tuple[Permutation, ...]:
     return tuple(other)
 
 
-def _normal_closure_in(parent: PermGroup, ambient_gens, seed_gens):
-    """Normal closure of seed_gens under conjugation by ambient_gens."""
-    work = [g for g in seed_gens if not g.is_identity]
-    closure = parent.close(work)
-    queue = list(work)
-    while queue:
-        s = queue.pop()
-        for g in ambient_gens:
-            t = g * s * g.inv()
-            if t not in closure:
-                work.append(t)
-                queue.append(t)
-                closure = parent.close(work)
-    return closure
-
-
 class Subgroup:
     """A subgroup of a PermGroup, identified by its element set."""
 
@@ -605,9 +595,6 @@ class Subgroup:
             )
         return self._normal
 
-    def is_trivial(self) -> bool:
-        return self.order == 1
-
     def __repr__(self) -> str:
         label = self.name or "Subgroup"
         return f"<{label}: order {self.order} in {self.parent!r}>"
@@ -631,7 +618,7 @@ def frattini_of_pgroup(pgroup: Subgroup | PermGroup, p: int) -> Subgroup:
     gens = pgroup.generating_set()
     seed = [a.commutator(b) for a in gens for b in gens]
     seed += [g**p for g in gens]
-    closure = _normal_closure_in(pgroup.parent, gens, seed)
+    closure = pgroup.parent.normal_closure(seed, gens).elements
     return Subgroup(pgroup.parent, closure, None)
 
 
