@@ -5,23 +5,33 @@ The table of a group G is computed in five steps:
 1. conjugacy classes, class sizes, power maps, exponent e;
 2. a prime l = 1 (mod e) with l^2 > 4|G| (so degrees and root-of-unity
    multiplicities lift uniquely from arithmetic mod l);
-3. simultaneous eigenvectors of the class matrices over F_l.  A seeded
-   random linear combination M of the class matrices is built directly from
-   the group (one pass of |G| * k products), its minimal polynomial is found
-   on Krylov vectors, and eigenspaces are read off by polynomial deflation;
-   subspaces that stay entangled are split recursively with fresh
-   combinations.  Everything is deterministic given the seed;
+3. simultaneous eigenvectors of the class matrices over F_l.  The |G| x k
+   array of the classes of x^-1 z_m (z_m the class representatives) is
+   built once per table; each seeded random combination M of the class
+   matrices is then k weighted bincounts over it.  The minimal polynomial
+   of a probe vector is found on its Krylov vectors, reduced a block at a
+   time against an RREF basis, and eigenspaces are read off by polynomial
+   deflation; a block's last annihilator is reused for later probes once
+   it is checked to kill them.  Subspaces that stay entangled are split
+   recursively with fresh combinations.  Everything is deterministic given
+   the seed;
 4. degrees from the eigenvector normalisation and character values mod l;
 5. exact values: for one representative per power-orbit of classes the
-   root-of-unity multiplicities are recovered by an inverse DFT mod l, and
-   the remaining classes of the orbit reuse the same multiplicities with
-   permuted exponents.
+   root-of-unity multiplicities are recovered by an inverse DFT mod l.
+   Each class g^kk of the orbit takes the multiplicity at z^t to z^(t kk):
+   the few nonzero ones are scattered through the power-basis rows of
+   those roots into a k x phi(m) integer array, and each row becomes one
+   Cyclotomic.
 
 The finished table is verified before it is returned: degree sum, first
 column, orthogonality (exactly in cyclotomic arithmetic up to
 EXACT_VERIFY_LIMIT classes, modulo l above it), consistency of the lifted
 values with the mod-l table, and the rational-row = rational-class count.
-The F_l linear algebra (row reduction, null spaces) comes from fpmat.
+Up to EXACT_VERIFY_LIMIT classes it also checks, once per row, that the
+entrywise Galois action agrees with the power maps, for generators of the
+units mod e; galois_orbits then reads orbits off the power maps alone.
+The F_l linear algebra (row reduction, null spaces, products) comes from
+fpmat.
 
 Kernels are read off the table as sets of class indices, the classes where
 chi(c) = chi(1); |G : ker chi| is |G| over the sum of their sizes, and two
@@ -32,15 +42,19 @@ checks that the closure of its generators is the set itself.
 """
 from __future__ import annotations
 
+from functools import cmp_to_key
+from math import gcd
+
 import numpy as np
 
 from . import fpmat
-from .cyclotomic import Cyclotomic, cyc
+from .cyclotomic import Cyclotomic, _monomial_table, cyc, phi
 from .numth import factorize, find_dixon_prime
 from .perm import ConjugacyClass, PermGroup, Subgroup
 
 EXACT_VERIFY_LIMIT = 40
 _SPLIT_ROUND_CAP = 200
+_KRYLOV_BLOCK = 32  # Krylov rows reduced per product with the RREF basis
 
 
 class TableVerificationError(AssertionError):
@@ -142,8 +156,6 @@ class CharacterTable:
 
     def units(self) -> tuple[int, ...]:
         if self._units is None:
-            from math import gcd
-
             self._units = tuple(
                 k for k in range(1, self.exponent + 1) if gcd(k, self.exponent) == 1
             )
@@ -178,8 +190,6 @@ class CharacterTable:
 
     def galois_conjugate(self, chi: Character, k: int) -> Character:
         """The row g -> chi(g**k); asserts it matches entrywise galois_apply."""
-        from math import gcd
-
         if gcd(k, self.exponent) != 1:
             raise ValueError(f"{k} is not coprime to the exponent {self.exponent}")
         j = self._permuted_row(chi.index, k)
@@ -195,18 +205,12 @@ class CharacterTable:
 
     def galois_orbits(self) -> list[tuple[int, ...]]:
         """Orbits of row indices under the full unit group mod e."""
-        small = self.n_classes <= EXACT_VERIFY_LIMIT
         seen = set()
         orbits = []
         for i in range(self.n_classes):
             if i in seen:
                 continue
-            orbit = {i}
-            for k in self.units():
-                if small:
-                    orbit.add(self.galois_conjugate(self.chars[i], k).index)
-                else:
-                    orbit.add(self._permuted_row(i, k))
+            orbit = {self._permuted_row(i, k) for k in self.units()}
             seen |= orbit
             orbits.append(tuple(sorted(orbit)))
         return orbits
@@ -266,6 +270,69 @@ def _poly_roots_mod(coeffs: np.ndarray, ell: int) -> list[int]:
     return [int(x) for x in np.nonzero(vals == 0)[0]]
 
 
+def _krylov(v: np.ndarray, a: np.ndarray, count: int, ell: int) -> np.ndarray:
+    """Rows v, v a, ..., v a^(count-1) mod l."""
+    a = a.astype(fpmat.exact_dtype(len(a), ell))
+    out = np.empty((count, len(v)), dtype=np.int64)
+    out[0] = v
+    for s in range(1, count):
+        out[s] = fpmat.mul(out[s - 1], a, ell)
+    return out
+
+
+def _annihilator_of(v: np.ndarray, a: np.ndarray, ell: int):
+    """Least monic poly f (ascending coeffs) with v . f(a) = 0 mod l, and
+    the Krylov rows v a^s for s <= deg f.
+
+    The Krylov rows are reduced a block at a time.  The reduced rows are
+    kept in RREF together with their coordinates over the Krylov rows, so
+    reducing a block against them is one product; within the block the rows
+    are reduced one by one, and the first that reduces to zero gives the
+    coefficients of f.
+    """
+    m = len(a)
+    a = a.astype(fpmat.exact_dtype(m, ell))
+    kry = np.empty((m + 1, m), dtype=np.int64)
+    rows = np.zeros((m, m), dtype=np.int64)  # RREF; row s has pivot pivots[s]
+    coords = np.zeros((m, m + 1), dtype=np.int64)  # rows = coords @ kry
+    pivots = np.empty(m, dtype=np.int64)
+    kry[0] = v % ell
+    s = 0
+    while s <= m:
+        t = min(s + _KRYLOV_BLOCK, m + 1)
+        for i in range(s + 1, t):
+            kry[i] = fpmat.mul(kry[i - 1], a, ell)
+        c = kry[s:t, pivots[:s]]
+        new = (kry[s:t] - fpmat.mul(c, rows[:s], ell)) % ell
+        crd = -fpmat.mul(c, coords[:s, :t], ell) % ell
+        crd[np.arange(t - s), np.arange(s, t)] = 1
+        for i in range(t - s):
+            fac = new[i, pivots[s : s + i]]
+            new[i] = (new[i] - fac @ new[:i]) % ell
+            crd[i] = (crd[i] - fac @ crd[:i]) % ell
+            nz = np.flatnonzero(new[i])
+            if not len(nz):  # f is monic by construction
+                return crd[i, : s + i + 1], kry[: s + i + 1]
+            pv = nz[0]
+            inv = pow(int(new[i, pv]), ell - 2, ell)
+            new[i] = new[i] * inv % ell
+            crd[i] = crd[i] * inv % ell
+            fac = new[:i, pv].copy()
+            new[:i] = (new[:i] - np.outer(fac, new[i])) % ell
+            crd[:i] = (crd[:i] - np.outer(fac, crd[i])) % ell
+            pivots[s + i] = pv
+        # clear the block's pivot columns from the earlier rows, then append
+        fac = rows[:s][:, pivots[s:t]]
+        rows[:s] = (rows[:s] - fpmat.mul(fac, new, ell)) % ell
+        coords[:s, :t] = (coords[:s, :t] - fpmat.mul(fac, crd, ell)) % ell
+        rows[s:t] = new
+        coords[s:t, :t] = crd
+        if t <= m:
+            kry[t] = fpmat.mul(kry[t - 1], a, ell)
+        s = t
+    raise TableVerificationError("Krylov sequence failed to close")
+
+
 class _Splitter:
     """Splits F_l^k into the common eigenlines of the class-matrix algebra."""
 
@@ -304,18 +371,25 @@ class _Splitter:
         for r in range(len(red)):
             nz = np.nonzero(red[r])[0]
             pivots.append(int(nz[0]))
-        image = red @ mt % self.ell
+        image = fpmat.mul(red, mt, self.ell)
         return image[:, pivots], red
 
     def _split_once(self, basis: np.ndarray, mt: np.ndarray):
         """Decompose the row space of basis into eigenspaces of the combo.
 
         For each seeded probe vector v the monic annihilator f of v is
-        computed on its Krylov sequence; for every root lam of f the
-        deflation v . (f/(x-lam))(a) lands in the lam-eigenspace.  Probes are
+        found on its Krylov sequence; for every root lam of f the deflation
+        v . (f/(x-lam))(a) lands in the lam-eigenspace.  Probes are
         accumulated until the eigenspace dimensions sum to the block size,
         which avoids any full-size nullspace eliminations.
+
+        The last annihilator f is reused for a later probe once v . f(a) = 0
+        is checked.  f has distinct roots, so if the probe's own annihilator
+        g is a proper divisor, the deflation by f is (f/g)(lam) times the one
+        by g for the roots of g, and zero for the others: the eigenspaces
+        come out the same as with g.
         """
+        ell = self.ell
         m = len(basis)
         if m == 1:
             return [basis]
@@ -323,29 +397,25 @@ class _Splitter:
         spans: dict[int, tuple[list, list]] = {}
         seen_roots: set[int] = set()
         total = 0
+        ann = None
         for _probe in range(16):
-            v = self.rng.integers(0, self.ell, size=m, dtype=np.int64)
+            v = self.rng.integers(0, ell, size=m, dtype=np.int64)
             if not v.any():
                 continue
-            ann = self._annihilator_of(v % self.ell, a)
-            roots = _poly_roots_mod(ann, self.ell)
-            if len(roots) < len(ann) - 1:
-                raise TableVerificationError("annihilator fails to split over F_l")
-            seen_roots |= set(roots)
-            r = len(ann) - 1
-            kry = np.zeros((r, m), dtype=np.int64)
-            cur = v % self.ell
-            for s in range(r):
-                kry[s] = cur
-                cur = cur @ a % self.ell
-            coeff = np.stack(
-                [_synthetic_division(ann, lam, self.ell) for lam in roots]
-            )
-            cands = coeff @ kry % self.ell
+            if ann is not None:
+                kry = _krylov(v, a, len(ann), ell)
+                if fpmat.mul(ann, kry, ell).any():
+                    ann = None
+            if ann is None:
+                ann, kry = _annihilator_of(v, a, ell)
+                roots = _poly_roots_mod(ann, ell)
+                if len(roots) < len(ann) - 1:
+                    raise TableVerificationError("annihilator fails to split over F_l")
+                seen_roots |= set(roots)
+                deflate = _synthetic_division(ann, np.array(roots), ell)
+            cands = fpmat.mul(deflate, kry[:-1], ell)
             for lam, u in zip(roots, cands):
-                total += _insert_reduced(
-                    spans.setdefault(lam, ([], [])), u, self.ell
-                )
+                total += _insert_reduced(spans.setdefault(lam, ([], [])), u, ell)
             if total == m:
                 break
         if total < m:
@@ -357,52 +427,22 @@ class _Splitter:
             residual = ident.copy()
             total = 0
             for lam in sorted(seen_roots):
-                shifted = (a - lam * ident) % self.ell
-                rows = fpmat.null_space(shifted.T.copy(), self.ell)
+                shifted = (a - lam * ident) % ell
+                rows = fpmat.null_space(shifted.T.copy(), ell)
                 spans[lam] = (list(rows), [int(np.nonzero(r0)[0][0]) for r0 in rows])
                 total += len(rows)
-                residual = residual @ shifted % self.ell
+                residual = residual @ shifted % ell
             if total < m:
-                rest = fpmat.row_reduce(residual, self.ell)
+                rest = fpmat.row_reduce(residual, ell)
                 rest = rest[rest.any(axis=1)]
                 if len(rest):
-                    spans[self.ell] = (list(rest), [])
+                    spans[ell] = (list(rest), [])
         if len(spans) <= 1:
             # the combination looks scalar on this block; try the next one
             return [basis]
-        pieces = [
-            np.array(rows, dtype=np.int64) for _, (rows, _) in sorted(spans.items())
-        ]
-        return [piece @ red % self.ell for piece in pieces]
-
-    def _annihilator_of(self, v: np.ndarray, a: np.ndarray) -> np.ndarray:
-        """Least monic poly f with v . f(a) = 0, by incremental reduction."""
-        ell = self.ell
-        basis_rows: list[np.ndarray] = []
-        pivots: list[int] = []
-        coords: list[np.ndarray] = []
-        count = 0
-        cur = v.copy()
-        while True:
-            red = cur.copy()
-            coord = np.zeros(count + 1, dtype=np.int64)
-            coord[count] = 1
-            for row, pv, co in zip(basis_rows, pivots, coords):
-                c = int(red[pv])
-                if c:
-                    red = (red - c * row) % ell
-                    coord[: len(co)] = (coord[: len(co)] - c * co) % ell
-            if not red.any():
-                return coord % ell  # monic by construction
-            pv = int(np.nonzero(red)[0][0])
-            inv = pow(int(red[pv]), ell - 2, ell)
-            basis_rows.append(red * inv % ell)
-            coords.append(coord * inv % ell)
-            pivots.append(pv)
-            count += 1
-            if count > len(a):
-                raise TableVerificationError("Krylov sequence failed to close")
-            cur = cur @ a % ell
+        pieces = [rows for _, (rows, _) in sorted(spans.items())]
+        images = fpmat.mul(np.array([r for rows in pieces for r in rows]), red, ell)
+        return np.split(images, np.cumsum([len(rows) for rows in pieces])[:-1])
 
 
 def _insert_reduced(span: tuple[list, list], vec: np.ndarray, ell: int) -> int:
@@ -422,40 +462,42 @@ def _insert_reduced(span: tuple[list, list], vec: np.ndarray, ell: int) -> int:
     return 1
 
 
-def _synthetic_division(poly: np.ndarray, lam: int, ell: int) -> np.ndarray:
-    """Coefficients of poly(x) / (x - lam), ascending, length deg(poly)."""
+def _synthetic_division(poly: np.ndarray, lams: np.ndarray, ell: int) -> np.ndarray:
+    """Row r: coefficients of poly(x) / (x - lams[r]), ascending, length deg(poly)."""
     deg = len(poly) - 1
-    out = np.zeros(deg, dtype=np.int64)
-    carry = 0
+    out = np.zeros((len(lams), deg), dtype=np.int64)
+    carry = np.zeros(len(lams), dtype=np.int64)
     for i in range(deg - 1, -1, -1):
-        carry = (poly[i + 1] + carry * lam) % ell
-        out[i] = carry
+        carry = (poly[i + 1] + carry * lams) % ell
+        out[:, i] = carry
     return out
 
 
 # -- the table computation ---------------------------------------------------------
 
 
-def _class_matrix_combo(group: PermGroup, coeffs: np.ndarray, ell: int) -> np.ndarray:
-    """sum_i coeffs[i] * M_i where (M_i)[j, m] counts products C_i * C_j -> rep_m."""
-    classes = group.conjugacy_classes()
-    k = len(classes)
-    arr, inv = group.arrays()
-    class_of = group.class_index_array()
-    weights = coeffs[class_of] % ell
-    combo = np.zeros((k, k), dtype=np.int64)
-    for m_idx, c in enumerate(classes):
-        rows = inv[:, c.rep.images]  # row x = x^{-1} . z_m
-        j_ids = class_of[group.ids_of_rows(rows)]
-        np.add.at(combo[:, m_idx], j_ids, weights)
-    return combo % ell
+def _class_of_products(group: PermGroup) -> np.ndarray:
+    """|G| x k int32 array whose [x, m] entry is the class of x^-1 . z_m,
+    z_m the representative of class m."""
+    _, inv = group.arrays()
+    reps = [c.element_ids[0] for c in group.conjugacy_classes()]
+    right = group.right_multiplication(reps)  # [m, y] = id of y . z_m
+    inverse_ids = group.ids_of_rows(inv)
+    return group.class_index_array()[right[:, inverse_ids]].astype(np.int32).T
 
 
-def _combo_source(group: PermGroup, ell: int, rng):
-    k = len(group.conjugacy_classes())
+def _combo_source(product_classes: np.ndarray, class_of: np.ndarray, ell: int, rng):
+    """Seeded combinations sum_i c_i M_i of the class matrices, where
+    (M_i)[j, m] counts the x in C_i with x^-1 . z_m in C_j."""
+    k = product_classes.shape[1]
     while True:
         coeffs = rng.integers(0, ell, size=k, dtype=np.int64)
-        yield _class_matrix_combo(group, coeffs, ell)
+        # float64 sums of |G| weights below l stay exact while |G| * l < 2**53
+        weights = (coeffs[class_of] % ell).astype(np.float64)
+        combo = np.empty((k, k), dtype=np.int64)
+        for m in range(k):
+            combo[:, m] = np.bincount(product_classes[:, m], weights, minlength=k)
+        yield combo % ell
 
 
 def _degrees_from_omegas(group, omegas: np.ndarray, ell: int) -> list[int]:
@@ -496,7 +538,6 @@ def _lift_values(group, table_mod: np.ndarray, ell: int, w_e: int):
     k = len(classes)
     values: list[list[Cyclotomic | None]] = [[None] * k for _ in range(k)]
     done = [False] * k
-    from math import gcd
 
     for j, c in enumerate(classes):
         if done[j]:
@@ -513,35 +554,51 @@ def _lift_values(group, table_mod: np.ndarray, ell: int, w_e: int):
         st = np.outer(np.arange(m), np.arange(m)) % m
         powers = wpow[st]
         m_inv = pow(m, ell - 2, ell)
-        mults = cols @ powers % ell * m_inv % ell  # k x m, entries in [0, l)
+        mults = fpmat.mul(cols, powers, ell) * m_inv % ell  # k x m, in [0, l)
         orbit_cols = {}
         for kk in range(1, m + 1):
             if gcd(kk, m) == 1:
                 j2 = pm[kk % e] if m > 1 else j
                 if not done[j2] and j2 not in orbit_cols:
                     orbit_cols[j2] = kk
-        nonzero = [np.nonzero(mults[row])[0] for row in range(k)]
+        # the class g^kk has multiplicity mults[row, t] at z_m^(t kk): scatter
+        # the few nonzero ones through the power-basis rows of those roots
+        rows, ts = np.nonzero(mults)  # row-major: each row's entries adjacent
+        counts = mults[rows, ts][:, None]
+        present, starts = np.unique(rows, return_index=True)
+        monomials = np.array(_monomial_table(m), dtype=np.int64)
         for j2, kk in sorted(orbit_cols.items()):
-            for row in range(k):
-                values[row][j2] = Cyclotomic._from_monomials(
-                    m,
-                    ((int(t) * kk % m, int(mults[row, t])) for t in nonzero[row]),
-                )
+            coeffs = np.zeros((k, phi(m)), dtype=np.int64)
+            terms = counts * monomials[ts * kk % m]
+            coeffs[present] = np.add.reduceat(terms, starts, axis=0)
+            rational = ~coeffs[:, 1:].any(axis=1)
+            for row, vec, flat in zip(values, coeffs.tolist(), rational.tolist()):
+                if flat:
+                    row[j2] = Cyclotomic(1, (vec[0],), _raw=True)
+                else:
+                    row[j2] = Cyclotomic(m, tuple(vec), _raw=True)
             done[j2] = True
     return values
 
 
-def _cyclotomic_mod(value: Cyclotomic, ell: int, w_e: int, e: int) -> int:
-    """Reduce an exact value to F_l via zeta_e -> w_e."""
-    f = value.conductor
-    if e % f != 0:
-        raise ValueError("conductor does not divide the exponent")
-    w_f = pow(w_e, e // f, ell)
-    total = 0
-    for i, c in enumerate(value.coeffs):
-        if c:
-            total += c * pow(w_f, i, ell)
-    return total % ell
+def _row_order(degrees: list[int], values) -> list[int]:
+    """Row indices sorted by degree, then by the tuple of rendered values.
+
+    Within a column equal values have equal conductors and coefficients,
+    so only the first column where two rows differ is rendered."""
+
+    def compare(i: int, j: int) -> int:
+        if degrees[i] != degrees[j]:
+            return -1 if degrees[i] < degrees[j] else 1
+        for a, b in zip(values[i], values[j]):
+            if a.conductor == b.conductor and a.coeffs == b.coeffs:
+                continue
+            a, b = str(a), str(b)
+            if a != b:
+                return -1 if a < b else 1
+        return 0
+
+    return sorted(range(len(degrees)), key=cmp_to_key(compare))
 
 
 def character_table(group: PermGroup, seed: int = 0) -> CharacterTable:
@@ -552,7 +609,9 @@ def character_table(group: PermGroup, seed: int = 0) -> CharacterTable:
     ell = find_dixon_prime(e, group.order)
     rng = np.random.default_rng(seed)
 
-    lines = _Splitter(_combo_source(group, ell, rng), k, ell, rng).run()
+    product_classes = _class_of_products(group)
+    combos = _combo_source(product_classes, group.class_index_array(), ell, rng)
+    lines = _Splitter(combos, k, ell, rng).run()
     omegas = []
     for line in lines:
         v = line.ravel() % ell
@@ -572,10 +631,7 @@ def character_table(group: PermGroup, seed: int = 0) -> CharacterTable:
     values = _lift_values(group, table_mod, ell, w_e)
 
     # deterministic row order: by degree, then rendered values
-    order = sorted(
-        range(k),
-        key=lambda i: (degrees[i], tuple(str(v) for v in values[i])),
-    )
+    order = _row_order(degrees, values)
     degrees = [degrees[i] for i in order]
     values = [values[i] for i in order]
     table_mod = table_mod[order]
@@ -597,16 +653,28 @@ def _verify(table: CharacterTable, w_e: int) -> None:
     for chi in table.chars:
         if chi.values[0] != chi.degree:
             raise TableVerificationError("first column does not equal the degree")
-    # lifted values must reduce back to the mod-l table
-    for i, chi in enumerate(table.chars):
+    # lifted values must reduce back to the mod-l table under zeta_e -> w_e,
+    # row by row and, within a row, one conductor at a time
+    w_powers: dict[int, np.ndarray] = {}  # conductor f -> powers of w_e^(e/f)
+    for chi, mod_row in zip(table.chars, table.mod_table):
+        by_conductor: dict[int, list[int]] = {}
         for j, v in enumerate(chi.values):
-            if _cyclotomic_mod(v, ell, w_e, e) != int(table.mod_table[i, j]) % ell:
+            by_conductor.setdefault(v.conductor, []).append(j)
+        for f, cols in by_conductor.items():
+            if f not in w_powers:
+                if e % f:
+                    raise ValueError("conductor does not divide the exponent")
+                w_f = pow(w_e, e // f, ell)
+                w_powers[f] = np.array([pow(w_f, i, ell) for i in range(phi(f))])
+            coeffs = np.array([chi.values[j].coeffs for j in cols], dtype=np.int64)
+            reduced = coeffs % ell @ w_powers[f] % ell
+            if not np.array_equal(reduced, mod_row[cols] % ell):
                 raise TableVerificationError("lift is inconsistent with the mod-l table")
     # modular orthogonality (always)
     sizes = np.array([c.size for c in table.classes], dtype=np.int64)
     inv_class = [c.power_map[-1] for c in table.classes]
     t_inv = table.mod_table[:, inv_class]
-    gram = table.mod_table @ (t_inv * sizes[None, :]).T % ell
+    gram = fpmat.mul(table.mod_table, (t_inv * sizes[None, :] % ell).T, ell)
     if not np.array_equal(gram, (group.order % ell) * np.eye(k, dtype=np.int64) % ell):
         raise TableVerificationError("row orthogonality fails mod l")
     # rational rows match rational classes
@@ -619,7 +687,29 @@ def _verify(table: CharacterTable, w_e: int) -> None:
     if rational_classes != rational_rows:
         raise TableVerificationError("rational row/class counts differ")
     if k <= EXACT_VERIFY_LIMIT:
+        # the entrywise Galois action agrees with the power maps; both
+        # actions compose, so generators of the units mod e suffice
+        for u in _unit_generators(e):
+            for chi in table.chars:
+                table.galois_conjugate(chi, u)
         verify_orthogonality_exact(table)
+
+
+def _unit_generators(e: int) -> list[int]:
+    """Units mod e, increasing, each outside the group the earlier ones generate."""
+    gens: list[int] = []
+    reached = {1 % e}
+    for u in range(2, e):
+        if gcd(u, e) != 1 or u in reached:
+            continue
+        gens.append(u)
+        grown = set(reached)
+        x = u
+        while x not in reached:  # the cosets reached * u^j
+            grown |= {r * x % e for r in reached}
+            x = x * u % e
+        reached = grown
+    return gens
 
 
 def verify_orthogonality_exact(table: CharacterTable) -> None:

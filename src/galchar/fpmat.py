@@ -6,7 +6,8 @@ as by the action checks), powers and orders of matrices, companion matrices
 (used by the primitive-polynomial search and the Singer cycles), and
 closures of small matrix groups and vector orbits.  Entries are reduced to
 [0, p) after every product, so a product of n x n matrices stays exact while
-n * (p - 1)**2 < 2**63.
+n * (p - 1)**2 < 2**63; `mul` and the character-table splitter work in
+float64 while n * (p - 1)**2 < 2**53 (`exact_dtype`).
 """
 from __future__ import annotations
 
@@ -21,6 +22,19 @@ def mat(rows, p: int) -> np.ndarray:
 
 def mat_key(m: np.ndarray) -> bytes:
     return m.tobytes()
+
+
+def exact_dtype(n: int, p: int):
+    """float64 if a sum of n products of entries in [0, p) stays below 2**53,
+    so that it is exact there and products go through the BLAS; else int64."""
+    return np.float64 if n * (p - 1) ** 2 < 2**53 else np.int64
+
+
+def mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p as int64, for entries in [0, p); in float64 where exact."""
+    dtype = exact_dtype(a.shape[-1], p)
+    out = a.astype(dtype, copy=False) @ b.astype(dtype, copy=False) % p
+    return out.astype(np.int64)
 
 
 def mat_pow(m: np.ndarray, n: int, p: int) -> np.ndarray:
@@ -106,8 +120,9 @@ def row_reduce(m: np.ndarray, p: int) -> np.ndarray:
         m[r] = m[r] * pow(int(m[r, c]), p - 2, p) % p
         col = m[:, c].copy()
         col[r] = 0
-        m -= np.outer(col, m[r])
-        m %= p
+        if col.any():
+            m -= np.outer(col, m[r])
+            m %= p
         r += 1
         if r == rows:
             break

@@ -3,8 +3,11 @@
 Groups are stored by full element enumeration (bounded, default 5e5) with
 hashed membership; that is all the spec's target groups need, and it keeps
 every derived computation (classes, series, centralizers, quotients) exact
-and simple.  Conjugacy classes carry power maps indexed 0..e-1 (e the group
-exponent) because the Galois action on characters is driven by them.
+and simple.  Conjugacy classes are orbits of element ids: each generator
+conjugates the whole (|G|, degree) image array at once, and the rows are
+mapped back to ids.  Classes carry power maps indexed 0..e-1 (e the group
+exponent) because the Galois action on characters is driven by them; they
+are found by stepping every class representative at once.
 
 All orderings are deterministic: element enumeration is breadth-first over
 the generator list, classes are sorted by (element order, class size,
@@ -170,6 +173,8 @@ class PermGroup:
         self._class_of: np.ndarray | None = None
         self._exponent: int | None = None
         self._arrays: tuple[np.ndarray, np.ndarray] | None = None
+        self._void_sorted: np.ndarray | None = None  # rows as sorted byte strings
+        self._void_order: np.ndarray | None = None  # their element ids
         self._center: "Subgroup" | None = None
         self._lcs: list["Subgroup"] | None = None
         self._dseries: list["Subgroup"] | None = None
@@ -224,7 +229,7 @@ class PermGroup:
     def ids_of_rows(self, rows: np.ndarray) -> np.ndarray:
         """Element ids for a stack of image rows (each row must lie in G)."""
         arr, _ = self.arrays()
-        if not hasattr(self, "_void_order"):
+        if self._void_order is None:
             void = np.ascontiguousarray(arr).view(
                 np.dtype((np.void, arr.shape[1] * arr.itemsize))
             ).ravel()
@@ -240,54 +245,93 @@ class PermGroup:
             raise KeyError("row is not an element of the group")
         return ids
 
+    def right_multiplication(self, ids) -> np.ndarray:
+        """Row i: the id of x * elements[ids[i]], for every element id x.
+
+        A breadth-first walk over the generators' right multiplications on
+        ids writes each element as a word; a row composes the word's maps."""
+        arr, _ = self.arrays()
+        by_gen = [self.ids_of_rows(arr[:, g.images]) for g in self.generators]
+        # element y is element parent[y] times generator via[y]
+        parent, via = [-1] * self.order, [0] * self.order
+        parent[0] = 0
+        walk = [0]
+        steps = [r.tolist() for r in by_gen]
+        for x in walk:  # grows while it is walked
+            for gi, step in enumerate(steps):
+                y = step[x]
+                if parent[y] < 0:
+                    parent[y], via[y] = x, gi
+                    walk.append(y)
+        out = np.empty((len(ids), self.order), dtype=np.int64)
+        for row, z in zip(out, ids):
+            word = []
+            while z:
+                word.append(via[z])
+                z = parent[z]
+            cur = np.arange(self.order)
+            for gi in reversed(word):
+                cur = by_gen[gi][cur]
+            row[:] = cur
+        return out
+
     # -- conjugacy classes ----------------------------------------------------
 
     def conjugacy_classes(self) -> list[ConjugacyClass]:
         if self._classes is not None:
             return self._classes
         n = self.order
-        seen = np.zeros(n, dtype=bool)
+        arr, _ = self.arrays()
+        # conj[g][x] = id of g x g^-1, for every element x at once
+        conj = []
+        for g in self.generators:
+            images = np.array(g.images, dtype=np.int32)
+            conj.append(self.ids_of_rows(images[arr[:, np.argsort(images)]]).tolist())
+        label = [-1] * n
         raw: list[list[int]] = []
-        gen_pairs = [(g, g.inv()) for g in self.generators]
         for start in range(n):
-            if seen[start]:
+            if label[start] >= 0:
                 continue
-            seen[start] = True
+            label[start] = len(raw)
             members = [start]
-            queue = [self.elements[start]]
-            while queue:
-                x = queue.pop()
-                for g, ginv in gen_pairs:
-                    y = g * x * ginv
-                    yid = self._index[y.images]
-                    if not seen[yid]:
-                        seen[yid] = True
-                        members.append(yid)
-                        queue.append(y)
+            for x in members:  # grows while it is walked: a breadth-first orbit
+                for images in conj:
+                    y = images[x]
+                    if label[y] < 0:
+                        label[y] = len(raw)
+                        members.append(y)
             raw.append(members)
 
+        # rank[i] is the position of element i in the order of image tuples
+        rank = np.empty(n, dtype=np.int64)
+        rank[np.lexsort(arr.T[::-1])] = np.arange(n)
+        rank = rank.tolist()
         classes = []
         for members in raw:
-            members.sort(key=lambda i: self.elements[i].images)
+            members.sort(key=rank.__getitem__)
             rep = self.elements[members[0]]
             classes.append(ConjugacyClass(rep, tuple(members), rep.order()))
-        classes.sort(key=lambda c: (c.order, c.size, c.rep.images))
+        classes.sort(key=lambda c: (c.order, c.size, rank[c.element_ids[0]]))
 
         class_of = np.empty(n, dtype=np.int64)
         for ci, c in enumerate(classes):
-            for eid in c.element_ids:
-                class_of[eid] = ci
+            class_of[list(c.element_ids)] = ci
         e = 1
         for c in classes:
             e = lcm(e, c.order)
         self._exponent = e
-        for c in classes:
-            small = []
-            cur = self.elements[0]
-            for _ in range(c.order):
-                small.append(int(class_of[self._index[cur.images]]))
-                cur = cur * c.rep
-            c.power_map = tuple(small[t % c.order] for t in range(e))
+        # powers[ci, t] = class of rep_ci ** t for t < order; classes are
+        # sorted by order, so the reps still stepping form a suffix
+        orders = np.array([c.order for c in classes])
+        reps = arr[[c.element_ids[0] for c in classes]]
+        cur = np.tile(np.arange(self.degree, dtype=np.int32), (len(classes), 1))
+        powers = np.zeros((len(classes), int(orders[-1])), dtype=np.int64)
+        for t in range(int(orders[-1])):
+            first = int(np.searchsorted(orders, t, side="right"))
+            powers[first:, t] = class_of[self.ids_of_rows(cur[first:])]
+            cur[first:] = np.take_along_axis(cur[first:], reps[first:], 1)
+        for ci, c in enumerate(classes):
+            c.power_map = tuple(powers[ci, np.arange(e) % c.order].tolist())
         self._classes = classes
         self._class_of = class_of
         return classes
@@ -587,11 +631,14 @@ class Subgroup:
         return self._group
 
     def is_normal(self) -> bool:
+        """A subgroup (the set is closed under products) normalized by the
+        parent's generators."""
         if self._normal is None:
-            self._normal = all(
+            gens = self.generating_set()
+            self._normal = self.parent.close(gens) == self.elements and all(
                 g * s * g.inv() in self.elements
                 for g in self.parent.generators
-                for s in self.generating_set()
+                for s in gens
             )
         return self._normal
 
