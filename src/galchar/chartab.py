@@ -42,6 +42,7 @@ checks that the closure of its generators is the set itself.
 """
 from __future__ import annotations
 
+import weakref
 from functools import cmp_to_key
 from math import gcd
 
@@ -65,7 +66,8 @@ class Character:
     """One row of a character table."""
 
     __slots__ = (
-        "table", "index", "degree", "values", "_kernel_classes", "_kernel", "_stab"
+        "table", "index", "degree", "values", "_kernel_classes", "_kernel", "_stab",
+        "__weakref__",
     )
 
     def __init__(self, table: "CharacterTable", index: int, degree: int, values):
@@ -108,13 +110,9 @@ class Character:
         """The kernel as a subgroup: the union of the kernel classes."""
         if self._kernel is None:
             group = self.table.group
-            members = [
-                group.elements[i]
-                for j in self.kernel_classes()
-                for i in self.table.classes[j].element_ids
-            ]
-            sub = group.subgroup_from_elements(members)
-            if group.close(sub.generating_set()) != sub.elements:
+            classes = [self.table.classes[j].element_ids for j in self.kernel_classes()]
+            sub = Subgroup(group, np.concatenate(classes))
+            if not np.array_equal(group.closure(sub.gen_ids), sub.ids):
                 raise TableVerificationError("character kernel is not a subgroup")
             self._kernel = sub
         return self._kernel
@@ -143,12 +141,25 @@ class CharacterTable:
         self.dixon_prime = dixon_prime
         self.mod_table: np.ndarray = mod_table  # k x k, values mod l
         self.seed = seed
-        self.chars = [
-            Character(self, i, degrees[i], row) for i, row in enumerate(chars_values)
-        ]
+        self._rows = [tuple(row) for row in chars_values]
+        self._chars: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
         self._units: tuple[int, ...] | None = None
         self._row_lookup: dict[bytes, int] | None = None
         self._power_matrix: np.ndarray | None = None
+
+    @property
+    def chars(self) -> list[Character]:
+        """One Character per row, the same object while any caller holds it.
+        The table holds its characters weakly: they refer to the table, and
+        a cycle would keep the table and its group alive until the cyclic
+        garbage collector runs."""
+        out = []
+        for i, row in enumerate(self._rows):
+            chi = self._chars.get(i)
+            if chi is None:
+                chi = self._chars[i] = Character(self, i, self.degrees[i], row)
+            out.append(chi)
+        return out
 
     @property
     def n_classes(self) -> int:
@@ -479,11 +490,9 @@ def _synthetic_division(poly: np.ndarray, lams: np.ndarray, ell: int) -> np.ndar
 def _class_of_products(group: PermGroup) -> np.ndarray:
     """|G| x k int32 array whose [x, m] entry is the class of x^-1 . z_m,
     z_m the representative of class m."""
-    _, inv = group.arrays()
     reps = [c.element_ids[0] for c in group.conjugacy_classes()]
     right = group.right_multiplication(reps)  # [m, y] = id of y . z_m
-    inverse_ids = group.ids_of_rows(inv)
-    return group.class_index_array()[right[:, inverse_ids]].astype(np.int32).T
+    return group.class_index_array()[right[:, group.inverse]].astype(np.int32).T
 
 
 def _combo_source(product_classes: np.ndarray, class_of: np.ndarray, ell: int, rng):

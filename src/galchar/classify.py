@@ -162,15 +162,6 @@ def check_scalar_transitivity(mats, p: int, n: int) -> bool:
 # -- complements ------------------------------------------------------------------
 
 
-def _p_prime_part(x: Permutation, p: int) -> Permutation:
-    o = x.order()
-    a = 1
-    while o % p == 0:
-        o //= p
-        a *= p
-    return x**a
-
-
 def find_complement(
     group: PermGroup, psub: Subgroup, seed: int = COMPLEMENT_SEED
 ) -> Subgroup:
@@ -193,20 +184,24 @@ def find_complement(
     if target % p == 0:
         raise ValueError("P must be a full Sylow p-subgroup")
     rng = random.Random(seed)
-    gens: list[Permutation] = []
+    gens: list[int] = []
     closures = 0
     while closures < COMPLEMENT_CLOSURE_CAP:
-        g = group.elements[rng.randrange(group.order)]
-        h = _p_prime_part(g, p)
-        if h.is_identity:
+        g = rng.randrange(group.order)
+        o, p_part = int(group.order_of(g)), 1
+        while o % p == 0:
+            o //= p
+            p_part *= p
+        h = int(group.power(g, p_part))
+        if h == 0:
             continue
         candidate = gens + [h]
         closures += 1
-        closure = group.close(candidate, cap=target)
+        closure = group.closure(candidate, cap=target)
         if closure is None:
             continue  # overshoot: p-singular closure, drop the sample
         if len(closure) == target:
-            return Subgroup(group, closure, tuple(candidate))
+            return Subgroup(group, closure, candidate)
         if len(closure) % p:
             gens = candidate
     raise ComplementNotFound(
@@ -220,26 +215,15 @@ def find_complement(
 
 def is_extraspecial_p3(psub: Subgroup | PermGroup, p: int) -> bool:
     """|P| = p^3 with center = derived = Frattini of order p."""
-    group = psub.as_group() if isinstance(psub, Subgroup) else psub
-    if group.order != p**3:
+    if isinstance(psub, PermGroup):
+        psub = psub.full_subgroup()
+    if psub.order != p**3:
         return False
-    center = group.center()
-    derived = group.derived_subgroup()
-    frattini = frattini_of_pgroup(group, p)
+    center = psub.parent.centralizer(psub, within=psub)
     return (
         center.order == p
-        and center.elements == derived.elements
-        and center.elements == frattini.elements
-    )
-
-
-def _subgroup_product(group: PermGroup, a: Subgroup, b: Subgroup) -> frozenset:
-    return frozenset(x * y for x in a.elements for y in b.elements)
-
-
-def _commutes(a: Subgroup, b: Subgroup) -> bool:
-    return all(
-        x * y == y * x for x in a.generating_set() for y in b.generating_set()
+        and center == psub.derived_subgroup()
+        and center == frattini_of_pgroup(psub, p)
     )
 
 
@@ -329,11 +313,9 @@ def _structural_checklist(group, table, part, report, seed) -> tuple[bool, str |
     report.p = p
 
     psub = residue
-    pgroup = psub.as_group()
     usub = frattini_of_pgroup(psub, p)
     report.order_U = usub.order
-    derived_p = pgroup.derived_subgroup()
-    ok = usub.elements == derived_p.elements
+    ok = usub == psub.derived_subgroup()
     checklist["frattini_equals_derived"] = ok
     if not ok:
         return False, "Frattini subgroup of P differs from P'"
@@ -345,13 +327,7 @@ def _structural_checklist(group, table, part, report, seed) -> tuple[bool, str |
         return False, str(exc)
     checklist["complement_found"] = True
     report.order_H = hsub.order
-    csub = group.subgroup_from_elements(
-        [
-            h
-            for h in hsub.elements
-            if all(h * x == x * h for x in psub.generating_set())
-        ]
-    )
+    csub = group.centralizer(psub, within=hsub)
     report.order_C = csub.order
 
     kernels = {table.chars[i].kernel_classes() for i in part.exceptional}
@@ -361,11 +337,11 @@ def _structural_checklist(group, table, part, report, seed) -> tuple[bool, str |
         return False, "exceptional characters have different kernels"
     ksub = table.chars[part.exceptional[0]].kernel()
     report.order_K = ksub.order
-    product = _subgroup_product(group, csub, usub)
+    product = np.unique(group.mul(csub.ids[:, None], usub.ids[None, :]))
     ok = (
-        product == ksub.elements
-        and len(csub.elements & usub.elements) == 1
-        and _commutes(csub, usub)
+        np.array_equal(product, ksub.ids)
+        and len(np.intersect1d(csub.ids, usub.ids)) == 1
+        and group.centralizer(usub, within=csub) == csub
     )
     checklist["kernel_is_centralizer_times_frattini"] = ok
     if not ok:
@@ -381,12 +357,10 @@ def _structural_checklist(group, table, part, report, seed) -> tuple[bool, str |
     assert p2 == p
     report.n = n
     # h acts trivially on P/U iff it fixes every basis coset
-    action_kernel = frozenset(
-        h
-        for h in hsub.elements
-        if all((h * b * h.inv()) * b.inv() in usub.elements for b in basis)
-    )
-    ok = action_kernel == csub.elements
+    fixes = np.ones(hsub.order, dtype=bool)
+    for b in group.ids_of(basis):
+        fixes &= usub.contains(group.mul(group.conj(hsub.ids, b), group.inverse[b]))
+    ok = np.array_equal(hsub.ids[fixes], csub.ids)
     checklist["action_kernel_is_centralizer"] = ok
     if not ok:
         return False, "kernel of the P/U action is not C_H(P)"
@@ -462,13 +436,7 @@ def _case_tag(group, psub, usub, csub, hsub, p, n, d) -> str | None:
     if not u_trivial and c_trivial:
         if not is_extraspecial_p3(psub, p):
             return None
-        chu = group.subgroup_from_elements(
-            [
-                h
-                for h in hsub.elements
-                if all(h * u == u * h for u in usub.generating_set())
-            ]
-        )
+        chu = group.centralizer(usub, within=hsub)
         h_cyclic = hgroup.is_cyclic()
         if (
             h_cyclic
@@ -476,10 +444,10 @@ def _case_tag(group, psub, usub, csub, hsub, p, n, d) -> str | None:
             and chu.order * 2 == hsub.order
         ):
             return "a4"
-        if h_cyclic and chu.elements == hsub.elements and hsub.order == p + 1:
+        if h_cyclic and chu == hsub and hsub.order == p + 1:
             return "a5"
         if (
-            chu.elements == hsub.elements
+            chu == hsub
             and hgroup.is_generalized_quaternion()
             and is_mersenne_prime(p)
             and hsub.order * d == p * p - 1
@@ -499,9 +467,8 @@ def _case_tag(group, psub, usub, csub, hsub, p, n, d) -> str | None:
     quot, _ = group.quotient(csub)
     if quot.order != 24:
         return None
-    syl2 = quot.subgroup_from_elements(
-        [x for x in quot.elements if _is_2_power_order(x)]
-    )
+    orders = quot.order_of(np.arange(quot.order))
+    syl2 = Subgroup(quot, np.flatnonzero((orders & (orders - 1)) == 0))
     if syl2.order != 8 or not syl2.is_normal():
         return None
     if not syl2.as_group().is_generalized_quaternion():
@@ -511,11 +478,6 @@ def _case_tag(group, psub, usub, csub, hsub, p, n, d) -> str | None:
     if quot.derived_subgroup().order != 8:
         return None
     return "a7"
-
-
-def _is_2_power_order(x: Permutation) -> bool:
-    o = x.order()
-    return o & (o - 1) == 0
 
 
 def _quaternion_times_cyclic(hgroup: PermGroup) -> bool:
@@ -550,18 +512,11 @@ def check_isaacs_bound(group: PermGroup, acting: Subgroup, target: Subgroup) -> 
 
     if gcd(acting.order, target.order) != 1:
         raise ValueError("action must be coprime")
-    tgens = target.generating_set()
-    trivial_action = {
-        a for a in acting.elements if all(a * t == t * a for t in tgens)
-    }
-    if len(trivial_action) != 1:
+    if group.centralizer(target, within=acting).order != 1:
         raise ValueError("action must be faithful")
     p = min(factorize(acting.order))
-    for g in target.elements:
-        cent = sum(1 for a in acting.elements if a * g == g * a)
-        if cent**p * p <= acting.order:
-            return True
-    return False
+    cent = group.commuting(acting.ids, target.ids).sum(axis=0)
+    return bool((cent**p * p <= acting.order).any())
 
 
 def check_frobenius_criterion(mats, p: int, n: int) -> bool:

@@ -313,14 +313,14 @@ def _q8_order3_automorphism() -> Permutation:
     where its translation sends 0; the automorphism permutes those labels.
     """
     q8 = quaternion8()
-    x, y = q8.generators
-    k = x * y
+    x, y = q8.gen_ids
+    k = q8.mul(x, y)
     perm = [0] * 8
     for a in range(4):
         for b in range(2):
-            g = (x**a) * (y**b)
-            img = (y**a) * (k**b)
-            perm[g.images[0]] = img.images[0]
+            g = q8.mul(q8.power(x, a), q8.power(y, b))
+            img = q8.mul(q8.power(y, a), q8.power(k, b))
+            perm[q8.images[g, 0]] = int(q8.images[img, 0])
     return Permutation(perm)
 
 
@@ -335,7 +335,10 @@ def _q8_semidirect(mats, central_height: int, name) -> PermGroup:
         if order == 3:
             # match the matrix to alpha or alpha^2 by its action on e1, e2
             std = np.array([[0, 1], [1, 1]], dtype=np.int64)
-            act = alpha if np.array_equal(m, std) else alpha * alpha
+            if np.array_equal(m, std):
+                act = alpha
+            else:
+                act = Permutation(alpha(a) for a in alpha.images)  # alpha^2
         elif order == 1:
             act = None
         else:
