@@ -50,7 +50,7 @@ import numpy as np
 
 from . import fpmat
 from .cyclotomic import Cyclotomic, _monomial_table, cyc, phi
-from .numth import factorize, find_dixon_prime
+from .numth import find_dixon_prime, primitive_root
 from .perm import ConjugacyClass, PermGroup, Subgroup
 
 EXACT_VERIFY_LIMIT = 40
@@ -533,11 +533,7 @@ def _degrees_from_omegas(group, omegas: np.ndarray, ell: int) -> list[int]:
 
 def _find_root_of_unity(ell: int, e: int) -> int:
     """An element of order e in F_l* (deterministic: smallest generator)."""
-    fac = list(factorize(ell - 1))
-    for u in range(2, ell):
-        if all(pow(u, (ell - 1) // q, ell) != 1 for q in fac):
-            return pow(u, (ell - 1) // e, ell)
-    raise AssertionError("F_l* has a generator")
+    return pow(primitive_root(ell), (ell - 1) // e, ell)
 
 
 def _lift_values(group, table_mod: np.ndarray, ell: int, w_e: int):

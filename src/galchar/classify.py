@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, asdict
+from math import gcd
 
 import numpy as np
 
@@ -27,10 +28,11 @@ from . import fpmat
 from .chartab import CharacterTable, character_table
 from .numth import factorize, is_mersenne_prime, is_prime, is_prime_power, primitive_root
 from .perm import (
+    ORDER_BOUND,
     PermGroup,
-    Permutation,
     Subgroup,
     frattini_of_pgroup,
+    orbit_labels,
     quotient_module_action,
 )
 
@@ -118,45 +120,59 @@ class ClassificationReport:
         return asdict(self)
 
 
-# -- action checks on matrix groups over F_p ------------------------------------
+# -- action checks: matrix groups as permutation groups on F_p^n ---------------
 
 
-def check_frobenius_action(mats, p: int, n: int) -> bool:
-    """Every nonidentity element of <mats> fixes only the zero vector.
+def vector_group(mats, p: int, n: int) -> PermGroup:
+    """<mats> as a permutation group on the p^n vectors of F_p^n, numbered as
+    in `fpmat.all_vectors`, so the identity is element 0 and vector 0 is
+    point 0.
 
-    A trivial group does not act Frobeniusly (the acting group must be
-    nontrivial), so identity-only input returns False.
+    A group containing V x| <mats> has order at least p^n |<mats>|, so a
+    matrix group with more than ORDER_BOUND // p^n elements raises
+    OrderBoundExceeded as soon as its enumeration passes that bound.
     """
     for m in mats:
         if fpmat.mat_rank(m, p) < n:
             raise ValueError("matrices must be invertible")
-    elements = fpmat.close_matrix_group(list(mats), p) if mats else []
-    nontrivial = [m for m in elements if not np.array_equal(m, elements[0])]
-    if not nontrivial:
-        return False
-    return all(fpmat.fixed_space_dim(m, p) == 0 for m in nontrivial)
+    return PermGroup(p**n, fpmat.vector_action(mats, p), order_bound=ORDER_BOUND // p**n)
+
+
+def check_frobenius_action(mats, p: int, n: int) -> bool:
+    """Every nonidentity element of <mats> fixes only the zero vector: each
+    image row after the identity's has exactly one fixed point.
+
+    A trivial group does not act Frobeniusly (the acting group must be
+    nontrivial), so identity-only input returns False.
+    """
+    group = vector_group(mats, p, n)
+    fixed = (group.images[1:] == np.arange(p**n)).sum(axis=1)
+    return group.order > 1 and bool((fixed == 1).all())
 
 
 def check_irreducible_action(mats, p: int, n: int) -> bool:
-    """The span of every nonzero vector's orbit is the whole space."""
-    elements = fpmat.close_matrix_group(list(mats), p) if mats else [np.eye(n, dtype=np.int64)]
-    for v in fpmat.all_vectors(p, n):
-        if not v.any():
-            continue
-        orbit = [m @ v % p for m in elements]
-        if fpmat.span_dim(orbit, p, n) < n:
-            return False
-    return True
+    """The span of every nonzero vector's orbit is the whole space.
+
+    One rank per orbit, since the vectors of one orbit span one subspace;
+    orbit c is members[ends[c - 1]:ends[c]], and orbit 0 is the zero vector.
+    """
+    group = vector_group(mats, p, n)
+    label = orbit_labels(p**n, [g.images for g in group.generators])
+    members, ends = np.argsort(label, kind="stable"), np.cumsum(np.bincount(label))
+    vectors = fpmat.all_vectors(p, n)
+    return all(
+        fpmat.mat_rank(vectors[members[a:b]], p) == n for a, b in zip(ends, ends[1:])
+    )
 
 
 def check_scalar_transitivity(mats, p: int, n: int) -> bool:
-    """<mats> together with the scalars acts transitively on nonzero vectors."""
-    r = primitive_root(p)
-    gens = list(mats) + [r * np.eye(n, dtype=np.int64) % p]
-    seed_vec = np.zeros(n, dtype=np.int64)
-    seed_vec[0] = 1
-    orbit = fpmat.vector_orbit(gens, seed_vec, p)
-    return len(orbit) == p**n - 1
+    """<mats> together with the scalars acts transitively on nonzero vectors:
+    the orbit of e_1 under the generators and a primitive-root scalar has
+    p^n - 1 points."""
+    group = vector_group(mats, p, n)
+    scalar = fpmat.vector_action([primitive_root(p) * np.eye(n, dtype=np.int64)], p)
+    label = orbit_labels(p**n, [g.images for g in group.generators] + scalar)
+    return int((label == label[p ** (n - 1)]).sum()) == p**n - 1
 
 
 # -- complements ------------------------------------------------------------------
@@ -508,8 +524,6 @@ def check_isaacs_bound(group: PermGroup, acting: Subgroup, target: Subgroup) -> 
         raise ValueError("acting group must be nontrivial")
     if not acting.as_group().is_nilpotent():
         raise ValueError("acting group must be nilpotent")
-    from math import gcd
-
     if gcd(acting.order, target.order) != 1:
         raise ValueError("action must be coprime")
     if group.centralizer(target, within=acting).order != 1:
@@ -529,38 +543,18 @@ def check_frobenius_criterion(mats, p: int, n: int) -> bool:
     conclusion is computed and returned, and a failure of the implication
     is raised as an inconsistency.
     """
-    elements = fpmat.close_matrix_group(list(mats), p)
-    if len(elements) == 1:
+    group = vector_group(mats, p, n)
+    if group.order == 1:
         raise ValueError("acting group must be nontrivial")
     if not check_irreducible_action(mats, p, n):
         raise ValueError("action must be irreducible")
-    perm_group = _matrix_perm_group(elements, p, n)
-    if not perm_group.is_nilpotent():
+    if not group.is_nilpotent():
         raise ValueError("acting group must be nilpotent")
-    order = len(elements)
-    hypothesis = True
-    for v in fpmat.all_vectors(p, n):
-        if not v.any():
-            continue
-        stab = sum(1 for m in elements if np.array_equal(m @ v % p, v))
-        if stab != 1 and (stab * stab) % order != 0:
-            hypothesis = False
-            break
-    if not hypothesis:
+    stab = (group.images == np.arange(p**n)).sum(axis=0)[1:]
+    if not ((stab == 1) | (stab * stab % group.order == 0)).all():
         return False
-    frobenius = check_frobenius_action(mats, p, n)
-    if not frobenius:
+    if not check_frobenius_action(mats, p, n):
         raise AssertionError(
             "stabilizer hypothesis held but the action is not Frobenius"
         )
     return True
-
-
-def _matrix_perm_group(elements, p: int, n: int) -> PermGroup:
-    vecs = fpmat.all_vectors(p, n)
-    index = {tuple(int(x) for x in v): i for i, v in enumerate(vecs)}
-    gens = []
-    for m in elements:
-        images = [index[tuple(int(x) for x in (m @ v % p))] for v in vecs]
-        gens.append(Permutation(images))
-    return PermGroup(len(vecs), gens)

@@ -19,6 +19,7 @@ from .classify import (
     check_frobenius_action,
     check_irreducible_action,
     check_scalar_transitivity,
+    vector_group,
 )
 from .numth import (
     divisors,
@@ -210,14 +211,14 @@ def _semidirect(base, acting, mats, p, central_height, name, what) -> PermGroup:
     generator cycles.
     """
     n_base = len(base[0])
+    mord = vector_group(mats, p, len(mats[0])).order if mats else 1
     if central_height == 1:
         gens = base + acting
-        expected = n_base * (len(fpmat.close_matrix_group(mats, p)) if mats else 1)
+        expected = n_base * mord
         failure = f"{what} action is not faithful"
     else:
         if len(mats) != 1:
             raise ParamsInvalid("central height > 1 needs a single cyclic generator")
-        mord = fpmat.mat_order(mats[0], p)
         pp = is_prime_power(mord)
         if pp is None:
             raise ParamsInvalid("central height > 1 needs a prime-power order action")
@@ -250,13 +251,8 @@ def affine_semidirect(p, n, mats, central_height: int = 1, name=None) -> PermGro
     if central_height < 1:
         raise ValueError("central height must be >= 1")
     vecs = fpmat.all_vectors(p, n)
-    index = {tuple(int(x) for x in v): i for i, v in enumerate(vecs)}
-
-    def images(fn):
-        return [index[tuple(int(x) for x in fn(v) % p)] for v in vecs]
-
-    translations = [images(lambda v, e=e: v + e) for e in np.eye(n, dtype=np.int64)]
-    linear = [images(lambda v, m=m: m @ v) for m in mats]
+    translations = [fpmat.vector_numbers((vecs + e) % p, p) for e in np.eye(n, dtype=np.int64)]
+    linear = fpmat.vector_action(mats, p)
     return _semidirect(translations, linear, mats, p, central_height, name, "affine")
 
 

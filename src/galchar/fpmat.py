@@ -3,8 +3,9 @@
 This is the one home of F_p matrix arithmetic in the package: row reduction,
 rank and null spaces (used by the character-table splitter over F_l as well
 as by the action checks), powers and orders of matrices, companion matrices
-(used by the primitive-polynomial search and the Singer cycles), and
-closures of small matrix groups and vector orbits.  Entries are reduced to
+(used by the primitive-polynomial search and the Singer cycles), and the
+action of matrices on the numbered vectors of F_p^n, which turns a matrix
+group into a permutation group on p^n points.  Entries are reduced to
 [0, p) after every product, so a product of n x n matrices stays exact while
 n * (p - 1)**2 < 2**63; `mul` and the character-table splitter work in
 float64 while n * (p - 1)**2 < 2**53 (`exact_dtype`).
@@ -14,14 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 MATRIX_GROUP_BOUND = 200_000
-
-
-def mat(rows, p: int) -> np.ndarray:
-    return np.array(rows, dtype=np.int64) % p
-
-
-def mat_key(m: np.ndarray) -> bytes:
-    return m.tobytes()
 
 
 def exact_dtype(n: int, p: int):
@@ -78,30 +71,6 @@ def mat_order(m: np.ndarray, p: int, cap: int = MATRIX_GROUP_BOUND) -> int:
     raise RuntimeError("matrix order exceeds cap")
 
 
-def close_matrix_group(gens, p: int, bound: int = MATRIX_GROUP_BOUND) -> list[np.ndarray]:
-    """All elements of the group generated by gens; identity first."""
-    if not gens:
-        raise ValueError("need at least one generator to fix the dimension")
-    n = len(gens[0])
-    ident = np.eye(n, dtype=np.int64)
-    elements = [ident]
-    seen = {mat_key(ident)}
-    frontier = [ident]
-    gens = [g % p for g in gens]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = x @ g % p
-            key = mat_key(y)
-            if key not in seen:
-                if len(elements) >= bound:
-                    raise RuntimeError(f"matrix group exceeds bound {bound}")
-                seen.add(key)
-                elements.append(y)
-                frontier.append(y)
-    return elements
-
-
 def row_reduce(m: np.ndarray, p: int) -> np.ndarray:
     """Reduced row echelon form over F_p."""
     m = m.copy() % p
@@ -152,37 +121,22 @@ def null_space(m: np.ndarray, p: int) -> np.ndarray:
     return basis
 
 
-def fixed_space_dim(m: np.ndarray, p: int) -> int:
-    """Dimension of the eigenspace for eigenvalue 1."""
-    n = len(m)
-    return n - mat_rank((m - np.eye(n, dtype=np.int64)) % p, p)
+def all_vectors(p: int, n: int) -> np.ndarray:
+    """The p^n vectors of F_p^n as rows, in lexicographic order: row i holds
+    the base-p digits of i, the first coordinate most significant."""
+    return np.arange(p**n)[:, None] // p ** np.arange(n - 1, -1, -1) % p
 
 
-def vector_orbit(gens, start: np.ndarray, p: int) -> set[tuple]:
-    """Orbit of a vector under a list of matrices."""
-    start = tuple(int(x) % p for x in start)
-    orbit = {start}
-    frontier = [start]
-    while frontier:
-        v = np.array(frontier.pop(), dtype=np.int64)
-        for g in gens:
-            w = tuple(int(x) for x in (g @ v % p))
-            if w not in orbit:
-                orbit.add(w)
-                frontier.append(w)
-    return orbit
+def vector_numbers(rows: np.ndarray, p: int) -> list[int]:
+    """The numbers of vectors over F_p (rows) in the order of `all_vectors`."""
+    return (rows @ p ** np.arange(rows.shape[1] - 1, -1, -1)).tolist()
 
 
-def all_vectors(p: int, n: int):
-    """All vectors of F_p^n in lexicographic order."""
-    vecs = [()]
-    for _ in range(n):
-        vecs = [v + (c,) for v in vecs for c in range(p)]
-    return [np.array(v, dtype=np.int64) for v in vecs]
-
-
-def span_dim(vectors, p: int, n: int) -> int:
-    if not vectors:
-        return 0
-    m = np.array(vectors, dtype=np.int64).reshape(len(vectors), n)
-    return mat_rank(m, p)
+def vector_action(mats, p: int) -> list[list[int]]:
+    """For each n x n matrix m over F_p, the numbers of the images m v of the
+    vectors v of F_p^n in the order of `all_vectors`: <mats> as a permutation
+    group on p^n points."""
+    return [
+        vector_numbers(mul(all_vectors(p, len(m)), np.asarray(m).T % p, p), p)
+        for m in mats
+    ]

@@ -133,7 +133,7 @@ def _void(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
 
 
-def _orbit_labels(n: int, maps: list[list[int]]) -> np.ndarray:
+def orbit_labels(n: int, maps: list[list[int]]) -> np.ndarray:
     """Orbit number of each id 0..n-1 under the id maps; orbits are
     numbered in order of their least id."""
     label, count = [-1] * n, 0
@@ -323,7 +323,7 @@ class PermGroup:
         rank = self.rank
         # conj[g][x] = id of g x g^-1, for every element x at once
         conj = self.conj(self.gen_ids[:, None], np.arange(self.order)[None, :])
-        label = _orbit_labels(self.order, conj.tolist())
+        label = orbit_labels(self.order, conj.tolist())
         # each class's members in order of image tuples, the least one first
         grouped = np.lexsort((rank, label))
         classes = []
@@ -452,7 +452,7 @@ class PermGroup:
         the orbit of x under right multiplication by the generators of N."""
         everything = np.arange(self.order)
         maps = [self.mul(everything, u).tolist() for u in normal.gen_ids]
-        orbit = _orbit_labels(self.order, maps)
+        orbit = orbit_labels(self.order, maps)
         least = np.full(orbit.max() + 1, self.order)
         np.minimum.at(least, orbit, self.rank)
         return least[orbit]

@@ -17,7 +17,7 @@ from galchar.constructors import (
     sweep_parameter_points,
     symmetric,
 )
-from galchar.fpmat import close_matrix_group, mat_order
+from galchar.fpmat import mat_order, vector_action
 from galchar.numth import primitive_root
 from galchar.perm import PermGroup, Permutation
 
@@ -54,16 +54,10 @@ def test_quaternion_subgroups():
         x, y = quaternion_subgroup_SL2(p, order)
         dets = [int(round(np.linalg.det(m))) % p for m in (x, y)]
         assert dets == [1, 1]
-        elements = close_matrix_group([x, y], p)
-        assert len(elements) == order
+        group = PermGroup(p * p, vector_action([x, y], p))
+        assert group.order == order
         # unique involution, cyclic index-2 subgroup: generalized quaternion
-        involutions = [
-            m
-            for m in elements
-            if np.array_equal(m @ m % p, np.eye(2, dtype=np.int64))
-            and not np.array_equal(m, np.eye(2, dtype=np.int64))
-        ]
-        assert len(involutions) == 1
+        assert int((group.order_of(np.arange(order)) == 2).sum()) == 1
         assert mat_order(x, p) == order // 2
         # acts Frobeniusly on F_p^2
         assert check_frobenius_action([x, y], p, 2)
