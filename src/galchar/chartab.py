@@ -16,17 +16,21 @@ The table of a group G is computed in five steps:
    recursively with fresh combinations.  Everything is deterministic given
    the seed;
 4. degrees from the eigenvector normalisation and character values mod l;
-5. exact values: for one representative per power-orbit of classes the
-   root-of-unity multiplicities are recovered by an inverse DFT mod l.
-   Each class g^kk of the orbit takes the multiplicity at z^t to z^(t kk):
-   the few nonzero ones are scattered through the power-basis rows of
-   those roots into a k x phi(m) integer array, and each row becomes one
-   Cyclotomic.
+5. exact values, as a k x k int32 array of ids into a pool of the table's
+   few distinct Cyclotomics, keyed by (conductor, coefficients).  Per
+   power-orbit of classes an inverse DFT mod l of the distinct rows of the
+   columns of the powers g^s gives the multiplicities of the roots of
+   unity, and so each value at g.  Each other class of the orbit is reached
+   from a filled one by a generator u of the units mod m; its column is the
+   image of that one under z -> z^u, found once per distinct value and u.
 
 The finished table is verified before it is returned: degree sum, first
 column, orthogonality (exactly in cyclotomic arithmetic up to
 EXACT_VERIFY_LIMIT classes, modulo l above it), consistency of the lifted
 values with the mod-l table, and the rational-row = rational-class count.
+At every size each distinct multiplicity row must sum to chi(1) (chi(g) is
+a sum of chi(1) roots of unity), and the lift check reduces each distinct
+value object once mod l, so a value replaced in one row is still checked.
 Up to EXACT_VERIFY_LIMIT classes it also checks, once per row, that the
 entrywise Galois action agrees with the power maps, for generators of the
 units mod e; galois_orbits then reads orbits off the power maps alone.
@@ -43,13 +47,12 @@ checks that the closure of its generators is the set itself.
 from __future__ import annotations
 
 import weakref
-from functools import cmp_to_key
 from math import gcd
 
 import numpy as np
 
 from . import fpmat
-from .cyclotomic import Cyclotomic, _monomial_table, cyc, phi
+from .cyclotomic import Cyclotomic, _monomial_table, cyc
 from .numth import find_dixon_prime, primitive_root
 from .perm import ConjugacyClass, PermGroup, Subgroup
 
@@ -90,11 +93,7 @@ class Character:
         a row failing either is not a character of G.
         """
         if self._kernel_classes is None:
-            deg = cyc(self.degree)
-            # mod-l prescreen (necessary condition), then exact confirmation
-            d_mod = self.degree % self.table.dixon_prime
-            candidates = np.nonzero(self.table.mod_table[self.index] == d_mod)[0]
-            members = frozenset(int(j) for j in candidates if self.values[j] == deg)
+            members = frozenset(j for j, v in enumerate(self.values) if v == self.degree)
             size = sum(self.table.classes[j].size for j in members)
             if 0 not in members or self.table.group.order % size:
                 raise TableVerificationError("character kernel is not a subgroup")
@@ -133,7 +132,7 @@ class Character:
 
 
 class CharacterTable:
-    def __init__(self, group, classes, chars_values, degrees, exponent, dixon_prime, mod_table, seed):
+    def __init__(self, group, classes, ids, pool, degrees, exponent, dixon_prime, mod_table, seed):
         self.group: PermGroup = group
         self.classes: list[ConjugacyClass] = classes
         self.degrees: list[int] = degrees
@@ -141,7 +140,9 @@ class CharacterTable:
         self.dixon_prime = dixon_prime
         self.mod_table: np.ndarray = mod_table  # k x k, values mod l
         self.seed = seed
-        self._rows = [tuple(row) for row in chars_values]
+        self.value_ids: np.ndarray = ids  # k x k int32, ids into value_pool
+        self.value_pool: list[Cyclotomic] = pool  # the distinct values
+        self._rows = [tuple(map(pool.__getitem__, row)) for row in ids.tolist()]
         self._chars: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
         self._units: tuple[int, ...] | None = None
         self._row_lookup: dict[bytes, int] | None = None
@@ -203,15 +204,13 @@ class CharacterTable:
         """The row g -> chi(g**k); asserts it matches entrywise galois_apply."""
         if gcd(k, self.exponent) != 1:
             raise ValueError(f"{k} is not coprime to the exponent {self.exponent}")
-        j = self._permuted_row(chi.index, k)
-        target = self.chars[j]
+        target = self.chars[self._permuted_row(chi.index, k)]
         powers = self._powers()
-        for c in range(self.n_classes):
+        (images,) = _map_once(lambda v: v.galois_apply(k), [chi.values])
+        for c, image in enumerate(images):
             lhs = chi.values[powers[c, k % self.exponent]]
-            if lhs != chi.values[c].galois_apply(k) or lhs != target.values[c]:
-                raise TableVerificationError(
-                    "power-map and entrywise Galois actions disagree"
-                )
+            if lhs != image or lhs != target.values[c]:
+                raise TableVerificationError("power-map and entrywise Galois actions disagree")
         return target
 
     def galois_orbits(self) -> list[tuple[int, ...]]:
@@ -244,7 +243,7 @@ class CharacterTable:
             "exponent": self.exponent,
             "classes": [{"size": c.size, "elt_order": c.order} for c in self.classes],
             "degrees": list(self.degrees),
-            "values": [[str(v) for v in chi.values] for chi in self.chars],
+            "values": _map_once(str, [chi.values for chi in self.chars]),
             "config": {"seed": self.seed, "dixon_prime": self.dixon_prime},
         }
 
@@ -259,10 +258,8 @@ class CharacterTable:
         lines.append(
             "elt orders:   " + " ".join(str(c.order) for c in self.classes)
         )
-        for chi in self.chars:
-            lines.append(
-                f"X{chi.index}[{chi.degree}]: " + " | ".join(str(v) for v in chi.values)
-            )
+        for chi, row in zip(self.chars, _map_once(str, [c.values for c in self.chars])):
+            lines.append(f"X{chi.index}[{chi.degree}]: " + " | ".join(row))
         return lines
 
     def __repr__(self) -> str:
@@ -511,7 +508,6 @@ def _combo_source(product_classes: np.ndarray, class_of: np.ndarray, ell: int, r
 
 def _degrees_from_omegas(group, omegas: np.ndarray, ell: int) -> list[int]:
     classes = group.conjugacy_classes()
-    k = len(classes)
     sizes = np.array([c.size for c in classes], dtype=np.int64)
     inv_class = np.array([c.power_map[-1] for c in classes], dtype=np.int64)
     size_inv = np.array([pow(int(s), ell - 2, ell) for s in sizes], dtype=np.int64)
@@ -537,73 +533,70 @@ def _find_root_of_unity(ell: int, e: int) -> int:
 
 
 def _lift_values(group, table_mod: np.ndarray, ell: int, w_e: int):
-    """Exact cyclotomic values from the mod-l table, one DFT per power-orbit."""
+    """Exact values from the mod-l table, as a k x k int32 array of ids into
+    a pool of distinct Cyclotomics (step 5 of the module docstring)."""
     classes = group.conjugacy_classes()
     e = group.exponent
-    k = len(classes)
-    values: list[list[Cyclotomic | None]] = [[None] * k for _ in range(k)]
-    done = [False] * k
+    ids = np.full(table_mod.shape, -1, dtype=np.int32)
+    pool: list[Cyclotomic] = []
+    rational: dict[int, int] = {}  # value -> id
+    books: dict[int, dict] = {}  # conductor m -> coefficient bytes at m -> id
+
+    def intern(coeffs: np.ndarray, m: int) -> np.ndarray:  # distinct rows at conductor m
+        book = books.setdefault(m, {})
+        keys = coeffs.view(np.dtype((np.void, 8 * coeffs.shape[1]))).ravel().tolist()
+        out = list(map(book.get, keys))
+        for r in [r for r, vid in enumerate(out) if vid is None]:  # new at conductor m
+            c0, irrational = int(coeffs[r, 0]), coeffs[r, 1:].any()
+            vid = len(pool) if irrational else rational.setdefault(c0, len(pool))
+            if vid == len(pool):
+                vec = tuple(coeffs[r].tolist())
+                pool.append(Cyclotomic(m, vec, _raw=True) if irrational else cyc(c0))
+            out[r] = book[keys[r]] = vid
+        return np.array(out, dtype=np.int32)
 
     for j, c in enumerate(classes):
-        if done[j]:
+        if ids[0, j] >= 0:
             continue
         m = c.order
-        w_m = pow(w_e, e // m, ell)
-        # inverse DFT: mult[t] = m^{-1} sum_s table[:, class(g^s)] w_m^{-st}
-        pm = c.power_map
-        cols = table_mod[:, [pm[s] for s in range(m)]]  # k x m
-        w_inv = pow(w_m, ell - 2, ell)
-        wpow = np.ones(m, dtype=np.int64)
-        for t in range(1, m):
-            wpow[t] = wpow[t - 1] * w_inv % ell
-        st = np.outer(np.arange(m), np.arange(m)) % m
-        powers = wpow[st]
-        m_inv = pow(m, ell - 2, ell)
-        mults = fpmat.mul(cols, powers, ell) * m_inv % ell  # k x m, in [0, l)
-        orbit_cols = {}
-        for kk in range(1, m + 1):
-            if gcd(kk, m) == 1:
-                j2 = pm[kk % e] if m > 1 else j
-                if not done[j2] and j2 not in orbit_cols:
-                    orbit_cols[j2] = kk
-        # the class g^kk has multiplicity mults[row, t] at z_m^(t kk): scatter
-        # the few nonzero ones through the power-basis rows of those roots
-        rows, ts = np.nonzero(mults)  # row-major: each row's entries adjacent
-        counts = mults[rows, ts][:, None]
-        present, starts = np.unique(rows, return_index=True)
+        # inverse DFT of the distinct rows of the columns of the classes g^s:
+        # mult[t] = m^{-1} sum_s table[:, class(g^s)] w_m^{-st}, w_m = w_e^(e/m)
+        cols, inverse = np.unique(table_mod[:, c.power_map[:m]], axis=0, return_inverse=True)
+        inverse = inverse.reshape(-1)
+        powers = np.array([pow(w_e, -(e // m) * t, ell) for t in range(m)])  # w_m^-t
+        dft = powers[np.outer(np.arange(m), np.arange(m)) % m]
+        mults = fpmat.mul(cols, dft, ell) * pow(m, -1, ell) % ell  # in [0, l)
+        # chi(g) is a sum of chi(1) = table_mod[:, 0] roots of unity (Isaacs, Lemma 2.15)
+        if not np.array_equal(mults.sum(axis=1)[inverse], table_mod[:, 0]):
+            raise TableVerificationError("root-of-unity multiplicities do not sum to chi(1)")
         monomials = np.array(_monomial_table(m), dtype=np.int64)
-        for j2, kk in sorted(orbit_cols.items()):
-            coeffs = np.zeros((k, phi(m)), dtype=np.int64)
-            terms = counts * monomials[ts * kk % m]
-            coeffs[present] = np.add.reduceat(terms, starts, axis=0)
-            rational = ~coeffs[:, 1:].any(axis=1)
-            for row, vec, flat in zip(values, coeffs.tolist(), rational.tolist()):
-                if flat:
-                    row[j2] = Cyclotomic(1, (vec[0],), _raw=True)
-                else:
-                    row[j2] = Cyclotomic(m, tuple(vec), _raw=True)
-            done[j2] = True
-    return values
+        vals, which = np.unique(_galois_image(mults, monomials, 1), axis=0, return_inverse=True)
+        ids[:, j] = intern(vals, m)[which.reshape(-1)[inverse]]
+        image_of = {u: np.empty(0, dtype=np.int32) for u in _unit_generators(m)}  # by id
+        frontier = [j]
+        while frontier:
+            jc = frontier.pop()
+            for u, lut in image_of.items():
+                jn = classes[jc].power_map[u % e]
+                if ids[0, jn] < 0:  # the image under z -> z^u of column jc
+                    lut = image_of[u] = np.pad(lut, (0, len(pool) - len(lut)), constant_values=-1)
+                    new = np.unique(ids[lut[ids[:, jc]] < 0, jc])
+                    if len(new):
+                        rows = np.array([pool[i]._rebased(m) for i in new.tolist()], dtype=np.int64)
+                        lut[new] = intern(_galois_image(rows, monomials, u), m)
+                    ids[:, jn] = lut[ids[:, jc]]
+                    frontier.append(jn)
+    return ids, pool
 
 
-def _row_order(degrees: list[int], values) -> list[int]:
-    """Row indices sorted by degree, then by the tuple of rendered values.
-
-    Within a column equal values have equal conductors and coefficients,
-    so only the first column where two rows differ is rendered."""
-
-    def compare(i: int, j: int) -> int:
-        if degrees[i] != degrees[j]:
-            return -1 if degrees[i] < degrees[j] else 1
-        for a, b in zip(values[i], values[j]):
-            if a.conductor == b.conductor and a.coeffs == b.coeffs:
-                continue
-            a, b = str(a), str(b)
-            if a != b:
-                return -1 if a < b else 1
-        return 0
-
-    return sorted(range(len(degrees)), key=cmp_to_key(compare))
+def _galois_image(weights: np.ndarray, monomials: np.ndarray, kk: int) -> np.ndarray:
+    """Rows sum_t weights[r, t] z_m^(t kk) in the power basis; monomials[t] is z_m^t."""
+    rows, ts = np.nonzero(weights)  # row-major: each row's entries adjacent
+    present, starts = np.unique(rows, return_index=True)
+    terms = weights[rows, ts][:, None] * monomials[ts * kk % len(monomials)]
+    out = np.zeros((len(weights), monomials.shape[1]), dtype=np.int64)
+    out[present] = np.add.reduceat(terms, starts, axis=0)
+    return out
 
 
 def character_table(group: PermGroup, seed: int = 0) -> CharacterTable:
@@ -633,16 +626,17 @@ def character_table(group: PermGroup, seed: int = 0) -> CharacterTable:
     )
 
     w_e = _find_root_of_unity(ell, e)
-    values = _lift_values(group, table_mod, ell, w_e)
+    ids, pool = _lift_values(group, table_mod, ell, w_e)
 
-    # deterministic row order: by degree, then rendered values
-    order = _row_order(degrees, values)
+    # deterministic row order: by degree, then the rendered values; equal ids
+    # are equal values, so each pool value is rendered once and ranked
+    labels = [str(v) for v in pool]
+    rank = {label: r for r, label in enumerate(sorted(set(labels)))}
+    ranks = np.array([rank[label] for label in labels], dtype=np.int64)[ids]
+    order = sorted(range(len(degrees)), key=lambda i: (degrees[i], ranks[i].tolist()))
     degrees = [degrees[i] for i in order]
-    values = [values[i] for i in order]
-    table_mod = table_mod[order]
-
     table = CharacterTable(
-        group, classes, values, degrees, e, ell, table_mod, seed
+        group, classes, ids[order], pool, degrees, e, ell, table_mod[order], seed
     )
     _verify(table, w_e)
     return table
@@ -655,26 +649,20 @@ def _verify(table: CharacterTable, w_e: int) -> None:
     e = table.exponent
     if sum(d * d for d in table.degrees) != group.order:
         raise TableVerificationError("degree squares do not sum to |G|")
-    for chi in table.chars:
+    chars = table.chars
+    for chi in chars:
         if chi.values[0] != chi.degree:
             raise TableVerificationError("first column does not equal the degree")
-    # lifted values must reduce back to the mod-l table under zeta_e -> w_e,
-    # row by row and, within a row, one conductor at a time
-    w_powers: dict[int, np.ndarray] = {}  # conductor f -> powers of w_e^(e/f)
-    for chi, mod_row in zip(table.chars, table.mod_table):
-        by_conductor: dict[int, list[int]] = {}
-        for j, v in enumerate(chi.values):
-            by_conductor.setdefault(v.conductor, []).append(j)
-        for f, cols in by_conductor.items():
-            if f not in w_powers:
-                if e % f:
-                    raise ValueError("conductor does not divide the exponent")
-                w_f = pow(w_e, e // f, ell)
-                w_powers[f] = np.array([pow(w_f, i, ell) for i in range(phi(f))])
-            coeffs = np.array([chi.values[j].coeffs for j in cols], dtype=np.int64)
-            reduced = coeffs % ell @ w_powers[f] % ell
-            if not np.array_equal(reduced, mod_row[cols] % ell):
-                raise TableVerificationError("lift is inconsistent with the mod-l table")
+    # lifted values must reduce back to the mod-l table under zeta_e -> w_e
+    def mod_l(v: Cyclotomic) -> int:
+        if e % v.conductor:
+            raise ValueError("conductor does not divide the exponent")
+        w = pow(w_e, e // v.conductor, ell)
+        return sum(c * pow(w, i, ell) for i, c in enumerate(v.coeffs) if c) % ell
+
+    for row, mod_row in zip(_map_once(mod_l, [chi.values for chi in chars]), table.mod_table):
+        if not np.array_equal(row, mod_row % ell):
+            raise TableVerificationError("lift is inconsistent with the mod-l table")
     # modular orthogonality (always)
     sizes = np.array([c.size for c in table.classes], dtype=np.int64)
     inv_class = [c.power_map[-1] for c in table.classes]
@@ -688,16 +676,27 @@ def _verify(table: CharacterTable, w_e: int) -> None:
     rational_classes = sum(
         1 for c in range(k) if all(powers[c, u % e] == c for u in units)
     )
-    rational_rows = sum(1 for chi in table.chars if chi.is_rational())
+    rational_rows = sum(1 for chi in chars if chi.is_rational())
     if rational_classes != rational_rows:
         raise TableVerificationError("rational row/class counts differ")
     if k <= EXACT_VERIFY_LIMIT:
         # the entrywise Galois action agrees with the power maps; both
         # actions compose, so generators of the units mod e suffice
         for u in _unit_generators(e):
-            for chi in table.chars:
+            for chi in chars:
                 table.galois_conjugate(chi, u)
         verify_orthogonality_exact(table)
+
+
+def _map_once(fn, rows) -> list[list]:
+    """[[fn(v) for v in row] for row in rows], calling fn once per distinct
+    object; rows keep every object, and so its id, alive meanwhile."""
+    memo: dict[int, object] = {}
+    for row in rows:
+        for v in row:
+            if id(v) not in memo:
+                memo[id(v)] = fn(v)
+    return [[memo[id(v)] for v in row] for row in rows]
 
 
 def _unit_generators(e: int) -> list[int]:
@@ -723,7 +722,7 @@ def verify_orthogonality_exact(table: CharacterTable) -> None:
     k = table.n_classes
     sizes = [c.size for c in table.classes]
     rows = [chi.values for chi in table.chars]
-    conj_rows = [[v.conjugate() for v in row] for row in rows]
+    conj_rows = _map_once(Cyclotomic.conjugate, rows)
     for i in range(k):
         for j in range(i, k):
             total = cyc(0)

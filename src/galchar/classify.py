@@ -29,6 +29,7 @@ from .chartab import CharacterTable, character_table
 from .numth import factorize, is_mersenne_prime, is_prime, is_prime_power, primitive_root
 from .perm import (
     ORDER_BOUND,
+    OrderBoundExceeded,
     PermGroup,
     Subgroup,
     frattini_of_pgroup,
@@ -128,10 +129,13 @@ def vector_group(mats, p: int, n: int) -> PermGroup:
     in `fpmat.all_vectors`, so the identity is element 0 and vector 0 is
     point 0.
 
-    A group containing V x| <mats> has order at least p^n |<mats>|, so a
-    matrix group with more than ORDER_BOUND // p^n elements raises
-    OrderBoundExceeded as soon as its enumeration passes that bound.
+    A group containing V x| <mats> has order at least p^n |<mats>|, so
+    p^n > ORDER_BOUND raises OrderBoundExceeded before any vector is built,
+    and a matrix group with more than ORDER_BOUND // p^n elements raises it
+    as soon as its enumeration passes that bound.
     """
+    if p**n > ORDER_BOUND:
+        raise OrderBoundExceeded(f"p^n = {p}^{n} = {p**n} exceeds the order bound {ORDER_BOUND}")
     for m in mats:
         if fpmat.mat_rank(m, p) < n:
             raise ValueError("matrices must be invertible")

@@ -104,7 +104,12 @@ def _reduce_dense(e: int, dense: list[int]) -> list[int]:
 
 
 class Cyclotomic:
-    """An element of the ring of integers of a cyclotomic field."""
+    """An element of the ring of integers of a cyclotomic field.
+
+    Values are immutable: every operation returns a new value.  A character
+    table shares one object between all its entries that hold the same
+    value, so nothing may change a value in place.
+    """
 
     __slots__ = ("conductor", "coeffs")
 

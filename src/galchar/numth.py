@@ -9,6 +9,7 @@ are reproducible across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import gcd
 
 import numpy as np
@@ -223,13 +224,10 @@ def primitive_polynomial(p: int, n: int, bound: int = PN_BOUND) -> list[int]:
     if p**n > bound:
         raise ValueError(f"p**n exceeds configured bound {bound}")
     target = p**n - 1
-    tuples = [[]]
-    for _ in range(n):
-        tuples = [t + [c] for t in tuples for c in range(p)]
-    for coeffs in tuples:
+    for coeffs in product(range(p), repeat=n):  # lazily: p**n tuples
         if coeffs[0] == 0:
             continue  # reducible: x divides
-        full = coeffs + [1]
+        full = list(coeffs) + [1]
         if matrix_order_is(companion(full, p), p, target):
             return full
     raise AssertionError(f"no primitive polynomial found for p={p}, n={n}")

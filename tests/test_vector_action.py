@@ -7,6 +7,9 @@ orbit by breadth-first search for scalar transitivity, and the eigenvalue-1
 dimension of each element for the Frobenius test.
 """
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from galchar.classify import (
     check_frobenius_criterion,
     check_irreducible_action,
     check_scalar_transitivity,
+    vector_group,
 )
 from galchar.constructors import quaternion_subgroup_SL2, singer_matrix
 from galchar.numth import primitive_root
@@ -263,3 +267,29 @@ def test_oversized_action_fails_at_the_order_bound():
     assert fpmat.mat_order(s, p) == p**n - 1 > ORDER_BOUND // p**n
     with pytest.raises(OrderBoundExceeded):
         check_frobenius_action([s], p, n)
+
+
+def test_vectors_past_the_order_bound_raise_before_any_is_built():
+    # any group containing F_2^19 has order at least 2^19 > ORDER_BOUND
+    p, n = 2, 19
+    assert p**n > ORDER_BOUND
+    with pytest.raises(OrderBoundExceeded, match=f"{p**n}.*{ORDER_BOUND}"):
+        vector_group([np.eye(n, dtype=np.int64)], p, n)
+
+
+def test_construct_past_the_order_bound_exits_at_once():
+    code = (
+        "import resource, time\n"
+        "from galchar.cli import main\n"
+        "rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "start = time.perf_counter()\n"
+        "code = main(['construct', 'a1', '--p', '2', '--n', '19'])\n"
+        "grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - rss\n"
+        "print(code, time.perf_counter() - start, grown / 1024)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert "524288" in out.stderr and "500000" in out.stderr
+    code, seconds, grown_mb = out.stdout.split()
+    assert code == "2" and float(seconds) < 1.0 and float(grown_mb) < 50
