@@ -25,17 +25,40 @@ The table of a group G is computed in five steps:
    image of that one under z -> z^u, found once per distinct value and u.
 
 The finished table is verified before it is returned: degree sum, first
-column, orthogonality (exactly in cyclotomic arithmetic up to
-EXACT_VERIFY_LIMIT classes, modulo l above it), consistency of the lifted
-values with the mod-l table, and the rational-row = rational-class count.
-At every size each distinct multiplicity row must sum to chi(1) (chi(g) is
-a sum of chi(1) roots of unity), and the lift check reduces each distinct
-value object once mod l, so a value replaced in one row is still checked.
-Up to EXACT_VERIFY_LIMIT classes it also checks, once per row, that the
-entrywise Galois action agrees with the power maps, for generators of the
-units mod e; galois_orbits then reads orbits off the power maps alone.
-The F_l linear algebra (row reduction, null spaces, products) comes from
-fpmat.
+column, orthogonality modulo l, the rational-row = rational-class count,
+and consistency of the lifted values with the mod-l table.  Each distinct
+multiplicity row must sum to chi(1) (chi(g) is a sum of chi(1) roots of
+unity), and the lift check reduces each distinct value object once mod l,
+so a value replaced in one row is still checked.
+
+Orthogonality is then checked exactly, at every table size, on the id array
+and the pool (Cohen, A Course in Computational Algebraic Number Theory,
+1993, 1.3.3):
+
+- Galois equivariance.  For each generator u of the units mod e, every pool
+  value is mapped through z -> z^u at its own conductor (classes c and c^u
+  have the same order), and the image of the id array must equal its
+  columns permuted by the power map c -> c^u, with its rows a permutation
+  of the table's rows.  This composes to every unit, u = -1 included, so
+  conj chi(c) = chi(c^-1), and each entry of the Gram matrices
+  X D X[:, inv]^T and X^T X[:, inv] is fixed by Gal(Q(zeta_e)/Q): being a
+  cyclotomic integer, it is a rational integer.
+- The bound.  With L1 the sum of the absolute coefficients of a value,
+  |chi(c)| <= L1(chi(c)), so the (i, j) row Gram entry is at most
+  sum_c |C_c| L1(chi_i(c)) L1(chi_j(c)) in absolute value, and by
+  Cauchy-Schwarz at most the largest i = j sum; likewise for columns.  B
+  is the larger of the two, and each entry differs from its target
+  |G| delta_ij or delta |G|/|C_c| by at most B + |G|.
+- Primes.  Primes p = 1 (mod e) with n (p - 1)^2 < 2^53, n the larger of
+  k and the longest coefficient vector, so that every float64 product is
+  exact, are taken largest first until their product exceeds
+  2 (B + |G|); usually one suffices.  For each, the pool is reduced
+  under zeta_e -> an element of order e in F_p and both Gram matrices are
+  checked with one product each; agreement mod every p is exact equality.
+  If the primes run out first, verification fails.
+
+galois_orbits then reads orbits off the power maps alone.  The F_l linear
+algebra (row reduction, null spaces, products) comes from fpmat.
 
 Kernels are read off the table as sets of class indices, the classes where
 chi(c) = chi(1); |G : ker chi| is |G| over the sum of their sizes, and two
@@ -47,16 +70,16 @@ checks that the closure of its generators is the set itself.
 from __future__ import annotations
 
 import weakref
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 
 from . import fpmat
 from .cyclotomic import Cyclotomic, _monomial_table, cyc
-from .numth import find_dixon_prime, primitive_root
-from .perm import ConjugacyClass, PermGroup, Subgroup
+from .numth import find_dixon_prime, is_prime, primitive_root
+from .perm import ConjugacyClass, PermGroup, Subgroup, _void
 
-EXACT_VERIFY_LIMIT = 40
+EXACT_BUDGET = 2**53  # n (p - 1)^2 below it keeps the exact check's products exact
 _SPLIT_ROUND_CAP = 200
 _KRYLOV_BLOCK = 32  # Krylov rows reduced per product with the RREF basis
 
@@ -66,21 +89,24 @@ class TableVerificationError(AssertionError):
 
 
 class Character:
-    """One row of a character table."""
+    """One row of a character table.  The table holds its characters and each
+    refers to the table weakly: a cycle would keep the table and its group
+    alive until the cyclic garbage collector runs."""
 
-    __slots__ = (
-        "table", "index", "degree", "values", "_kernel_classes", "_kernel", "_stab",
-        "__weakref__",
-    )
+    __slots__ = ("_table", "index", "degree", "values", "_kernel_classes", "_kernel", "_stab")
 
     def __init__(self, table: "CharacterTable", index: int, degree: int, values):
-        self.table = table
+        self._table = weakref.ref(table)
         self.index = index
         self.degree = degree
         self.values: tuple[Cyclotomic, ...] = tuple(values)
         self._kernel_classes: frozenset[int] | None = None
         self._kernel: Subgroup | None = None
         self._stab: frozenset | None = None
+
+    @property
+    def table(self) -> "CharacterTable":
+        return self._table()
 
     def __call__(self, class_index: int) -> Cyclotomic:
         return self.values[class_index]
@@ -142,25 +168,13 @@ class CharacterTable:
         self.seed = seed
         self.value_ids: np.ndarray = ids  # k x k int32, ids into value_pool
         self.value_pool: list[Cyclotomic] = pool  # the distinct values
-        self._rows = [tuple(map(pool.__getitem__, row)) for row in ids.tolist()]
-        self._chars: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+        self.chars: list[Character] = [  # one per row, built once
+            Character(self, i, d, map(pool.__getitem__, row))
+            for i, (d, row) in enumerate(zip(degrees, ids.tolist()))
+        ]
         self._units: tuple[int, ...] | None = None
         self._row_lookup: dict[bytes, int] | None = None
         self._power_matrix: np.ndarray | None = None
-
-    @property
-    def chars(self) -> list[Character]:
-        """One Character per row, the same object while any caller holds it.
-        The table holds its characters weakly: they refer to the table, and
-        a cycle would keep the table and its group alive until the cyclic
-        garbage collector runs."""
-        out = []
-        for i, row in enumerate(self._rows):
-            chi = self._chars.get(i)
-            if chi is None:
-                chi = self._chars[i] = Character(self, i, self.degrees[i], row)
-            out.append(chi)
-        return out
 
     @property
     def n_classes(self) -> int:
@@ -601,6 +615,13 @@ def _galois_image(weights: np.ndarray, monomials: np.ndarray, kk: int) -> np.nda
 
 def character_table(group: PermGroup, seed: int = 0) -> CharacterTable:
     """Exact irreducible character table of a permutation group."""
+    table, w_e = _build_table(group, seed)
+    _verify(table, w_e)  # once the working arrays of the build are freed
+    return table
+
+
+def _build_table(group: PermGroup, seed: int) -> tuple[CharacterTable, int]:
+    """The unverified table, and the w_e its values were lifted with."""
     classes = group.conjugacy_classes()
     k = len(classes)
     e = group.exponent
@@ -638,8 +659,7 @@ def character_table(group: PermGroup, seed: int = 0) -> CharacterTable:
     table = CharacterTable(
         group, classes, ids[order], pool, degrees, e, ell, table_mod[order], seed
     )
-    _verify(table, w_e)
-    return table
+    return table, w_e
 
 
 def _verify(table: CharacterTable, w_e: int) -> None:
@@ -679,13 +699,7 @@ def _verify(table: CharacterTable, w_e: int) -> None:
     rational_rows = sum(1 for chi in chars if chi.is_rational())
     if rational_classes != rational_rows:
         raise TableVerificationError("rational row/class counts differ")
-    if k <= EXACT_VERIFY_LIMIT:
-        # the entrywise Galois action agrees with the power maps; both
-        # actions compose, so generators of the units mod e suffice
-        for u in _unit_generators(e):
-            for chi in chars:
-                table.galois_conjugate(chi, u)
-        verify_orthogonality_exact(table)
+    verify_orthogonality_exact(table)
 
 
 def _map_once(fn, rows) -> list[list]:
@@ -717,38 +731,92 @@ def _unit_generators(e: int) -> list[int]:
 
 
 def verify_orthogonality_exact(table: CharacterTable) -> None:
-    """Exact row and column orthogonality in cyclotomic arithmetic."""
-    group = table.group
-    k = table.n_classes
-    sizes = [c.size for c in table.classes]
-    rows = [chi.values for chi in table.chars]
-    conj_rows = _map_once(Cyclotomic.conjugate, rows)
-    for i in range(k):
-        for j in range(i, k):
-            total = cyc(0)
-            for c in range(k):
-                a = rows[i][c]
-                b = conj_rows[j][c]
-                if a.is_zero or b.is_zero:
-                    continue
-                total = total + sizes[c] * (a * b)
-            expected = group.order if i == j else 0
-            if total != expected:
-                raise TableVerificationError(f"row orthogonality fails for ({i},{j})")
-    for c1 in range(k):
-        for c2 in range(c1, k):
-            total = cyc(0)
-            for i in range(k):
-                a = rows[i][c1]
-                b = conj_rows[i][c2]
-                if a.is_zero or b.is_zero:
-                    continue
-                total = total + a * b
-            expected = group.order // sizes[c1] if c1 == c2 else 0
-            if total != expected:
-                raise TableVerificationError(
-                    f"column orthogonality fails for ({c1},{c2})"
-                )
+    """Exact row and column orthogonality: the Galois action on the value
+    pool, an integer bound on the Gram entries, and the Gram matrices modulo
+    enough primes to exceed it (see the module docstring)."""
+    ids, e, k = table.value_ids, table.exponent, table.n_classes
+    powers = table._powers()
+    by_conductor = _pool_by_conductor(table.value_pool)
+    key_of = {
+        (m, row.tobytes()): i
+        for m, (idx, coeffs) in by_conductor.items()
+        for i, row in zip(idx, coeffs)
+    }
+    rows = np.sort(_void(np.ascontiguousarray(ids)))
+    for u in _unit_generators(e):
+        lut = np.arange(len(table.value_pool), dtype=ids.dtype)  # rationals are fixed
+        for m, (idx, coeffs) in by_conductor.items():
+            if m > 1:
+                monomials = np.array(_monomial_table(m), dtype=np.int64)
+                images = _galois_image(coeffs, monomials, u % m)
+                lut[idx] = [key_of.get((m, row.tobytes()), -1) for row in images]
+        moved = lut[ids]
+        if not np.array_equal(moved, ids[:, powers[:, u]]):
+            raise TableVerificationError("entrywise Galois action disagrees with the power maps")
+        if not np.array_equal(np.sort(_void(moved)), rows):
+            raise TableVerificationError("Galois images of the rows are not the rows")
+    # each Gram matrix is dominated entrywise by a positive semidefinite one
+    # in the L1 norms of the values, whose largest entry is on its diagonal
+    order = table.group.order
+    sizes = np.array([c.size for c in table.classes], dtype=np.int64)
+    l1 = np.array([sum(map(abs, v.coeffs)) for v in table.value_pool], dtype=np.float64)
+    sq = (l1**2)[ids]
+    cap = max((sq @ sizes).max(), sq.sum(axis=0).max())
+    # float64 sums of k nonnegative terms: relative error below k 2^-53
+    bound = 2 * (int(cap * (1 + 2**-20)) + 1 + order)
+    width = max(k, max(coeffs.shape[1] for _, coeffs in by_conductor.values()))
+    inv = powers[:, -1]
+    diagonal = np.arange(k), np.arange(k)
+    for p in _gram_primes(e, width, bound):
+        x = _pool_mod(by_conductor, len(table.value_pool), e, p)[ids]
+        x_inv = x[:, inv]
+        gram = fpmat.mul(x * sizes % p, x_inv.T, p)  # float64 x |C_c| < p |G| < 2^53
+        gram[diagonal] -= order % p
+        if gram.any():
+            raise TableVerificationError(f"row orthogonality fails mod {p}")
+        gram = fpmat.mul(x.T, x_inv, p)
+        gram[diagonal] -= order // sizes % p
+        if gram.any():
+            raise TableVerificationError(f"column orthogonality fails mod {p}")
+
+
+def _pool_by_conductor(pool: list[Cyclotomic]) -> dict[int, tuple[list[int], np.ndarray]]:
+    """Conductor m -> (pool ids, their coefficient rows at m)."""
+    groups: dict[int, list[int]] = {}
+    for i, v in enumerate(pool):
+        groups.setdefault(v.conductor, []).append(i)
+    return {
+        m: (idx, np.array([pool[i].coeffs for i in idx], dtype=np.int64))
+        for m, idx in groups.items()
+    }
+
+
+def _gram_primes(e: int, width: int, bound: int) -> list[int]:
+    """Primes p = 1 (mod e), largest first, with width * (p - 1)**2 below
+    EXACT_BUDGET, until their product exceeds bound."""
+    primes, product = [], 1
+    t = isqrt((EXACT_BUDGET - 1) // width) // e  # p - 1 = t e
+    while product <= bound:
+        if t < 1:
+            raise TableVerificationError(
+                f"primes = 1 (mod {e}) below the exactness budget cannot exceed {bound}"
+            )
+        if is_prime(1 + t * e):
+            primes.append(1 + t * e)
+            product *= primes[-1]
+        t -= 1
+    return primes
+
+
+def _pool_mod(by_conductor, size: int, e: int, p: int) -> np.ndarray:
+    """Each pool value mod p under zeta_e -> an element of order e in F_p."""
+    w_e = _find_root_of_unity(p, e)
+    out = np.empty(size)
+    for m, (idx, coeffs) in by_conductor.items():
+        w = pow(w_e, e // m, p)
+        powers = np.array([pow(w, t, p) for t in range(coeffs.shape[1])], dtype=np.int64)
+        out[idx] = fpmat.mul(coeffs % p, powers[:, None], p)[:, 0]
+    return out
 
 
 def kernel_of(chi: Character) -> Subgroup:

@@ -297,22 +297,35 @@ class PermGroup:
         return out
 
     def right_multiplication(self, ids) -> np.ndarray:
-        """Row i: the id of x * elements[ids[i]] for every id x, composing the
-        generators' right multiplications along the word that the enumeration
-        tree gives for ids[i]."""
+        """Row i: the id of x * elements[ids[i]] for every id x.  Element z is
+        parent[z] times generator via[z], so its row is that generator's right
+        multiplication of its parent's row.  A depth-first walk over the part
+        of the enumeration tree above the ids makes one gather per node and
+        keeps rows only along the current root path."""
         everything = np.arange(self.order)
         by_gen = [self.mul(everything, g) for g in self.gen_ids]
         parent, via = self._parent.tolist(), self._via.tolist()
-        out = np.empty((len(ids), self.order), dtype=np.int64)
-        for row, z in zip(out, ids):
-            word = []
-            while z:
-                word.append(via[z])
+        ids = np.asarray(ids).tolist()
+        wanted: dict[int, list[int]] = {}  # id -> the rows of out that hold it
+        for i, z in enumerate(ids):
+            wanted.setdefault(z, []).append(i)
+        children: dict[int, list[int]] = {}
+        linked = {0}
+        for z in wanted:
+            while z not in linked:
+                linked.add(z)
+                children.setdefault(parent[z], []).append(z)
                 z = parent[z]
-            cur = everything
-            for gi in reversed(word):
-                cur = by_gen[gi][cur]
-            row[:] = cur
+        out = np.empty((len(ids), self.order), dtype=np.int64)
+        path = [everything]  # path[d]: the row of the current node at depth d
+        stack = [(0, 0)]
+        while stack:
+            z, depth = stack.pop()
+            if depth:
+                del path[depth:]
+                path.append(by_gen[via[z]][path[depth - 1]])
+            out[wanted.get(z, [])] = path[depth]
+            stack.extend((c, depth + 1) for c in children.get(z, ()))
         return out
 
     # -- conjugacy classes ----------------------------------------------------

@@ -30,10 +30,9 @@ GOLDEN = {
     ("SL(2,3)", 0): "1ff6ec2260d5976af3383de9f64216315c0ef55d9d622fcfb7f885d986401bca",
     ("F8:C7", 1): "3b8905181ba864c201d364110e1c889e502624edd3e4018d099d1d5109339784",
     ("Heis3:Q8", 0): "93c9b4a60780542e8de76df4853582e17b88600c96a5dc6ac4da928b95a47a08",
-    # a sweep point with 63 classes, past the exact-verification limit
+    # a sweep point with 63 classes
     ("a7(h=3)", 1): "070aac67cfe351bbeb1c9c8f406642b1eeb7592a0c536d144b08ab3a5c618b99",
-    # 189 classes, where the lift dominates and the exact check does not run;
-    # taken before the values were pooled
+    # 189 classes, where the lift dominates; taken before the values were pooled
     ("a7(h=4)", 1): "4083de7cea17203c691ef196246246461ee10de7a9884cc2f7fc002343bbd74b",
 }
 

@@ -1,11 +1,10 @@
 """Character values held as a k x k id array into a pool of distinct values,
-past the exact-verification limit: sharing, and the checks that must still
-see a value changed in one entry or a corrupted mod-l table."""
+on a table with 63 classes: sharing, and the checks that must still see a
+value changed in one entry or a corrupted mod-l table."""
 import numpy as np
 import pytest
 
 from galchar.chartab import (
-    EXACT_VERIFY_LIMIT,
     TableVerificationError,
     _find_root_of_unity,
     _lift_values,
@@ -19,7 +18,7 @@ from galchar.constructors import CaseParams, construct_case
 def a7h3():
     group = construct_case(CaseParams("a7", 2, 2, 1, 3))
     table = character_table(group, seed=1)
-    assert table.n_classes == 63 > EXACT_VERIFY_LIMIT
+    assert table.n_classes == 63
     return table
 
 
