@@ -2,7 +2,10 @@
 
 The table of a group G is computed in five steps:
 
-1. conjugacy classes, class sizes, power maps, exponent e;
+1. conjugacy classes, class sizes and exponent e, and the group's (k, e)
+   power-map array, composed from a few prime and unit power maps (see
+   perm).  Every step below reads columns of that array; a table keeps its
+   own int64 copy;
 2. a prime l = 1 (mod e) with l^2 > 4|G| (so degrees and root-of-unity
    multiplicities lift uniquely from arithmetic mod l);
 3. simultaneous eigenvectors of the class matrices over F_l.  The |G| x k
@@ -28,7 +31,8 @@ The finished table is verified before it is returned: degree sum, first
 column, orthogonality modulo l, the rational-row = rational-class count,
 and consistency of the lifted values with the mod-l table.  Each distinct
 multiplicity row must sum to chi(1) (chi(g) is a sum of chi(1) roots of
-unity), and the lift check reduces each distinct value object once mod l,
+unity).  The lift check reduces the pool mod l with one product per
+conductor, and on its own each entry whose object is not its pool value,
 so a value replaced in one row is still checked.
 
 Orthogonality is then checked exactly, at every table size, on the id array
@@ -70,13 +74,14 @@ checks that the closure of its generators is the set itself.
 from __future__ import annotations
 
 import weakref
+from itertools import chain
 from math import gcd, isqrt
 
 import numpy as np
 
 from . import fpmat
 from .cyclotomic import Cyclotomic, _monomial_table, cyc
-from .numth import find_dixon_prime, is_prime, primitive_root
+from .numth import find_dixon_prime, is_prime, primitive_root, unit_generators
 from .perm import ConjugacyClass, PermGroup, Subgroup, _void
 
 EXACT_BUDGET = 2**53  # n (p - 1)^2 below it keeps the exact check's products exact
@@ -188,10 +193,9 @@ class CharacterTable:
         return self._units
 
     def _powers(self) -> np.ndarray:
+        """This table's int64 copy of the group's (k, e) power-map array."""
         if self._power_matrix is None:
-            self._power_matrix = np.array(
-                [c.power_map for c in self.classes], dtype=np.int64
-            )
+            self._power_matrix = self.group.power_maps.astype(np.int64)
         return self._power_matrix
 
     def _lookup(self) -> dict[bytes, int]:
@@ -521,9 +525,8 @@ def _combo_source(product_classes: np.ndarray, class_of: np.ndarray, ell: int, r
 
 
 def _degrees_from_omegas(group, omegas: np.ndarray, ell: int) -> list[int]:
-    classes = group.conjugacy_classes()
-    sizes = np.array([c.size for c in classes], dtype=np.int64)
-    inv_class = np.array([c.power_map[-1] for c in classes], dtype=np.int64)
+    sizes = np.array([c.size for c in group.conjugacy_classes()], dtype=np.int64)
+    inv_class = group.power_maps[:, -1]
     size_inv = np.array([pow(int(s), ell - 2, ell) for s in sizes], dtype=np.int64)
     n = group.order
     sqrt_small = {}
@@ -550,7 +553,8 @@ def _lift_values(group, table_mod: np.ndarray, ell: int, w_e: int):
     """Exact values from the mod-l table, as a k x k int32 array of ids into
     a pool of distinct Cyclotomics (step 5 of the module docstring)."""
     classes = group.conjugacy_classes()
-    e = group.exponent
+    power_maps = group.power_maps
+    e = power_maps.shape[1]
     ids = np.full(table_mod.shape, -1, dtype=np.int32)
     pool: list[Cyclotomic] = []
     rational: dict[int, int] = {}  # value -> id
@@ -575,7 +579,7 @@ def _lift_values(group, table_mod: np.ndarray, ell: int, w_e: int):
         m = c.order
         # inverse DFT of the distinct rows of the columns of the classes g^s:
         # mult[t] = m^{-1} sum_s table[:, class(g^s)] w_m^{-st}, w_m = w_e^(e/m)
-        cols, inverse = np.unique(table_mod[:, c.power_map[:m]], axis=0, return_inverse=True)
+        cols, inverse = np.unique(table_mod[:, power_maps[j, :m]], axis=0, return_inverse=True)
         inverse = inverse.reshape(-1)
         powers = np.array([pow(w_e, -(e // m) * t, ell) for t in range(m)])  # w_m^-t
         dft = powers[np.outer(np.arange(m), np.arange(m)) % m]
@@ -586,12 +590,12 @@ def _lift_values(group, table_mod: np.ndarray, ell: int, w_e: int):
         monomials = np.array(_monomial_table(m), dtype=np.int64)
         vals, which = np.unique(_galois_image(mults, monomials, 1), axis=0, return_inverse=True)
         ids[:, j] = intern(vals, m)[which.reshape(-1)[inverse]]
-        image_of = {u: np.empty(0, dtype=np.int32) for u in _unit_generators(m)}  # by id
+        image_of = {u: np.empty(0, dtype=np.int32) for u in unit_generators(m)}  # by id
         frontier = [j]
         while frontier:
             jc = frontier.pop()
             for u, lut in image_of.items():
-                jn = classes[jc].power_map[u % e]
+                jn = power_maps[jc, u % e]
                 if ids[0, jn] < 0:  # the image under z -> z^u of column jc
                     lut = image_of[u] = np.pad(lut, (0, len(pool) - len(lut)), constant_values=-1)
                     new = np.unique(ids[lut[ids[:, jc]] < 0, jc])
@@ -673,29 +677,32 @@ def _verify(table: CharacterTable, w_e: int) -> None:
     for chi in chars:
         if chi.values[0] != chi.degree:
             raise TableVerificationError("first column does not equal the degree")
-    # lifted values must reduce back to the mod-l table under zeta_e -> w_e
-    def mod_l(v: Cyclotomic) -> int:
+    # lifted values must reduce back to the mod-l table under zeta_e -> w_e:
+    # the pool is reduced once, and a value a row holds in place of its
+    # pool object is reduced on its own
+    pool = table.value_pool
+    reduced = _pool_mod(_pool_by_conductor(pool), len(pool), e, ell, w_e).astype(np.int64)
+    lifted = reduced[table.value_ids]
+    held = np.fromiter(map(id, chain.from_iterable(chi.values for chi in chars)), np.uint64, k * k)
+    pool_ids = np.fromiter(map(id, pool), np.uint64, len(pool))
+    for i, j in zip(*np.nonzero(held.reshape(k, k) != pool_ids[table.value_ids])):
+        v = chars[i].values[j]
         if e % v.conductor:
             raise ValueError("conductor does not divide the exponent")
         w = pow(w_e, e // v.conductor, ell)
-        return sum(c * pow(w, i, ell) for i, c in enumerate(v.coeffs) if c) % ell
-
-    for row, mod_row in zip(_map_once(mod_l, [chi.values for chi in chars]), table.mod_table):
-        if not np.array_equal(row, mod_row % ell):
-            raise TableVerificationError("lift is inconsistent with the mod-l table")
+        lifted[i, j] = sum(c * pow(w, t, ell) for t, c in enumerate(v.coeffs) if c) % ell
+    if not np.array_equal(lifted, table.mod_table % ell):
+        raise TableVerificationError("lift is inconsistent with the mod-l table")
     # modular orthogonality (always)
+    powers = table._powers()
     sizes = np.array([c.size for c in table.classes], dtype=np.int64)
-    inv_class = [c.power_map[-1] for c in table.classes]
-    t_inv = table.mod_table[:, inv_class]
+    t_inv = table.mod_table[:, powers[:, -1]]
     gram = fpmat.mul(table.mod_table, (t_inv * sizes[None, :] % ell).T, ell)
     if not np.array_equal(gram, (group.order % ell) * np.eye(k, dtype=np.int64) % ell):
         raise TableVerificationError("row orthogonality fails mod l")
     # rational rows match rational classes
-    units = table.units()
-    powers = table._powers()
-    rational_classes = sum(
-        1 for c in range(k) if all(powers[c, u % e] == c for u in units)
-    )
+    units = np.array(table.units()) % e
+    rational_classes = int((powers[:, units] == np.arange(k)[:, None]).all(axis=1).sum())
     rational_rows = sum(1 for chi in chars if chi.is_rational())
     if rational_classes != rational_rows:
         raise TableVerificationError("rational row/class counts differ")
@@ -713,23 +720,6 @@ def _map_once(fn, rows) -> list[list]:
     return [[memo[id(v)] for v in row] for row in rows]
 
 
-def _unit_generators(e: int) -> list[int]:
-    """Units mod e, increasing, each outside the group the earlier ones generate."""
-    gens: list[int] = []
-    reached = {1 % e}
-    for u in range(2, e):
-        if gcd(u, e) != 1 or u in reached:
-            continue
-        gens.append(u)
-        grown = set(reached)
-        x = u
-        while x not in reached:  # the cosets reached * u^j
-            grown |= {r * x % e for r in reached}
-            x = x * u % e
-        reached = grown
-    return gens
-
-
 def verify_orthogonality_exact(table: CharacterTable) -> None:
     """Exact row and column orthogonality: the Galois action on the value
     pool, an integer bound on the Gram entries, and the Gram matrices modulo
@@ -743,7 +733,7 @@ def verify_orthogonality_exact(table: CharacterTable) -> None:
         for i, row in zip(idx, coeffs)
     }
     rows = np.sort(_void(np.ascontiguousarray(ids)))
-    for u in _unit_generators(e):
+    for u in unit_generators(e):
         lut = np.arange(len(table.value_pool), dtype=ids.dtype)  # rationals are fixed
         for m, (idx, coeffs) in by_conductor.items():
             if m > 1:
@@ -808,11 +798,14 @@ def _gram_primes(e: int, width: int, bound: int) -> list[int]:
     return primes
 
 
-def _pool_mod(by_conductor, size: int, e: int, p: int) -> np.ndarray:
-    """Each pool value mod p under zeta_e -> an element of order e in F_p."""
-    w_e = _find_root_of_unity(p, e)
+def _pool_mod(by_conductor, size: int, e: int, p: int, w_e: int | None = None) -> np.ndarray:
+    """Each pool value mod p under zeta_e -> w_e, an element of order e in F_p
+    (by default the one _find_root_of_unity gives)."""
+    w_e = _find_root_of_unity(p, e) if w_e is None else w_e
     out = np.empty(size)
     for m, (idx, coeffs) in by_conductor.items():
+        if e % m:
+            raise ValueError("conductor does not divide the exponent")
         w = pow(w_e, e // m, p)
         powers = np.array([pow(w, t, p) for t in range(coeffs.shape[1])], dtype=np.int64)
         out[idx] = fpmat.mul(coeffs % p, powers[:, None], p)[:, 0]

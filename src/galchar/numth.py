@@ -128,6 +128,23 @@ def primitive_root(p: int) -> int:
     raise AssertionError("unreachable: every prime has a primitive root")
 
 
+def unit_generators(e: int) -> list[int]:
+    """Units mod e, increasing, each outside the group the earlier ones generate."""
+    gens: list[int] = []
+    reached = {1 % e}
+    for u in range(2, e):
+        if gcd(u, e) != 1 or u in reached:
+            continue
+        gens.append(u)
+        grown = set(reached)
+        x = u
+        while x not in reached:  # the cosets reached * u^j
+            grown |= {r * x % e for r in reached}
+            x = x * u % e
+        reached = grown
+    return gens
+
+
 @dataclass(frozen=True)
 class PrimePower:
     """A prime p together with a positive exponent n."""

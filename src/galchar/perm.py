@@ -4,10 +4,30 @@ A group is enumerated once, breadth-first over its generator list, into an
 (|G|, degree) int32 image array (bounded, default 5e5 rows).  An element is
 its id, the index of its row; a subgroup is a sorted id array.  Products,
 closures, centralizers, classes and cosets all work on ids, batched over
-arrays.  `Permutation` is the value type at the edges only: generators,
+arrays.  A product of any number of factors composes their image rows and
+looks the result up once; a power squares image rows and looks up only the
+last ones.  `Permutation` is the value type at the edges only: generators,
 `elements`, class representatives, `Subgroup.elements` and `close()`.
-Classes carry power maps indexed 0..e-1 (e the group exponent) because the
-Galois action on characters is driven by them.
+
+Classes are the orbits of conjugation by the generators.  Their power maps,
+one (k, e) int32 array indexed by exponents 0..e-1 (e the group exponent),
+drive the Galois action on characters, and come from a handful of group
+products (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
+2005, ch. 7):
+
+- for each prime q dividing |G|, one power of every class representative
+  gives the q-th power map.  x -> x^q permutes the classes of q'-elements
+  and takes every other class to one whose order has one factor q fewer, so
+  the q-part of a class order is q^d, d the number of steps from the class
+  to a cycle of the map;
+- for each generator s of the units mod e, one more power gives the s-th
+  map.  Every t is gcd(t, e) u (mod e) for a unit u, and x ~ y implies
+  x^s ~ y^s, so a breadth-first walk over Z/e from 1 fills column t s from
+  column t by the s-th map, for s running over the primes and the units.
+
+Arrays of more than CELL_BUDGET cells (the power maps, and the |G| x k
+right multiplications of the class representatives) raise
+OrderBoundExceeded before they are allocated.
 
 All orderings are deterministic: ids follow the breadth-first order over
 the generator list, classes are sorted by (element order, class size,
@@ -17,15 +37,16 @@ tuples.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import lcm
 
 import numpy as np
 
-from .numth import factorize, is_prime_power
+from .numth import factorize, is_prime_power, unit_generators
 
 ORDER_BOUND = 500_000
+CELL_BUDGET = 40_000_000  # cells of the largest derived array (k e or |G| k)
 
 
 class OrderBoundExceeded(RuntimeError):
@@ -121,16 +142,68 @@ class ConjugacyClass:
     rep: Permutation
     element_ids: tuple[int, ...]
     order: int
-    power_map: tuple[int, ...] = ()  # index t -> class of rep**t, t in 0..e-1
+    powers: np.ndarray = field(compare=False, repr=False)  # its row of power_maps
 
     @property
     def size(self) -> int:
         return len(self.element_ids)
 
+    @cached_property
+    def power_map(self) -> tuple[int, ...]:
+        """Index t -> class of rep**t, t in 0..e-1."""
+        return tuple(self.powers.tolist())
+
 
 def _void(rows: np.ndarray) -> np.ndarray:
     """Each int32 row of a C-contiguous array as one opaque byte string."""
     return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+
+
+def _check_cells(cells: int, what: str) -> None:
+    if cells > CELL_BUDGET:
+        raise OrderBoundExceeded(f"{what} has {cells} cells, over the budget {CELL_BUDGET}")
+
+
+def _orders_from_prime_maps(maps: dict[int, np.ndarray], k: int) -> np.ndarray:
+    """Class orders from the q-th power maps of the classes, one map for each
+    prime q dividing |G|: the q-part of an order is q to the number of steps
+    from the class to a cycle of the map (see the module docstring)."""
+    orders = np.ones(k, dtype=np.int64)
+    for q, qmap in maps.items():
+        on_cycle = np.ones(k, dtype=bool)
+        while True:  # the image of the image ... shrinks to the cycles
+            image = np.zeros(k, dtype=bool)
+            image[qmap[on_cycle]] = True
+            if np.array_equal(image, on_cycle):
+                break
+            on_cycle = image
+        at = np.arange(k)
+        while not on_cycle[at].all():
+            orders[~on_cycle[at]] *= q
+            at = qmap[at]
+    return orders
+
+
+def _compose_power_maps(maps: dict[int, np.ndarray], k: int, e: int) -> np.ndarray:
+    """The (k, e) int32 array whose [c, t] entry is the class of rep_c**t,
+    from the s-th power maps of the classes for the exponents s in maps:
+    breadth-first over Z/e from 1, column t s is column t mapped by the s-th
+    map.  Every t must be reached."""
+    out = np.empty((k, e), dtype=np.int32)
+    out[:, 1 % e] = np.arange(k)
+    reached = np.zeros(e, dtype=bool)
+    reached[1 % e] = True
+    walk = [1 % e]
+    for t in walk:  # grows while it is walked
+        for s, smap in maps.items():
+            ts = t * s % e
+            if not reached[ts]:
+                out[:, ts] = smap[out[:, t]]
+                reached[ts] = True
+                walk.append(ts)
+    if not reached.all():
+        raise AssertionError("power-map exponents do not generate Z/e")
+    return out
 
 
 def orbit_labels(n: int, maps: list[list[int]]) -> np.ndarray:
@@ -162,6 +235,7 @@ class PermGroup:
         self._enumerate(order_bound)
         self._classes: list[ConjugacyClass] | None = None
         self._class_of: np.ndarray | None = None
+        self._power_maps: np.ndarray | None = None
         self._series_ids: dict[str, list] = {}
 
     def _enumerate(self, order_bound: int) -> None:
@@ -255,38 +329,44 @@ class PermGroup:
 
     @cached_property
     def rank(self) -> np.ndarray:
-        """rank[i]: the position of element i in the order of image tuples."""
+        """rank[i]: the position of element i in the order of image tuples,
+        which is the byte order of the big-endian rows."""
         rank = np.empty(self.order, dtype=np.int64)
-        rank[np.lexsort(self.images.T[::-1])] = np.arange(self.order)
+        rank[np.argsort(_void(self.images.astype(">i4")))] = np.arange(self.order)
         return rank
 
-    def mul(self, a, b) -> np.ndarray:
-        """Ids of the products a * b, broadcast over id arrays."""
-        a, b = np.asarray(a), np.asarray(b)
-        ndim = max(a.ndim, b.ndim)
-        rows = np.take_along_axis(  # (a * b)(x) = a(b(x)), broadcast
-            self.images[a.reshape((1,) * (ndim - a.ndim) + a.shape)],
-            self.images[b.reshape((1,) * (ndim - b.ndim) + b.shape)],
-            -1,
-        )
+    def mul(self, *factors) -> np.ndarray:
+        """Ids of the products f1 * f2 * ... of id arrays, broadcast; the
+        image rows are composed and the result looked up once."""
+        factors = [np.asarray(f) for f in factors]
+        ndim = max(f.ndim for f in factors)
+        rows = None
+        for f in reversed(factors):  # (a * b)(x) = a(b(x)), broadcast
+            image = self.images[f.reshape((1,) * (ndim - f.ndim) + f.shape)]
+            rows = image if rows is None else np.take_along_axis(image, rows, -1)
         return self.ids_of_rows(rows.reshape(-1, self.degree)).reshape(rows.shape[:-1])
 
     def conj(self, g, x) -> np.ndarray:
         """Ids of g * x * g^-1."""
-        return self.mul(self.mul(g, x), self.inverse[g])
+        return self.mul(g, x, self.inverse[g])
 
     def comm(self, a, b) -> np.ndarray:
         """Ids of the commutators a^-1 * b^-1 * a * b."""
-        return self.mul(self.mul(self.inverse[a], self.inverse[b]), self.mul(a, b))
+        return self.mul(self.inverse[a], self.inverse[b], a, b)
 
     def power(self, ids, n: int) -> np.ndarray:
-        """Ids of x**n (n >= 0) for the ids x, by repeated squaring."""
-        out = np.zeros_like(ids)
+        """Ids of x**n (n >= 0) for the ids x: the image rows are squared
+        and only the final rows looked up."""
+        ids = np.asarray(ids)
+        base = self.images[ids]
+        out = np.broadcast_to(np.arange(self.degree, dtype=np.int32), base.shape)
         while n:
             if n & 1:
-                out = self.mul(out, ids)
-            ids, n = self.mul(ids, ids), n >> 1
-        return out
+                out = np.take_along_axis(base, out, -1)
+            n >>= 1
+            if n:
+                base = np.take_along_axis(base, base, -1)
+        return self.ids_of_rows(out.reshape(-1, self.degree)).reshape(ids.shape)
 
     def commuting(self, ids, others) -> np.ndarray:
         """Boolean table whose [i, j] entry says ids[i] commutes with others[j]."""
@@ -302,6 +382,7 @@ class PermGroup:
         multiplication of its parent's row.  A depth-first walk over the part
         of the enumeration tree above the ids makes one gather per node and
         keeps rows only along the current root path."""
+        _check_cells(len(ids) * self.order, "the right multiplication table")
         everything = np.arange(self.order)
         by_gen = [self.mul(everything, g) for g in self.gen_ids]
         parent, via = self._parent.tolist(), self._via.tolist()
@@ -333,41 +414,44 @@ class PermGroup:
     def conjugacy_classes(self) -> list[ConjugacyClass]:
         if self._classes is not None:
             return self._classes
-        rank = self.rank
-        # conj[g][x] = id of g x g^-1, for every element x at once
-        conj = self.conj(self.gen_ids[:, None], np.arange(self.order)[None, :])
-        label = orbit_labels(self.order, conj.tolist())
+        rank, everything = self.rank, np.arange(self.order)
+        # g x g^-1 for every element x, one generator g at a time
+        label = orbit_labels(self.order, [self.conj(g, everything).tolist() for g in self.gen_ids])
+        sizes = np.bincount(label)
         # each class's members in order of image tuples, the least one first
         grouped = np.lexsort((rank, label))
-        classes = []
-        for members in np.split(grouped, np.cumsum(np.bincount(label))[:-1]):
-            rep = self.element(members[0])
-            classes.append(ConjugacyClass(rep, tuple(members.tolist()), rep.order()))
-        classes.sort(key=lambda c: (c.order, c.size, rank[c.element_ids[0]]))
-
-        class_of = np.empty(self.order, dtype=np.int64)
-        for ci, c in enumerate(classes):
-            class_of[list(c.element_ids)] = ci
-        e = lcm(*(c.order for c in classes))
-        # powers[ci, t] = class of rep_ci ** t for t < order; classes are
-        # sorted by order, so the reps still stepping form a suffix
-        orders = np.array([c.order for c in classes])
-        reps = self.images[[c.element_ids[0] for c in classes]]
-        cur = np.tile(np.arange(self.degree, dtype=np.int32), (len(classes), 1))
-        powers = np.zeros((len(classes), int(orders[-1])), dtype=np.int64)
-        for t in range(int(orders[-1])):
-            first = int(np.searchsorted(orders, t, side="right"))
-            powers[first:, t] = class_of[self.ids_of_rows(cur[first:])]
-            cur[first:] = np.take_along_axis(cur[first:], reps[first:], 1)
-        for ci, c in enumerate(classes):
-            c.power_map = tuple(powers[ci, np.arange(e) % c.order].tolist())
-        self._classes = classes
+        least = grouped[np.cumsum(sizes) - sizes]
+        prime_maps = {q: label[self.power(least, q)] for q in factorize(self.order)}
+        orders = _orders_from_prime_maps(prime_maps, len(sizes))
+        e = lcm(*orders.tolist())
+        _check_cells(len(sizes) * e, "the power-map array")
+        by = np.lexsort((rank[least], sizes, orders))  # sorted class -> label
+        relabel = np.empty_like(by)
+        relabel[by] = np.arange(len(by))
+        class_of = relabel[label]
+        maps = {q: relabel[qmap[by]] for q, qmap in prime_maps.items()}
+        for u in unit_generators(e):
+            maps[u] = class_of[self.power(least[by], u)]
+        self._power_maps = _compose_power_maps(maps, len(sizes), e)
+        members = np.split(grouped, np.cumsum(sizes)[:-1])
+        self._classes = [
+            ConjugacyClass(
+                self.element(least[i]), tuple(members[i].tolist()), int(orders[i]), row
+            )
+            for i, row in zip(by.tolist(), self._power_maps)
+        ]
         self._class_of = class_of
-        return classes
+        return self._classes
+
+    @property
+    def power_maps(self) -> np.ndarray:
+        """(k, e) int32: [c, t] is the class of rep_c**t."""
+        self.conjugacy_classes()
+        return self._power_maps
 
     @property
     def exponent(self) -> int:
-        return lcm(*(c.order for c in self.conjugacy_classes()))
+        return self.power_maps.shape[1]
 
     def class_of(self, perm: Permutation) -> int:
         return int(self.class_index_array()[self.element_id(perm)])
