@@ -32,8 +32,8 @@ column, orthogonality modulo l, the rational-row = rational-class count,
 and consistency of the lifted values with the mod-l table.  Each distinct
 multiplicity row must sum to chi(1) (chi(g) is a sum of chi(1) roots of
 unity).  The lift check reduces the pool mod l with one product per
-conductor, and on its own each entry whose object is not its pool value,
-so a value replaced in one row is still checked.
+conductor, and the same way, apart, the entries whose objects are not
+their pool values, so a value replaced in one row is still checked.
 
 Orthogonality is then checked exactly, at every table size, on the id array
 and the pool (Cohen, A Course in Computational Algebraic Number Theory,
@@ -619,13 +619,13 @@ def _galois_image(weights: np.ndarray, monomials: np.ndarray, kk: int) -> np.nda
 
 def character_table(group: PermGroup, seed: int = 0) -> CharacterTable:
     """Exact irreducible character table of a permutation group."""
-    table, w_e = _build_table(group, seed)
-    _verify(table, w_e)  # once the working arrays of the build are freed
+    table = _build_table(group, seed)
+    _verify(table)  # once the working arrays of the build are freed
     return table
 
 
-def _build_table(group: PermGroup, seed: int) -> tuple[CharacterTable, int]:
-    """The unverified table, and the w_e its values were lifted with."""
+def _build_table(group: PermGroup, seed: int) -> CharacterTable:
+    """The unverified table."""
     classes = group.conjugacy_classes()
     k = len(classes)
     e = group.exponent
@@ -660,13 +660,12 @@ def _build_table(group: PermGroup, seed: int) -> tuple[CharacterTable, int]:
     ranks = np.array([rank[label] for label in labels], dtype=np.int64)[ids]
     order = sorted(range(len(degrees)), key=lambda i: (degrees[i], ranks[i].tolist()))
     degrees = [degrees[i] for i in order]
-    table = CharacterTable(
+    return CharacterTable(
         group, classes, ids[order], pool, degrees, e, ell, table_mod[order], seed
     )
-    return table, w_e
 
 
-def _verify(table: CharacterTable, w_e: int) -> None:
+def _verify(table: CharacterTable) -> None:
     group = table.group
     k = table.n_classes
     ell = table.dixon_prime
@@ -677,20 +676,17 @@ def _verify(table: CharacterTable, w_e: int) -> None:
     for chi in chars:
         if chi.values[0] != chi.degree:
             raise TableVerificationError("first column does not equal the degree")
-    # lifted values must reduce back to the mod-l table under zeta_e -> w_e:
-    # the pool is reduced once, and a value a row holds in place of its
-    # pool object is reduced on its own
+    # lifted values must reduce back to the mod-l table: the pool is reduced
+    # once, and the values a row holds in place of their pool objects are
+    # reduced the same way on their own
     pool = table.value_pool
-    reduced = _pool_mod(_pool_by_conductor(pool), len(pool), e, ell, w_e).astype(np.int64)
+    reduced = _pool_mod(_pool_by_conductor(pool), len(pool), e, ell).astype(np.int64)
     lifted = reduced[table.value_ids]
     held = np.fromiter(map(id, chain.from_iterable(chi.values for chi in chars)), np.uint64, k * k)
     pool_ids = np.fromiter(map(id, pool), np.uint64, len(pool))
-    for i, j in zip(*np.nonzero(held.reshape(k, k) != pool_ids[table.value_ids])):
-        v = chars[i].values[j]
-        if e % v.conductor:
-            raise ValueError("conductor does not divide the exponent")
-        w = pow(w_e, e // v.conductor, ell)
-        lifted[i, j] = sum(c * pow(w, t, ell) for t, c in enumerate(v.coeffs) if c) % ell
+    stray = np.nonzero(held.reshape(k, k) != pool_ids[table.value_ids])
+    values = [chars[i].values[j] for i, j in zip(*stray)]
+    lifted[stray] = _pool_mod(_pool_by_conductor(values), len(values), e, ell)
     if not np.array_equal(lifted, table.mod_table % ell):
         raise TableVerificationError("lift is inconsistent with the mod-l table")
     # modular orthogonality (always)
@@ -798,10 +794,9 @@ def _gram_primes(e: int, width: int, bound: int) -> list[int]:
     return primes
 
 
-def _pool_mod(by_conductor, size: int, e: int, p: int, w_e: int | None = None) -> np.ndarray:
-    """Each pool value mod p under zeta_e -> w_e, an element of order e in F_p
-    (by default the one _find_root_of_unity gives)."""
-    w_e = _find_root_of_unity(p, e) if w_e is None else w_e
+def _pool_mod(by_conductor, size: int, e: int, p: int) -> np.ndarray:
+    """Each pool value mod p under zeta_e -> an element of order e in F_p."""
+    w_e = _find_root_of_unity(p, e)
     out = np.empty(size)
     for m, (idx, coeffs) in by_conductor.items():
         if e % m:

@@ -27,7 +27,11 @@ products (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
 
 Arrays of more than CELL_BUDGET cells (the power maps, and the |G| x k
 right multiplications of the class representatives) raise
-OrderBoundExceeded before they are allocated.
+OrderBoundExceeded before they are allocated.  That is 14x the largest
+input in the repo, but it is a tighter limit than ORDER_BOUND on groups
+with many classes: a character table needs |G| k <= 4e7, so an abelian
+group (k = |G|) of more than about 6,300 elements, C80 x C80 for one, is
+refused, and a group at ORDER_BOUND may have at most 80 classes.
 
 All orderings are deterministic: ids follow the breadth-first order over
 the generator list, classes are sorted by (element order, class size,

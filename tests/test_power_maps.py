@@ -161,8 +161,9 @@ def test_unit_generators_generate_the_units_irredundantly():
 
 
 # Child process: build a direct product of cyclic groups on disjoint blocks,
-# call into it, and report the seconds and the ru_maxrss growth (kB) until
-# OrderBoundExceeded.  Exit 3 if nothing raised.
+# call into it, and report the seconds of that call and the ru_maxrss growth
+# (kB) since before the build, until OrderBoundExceeded.  Exit 3 if nothing
+# raised.
 _TRIP = """
 import json, resource, sys, time
 from galchar.chartab import character_table
@@ -175,8 +176,8 @@ for n in blocks:
     gens.append(images)
     start += n
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-t0 = time.perf_counter()
 group = PermGroup(degree, gens)
+t0 = time.perf_counter()
 try:
     character_table(group) if sys.argv[2] == "table" else group.conjugacy_classes()
 except OrderBoundExceeded as exc:

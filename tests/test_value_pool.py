@@ -52,7 +52,6 @@ def test_corrupted_mod_table_breaks_the_multiplicity_bounds(a7h3, row, col, delt
 def test_shared_value_replaced_in_one_row_fails_verification():
     group = construct_case(CaseParams("a7", 2, 2, 1, 3))
     table = character_table(group, seed=1)
-    w_e = _find_root_of_unity(table.dixon_prime, table.exponent)
     chars = table.chars
     # the last irrational value object that an earlier row also holds
     seen = {}
@@ -64,9 +63,9 @@ def test_shared_value_replaced_in_one_row_fails_verification():
     chi = chars[row]
     shared = chi.values[col]
     assert sum(v is shared for other in chars for v in other.values) > 1
-    _verify(table, w_e)
+    _verify(table)
     values = list(chi.values)
     values[col] = shared + 1
     chi.values = tuple(values)
     with pytest.raises(TableVerificationError, match="lift is inconsistent"):
-        _verify(table, w_e)
+        _verify(table)
