@@ -10,14 +10,23 @@ The table of a group G is computed in five steps:
    multiplicities lift uniquely from arithmetic mod l);
 3. simultaneous eigenvectors of the class matrices over F_l.  The |G| x k
    array of the classes of x^-1 z_m (z_m the class representatives) is
-   built once per table; each seeded random combination M of the class
-   matrices is then k weighted bincounts over it.  The minimal polynomial
-   of a probe vector is found on its Krylov vectors, reduced a block at a
-   time against an RREF basis, and eigenspaces are read off by polynomial
-   deflation; a block's last annihilator is reused for later probes once
-   it is checked to kill them.  Subspaces that stay entangled are split
-   recursively with fresh combinations.  Everything is deterministic given
-   the seed;
+   built once per table; each seeded random combination a of the class
+   matrices is then k weighted bincounts over it.  Every such a is
+   self-adjoint for the class-function form
+   <x, y> = sum_c x[c] y[c^-1] / |C_c| mod l, under which the eigenlines
+   are orthogonal with nonzero norms |G| / chi(1)^2 (the form that gives
+   the degrees in step 4).  So one Krylov chain v a^s of a probe v gives
+   the scalar sequence <v a^i, v a^j>, and Berlekamp-Massey on it gives a
+   polynomial f, accepted only if f(a) kills v, which proves it is v's
+   minimal polynomial; otherwise the form was isotropic on v's part of a
+   repeated eigenspace, and the probe is dropped.  Eigenspaces are read off
+   by polynomial deflation.  Later probes of the same block are projected
+   off the deflation vectors found so far, into their orthogonal
+   complement, which is invariant, so their chains stop at the block size
+   less the number of those vectors.  A block is evaluated in the form
+   through its basis rows.  Subspaces that stay
+   entangled are split recursively with fresh combinations.  Everything is
+   deterministic given the seed;
 4. degrees from the eigenvector normalisation and character values mod l;
 5. exact values, as a k x k int32 array of ids into a pool of the table's
    few distinct Cyclotomics, keyed by (conductor, coefficients).  Per
@@ -51,8 +60,9 @@ and the pool (Cohen, A Course in Computational Algebraic Number Theory,
   |chi(c)| <= L1(chi(c)), so the (i, j) row Gram entry is at most
   sum_c |C_c| L1(chi_i(c)) L1(chi_j(c)) in absolute value, and by
   Cauchy-Schwarz at most the largest i = j sum; likewise for columns.  B
-  is the larger of the two, and each entry differs from its target
-  |G| delta_ij or delta |G|/|C_c| by at most B + |G|.
+  is the larger of the two and of max_i sum_c |C_c| L1(chi_i(c^2)), and
+  each Gram entry differs from its target |G| delta_ij or delta |G|/|C_c|
+  by at most B + |G|.
 - Primes.  Primes p = 1 (mod e) with n (p - 1)^2 < 2^53, n the larger of
   k and the longest coefficient vector, so that every float64 product is
   exact, are taken largest first until their product exceeds
@@ -60,6 +70,12 @@ and the pool (Cohen, A Course in Computational Algebraic Number Theory,
   under zeta_e -> an element of order e in F_p and both Gram matrices are
   checked with one product each; agreement mod every p is exact equality.
   If the primes run out first, verification fails.
+- Frobenius-Schur indicators.  Mod each of those primes, one product over
+  the square power-map column gives sum_c |C_c| chi(c^2), which must be
+  nu |G| with nu in {-1, 0, 1} the same for every prime, and nu != 0
+  exactly on the rows fixed by u = -1 (the real ones).  The sum is a
+  rational integer by the Galois check, the bound B covers it, and so the
+  check is exact.
 
 galois_orbits then reads orbits off the power maps alone.  The F_l linear
 algebra (row reduction, null spaces, products) comes from fpmat.
@@ -86,7 +102,6 @@ from .perm import ConjugacyClass, PermGroup, Subgroup, _void
 
 EXACT_BUDGET = 2**53  # n (p - 1)^2 below it keeps the exact check's products exact
 _SPLIT_ROUND_CAP = 200
-_KRYLOV_BLOCK = 32  # Krylov rows reduced per product with the RREF basis
 
 
 class TableVerificationError(AssertionError):
@@ -296,77 +311,45 @@ def _poly_roots_mod(coeffs: np.ndarray, ell: int) -> list[int]:
     return [int(x) for x in np.nonzero(vals == 0)[0]]
 
 
-def _krylov(v: np.ndarray, a: np.ndarray, count: int, ell: int) -> np.ndarray:
-    """Rows v, v a, ..., v a^(count-1) mod l."""
-    a = a.astype(fpmat.exact_dtype(len(a), ell))
-    out = np.empty((count, len(v)), dtype=np.int64)
-    out[0] = v
-    for s in range(1, count):
-        out[s] = fpmat.mul(out[s - 1], a, ell)
-    return out
-
-
-def _annihilator_of(v: np.ndarray, a: np.ndarray, ell: int):
-    """Least monic poly f (ascending coeffs) with v . f(a) = 0 mod l, and
-    the Krylov rows v a^s for s <= deg f.
-
-    The Krylov rows are reduced a block at a time.  The reduced rows are
-    kept in RREF together with their coordinates over the Krylov rows, so
-    reducing a block against them is one product; within the block the rows
-    are reduced one by one, and the first that reduces to zero gives the
-    coefficients of f.
-    """
-    m = len(a)
-    a = a.astype(fpmat.exact_dtype(m, ell))
-    kry = np.empty((m + 1, m), dtype=np.int64)
-    rows = np.zeros((m, m), dtype=np.int64)  # RREF; row s has pivot pivots[s]
-    coords = np.zeros((m, m + 1), dtype=np.int64)  # rows = coords @ kry
-    pivots = np.empty(m, dtype=np.int64)
-    kry[0] = v % ell
-    s = 0
-    while s <= m:
-        t = min(s + _KRYLOV_BLOCK, m + 1)
-        for i in range(s + 1, t):
-            kry[i] = fpmat.mul(kry[i - 1], a, ell)
-        c = kry[s:t, pivots[:s]]
-        new = (kry[s:t] - fpmat.mul(c, rows[:s], ell)) % ell
-        crd = -fpmat.mul(c, coords[:s, :t], ell) % ell
-        crd[np.arange(t - s), np.arange(s, t)] = 1
-        for i in range(t - s):
-            fac = new[i, pivots[s : s + i]]
-            new[i] = (new[i] - fac @ new[:i]) % ell
-            crd[i] = (crd[i] - fac @ crd[:i]) % ell
-            nz = np.flatnonzero(new[i])
-            if not len(nz):  # f is monic by construction
-                return crd[i, : s + i + 1], kry[: s + i + 1]
-            pv = nz[0]
-            inv = pow(int(new[i, pv]), ell - 2, ell)
-            new[i] = new[i] * inv % ell
-            crd[i] = crd[i] * inv % ell
-            fac = new[:i, pv].copy()
-            new[:i] = (new[:i] - np.outer(fac, new[i])) % ell
-            crd[:i] = (crd[:i] - np.outer(fac, crd[i])) % ell
-            pivots[s + i] = pv
-        # clear the block's pivot columns from the earlier rows, then append
-        fac = rows[:s][:, pivots[s:t]]
-        rows[:s] = (rows[:s] - fpmat.mul(fac, new, ell)) % ell
-        coords[:s, :t] = (coords[:s, :t] - fpmat.mul(fac, crd, ell)) % ell
-        rows[s:t] = new
-        coords[s:t, :t] = crd
-        if t <= m:
-            kry[t] = fpmat.mul(kry[t - 1], a, ell)
-        s = t
-    raise TableVerificationError("Krylov sequence failed to close")
+def _berlekamp_massey(seq: np.ndarray, ell: int) -> np.ndarray:
+    """Ascending coefficients of the least monic f = x^L + c_1 x^(L-1) + ...
+    + c_L with seq[n] + c_1 seq[n-1] + ... + c_L seq[n-L] = 0 mod l for every
+    n from L to len(seq) - 1 (Massey 1969)."""
+    size = len(seq)
+    conn = np.zeros(size + 1, dtype=np.int64)  # 1 + c_1 x + ... + c_L x^L
+    conn[0] = 1
+    prev = conn.copy()  # the connection polynomial before the last length change
+    length, gap, last = 0, 1, 1
+    for n in range(size):
+        d = int(seq[n - length : n + 1] @ conn[length::-1]) % ell
+        if not d:
+            gap += 1
+            continue
+        coef = d * pow(last, ell - 2, ell) % ell
+        grows = 2 * length <= n
+        kept = conn.copy() if grows else None
+        conn[gap:] = (conn[gap:] - coef * prev[: size + 1 - gap]) % ell
+        if grows:
+            length, prev, last, gap = n + 1 - length, kept, d, 1
+        else:
+            gap += 1
+    return conn[length::-1].copy()
 
 
 class _Splitter:
-    """Splits F_l^k into the common eigenlines of the class-matrix algebra."""
+    """Splits F_l^k into the common eigenlines of the class-matrix algebra.
 
-    def __init__(self, combo_source, k: int, ell: int, rng):
+    size_inv[c] is 1/|C_c| mod l and inv_class[c] the class of the inverses
+    of C_c; they define the class-function form (see _split_once)."""
+
+    def __init__(self, combo_source, k: int, ell: int, rng, size_inv, inv_class):
         self.combo_source = combo_source
         self.k = k
         self.ell = ell
         self.rng = rng
+        self.dtype = fpmat.exact_dtype(k, ell)  # exact for every product below
+        self.size_inv = np.asarray(size_inv).astype(self.dtype)
+        self.inv_class = np.asarray(inv_class)
 
     def run(self) -> list[np.ndarray]:
         ident = np.eye(self.k, dtype=np.int64)
@@ -377,7 +360,7 @@ class _Splitter:
             rounds += 1
             if rounds > _SPLIT_ROUND_CAP:
                 raise TableVerificationError("eigenvector splitting did not converge")
-            mt = next(self.combo_source).T % self.ell  # act on row vectors
+            mt = (next(self.combo_source).T % self.ell).astype(self.dtype)  # acts on rows
             still = []
             for basis in pending:
                 for sub in self._split_once(basis, mt):
@@ -400,50 +383,103 @@ class _Splitter:
         image = fpmat.mul(red, mt, self.ell)
         return image[:, pivots], red
 
+    def _form(self, rows: np.ndarray, red):
+        """(x, y): the rows as class functions, x = rows @ red (red None: the
+        rows already are), and y with <x_i, z> = y_i . z for every class
+        function z, under <x, z> = sum_c x[c] z[c^-1] / |C_c| mod l."""
+        full = rows if red is None else fpmat.mul(rows, red, self.ell)
+        return full, full[:, self.inv_class] * self.size_inv % self.ell
+
+    def _annihilator(self, v: np.ndarray, a: np.ndarray, red, bound: int):
+        """(f, chain): the least monic f (ascending coeffs) with v . f(a) = 0
+        mod l and the rows v a^s for s <= deg f; None if the form is isotropic
+        on a part of v.  bound is at least deg f.
+
+        a is self-adjoint for the form, so the one chain v a^s, s <= bound,
+        gives s_(i+j) = <v a^i, v a^j> up to 2 bound, and Berlekamp-Massey
+        finds the least f generating them.  The minimal polynomial of v
+        generates them too, so deg f is at most its degree; once f(a) kills
+        v, it is that polynomial.  f misses exactly the eigenvalues whose
+        eigenspace part of v is isotropic, and then f(a) does not kill v.
+        """
+        ell = self.ell
+        chain = np.empty((bound + 1, len(v)), dtype=self.dtype)
+        chain[0] = v
+        for s in range(bound):
+            np.mod(chain[s] @ a, ell, out=chain[s + 1])
+        full, dual = self._form(chain, red)
+        seq = np.empty(2 * bound + 1, dtype=np.int64)
+        seq[0::2] = np.einsum("ij,ij->i", full, dual) % ell
+        seq[1::2] = np.einsum("ij,ij->i", full[1:], dual[:-1]) % ell
+        f = _berlekamp_massey(seq, ell)
+        if len(f) > len(chain) or fpmat.mul(f[None], chain[: len(f)], ell).any():
+            return None
+        return f, chain[: len(f)]
+
     def _split_once(self, basis: np.ndarray, mt: np.ndarray):
         """Decompose the row space of basis into eigenspaces of the combo.
 
         For each seeded probe vector v the monic annihilator f of v is
-        found on its Krylov sequence; for every root lam of f the deflation
+        found by _annihilator; for every root lam of f the deflation
         v . (f/(x-lam))(a) lands in the lam-eigenspace.  Probes are
         accumulated until the eigenspace dimensions sum to the block size,
-        which avoids any full-size nullspace eliminations.
+        which avoids any full-size nullspace eliminations.  A probe whose
+        annihilator is refused (the form is isotropic on part of it) is
+        dropped.
 
-        The last annihilator f is reused for a later probe once v . f(a) = 0
-        is checked.  f has distinct roots, so if the probe's own annihilator
-        g is a proper divisor, the deflation by f is (f/g)(lam) times the one
-        by g for the roots of g, and zero for the others: the eigenspaces
-        come out the same as with g.
+        The block is a sum of eigenlines of the algebra, which are
+        orthogonal for the form with nonzero norms, so the form is
+        nondegenerate on it and the combo is self-adjoint.  Each later
+        probe w is projected off the deflation vectors u found so far,
+        w - sum <w, u>/<u, u> u over the u of nonzero norm.  Those u are
+        eigenvectors and pairwise orthogonal: u of distinct eigenvalues are,
+        and a projected probe's part in an eigenspace is orthogonal to the
+        u already in it.  So their orthogonal complement is invariant, the
+        projected probe's annihilator has degree at most m minus their
+        number, and its chain stops there.
         """
         ell = self.ell
         m = len(basis)
         if m == 1:
             return [basis]
-        a, red = self._restrict(basis, mt)
+        if m == self.k:  # the whole space: coordinates are class functions
+            a, red = mt, None
+        else:
+            a, red = self._restrict(basis, mt)
+            a = a.astype(self.dtype)
         spans: dict[int, tuple[list, list]] = {}
         seen_roots: set[int] = set()
         total = 0
-        ann = None
+        # the deflation vectors found so far, their duals and inverse norms
+        lines = np.empty((0, m), dtype=np.int64)
+        duals = np.empty((0, self.k), dtype=self.dtype)
+        inv_norms = np.empty(0, dtype=np.int64)
         for _probe in range(16):
             v = self.rng.integers(0, ell, size=m, dtype=np.int64)
             if not v.any():
                 continue
-            if ann is not None:
-                kry = _krylov(v, a, len(ann), ell)
-                if fpmat.mul(ann, kry, ell).any():
-                    ann = None
-            if ann is None:
-                ann, kry = _annihilator_of(v, a, ell)
-                roots = _poly_roots_mod(ann, ell)
-                if len(roots) < len(ann) - 1:
-                    raise TableVerificationError("annihilator fails to split over F_l")
-                seen_roots |= set(roots)
-                deflate = _synthetic_division(ann, np.array(roots), ell)
-            cands = fpmat.mul(deflate, kry[:-1], ell)
+            if len(lines):
+                coef = fpmat.mul(self._form(v[None], red)[0], duals.T, ell) * inv_norms % ell
+                v = (v - fpmat.mul(coef, lines, ell)[0]) % ell
+            found = self._annihilator(v, a, red, m - len(lines))
+            if found is None:
+                continue
+            f, chain = found
+            roots = _poly_roots_mod(f, ell)
+            if len(roots) < len(f) - 1:
+                raise TableVerificationError("annihilator fails to split over F_l")
+            seen_roots |= set(roots)
+            cands = fpmat.mul(_synthetic_division(f, np.array(roots), ell), chain[:-1], ell)
             for lam, u in zip(roots, cands):
                 total += _insert_reduced(spans.setdefault(lam, ([], [])), u, ell)
             if total == m:
                 break
+            full, dual = self._form(cands, red)
+            norms = np.einsum("ij,ij->i", full, dual) % ell
+            keep = norms != 0
+            lines = np.concatenate([lines, cands[keep]])
+            duals = np.concatenate([duals, dual[keep]])
+            inv_norms = np.concatenate([inv_norms, [pow(int(x), ell - 2, ell) for x in norms[keep]]])
         if total < m:
             # safety net: direct eigenspaces for the roots seen so far, plus
             # the image of the product of the shifts (eigenvalues missed by
@@ -452,6 +488,7 @@ class _Splitter:
             ident = np.eye(m, dtype=np.int64)
             residual = ident.copy()
             total = 0
+            a = a.astype(np.int64)
             for lam in sorted(seen_roots):
                 shifted = (a - lam * ident) % ell
                 rows = fpmat.null_space(shifted.T.copy(), ell)
@@ -467,7 +504,9 @@ class _Splitter:
             # the combination looks scalar on this block; try the next one
             return [basis]
         pieces = [rows for _, (rows, _) in sorted(spans.items())]
-        images = fpmat.mul(np.array([r for rows in pieces for r in rows]), red, ell)
+        images = np.array([r for rows in pieces for r in rows])
+        if red is not None:
+            images = fpmat.mul(images, red, ell)
         return np.split(images, np.cumsum([len(rows) for rows in pieces])[:-1])
 
 
@@ -524,10 +563,7 @@ def _combo_source(product_classes: np.ndarray, class_of: np.ndarray, ell: int, r
         yield combo % ell
 
 
-def _degrees_from_omegas(group, omegas: np.ndarray, ell: int) -> list[int]:
-    sizes = np.array([c.size for c in group.conjugacy_classes()], dtype=np.int64)
-    inv_class = group.power_maps[:, -1]
-    size_inv = np.array([pow(int(s), ell - 2, ell) for s in sizes], dtype=np.int64)
+def _degrees_from_omegas(group, omegas: np.ndarray, ell: int, size_inv, inv_class) -> list[int]:
     n = group.order
     sqrt_small = {}
     half = ell // 2
@@ -632,9 +668,12 @@ def _build_table(group: PermGroup, seed: int) -> CharacterTable:
     ell = find_dixon_prime(e, group.order)
     rng = np.random.default_rng(seed)
 
+    sizes = np.array([c.size for c in classes], dtype=np.int64)
+    size_inv = np.array([pow(int(s), ell - 2, ell) for s in sizes], dtype=np.int64)
+    inv_class = group.power_maps[:, -1]
     product_classes = _class_of_products(group)
     combos = _combo_source(product_classes, group.class_index_array(), ell, rng)
-    lines = _Splitter(combos, k, ell, rng).run()
+    lines = _Splitter(combos, k, ell, rng, size_inv, inv_class).run()
     omegas = []
     for line in lines:
         v = line.ravel() % ell
@@ -642,10 +681,7 @@ def _build_table(group: PermGroup, seed: int) -> CharacterTable:
             raise TableVerificationError("eigenvector vanishes on the identity class")
         omegas.append(v * pow(int(v[0]), ell - 2, ell) % ell)
     omegas = np.array(omegas, dtype=np.int64)
-    degrees = _degrees_from_omegas(group, omegas, ell)
-
-    sizes = np.array([c.size for c in classes], dtype=np.int64)
-    size_inv = np.array([pow(int(s), ell - 2, ell) for s in sizes], dtype=np.int64)
+    degrees = _degrees_from_omegas(group, omegas, ell, size_inv, inv_class)
     table_mod = (
         omegas * np.array(degrees, dtype=np.int64)[:, None] % ell * size_inv[None, :] % ell
     )
@@ -745,14 +781,17 @@ def verify_orthogonality_exact(table: CharacterTable) -> None:
     # in the L1 norms of the values, whose largest entry is on its diagonal
     order = table.group.order
     sizes = np.array([c.size for c in table.classes], dtype=np.int64)
+    square = powers[:, 2 % e]
     l1 = np.array([sum(map(abs, v.coeffs)) for v in table.value_pool], dtype=np.float64)
     sq = (l1**2)[ids]
-    cap = max((sq @ sizes).max(), sq.sum(axis=0).max())
+    cap = max((sq @ sizes).max(), sq.sum(axis=0).max(), (l1[ids][:, square] @ sizes).max())
     # float64 sums of k nonnegative terms: relative error below k 2^-53
     bound = 2 * (int(cap * (1 + 2**-20)) + 1 + order)
     width = max(k, max(coeffs.shape[1] for _, coeffs in by_conductor.values()))
     inv = powers[:, -1]
     diagonal = np.arange(k), np.arange(k)
+    real = (ids[:, inv] == ids).all(axis=1)
+    indicators = None
     for p in _gram_primes(e, width, bound):
         x = _pool_mod(by_conductor, len(table.value_pool), e, p)[ids]
         x_inv = x[:, inv]
@@ -764,6 +803,14 @@ def verify_orthogonality_exact(table: CharacterTable) -> None:
         gram[diagonal] -= order // sizes % p
         if gram.any():
             raise TableVerificationError(f"column orthogonality fails mod {p}")
+        twisted = fpmat.mul(x[:, square], sizes[:, None] % p, p)[:, 0]  # sum_c |C_c| chi(c^2)
+        nu = np.select([twisted == 0, twisted == order % p, twisted == -order % p], [0, 1, -1], 2)
+        if indicators is None:
+            indicators = nu
+        if (nu == 2).any() or (nu != indicators).any():
+            raise TableVerificationError(f"Frobenius-Schur indicator is not -1, 0 or 1 mod {p}")
+        if ((nu != 0) != real).any():
+            raise TableVerificationError("Frobenius-Schur indicator is 0 on a real row or nonzero on another")
 
 
 def _pool_by_conductor(pool: list[Cyclotomic]) -> dict[int, tuple[list[int], np.ndarray]]:

@@ -68,6 +68,14 @@ class Permutation:
             raise ValueError(f"not a permutation: {images}")
         object.__setattr__(self, "images", images)
 
+    @classmethod
+    def _of_row(cls, images) -> "Permutation":
+        """A row of a group's image array, a permutation by construction, so
+        not checked again."""
+        perm = object.__new__(cls)
+        object.__setattr__(perm, "images", tuple(images))
+        return perm
+
     @staticmethod
     def identity(degree: int) -> "Permutation":
         return Permutation(range(degree))
@@ -278,7 +286,7 @@ class PermGroup:
         return len(self.images)
 
     def element(self, eid: int) -> Permutation:
-        return Permutation(self.images[eid].tolist())
+        return Permutation._of_row(self.images[eid].tolist())
 
     @cached_property
     def elements(self) -> list[Permutation]:
@@ -342,13 +350,13 @@ class PermGroup:
     def mul(self, *factors) -> np.ndarray:
         """Ids of the products f1 * f2 * ... of id arrays, broadcast; the
         image rows are composed and the result looked up once."""
-        factors = [np.asarray(f) for f in factors]
-        ndim = max(f.ndim for f in factors)
-        rows = None
-        for f in reversed(factors):  # (a * b)(x) = a(b(x)), broadcast
-            image = self.images[f.reshape((1,) * (ndim - f.ndim) + f.shape)]
-            rows = image if rows is None else np.take_along_axis(image, rows, -1)
-        return self.ids_of_rows(rows.reshape(-1, self.degree)).reshape(rows.shape[:-1])
+        *left, last = [np.asarray(f, dtype=np.int64) for f in factors]
+        flat, deg = self.images.ravel(), self.degree
+        rows = self.images[last]
+        for f in reversed(left):  # (a * b)(x) = a(b(x)): a flat gather at a's row offset
+            rows = rows + f[..., None] * deg  # the int32 rows are freed before the gather
+            rows = flat[rows]
+        return self.ids_of_rows(rows.reshape(-1, deg)).reshape(rows.shape[:-1])
 
     def conj(self, g, x) -> np.ndarray:
         """Ids of g * x * g^-1."""
@@ -362,15 +370,16 @@ class PermGroup:
         """Ids of x**n (n >= 0) for the ids x: the image rows are squared
         and only the final rows looked up."""
         ids = np.asarray(ids)
-        base = self.images[ids]
+        base = self.images[ids.reshape(-1)]
+        offsets = np.arange(len(base))[:, None] * self.degree  # row i of base, flat
         out = np.broadcast_to(np.arange(self.degree, dtype=np.int32), base.shape)
         while n:
             if n & 1:
-                out = np.take_along_axis(base, out, -1)
+                out = base.ravel()[offsets + out]
             n >>= 1
             if n:
-                base = np.take_along_axis(base, base, -1)
-        return self.ids_of_rows(out.reshape(-1, self.degree)).reshape(ids.shape)
+                base = base.ravel()[offsets + base]
+        return self.ids_of_rows(out).reshape(ids.shape)
 
     def commuting(self, ids, others) -> np.ndarray:
         """Boolean table whose [i, j] entry says ids[i] commutes with others[j]."""

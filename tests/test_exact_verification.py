@@ -166,6 +166,23 @@ def test_entry_shifted_by_the_first_prime_needs_a_second(a7h3):
     assert not reference_orthogonality(a7h3)
 
 
+def test_misplaced_square_fails_the_frobenius_schur_sum(a7h3):
+    # c^2 read as the identity class for one class c: on some row the sum
+    # over classes of |C_c| chi(c^2) is no longer 0 or +-|G|
+    square = a7h3._powers()[:, 2]
+    square[next(c for c in range(a7h3.n_classes) if square[c] != 0)] = 0
+    with pytest.raises(TableVerificationError, match="not -1, 0 or 1"):
+        verify_orthogonality_exact(a7h3)
+
+
+def test_squares_read_as_the_classes_fail_the_real_row_check(a7h3):
+    # with c^2 read as c the sum is |G| <chi, 1>, so 0 on every nontrivial
+    # row, the real ones included
+    a7h3._powers()[:, 2] = np.arange(a7h3.n_classes)
+    with pytest.raises(TableVerificationError, match="0 on a real row"):
+        verify_orthogonality_exact(a7h3)
+
+
 def test_primes_exceed_the_bound_within_the_budget():
     e, width = 972, 567
     for bound, count in [(11666, 1), (10**20, 4)]:
