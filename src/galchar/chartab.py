@@ -29,18 +29,28 @@ The table of a group G is computed in five steps:
    deterministic given the seed;
 4. degrees from the eigenvector normalisation and character values mod l;
 5. exact values, as a k x k int32 array of ids into a pool of the table's
-   few distinct Cyclotomics, keyed by (conductor, coefficients).  Per
-   power-orbit of classes an inverse DFT mod l of the distinct rows of the
-   columns of the powers g^s gives the multiplicities of the roots of
-   unity, and so each value at g.  Each other class of the orbit is reached
-   from a filled one by a generator u of the units mod m; its column is the
-   image of that one under z -> z^u, found once per distinct value and u.
+   few distinct Cyclotomics, keyed by (conductor, coefficients).  Only at
+   one representative g per power-orbit of classes (the least class c^s, s
+   a unit mod e) does an inverse DFT mod l of the distinct rows of the
+   columns of the powers g^s give the multiplicities of the roots of unity,
+   and so each value at g; each multiplicity row must sum to chi(1).  Then,
+   for each generator u of the units mod e, the mod-l rows with their
+   columns permuted by the power map c -> c^u are matched to the rows by
+   one sort of the rows as bytes; the rows must be distinct and each image
+   must be a row.  A unit permutes the rows as it permutes the classes
+   (Brauer's permutation lemma; Isaacs, Character Theory of Finite Groups,
+   6.32), so these maps compose over Z/e, as the power maps do, into an
+   (e, k) int32 array pi: pi[s, i] is the row of chi_i^sigma_s for each unit
+   s, -1 for the other residues, and chi_i(c^s) = chi_pi[s, i](c).  Every
+   column is then one gather from its representative's,
+   ids[:, g^s] = ids[pi[s], g].  The multiplicity checks run before pi is
+   built, so a corrupted mod-l table is reported by them.
 
 The finished table is verified before it is returned: degree sum, first
 column, orthogonality modulo l, the rational-row = rational-class count,
-and consistency of the lifted values with the mod-l table.  Each distinct
-multiplicity row must sum to chi(1) (chi(g) is a sum of chi(1) roots of
-unity).  The lift check reduces the pool mod l with one product per
+and consistency of the lifted values with the mod-l table.  The lift's
+multiplicity rows must each sum to chi(1) (chi(g) is a sum of chi(1) roots
+of unity).  The lift check reduces the pool mod l with one product per
 conductor, and the same way, apart, the entries whose objects are not
 their pool values, so a value replaced in one row is still checked.
 
@@ -77,8 +87,11 @@ and the pool (Cohen, A Course in Computational Algebraic Number Theory,
   rational integer by the Galois check, the bound B covers it, and so the
   check is exact.
 
-galois_orbits then reads orbits off the power maps alone.  The F_l linear
-algebra (row reduction, null spaces, products) comes from fpmat.
+The table keeps pi in its final row order.  galois_orbits labels each row
+by the least row of its orbit, the minimum of pi over the units, and
+galois_conjugate, galois_stabilizer and field_in_pth_cyclotomic read pi
+too.  The F_l linear algebra (row reduction, null spaces, products) comes
+from fpmat.
 
 Kernels are read off the table as sets of class indices, the classes where
 chi(c) = chi(1); |G : ker chi| is |G| over the sum of their sizes, and two
@@ -98,7 +111,7 @@ import numpy as np
 from . import fpmat
 from .cyclotomic import Cyclotomic, _monomial_table, cyc
 from .numth import find_dixon_prime, is_prime, primitive_root, unit_generators
-from .perm import ConjugacyClass, PermGroup, Subgroup, _void
+from .perm import ConjugacyClass, PermGroup, Subgroup, _void, compose_over_exponents
 
 EXACT_BUDGET = 2**53  # n (p - 1)^2 below it keeps the exact check's products exact
 _SPLIT_ROUND_CAP = 200
@@ -168,9 +181,8 @@ class Character:
     def galois_stabilizer(self) -> frozenset[int]:
         """Residues k mod e (units) with chi^sigma_k = chi."""
         if self._stab is None:
-            self._stab = frozenset(
-                k for k in self.table.units() if self.table._permuted_row(self.index, k) == self.index
-            )
+            units = np.array(self.table.units())
+            self._stab = frozenset(units[self.table._fixes(self.index, units)].tolist())
         return self._stab
 
     def __repr__(self) -> str:
@@ -178,7 +190,9 @@ class Character:
 
 
 class CharacterTable:
-    def __init__(self, group, classes, ids, pool, degrees, exponent, dixon_prime, mod_table, seed):
+    def __init__(
+        self, group, classes, ids, pool, galois, degrees, exponent, dixon_prime, mod_table, seed
+    ):
         self.group: PermGroup = group
         self.classes: list[ConjugacyClass] = classes
         self.degrees: list[int] = degrees
@@ -188,12 +202,14 @@ class CharacterTable:
         self.seed = seed
         self.value_ids: np.ndarray = ids  # k x k int32, ids into value_pool
         self.value_pool: list[Cyclotomic] = pool  # the distinct values
+        # galois[s, i]: the row of chi_i^sigma_s, chi_i(c^s) as a function of
+        # c, for each unit s mod e; -1 in the rows of the other residues
+        self.galois: np.ndarray = galois
         self.chars: list[Character] = [  # one per row, built once
             Character(self, i, d, map(pool.__getitem__, row))
             for i, (d, row) in enumerate(zip(degrees, ids.tolist()))
         ]
         self._units: tuple[int, ...] | None = None
-        self._row_lookup: dict[bytes, int] | None = None
         self._power_matrix: np.ndarray | None = None
 
     @property
@@ -213,23 +229,9 @@ class CharacterTable:
             self._power_matrix = self.group.power_maps.astype(np.int64)
         return self._power_matrix
 
-    def _lookup(self) -> dict[bytes, int]:
-        if self._row_lookup is None:
-            self._row_lookup = {
-                self.mod_table[i].tobytes(): i for i in range(self.n_classes)
-            }
-            if len(self._row_lookup) != self.n_classes:
-                raise TableVerificationError("mod-l rows are not distinct")
-        return self._row_lookup
-
-    def _permuted_row(self, i: int, k: int) -> int:
-        """Index of the row obtained from row i by g -> g**k, via power maps."""
-        perm = self._powers()[:, k % self.exponent]
-        permuted = self.mod_table[i][perm]
-        j = self._lookup().get(permuted.tobytes())
-        if j is None:
-            raise TableVerificationError("Galois image is not a table row")
-        return j
+    def _fixes(self, i: int, units: np.ndarray) -> np.ndarray:
+        """For each of the units, whether it fixes row i."""
+        return self.galois[units % self.exponent, i] == i
 
     # -- Galois action -------------------------------------------------------
 
@@ -237,7 +239,7 @@ class CharacterTable:
         """The row g -> chi(g**k); asserts it matches entrywise galois_apply."""
         if gcd(k, self.exponent) != 1:
             raise ValueError(f"{k} is not coprime to the exponent {self.exponent}")
-        target = self.chars[self._permuted_row(chi.index, k)]
+        target = self.chars[self.galois[k % self.exponent, chi.index]]
         powers = self._powers()
         (images,) = _map_once(lambda v: v.galois_apply(k), [chi.values])
         for c, image in enumerate(images):
@@ -247,26 +249,20 @@ class CharacterTable:
         return target
 
     def galois_orbits(self) -> list[tuple[int, ...]]:
-        """Orbits of row indices under the full unit group mod e."""
-        seen = set()
-        orbits = []
-        for i in range(self.n_classes):
-            if i in seen:
-                continue
-            orbit = {self._permuted_row(i, k) for k in self.units()}
-            seen |= orbit
-            orbits.append(tuple(sorted(orbit)))
-        return orbits
+        """Orbits of row indices under the full unit group mod e, in order of
+        their least row: each row is labelled by the least row of its orbit."""
+        units = np.array(self.units()) % self.exponent
+        label = self.galois[units].min(axis=0)
+        rows = np.argsort(label, kind="stable")
+        ends = np.flatnonzero(np.diff(label[rows])) + 1
+        return [tuple(orbit.tolist()) for orbit in np.split(rows, ends)]
 
     def field_in_pth_cyclotomic(self, chi: Character, p: int) -> bool:
         """True iff the field of values of chi lies in Q(zeta_p)."""
         if self.exponent % p != 0:
             return chi.is_rational()
-        return all(
-            self._permuted_row(chi.index, k) == chi.index
-            for k in self.units()
-            if k % p == 1
-        )
+        units = np.array(self.units())
+        return bool(self._fixes(chi.index, units[units % p == 1]).all())
 
     # -- serialization -------------------------------------------------------
 
@@ -564,20 +560,16 @@ def _combo_source(product_classes: np.ndarray, class_of: np.ndarray, ell: int, r
 
 
 def _degrees_from_omegas(group, omegas: np.ndarray, ell: int, size_inv, inv_class) -> list[int]:
-    n = group.order
-    sqrt_small = {}
-    half = ell // 2
-    for t in range(1, half + 1):
-        sqrt_small[t * t % ell] = t
-    degrees = []
-    for v in omegas:
-        s = int(np.sum(v * v[inv_class] % ell * size_inv % ell) % ell)
-        d2 = n * pow(s, ell - 2, ell) % ell
-        d = sqrt_small.get(d2)
-        if d is None:
-            raise TableVerificationError("degree is not a small square root mod l")
-        degrees.append(d)
-    return degrees
+    """chi(1) from <omega, omega> = |G| / chi(1)^2 mod l, for all rows at once."""
+    forms = (omegas * omegas[:, inv_class] % ell * size_inv % ell).sum(axis=1) % ell
+    squares = np.array([group.order * pow(int(s), ell - 2, ell) % ell for s in forms])
+    root = np.zeros(ell, dtype=np.int64)  # root[t^2 mod l] = t for 0 < t <= l/2
+    small = np.arange(1, ell // 2 + 1, dtype=np.int64)
+    root[small * small % ell] = small
+    degrees = root[squares]
+    if not degrees.all():
+        raise TableVerificationError("degree is not a small square root mod l")
+    return degrees.tolist()
 
 
 def _find_root_of_unity(ell: int, e: int) -> int:
@@ -587,60 +579,86 @@ def _find_root_of_unity(ell: int, e: int) -> int:
 
 def _lift_values(group, table_mod: np.ndarray, ell: int, w_e: int):
     """Exact values from the mod-l table, as a k x k int32 array of ids into
-    a pool of distinct Cyclotomics (step 5 of the module docstring)."""
+    a pool of distinct Cyclotomics, and the (e, k) Galois row permutations
+    (step 5 of the module docstring)."""
     classes = group.conjugacy_classes()
     power_maps = group.power_maps
-    e = power_maps.shape[1]
+    k, e = power_maps.shape
     ids = np.full(table_mod.shape, -1, dtype=np.int32)
     pool: list[Cyclotomic] = []
     rational: dict[int, int] = {}  # value -> id
     books: dict[int, dict] = {}  # conductor m -> coefficient bytes at m -> id
 
-    def intern(coeffs: np.ndarray, m: int) -> np.ndarray:  # distinct rows at conductor m
+    def intern(coeffs: np.ndarray, m: int) -> np.ndarray:  # rows at conductor m
         book = books.setdefault(m, {})
         keys = coeffs.view(np.dtype((np.void, 8 * coeffs.shape[1]))).ravel().tolist()
         out = list(map(book.get, keys))
         for r in [r for r, vid in enumerate(out) if vid is None]:  # new at conductor m
-            c0, irrational = int(coeffs[r, 0]), coeffs[r, 1:].any()
-            vid = len(pool) if irrational else rational.setdefault(c0, len(pool))
-            if vid == len(pool):
-                vec = tuple(coeffs[r].tolist())
-                pool.append(Cyclotomic(m, vec, _raw=True) if irrational else cyc(c0))
+            vid = book.get(keys[r])
+            if vid is None:
+                c0, irrational = int(coeffs[r, 0]), coeffs[r, 1:].any()
+                vid = len(pool) if irrational else rational.setdefault(c0, len(pool))
+                if vid == len(pool):
+                    vec = tuple(coeffs[r].tolist())
+                    pool.append(Cyclotomic(m, vec, _raw=True) if irrational else cyc(c0))
             out[r] = book[keys[r]] = vid
         return np.array(out, dtype=np.int32)
 
-    for j, c in enumerate(classes):
-        if ids[0, j] >= 0:
-            continue
-        m = c.order
+    if ell >= 2**31:
+        raise ValueError("the Dixon prime does not fit the int32 row keys")
+    rows = table_mod.astype(np.int32)
+    units = np.flatnonzero(np.gcd(np.arange(e), e) == 1)
+    orbit = power_maps[:, units]  # the classes c^s, s a unit
+    rep_of = orbit.min(axis=1)  # one representative per power-orbit
+    step = units[(orbit[rep_of] == np.arange(k)[:, None]).argmax(axis=1)]  # rep^step = c
+    for j in np.flatnonzero(rep_of == np.arange(k)).tolist():
+        m = classes[j].order
         # inverse DFT of the distinct rows of the columns of the classes g^s:
         # mult[t] = m^{-1} sum_s table[:, class(g^s)] w_m^{-st}, w_m = w_e^(e/m)
-        cols, inverse = np.unique(table_mod[:, power_maps[j, :m]], axis=0, return_inverse=True)
-        inverse = inverse.reshape(-1)
+        cols = np.take(rows, power_maps[j, :m], axis=1)
+        first, inverse = _distinct_rows(cols)
         powers = np.array([pow(w_e, -(e // m) * t, ell) for t in range(m)])  # w_m^-t
         dft = powers[np.outer(np.arange(m), np.arange(m)) % m]
-        mults = fpmat.mul(cols, dft, ell) * pow(m, -1, ell) % ell  # in [0, l)
+        mults = fpmat.mul(cols[first], dft, ell) * pow(m, -1, ell) % ell
         # chi(g) is a sum of chi(1) = table_mod[:, 0] roots of unity (Isaacs, Lemma 2.15)
         if not np.array_equal(mults.sum(axis=1)[inverse], table_mod[:, 0]):
             raise TableVerificationError("root-of-unity multiplicities do not sum to chi(1)")
         monomials = np.array(_monomial_table(m), dtype=np.int64)
-        vals, which = np.unique(_galois_image(mults, monomials, 1), axis=0, return_inverse=True)
-        ids[:, j] = intern(vals, m)[which.reshape(-1)[inverse]]
-        image_of = {u: np.empty(0, dtype=np.int32) for u in unit_generators(m)}  # by id
-        frontier = [j]
-        while frontier:
-            jc = frontier.pop()
-            for u, lut in image_of.items():
-                jn = power_maps[jc, u % e]
-                if ids[0, jn] < 0:  # the image under z -> z^u of column jc
-                    lut = image_of[u] = np.pad(lut, (0, len(pool) - len(lut)), constant_values=-1)
-                    new = np.unique(ids[lut[ids[:, jc]] < 0, jc])
-                    if len(new):
-                        rows = np.array([pool[i]._rebased(m) for i in new.tolist()], dtype=np.int64)
-                        lut[new] = intern(_galois_image(rows, monomials, u), m)
-                    ids[:, jn] = lut[ids[:, jc]]
-                    frontier.append(jn)
-    return ids, pool
+        ids[:, j] = intern(_galois_image(mults, monomials, 1), m)[inverse]
+    galois = compose_over_exponents(_galois_generators(rows, power_maps), k, e)
+    # chi_i(rep^s) = chi_pi_s(i)(rep): every column is a gather of its representative's
+    return ids[galois[step].T, rep_of], pool, galois
+
+
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, inverse) for int32 rows: the index of one row per distinct row,
+    in byte order, and for each row the position of its own among them."""
+    keys = _void(rows)
+    order = np.argsort(keys)
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = keys[order[1:]] != keys[order[:-1]]
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
+
+
+def _galois_generators(rows: np.ndarray, power_maps: np.ndarray) -> dict[int, np.ndarray]:
+    """For each generator u of the units mod e, the permutation of the int32
+    mod-l rows taking row i to the row of chi_i^sigma_u, chi_i(c^u) as a
+    function of c: one sort of the rows as bytes and one search per u."""
+    keys = _void(rows)
+    order = np.argsort(keys)
+    if (keys[order[1:]] == keys[order[:-1]]).any():
+        raise TableVerificationError("mod-l rows are not distinct")
+    maps = {}
+    for u in unit_generators(power_maps.shape[1]):
+        images = np.take(rows, power_maps[:, u], axis=1)
+        pos = np.searchsorted(keys, _void(images), sorter=order)
+        found = order[np.minimum(pos, len(order) - 1)]
+        if not np.array_equal(rows[found], images):
+            raise TableVerificationError("Galois image is not a table row")
+        maps[u] = found.astype(np.int32)
+    return maps
 
 
 def _galois_image(weights: np.ndarray, monomials: np.ndarray, kk: int) -> np.ndarray:
@@ -687,7 +705,7 @@ def _build_table(group: PermGroup, seed: int) -> CharacterTable:
     )
 
     w_e = _find_root_of_unity(ell, e)
-    ids, pool = _lift_values(group, table_mod, ell, w_e)
+    ids, pool, galois = _lift_values(group, table_mod, ell, w_e)
 
     # deterministic row order: by degree, then the rendered values; equal ids
     # are equal values, so each pool value is rendered once and ranked
@@ -696,8 +714,12 @@ def _build_table(group: PermGroup, seed: int) -> CharacterTable:
     ranks = np.array([rank[label] for label in labels], dtype=np.int64)[ids]
     order = sorted(range(len(degrees)), key=lambda i: (degrees[i], ranks[i].tolist()))
     degrees = [degrees[i] for i in order]
+    where = np.empty(k, dtype=np.int32)
+    where[order] = np.arange(k)
+    galois = galois[:, order]
+    galois = np.where(galois < 0, -1, where[galois])  # in the final row order
     return CharacterTable(
-        group, classes, ids[order], pool, degrees, e, ell, table_mod[order], seed
+        group, classes, ids[order], pool, galois, degrees, e, ell, table_mod[order], seed
     )
 
 
@@ -716,7 +738,8 @@ def _verify(table: CharacterTable) -> None:
     # once, and the values a row holds in place of their pool objects are
     # reduced the same way on their own
     pool = table.value_pool
-    reduced = _pool_mod(_pool_by_conductor(pool), len(pool), e, ell).astype(np.int64)
+    by_conductor = _pool_by_conductor(pool)
+    reduced = _pool_mod(by_conductor, len(pool), e, ell).astype(np.int64)
     lifted = reduced[table.value_ids]
     held = np.fromiter(map(id, chain.from_iterable(chi.values for chi in chars)), np.uint64, k * k)
     pool_ids = np.fromiter(map(id, pool), np.uint64, len(pool))
@@ -738,7 +761,7 @@ def _verify(table: CharacterTable) -> None:
     rational_rows = sum(1 for chi in chars if chi.is_rational())
     if rational_classes != rational_rows:
         raise TableVerificationError("rational row/class counts differ")
-    verify_orthogonality_exact(table)
+    _verify_exact(table, by_conductor)
 
 
 def _map_once(fn, rows) -> list[list]:
@@ -756,9 +779,13 @@ def verify_orthogonality_exact(table: CharacterTable) -> None:
     """Exact row and column orthogonality: the Galois action on the value
     pool, an integer bound on the Gram entries, and the Gram matrices modulo
     enough primes to exceed it (see the module docstring)."""
+    _verify_exact(table, _pool_by_conductor(table.value_pool))
+
+
+def _verify_exact(table: CharacterTable, by_conductor) -> None:
+    """verify_orthogonality_exact on the pool grouped by _pool_by_conductor."""
     ids, e, k = table.value_ids, table.exponent, table.n_classes
     powers = table._powers()
-    by_conductor = _pool_by_conductor(table.value_pool)
     key_of = {
         (m, row.tobytes()): i
         for m, (idx, coeffs) in by_conductor.items()
@@ -782,7 +809,9 @@ def verify_orthogonality_exact(table: CharacterTable) -> None:
     order = table.group.order
     sizes = np.array([c.size for c in table.classes], dtype=np.int64)
     square = powers[:, 2 % e]
-    l1 = np.array([sum(map(abs, v.coeffs)) for v in table.value_pool], dtype=np.float64)
+    l1 = np.empty(len(table.value_pool))
+    for idx, coeffs in by_conductor.values():
+        l1[idx] = np.abs(coeffs).sum(axis=1)
     sq = (l1**2)[ids]
     cap = max((sq @ sizes).max(), sq.sum(axis=0).max(), (l1[ids][:, square] @ sizes).max())
     # float64 sums of k nonnegative terms: relative error below k 2^-53

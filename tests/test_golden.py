@@ -34,13 +34,19 @@ GOLDEN = {
     ("a7(h=3)", 1): "070aac67cfe351bbeb1c9c8f406642b1eeb7592a0c536d144b08ab3a5c618b99",
     # 189 classes, where the lift dominates; taken before the values were pooled
     ("a7(h=4)", 1): "4083de7cea17203c691ef196246246461ee10de7a9884cc2f7fc002343bbd74b",
+    # 324 classes, the largest table of check-theorem; taken before the lift
+    # filled columns from one class per power-orbit
+    ("a3(p=2,n=2,h=5)", 1): "46d2ba2d3f36405045ade9c3dec61c7676d6936defd25f169ad7c27693b5fca8",
+}
+CASES = {
+    "a7(h=3)": CaseParams("a7", 2, 2, 1, 3),
+    "a7(h=4)": CaseParams("a7", 2, 2, 1, 4),
+    "a3(p=2,n=2,h=5)": CaseParams("a3", 2, 2, 1, 5),
 }
 
 
 def _group(key):
-    if key.startswith("a7(h="):
-        return construct_case(CaseParams("a7", 2, 2, 1, int(key[5])))
-    return build(key)
+    return construct_case(CASES[key]) if key in CASES else build(key)
 
 
 @pytest.mark.parametrize("key,seed", sorted(GOLDEN))

@@ -35,7 +35,7 @@ def test_each_distinct_value_is_one_object(a7h3):
 
 def test_lift_reproduces_the_table(a7h3):
     ell, e = a7h3.dixon_prime, a7h3.exponent
-    ids, pool = _lift_values(a7h3.group, a7h3.mod_table, ell, _find_root_of_unity(ell, e))
+    ids, pool, _ = _lift_values(a7h3.group, a7h3.mod_table, ell, _find_root_of_unity(ell, e))
     for chi, row in zip(a7h3.chars, ids):
         assert [pool[i] for i in row] == list(chi.values)
 
