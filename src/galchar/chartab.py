@@ -9,50 +9,76 @@ The table of a group G is computed in five steps:
 2. a prime l = 1 (mod e) with l^2 > 4|G| (so degrees and root-of-unity
    multiplicities lift uniquely from arithmetic mod l);
 3. simultaneous eigenvectors of the class matrices over F_l.  The |G| x k
-   array of the classes of x^-1 z_m (z_m the class representatives) is
-   built once per table; each seeded random combination a of the class
-   matrices is then k weighted bincounts over it.  Every such a is
-   self-adjoint for the class-function form
+   array of the flat positions of the classes of x^-1 z_m (z_m the class
+   representatives) is built once per table; each seeded random combination
+   a of the class matrices is then one weighted bincount over it.  Every
+   such a is self-adjoint for the class-function form
    <x, y> = sum_c x[c] y[c^-1] / |C_c| mod l, under which the eigenlines
    are orthogonal with nonzero norms |G| / chi(1)^2 (the form that gives
    the degrees in step 4).  So one Krylov chain v a^s of a probe v gives
    the scalar sequence <v a^i, v a^j>, and Berlekamp-Massey on it gives a
    polynomial f, accepted only if f(a) kills v, which proves it is v's
    minimal polynomial; otherwise the form was isotropic on v's part of a
-   repeated eigenspace, and the probe is dropped.  Eigenspaces are read off
-   by polynomial deflation.  Later probes of the same block are projected
-   off the deflation vectors found so far, into their orthogonal
-   complement, which is invariant, so their chains stop at the block size
-   less the number of those vectors.  A block is evaluated in the form
-   through its basis rows.  Subspaces that stay
-   entangled are split recursively with fresh combinations.  Everything is
-   deterministic given the seed;
+   repeated eigenspace.  The eigenline of chi^sigma_s is that of chi with
+   its columns permuted by c -> c^s, so only one eigenline per Galois orbit
+   of characters is sought, by descent:
+   - level 0: a combination whose coefficients are constant on the
+     power-orbits of classes takes one eigenvalue on each Galois orbit of
+     characters (Brauer's permutation lemma), and both kinds of orbit
+     number r, the count of rational classes.  It is accepted if one
+     probe's f has degree r and r distinct roots in F_l; then each
+     deflation vector v (f/(x - lam))(a) lies in the span of one orbit's
+     eigenlines;
+   - levels i >= 1 walk down the subgroups T_i = {s = 1 (mod e_i)} of the
+     units mod e, e_i climbing to e one prime factor at a time (levels
+     where T does not shrink are skipped).  A combination constant on the
+     T_i-orbits of classes has one eigenvalue per T_i-orbit of characters,
+     and a T_(i-1)-orbit holds at most |T_(i-1) : T_i| of those, so each
+     orbit's chain stops there; the chains of all orbits advance as one
+     block product per step, and each vector is deflated onto its least
+     eigenvalue.  At T = 1 each vector is an eigenline.
+   Two eigenvalues of one level can still coincide, leaving a vector in a
+   sum of eigenspaces.  So each eigenline must pass the eigen-check below;
+   an orbit that fails it, or whose chain is refused, is redone from
+   level 0's vector with fresh combinations.  The conjugates of the
+   eigenlines give all k rows and the Galois row permutations pi of step 5.
+   When a few level-0 draws are refused (r^2 comparable to l, or r = k as
+   in C2^n), the general splitter runs instead: it decomposes F_l^k block
+   by block into eigenspaces, later probes of a block projected off the
+   deflation vectors found so far (their orthogonal complement is
+   invariant), and splits subspaces that stay entangled recursively with
+   fresh combinations.
+   The eigen-check (Dixon 1967): every row must be an eigenvector of one
+   more combination, drawn from a random stream the split never reads.  It
+   is Freivalds' test on two random vectors r, x (M r) = lambda (x r) with
+   lambda read off x, and M r is gathered from the product array without
+   building M.  Everything is deterministic given the seed;
 4. degrees from the eigenvector normalisation and character values mod l;
 5. exact values, as a k x k int32 array of ids into a pool of the table's
    few distinct Cyclotomics, keyed by (conductor, coefficients).  Only at
    one representative g per power-orbit of classes (the least class c^s, s
    a unit mod e) does an inverse DFT mod l of the distinct rows of the
    columns of the powers g^s give the multiplicities of the roots of unity,
-   and so each value at g; each multiplicity row must sum to chi(1).  Then,
-   for each generator u of the units mod e, the mod-l rows with their
-   columns permuted by the power map c -> c^u are matched to the rows by
-   one sort of the rows as bytes; the rows must be distinct and each image
-   must be a row.  A unit permutes the rows as it permutes the classes
-   (Brauer's permutation lemma; Isaacs, Character Theory of Finite Groups,
-   6.32), so these maps compose over Z/e, as the power maps do, into an
-   (e, k) int32 array pi: pi[s, i] is the row of chi_i^sigma_s for each unit
-   s, -1 for the other residues, and chi_i(c^s) = chi_pi[s, i](c).  Every
-   column is then one gather from its representative's,
-   ids[:, g^s] = ids[pi[s], g].  The multiplicity checks run before pi is
-   built, so a corrupted mod-l table is reported by them.
+   and so each value at g; each multiplicity row must sum to chi(1).  A
+   unit permutes the rows as it permutes the classes (Brauer's permutation
+   lemma; Isaacs, Character Theory of Finite Groups, 6.32): the
+   (phi(e), k) int32 array pi holds, for the t-th unit s mod e, pi[t, i]
+   the row of chi_i^sigma_s, so chi_i(c^s) = chi_pi[t, i](c).  The descent
+   gives pi with the rows.  After the general splitter, for each generator
+   u of the units mod e the mod-l rows with their columns permuted by
+   c -> c^u are matched to the rows by one sort of the rows as bytes (the
+   rows must be distinct and each image must be a row), and these maps
+   compose over Z/e, as the power maps do.  Every column is then one gather
+   from its representative's, ids[:, g^s] = ids[pi[t], g].  The
+   multiplicity checks run before pi is read, so a corrupted mod-l table
+   is reported by them.
 
 The finished table is verified before it is returned: degree sum, first
 column, orthogonality modulo l, the rational-row = rational-class count,
-and consistency of the lifted values with the mod-l table.  The lift's
+and consistency of the lifted values with the mod-l table, for which the
+pool is reduced mod l with one product per conductor.  The lift's
 multiplicity rows must each sum to chi(1) (chi(g) is a sum of chi(1) roots
-of unity).  The lift check reduces the pool mod l with one product per
-conductor, and the same way, apart, the entries whose objects are not
-their pool values, so a value replaced in one row is still checked.
+of unity).
 
 Orthogonality is then checked exactly, at every table size, on the id array
 and the pool (Cohen, A Course in Computational Algebraic Number Theory,
@@ -87,10 +113,11 @@ and the pool (Cohen, A Course in Computational Algebraic Number Theory,
   rational integer by the Galois check, the bound B covers it, and so the
   check is exact.
 
-The table keeps pi in its final row order.  galois_orbits labels each row
-by the least row of its orbit, the minimum of pi over the units, and
+The table keeps pi in its final row order, and unit_index, the row of pi
+of each residue mod e (-1 for the others).  galois_orbits labels each row
+by the least row of its orbit, the minimum of pi over its rows, and
 galois_conjugate, galois_stabilizer and field_in_pth_cyclotomic read pi
-too.  The F_l linear algebra (row reduction, null spaces, products) comes
+too.  A Character's values are read through the id array and the pool.  The F_l linear algebra (row reduction, null spaces, products) comes
 from fpmat.
 
 Kernels are read off the table as sets of class indices, the classes where
@@ -103,18 +130,19 @@ checks that the closure of its generators is the set itself.
 from __future__ import annotations
 
 import weakref
-from itertools import chain
 from math import gcd, isqrt
 
 import numpy as np
 
 from . import fpmat
 from .cyclotomic import Cyclotomic, _monomial_table, cyc
-from .numth import find_dixon_prime, is_prime, primitive_root, unit_generators
+from .numth import factorize, find_dixon_prime, is_prime, primitive_root, unit_generators
 from .perm import ConjugacyClass, PermGroup, Subgroup, _void, compose_over_exponents
 
 EXACT_BUDGET = 2**53  # n (p - 1)^2 below it keeps the exact check's products exact
 _SPLIT_ROUND_CAP = 200
+_LEVEL0_DRAWS = 3  # refused level-0 draws before the general splitter runs
+_DESCENT_PASSES = 4  # passes over failing orbits before it does
 
 
 class TableVerificationError(AssertionError):
@@ -126,13 +154,12 @@ class Character:
     refers to the table weakly: a cycle would keep the table and its group
     alive until the cyclic garbage collector runs."""
 
-    __slots__ = ("_table", "index", "degree", "values", "_kernel_classes", "_kernel", "_stab")
+    __slots__ = ("_table", "index", "degree", "_kernel_classes", "_kernel", "_stab")
 
-    def __init__(self, table: "CharacterTable", index: int, degree: int, values):
+    def __init__(self, table: "CharacterTable", index: int, degree: int):
         self._table = weakref.ref(table)
         self.index = index
         self.degree = degree
-        self.values: tuple[Cyclotomic, ...] = tuple(values)
         self._kernel_classes: frozenset[int] | None = None
         self._kernel: Subgroup | None = None
         self._stab: frozenset | None = None
@@ -141,8 +168,15 @@ class Character:
     def table(self) -> "CharacterTable":
         return self._table()
 
+    @property
+    def values(self) -> tuple[Cyclotomic, ...]:
+        """The row's pool values, read through the table's id array."""
+        table = self.table
+        return tuple(map(table.value_pool.__getitem__, table.value_ids[self.index].tolist()))
+
     def __call__(self, class_index: int) -> Cyclotomic:
-        return self.values[class_index]
+        table = self.table
+        return table.value_pool[table.value_ids[self.index, class_index]]
 
     def kernel_classes(self) -> frozenset[int]:
         """Indices of the classes where the value equals the degree.
@@ -202,15 +236,16 @@ class CharacterTable:
         self.seed = seed
         self.value_ids: np.ndarray = ids  # k x k int32, ids into value_pool
         self.value_pool: list[Cyclotomic] = pool  # the distinct values
-        # galois[s, i]: the row of chi_i^sigma_s, chi_i(c^s) as a function of
-        # c, for each unit s mod e; -1 in the rows of the other residues
+        # galois[unit_index[s], i]: the row of chi_i^sigma_s, chi_i(c^s) as a
+        # function of c, for each unit s mod e; unit_index is -1 elsewhere
         self.galois: np.ndarray = galois
-        self.chars: list[Character] = [  # one per row, built once
-            Character(self, i, d, map(pool.__getitem__, row))
-            for i, (d, row) in enumerate(zip(degrees, ids.tolist()))
-        ]
+        self.unit_index = np.full(exponent, -1, dtype=np.intp)
+        self.unit_index[_units_mod(exponent)] = np.arange(len(galois))
+        self.chars: list[Character] = [Character(self, i, d) for i, d in enumerate(degrees)]
+        self.split: dict = {}  # how the eigenlines were found (set by _build_table)
         self._units: tuple[int, ...] | None = None
         self._power_matrix: np.ndarray | None = None
+        self._conductors: tuple[int, dict] | None = None
 
     @property
     def n_classes(self) -> int:
@@ -229,9 +264,15 @@ class CharacterTable:
             self._power_matrix = self.group.power_maps.astype(np.int64)
         return self._power_matrix
 
+    def _by_conductor(self) -> dict[int, tuple[list[int], np.ndarray]]:
+        """_pool_by_conductor of the pool, built again only when it grows."""
+        if self._conductors is None or self._conductors[0] != len(self.value_pool):
+            self._conductors = len(self.value_pool), _pool_by_conductor(self.value_pool)
+        return self._conductors[1]
+
     def _fixes(self, i: int, units: np.ndarray) -> np.ndarray:
         """For each of the units, whether it fixes row i."""
-        return self.galois[units % self.exponent, i] == i
+        return self.galois[self.unit_index[units % self.exponent], i] == i
 
     # -- Galois action -------------------------------------------------------
 
@@ -239,20 +280,21 @@ class CharacterTable:
         """The row g -> chi(g**k); asserts it matches entrywise galois_apply."""
         if gcd(k, self.exponent) != 1:
             raise ValueError(f"{k} is not coprime to the exponent {self.exponent}")
-        target = self.chars[self.galois[k % self.exponent, chi.index]]
-        powers = self._powers()
-        (images,) = _map_once(lambda v: v.galois_apply(k), [chi.values])
-        for c, image in enumerate(images):
-            lhs = chi.values[powers[c, k % self.exponent]]
-            if lhs != image or lhs != target.values[c]:
+        target = self.chars[self.galois[self.unit_index[k % self.exponent], chi.index]]
+        powers = self._powers()[:, k % self.exponent]
+        row = self.value_ids[chi.index].tolist()
+        images = {i: self.value_pool[i].galois_apply(k) for i in set(row)}
+        values, target_values = chi.values, target.values
+        for c, i in enumerate(row):
+            lhs = values[powers[c]]
+            if lhs != images[i] or lhs != target_values[c]:
                 raise TableVerificationError("power-map and entrywise Galois actions disagree")
         return target
 
     def galois_orbits(self) -> list[tuple[int, ...]]:
         """Orbits of row indices under the full unit group mod e, in order of
         their least row: each row is labelled by the least row of its orbit."""
-        units = np.array(self.units()) % self.exponent
-        label = self.galois[units].min(axis=0)
+        label = self.galois.min(axis=0)
         rows = np.argsort(label, kind="stable")
         ends = np.flatnonzero(np.diff(label[rows])) + 1
         return [tuple(orbit.tolist()) for orbit in np.split(rows, ends)]
@@ -266,13 +308,18 @@ class CharacterTable:
 
     # -- serialization -------------------------------------------------------
 
+    def _rendered_rows(self) -> list[list[str]]:
+        """Each row's values as strings, each pool value rendered once."""
+        labels = [str(v) for v in self.value_pool]
+        return [[labels[i] for i in row] for row in self.value_ids.tolist()]
+
     def to_dict(self) -> dict:
         return {
             "order": self.group.order,
             "exponent": self.exponent,
             "classes": [{"size": c.size, "elt_order": c.order} for c in self.classes],
             "degrees": list(self.degrees),
-            "values": _map_once(str, [chi.values for chi in self.chars]),
+            "values": self._rendered_rows(),
             "config": {"seed": self.seed, "dixon_prime": self.dixon_prime},
         }
 
@@ -287,7 +334,7 @@ class CharacterTable:
         lines.append(
             "elt orders:   " + " ".join(str(c.order) for c in self.classes)
         )
-        for chi, row in zip(self.chars, _map_once(str, [c.values for c in self.chars])):
+        for chi, row in zip(self.chars, self._rendered_rows()):
             lines.append(f"X{chi.index}[{chi.degree}]: " + " | ".join(row))
         return lines
 
@@ -537,26 +584,246 @@ def _synthetic_division(poly: np.ndarray, lams: np.ndarray, ell: int) -> np.ndar
 # -- the table computation ---------------------------------------------------------
 
 
-def _class_of_products(group: PermGroup) -> np.ndarray:
-    """|G| x k int32 array whose [x, m] entry is the class of x^-1 . z_m,
-    z_m the representative of class m."""
+def _product_index(group: PermGroup) -> np.ndarray:
+    """|G| x k intp array whose [x, m] entry is m k + j, j the class of
+    x^-1 . z_m (z_m the representative of class m): the flat position of
+    the entry (m, j) of a combination acting on rows (see _combination)."""
     reps = [c.element_ids[0] for c in group.conjugacy_classes()]
     right = group.right_multiplication(reps)  # [m, y] = id of y . z_m
-    return group.class_index_array()[right[:, group.inverse]].astype(np.int32).T
+    index = group.class_index_array()[right[:, group.inverse]].T.astype(np.intp, order="C")
+    index += np.arange(0, len(reps) ** 2, len(reps))
+    return index
 
 
-def _combo_source(product_classes: np.ndarray, class_of: np.ndarray, ell: int, rng):
-    """Seeded combinations sum_i c_i M_i of the class matrices, where
-    (M_i)[j, m] counts the x in C_i with x^-1 . z_m in C_j."""
-    k = product_classes.shape[1]
+def _combination(index: np.ndarray, class_of: np.ndarray, coeffs: np.ndarray, ell: int):
+    """The int64 k x k matrix of sum_i coeffs[i] M_i acting on rows
+    (x -> x @ result), where (M_i)[j, m] counts the x in C_i with
+    x^-1 . z_m in C_j, reduced mod l: one flat bincount over index.  Its sums
+    of |G| weights below l stay exact while |G| l < 2**53."""
+    k = len(coeffs)
+    weights = np.repeat((coeffs % ell)[class_of].astype(np.float64), k)
+    return np.bincount(index.ravel(), weights, minlength=k * k).reshape(k, k).astype(np.int64) % ell
+
+
+def _combo_source(index: np.ndarray, class_of: np.ndarray, ell: int, rng):
+    """Seeded combinations sum_i c_i M_i of the class matrices, as int64."""
+    k = index.shape[1]
     while True:
-        coeffs = rng.integers(0, ell, size=k, dtype=np.int64)
-        # float64 sums of |G| weights below l stay exact while |G| * l < 2**53
-        weights = (coeffs[class_of] % ell).astype(np.float64)
-        combo = np.empty((k, k), dtype=np.int64)
-        for m in range(k):
-            combo[:, m] = np.bincount(product_classes[:, m], weights, minlength=k)
-        yield combo % ell
+        yield _combination(index, class_of, rng.integers(0, ell, size=k, dtype=np.int64), ell).T
+
+
+def _invariant_combinations(index: np.ndarray, class_of: np.ndarray, ell: int, rng):
+    """labels -> a seeded combination acting on rows whose coefficients are
+    equal on classes of equal label (labels[c] is a class index)."""
+
+    def draw(labels: np.ndarray) -> np.ndarray:
+        coeffs = rng.integers(0, ell, size=len(labels), dtype=np.int64)[labels]
+        return _combination(index, class_of, coeffs, ell)
+
+    return draw
+
+
+def _eigen_checker(index: np.ndarray, class_of: np.ndarray, ell: int, rng):
+    """rows -> for each row x (a class function with x[0] = 1), whether it
+    fails to be an eigenvector of one random combination M acting on rows.
+
+    Freivalds' test on two random vectors r: x M = lambda x gives
+    x (M r) = lambda (x r), and lambda = (x M)[0] = x . c, c the
+    coefficients, because x^-1 . z_m is the identity only for x = z_m.  M r
+    is gathered from index without building M: (M r)[m] is the sum over x
+    of c[class of x] r[class of x^-1 . z_m].
+    """
+    n, k = index.shape
+    coeffs = rng.integers(0, ell, size=k, dtype=np.int64)
+    probes = rng.integers(0, ell, size=(k, 2), dtype=np.int64)
+    step = 256  # rows of index per gather: bounded temporaries, exact sums
+    dtype = fpmat.exact_dtype(step, ell)
+    weights = coeffs[class_of].astype(dtype)
+    images = np.zeros((k, 2), dtype=np.int64)
+    for t in range(2):
+        flat = np.tile(probes[:, t].astype(dtype), k)  # entry m k + j is probes[j, t]
+        for lo in range(0, n, step):
+            part = weights[lo : lo + step] @ np.take(flat, index[lo : lo + step])
+            images[:, t] = (images[:, t] + part.astype(np.int64)) % ell
+
+    def failing(rows: np.ndarray) -> np.ndarray:
+        lam = fpmat.mul(rows, coeffs[:, None], ell)
+        return (fpmat.mul(rows, images, ell) != fpmat.mul(rows, probes, ell) * lam % ell).any(axis=1)
+
+    return failing
+
+
+def _units_mod(e: int) -> np.ndarray:
+    """The units mod e, ascending."""
+    return np.flatnonzero(np.gcd(np.arange(e), e) == 1)
+
+
+def _descent_levels(power_maps: np.ndarray) -> list[tuple[np.ndarray, int]]:
+    """(labels, index) for each level i >= 1 of the descent: labels[c] is the
+    least class of the orbit of c under T_i = {s = 1 (mod e_i)} among the
+    units mod e, e_i climbing to e one prime factor at a time, and index is
+    |T_(i-1) : T_i|.  A level is skipped where T does not shrink, or where
+    the T_i-orbits of classes are the T_(i-1)-orbits: then so are those of
+    characters (there are as many of each, by Brauer's permutation lemma),
+    and the level would split nothing."""
+    units = _units_mod(power_maps.shape[1])
+    levels, size, modulus = [], len(units), 1
+    orbits = len(np.unique(power_maps[:, units].min(axis=1)))
+    for p, a in sorted(factorize(power_maps.shape[1]).items()):
+        for _ in range(a):
+            modulus *= p
+            subgroup = units[units % modulus == 1]
+            labels = power_maps[:, subgroup].min(axis=1)
+            count = len(np.unique(labels))
+            if count > orbits:
+                levels.append((labels, size // len(subgroup)))
+            size, orbits = len(subgroup), count
+    return levels
+
+
+class _Descent:
+    """One eigenline per Galois orbit of characters, by descent over the
+    subgroups of the units mod e (step 3 of the module docstring).
+
+    draw(labels) gives a combination acting on rows whose coefficients are
+    equal on classes of equal label; failing is the eigen-check."""
+
+    def __init__(self, draw, power_maps: np.ndarray, ell: int, rng, size_inv, inv_class, failing):
+        self.draw = draw
+        self.power_maps = power_maps
+        self.ell = ell
+        self.rng = rng
+        self.dtype = fpmat.exact_dtype(power_maps.shape[0], ell)
+        self.size_inv = np.asarray(size_inv).astype(self.dtype)
+        self.inv_class = np.asarray(inv_class)
+        self.failing = failing
+        self.redone = 0  # orbits sent down the levels again
+
+    def run(self):
+        """(omegas, galois) as _galois_rows gives them, or None when level 0
+        is refused _LEVEL0_DRAWS times or orbits keep failing."""
+        labels = self.power_maps[:, _units_mod(self.power_maps.shape[1])].min(axis=1)
+        r = len(np.unique(labels))
+        for _draw in range(_LEVEL0_DRAWS):
+            starts = self._starts(labels, r)
+            if starts is not None:
+                break
+        else:
+            return None
+        levels = _descent_levels(self.power_maps)
+        lines = np.empty(starts.shape, dtype=np.int64)
+        todo = np.arange(r)
+        for _pass in range(_DESCENT_PASSES):
+            if _pass:  # an isotropic part is the start's: move it within its orbit's span
+                general = self.draw(np.arange(len(labels)))
+                starts[todo] = fpmat.mul(starts[todo], general, self.ell)
+            found, ok = self._descend(starts[todo], levels)
+            ok &= found[:, 0] != 0
+            found[ok] = found[ok] * _inverses(found[ok, 0], self.ell)[:, None] % self.ell
+            ok[ok] = ~self.failing(found[ok])
+            lines[todo[ok]] = found[ok]
+            todo = todo[~ok]
+            if not len(todo):
+                return _galois_rows(lines, self.power_maps, self.ell, self.rng)
+            self.redone += len(todo)
+        return None
+
+    def _starts(self, labels: np.ndarray, r: int):
+        """Level 0: the r deflation vectors of one probe, one in the span of
+        each Galois orbit's eigenlines, or None if its f is refused or has
+        fewer than r roots."""
+        a = self.draw(labels).astype(self.dtype)
+        v = self.rng.integers(0, self.ell, size=(1, len(labels)), dtype=np.int64)
+        chain, (found,) = self._annihilators(v, a, r)
+        if found is None or len(found[0]) != r + 1:
+            return None
+        f, roots = found
+        return fpmat.mul(_synthetic_division(f, roots, self.ell), chain[:-1, 0], self.ell)
+
+    def _descend(self, starts: np.ndarray, levels):
+        """Each start taken down the levels, deflated at each onto its least
+        eigenvalue, and whether each chain was accepted at every level."""
+        ell = self.ell
+        vectors = starts.astype(np.int64)
+        ok = np.ones(len(vectors), dtype=bool)
+        for labels, index in levels:
+            live = np.flatnonzero(ok)
+            chain, found = self._annihilators(vectors[live], self.draw(labels).astype(self.dtype), index)
+            quotients = np.zeros((len(live), index), dtype=self.dtype)
+            for j, fr in enumerate(found):
+                if fr is None:
+                    ok[live[j]] = False
+                else:
+                    f, roots = fr
+                    quotients[j, : len(f) - 1] = _synthetic_division(f, roots[:1], ell)[0]
+            vectors[live] = np.einsum("is,sik->ik", quotients, chain[:index]) % ell
+        return vectors, ok
+
+    def _annihilators(self, vectors: np.ndarray, a: np.ndarray, bound: int):
+        """(chain, found): chain[s, i] = vectors[i] a^s for s <= bound, one
+        block product per step, and found[i] = (f, roots) with f the least
+        monic polynomial (ascending) with vectors[i] f(a) = 0, of degree at
+        most bound, and its deg f distinct roots in F_l; None if that f is
+        refused (see _Splitter._annihilator) or does not split so."""
+        ell = self.ell
+        chain = np.empty((bound + 1,) + vectors.shape, dtype=self.dtype)
+        chain[0] = vectors
+        for s in range(bound):
+            np.mod(chain[s] @ a, ell, out=chain[s + 1])
+        dual = chain[:, :, self.inv_class] * self.size_inv % ell
+        seq = np.empty((len(vectors), 2 * bound + 1), dtype=np.int64)
+        seq[:, 0::2] = np.einsum("sik,sik->is", chain, dual) % ell
+        seq[:, 1::2] = np.einsum("sik,sik->is", chain[1:], dual[:-1]) % ell
+        polys = [_berlekamp_massey(row, ell) for row in seq]
+        padded = np.zeros((len(vectors), bound + 1), dtype=self.dtype)
+        for i, f in enumerate(polys):
+            padded[i, : min(len(f), bound + 1)] = f[: bound + 1]
+        killed = ~(np.einsum("is,sik->ik", padded, chain) % ell).any(axis=1)
+        found = []
+        for f, kill in zip(polys, killed.tolist()):
+            roots = np.array(_poly_roots_mod(f, ell), dtype=np.int64) if kill else None
+            ok = kill and len(f) <= bound + 1 and len(roots) == len(f) - 1
+            found.append((f, roots) if ok else None)
+        return chain, found
+
+
+def _inverses(values: np.ndarray, ell: int) -> np.ndarray:
+    return np.array([pow(int(v), ell - 2, ell) for v in values], dtype=np.int64)
+
+
+def _galois_rows(lines: np.ndarray, power_maps: np.ndarray, ell: int, rng):
+    """(omegas, galois) from one normalised eigenline per Galois orbit: the
+    rows omega_chi^sigma_s(c) = omega_chi(c^s) over the units s, each
+    distinct one once, and galois[t, i] the row of chi_i^sigma_s for the
+    t-th unit s; None unless that gives k rows.
+
+    Conjugates are told apart by an exact integer fingerprint, their dot
+    product with a random vector z: it is lines @ Z^T with
+    Z[s, c^s] = z[c].  Distinct fingerprints are distinct rows, and rows
+    merged by a chance collision leave fewer than k rows.
+    """
+    k, e = power_maps.shape
+    units = _units_mod(e)
+    position = np.zeros(e, dtype=np.intp)
+    position[units] = np.arange(len(units))
+    times = position[np.outer(units, units) % e]  # [t, s]: the position of the unit t s
+    columns = power_maps[:, units].T  # row s: c -> c^s
+    z = rng.integers(0, 2**53 // (k * ell), size=k).astype(np.float64)
+    scattered = np.empty(columns.shape)
+    scattered[np.arange(len(units))[:, None], columns] = z
+    prints = lines.astype(np.float64) @ scattered.T  # exact: k l z < 2**53
+    rows, galois, count = [], np.empty((len(units), k), dtype=np.int32), 0
+    for line, row_prints in zip(lines, prints):
+        _, first, inverse = np.unique(row_prints, return_index=True, return_inverse=True)
+        if count + len(first) > k:
+            return None
+        # chi^sigma_s is the row inverse[s], and its image under sigma_t is chi^sigma_(t s)
+        galois[:, count : count + len(first)] = count + inverse[times[:, first]]
+        rows.append(line[columns[first]])
+        count += len(first)
+    if count < k:
+        return None
+    return np.concatenate(rows), galois
 
 
 def _degrees_from_omegas(group, omegas: np.ndarray, ell: int, size_inv, inv_class) -> list[int]:
@@ -577,10 +844,11 @@ def _find_root_of_unity(ell: int, e: int) -> int:
     return pow(primitive_root(ell), (ell - 1) // e, ell)
 
 
-def _lift_values(group, table_mod: np.ndarray, ell: int, w_e: int):
+def _lift_values(group, table_mod: np.ndarray, ell: int, w_e: int, galois=None):
     """Exact values from the mod-l table, as a k x k int32 array of ids into
-    a pool of distinct Cyclotomics, and the (e, k) Galois row permutations
-    (step 5 of the module docstring)."""
+    a pool of distinct Cyclotomics, and the (phi(e), k) Galois row
+    permutations pi, matched from the rows unless given (step 5 of the
+    module docstring)."""
     classes = group.conjugacy_classes()
     power_maps = group.power_maps
     k, e = power_maps.shape
@@ -607,7 +875,7 @@ def _lift_values(group, table_mod: np.ndarray, ell: int, w_e: int):
     if ell >= 2**31:
         raise ValueError("the Dixon prime does not fit the int32 row keys")
     rows = table_mod.astype(np.int32)
-    units = np.flatnonzero(np.gcd(np.arange(e), e) == 1)
+    units = _units_mod(e)
     orbit = power_maps[:, units]  # the classes c^s, s a unit
     rep_of = orbit.min(axis=1)  # one representative per power-orbit
     step = units[(orbit[rep_of] == np.arange(k)[:, None]).argmax(axis=1)]  # rep^step = c
@@ -625,9 +893,12 @@ def _lift_values(group, table_mod: np.ndarray, ell: int, w_e: int):
             raise TableVerificationError("root-of-unity multiplicities do not sum to chi(1)")
         monomials = np.array(_monomial_table(m), dtype=np.int64)
         ids[:, j] = intern(_galois_image(mults, monomials, 1), m)[inverse]
-    galois = compose_over_exponents(_galois_generators(rows, power_maps), k, e)
+    if galois is None:
+        galois = compose_over_exponents(_galois_generators(rows, power_maps), k, e)[units]
+    position = np.zeros(e, dtype=np.intp)
+    position[units] = np.arange(len(units))
     # chi_i(rep^s) = chi_pi_s(i)(rep): every column is a gather of its representative's
-    return ids[galois[step].T, rep_of], pool, galois
+    return ids[galois[position[step]].T, rep_of], pool, galois
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -684,28 +955,18 @@ def _build_table(group: PermGroup, seed: int) -> CharacterTable:
     k = len(classes)
     e = group.exponent
     ell = find_dixon_prime(e, group.order)
-    rng = np.random.default_rng(seed)
 
     sizes = np.array([c.size for c in classes], dtype=np.int64)
     size_inv = np.array([pow(int(s), ell - 2, ell) for s in sizes], dtype=np.int64)
     inv_class = group.power_maps[:, -1]
-    product_classes = _class_of_products(group)
-    combos = _combo_source(product_classes, group.class_index_array(), ell, rng)
-    lines = _Splitter(combos, k, ell, rng, size_inv, inv_class).run()
-    omegas = []
-    for line in lines:
-        v = line.ravel() % ell
-        if v[0] == 0:
-            raise TableVerificationError("eigenvector vanishes on the identity class")
-        omegas.append(v * pow(int(v[0]), ell - 2, ell) % ell)
-    omegas = np.array(omegas, dtype=np.int64)
+    omegas, galois, split = _split(group, _product_index(group), ell, seed, size_inv, inv_class)
     degrees = _degrees_from_omegas(group, omegas, ell, size_inv, inv_class)
     table_mod = (
         omegas * np.array(degrees, dtype=np.int64)[:, None] % ell * size_inv[None, :] % ell
     )
 
     w_e = _find_root_of_unity(ell, e)
-    ids, pool, galois = _lift_values(group, table_mod, ell, w_e)
+    ids, pool, galois = _lift_values(group, table_mod, ell, w_e, galois)
 
     # deterministic row order: by degree, then the rendered values; equal ids
     # are equal values, so each pool value is rendered once and ranked
@@ -716,11 +977,39 @@ def _build_table(group: PermGroup, seed: int) -> CharacterTable:
     degrees = [degrees[i] for i in order]
     where = np.empty(k, dtype=np.int32)
     where[order] = np.arange(k)
-    galois = galois[:, order]
-    galois = np.where(galois < 0, -1, where[galois])  # in the final row order
-    return CharacterTable(
-        group, classes, ids[order], pool, galois, degrees, e, ell, table_mod[order], seed
+    table = CharacterTable(
+        group, classes, ids[order], pool, where[galois[:, order]], degrees, e, ell,
+        table_mod[order], seed,
     )
+    table.split = split
+    return table
+
+
+def _split(group: PermGroup, index: np.ndarray, ell: int, seed: int, size_inv, inv_class):
+    """(omegas, galois, split): the eigenlines (step 3 of the module
+    docstring) as class functions with value 1 at the identity class, the
+    Galois row permutations if the descent found them (else None), and how
+    they were found.  Each row passes the eigen-check."""
+    class_of = group.class_index_array()
+    # the descent and the eigen-check draw from streams of their own; the
+    # general splitter draws from the seed itself
+    descent_rng, check_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
+    failing = _eigen_checker(index, class_of, ell, check_rng)
+    draw = _invariant_combinations(index, class_of, ell, descent_rng)
+    descent = _Descent(draw, group.power_maps, ell, descent_rng, size_inv, inv_class, failing)
+    found = descent.run()
+    if found is not None:
+        omegas, galois = found
+    else:
+        rng = np.random.default_rng(seed)
+        combos = _combo_source(index, class_of, ell, rng)
+        lines = np.array(_Splitter(combos, len(size_inv), ell, rng, size_inv, inv_class).run())
+        if not lines[:, 0].all():
+            raise TableVerificationError("eigenvector vanishes on the identity class")
+        omegas, galois = lines * _inverses(lines[:, 0], ell)[:, None] % ell, None
+    if failing(omegas).any():
+        raise TableVerificationError("a row is not an eigenvector of a fresh combination")
+    return omegas, galois, {"path": "fallback" if found is None else "descent", "redone": descent.redone}
 
 
 def _verify(table: CharacterTable) -> None:
@@ -730,23 +1019,13 @@ def _verify(table: CharacterTable) -> None:
     e = table.exponent
     if sum(d * d for d in table.degrees) != group.order:
         raise TableVerificationError("degree squares do not sum to |G|")
-    chars = table.chars
-    for chi in chars:
-        if chi.values[0] != chi.degree:
+    pool, ids = table.value_pool, table.value_ids
+    for i, d in zip(ids[:, 0].tolist(), table.degrees):
+        if pool[i] != d:
             raise TableVerificationError("first column does not equal the degree")
-    # lifted values must reduce back to the mod-l table: the pool is reduced
-    # once, and the values a row holds in place of their pool objects are
-    # reduced the same way on their own
-    pool = table.value_pool
-    by_conductor = _pool_by_conductor(pool)
-    reduced = _pool_mod(by_conductor, len(pool), e, ell).astype(np.int64)
-    lifted = reduced[table.value_ids]
-    held = np.fromiter(map(id, chain.from_iterable(chi.values for chi in chars)), np.uint64, k * k)
-    pool_ids = np.fromiter(map(id, pool), np.uint64, len(pool))
-    stray = np.nonzero(held.reshape(k, k) != pool_ids[table.value_ids])
-    values = [chars[i].values[j] for i, j in zip(*stray)]
-    lifted[stray] = _pool_mod(_pool_by_conductor(values), len(values), e, ell)
-    if not np.array_equal(lifted, table.mod_table % ell):
+    # lifted values must reduce back to the mod-l table
+    reduced = _pool_mod(table._by_conductor(), len(pool), e, ell).astype(np.int64)
+    if not np.array_equal(reduced[ids], table.mod_table % ell):
         raise TableVerificationError("lift is inconsistent with the mod-l table")
     # modular orthogonality (always)
     powers = table._powers()
@@ -758,32 +1037,17 @@ def _verify(table: CharacterTable) -> None:
     # rational rows match rational classes
     units = np.array(table.units()) % e
     rational_classes = int((powers[:, units] == np.arange(k)[:, None]).all(axis=1).sum())
-    rational_rows = sum(1 for chi in chars if chi.is_rational())
-    if rational_classes != rational_rows:
+    rational = np.array([v.is_rational for v in pool], dtype=bool)
+    if rational_classes != int(rational[ids].all(axis=1).sum()):
         raise TableVerificationError("rational row/class counts differ")
-    _verify_exact(table, by_conductor)
-
-
-def _map_once(fn, rows) -> list[list]:
-    """[[fn(v) for v in row] for row in rows], calling fn once per distinct
-    object; rows keep every object, and so its id, alive meanwhile."""
-    memo: dict[int, object] = {}
-    for row in rows:
-        for v in row:
-            if id(v) not in memo:
-                memo[id(v)] = fn(v)
-    return [[memo[id(v)] for v in row] for row in rows]
+    verify_orthogonality_exact(table)
 
 
 def verify_orthogonality_exact(table: CharacterTable) -> None:
     """Exact row and column orthogonality: the Galois action on the value
     pool, an integer bound on the Gram entries, and the Gram matrices modulo
     enough primes to exceed it (see the module docstring)."""
-    _verify_exact(table, _pool_by_conductor(table.value_pool))
-
-
-def _verify_exact(table: CharacterTable, by_conductor) -> None:
-    """verify_orthogonality_exact on the pool grouped by _pool_by_conductor."""
+    by_conductor = table._by_conductor()
     ids, e, k = table.value_ids, table.exponent, table.n_classes
     powers = table._powers()
     key_of = {

@@ -139,12 +139,13 @@ def test_row_permutations_match_the_row_lookup(key, relabel):
     lookup = {row.tobytes(): r for r, row in enumerate(table.mod_table)}
     powers = table._powers()
     units = [u % e for u in table.units()]
+    assert table.galois.shape == (len(units), k)
     for u in units:
         rows = table.mod_table[:, powers[:, u]]
-        assert table.galois[u].tolist() == [lookup[row.tobytes()] for row in rows]
+        assert table.galois[table.unit_index[u]].tolist() == [lookup[row.tobytes()] for row in rows]
     others = np.ones(e, dtype=bool)
     others[units] = False
-    assert table.galois.shape == (e, k) and (table.galois[others] == -1).all()
+    assert (table.unit_index[others] == -1).all()
 
 
 @pytest.mark.parametrize("key", [e.key for e in CORPUS] + A7)

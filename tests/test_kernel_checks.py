@@ -7,14 +7,13 @@ from galchar.cyclotomic import cyc
 
 
 def _set_values(table, row, classes, value):
-    """Overwrite row's exact and mod-l values on the given classes."""
-    chi = table.chars[row]
-    values = list(chi.values)
+    """Point row's ids at a new pool value on the given classes, and set its
+    mod-l values there."""
+    table.value_pool.append(cyc(value))
     for j in classes:
-        values[j] = cyc(value)
+        table.value_ids[row, j] = len(table.value_pool) - 1
         table.mod_table[row, j] = value % table.dixon_prime
-    chi.values = tuple(values)
-    return chi
+    return table.chars[row]
 
 
 def _class_of(table, order, size):

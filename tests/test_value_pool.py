@@ -64,8 +64,7 @@ def test_shared_value_replaced_in_one_row_fails_verification():
     shared = chi.values[col]
     assert sum(v is shared for other in chars for v in other.values) > 1
     _verify(table)
-    values = list(chi.values)
-    values[col] = shared + 1
-    chi.values = tuple(values)
+    table.value_pool.append(shared + 1)
+    table.value_ids[row, col] = len(table.value_pool) - 1
     with pytest.raises(TableVerificationError, match="lift is inconsistent"):
         _verify(table)
