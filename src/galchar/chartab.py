@@ -130,7 +130,7 @@ checks that the closure of its generators is the set itself.
 from __future__ import annotations
 
 import weakref
-from math import gcd, isqrt
+from math import ceil, gcd, isqrt, log2
 
 import numpy as np
 
@@ -590,7 +590,8 @@ def _product_index(group: PermGroup) -> np.ndarray:
     the entry (m, j) of a combination acting on rows (see _combination)."""
     reps = [c.element_ids[0] for c in group.conjugacy_classes()]
     right = group.right_multiplication(reps)  # [m, y] = id of y . z_m
-    index = group.class_index_array()[right[:, group.inverse]].T.astype(np.intp, order="C")
+    classes = group.class_index_array().astype(np.intp)
+    index = np.ascontiguousarray(classes[right[:, group.inverse]].T)  # no copy: right is F-ordered
     index += np.arange(0, len(reps) ** 2, len(reps))
     return index
 
@@ -625,29 +626,33 @@ def _invariant_combinations(index: np.ndarray, class_of: np.ndarray, ell: int, r
 
 def _eigen_checker(index: np.ndarray, class_of: np.ndarray, ell: int, rng):
     """rows -> for each row x (a class function with x[0] = 1), whether it
-    fails to be an eigenvector of one random combination M acting on rows.
+    fails to be an eigenvector of random combinations M_t acting on rows.
 
-    Freivalds' test on two random vectors r: x M = lambda x gives
-    x (M r) = lambda (x r), and lambda = (x M)[0] = x . c, c the
+    Freivalds' test on a random vector r_t per combination: x M = lambda x
+    gives x (M r) = lambda (x r), and lambda = (x M)[0] = x . c, c the
     coefficients, because x^-1 . z_m is the identity only for x = z_m.  M r
     is gathered from index without building M: (M r)[m] is the sum over x
-    of c[class of x] r[class of x^-1 . z_m].
+    of c[class of x] r[class of x^-1 . z_m].  A row that is not an
+    eigenline passes one round with probability at most 2/l (M takes one
+    eigenvalue on two of its eigenlines, or r misses), so there are enough
+    rounds to bring that below 2^-30.
     """
     n, k = index.shape
-    coeffs = rng.integers(0, ell, size=k, dtype=np.int64)
-    probes = rng.integers(0, ell, size=(k, 2), dtype=np.int64)
+    rounds = ceil(30 / log2(ell / 2))
+    coeffs = rng.integers(0, ell, size=(k, rounds), dtype=np.int64)
+    probes = rng.integers(0, ell, size=(k, rounds), dtype=np.int64)
     step = 256  # rows of index per gather: bounded temporaries, exact sums
     dtype = fpmat.exact_dtype(step, ell)
-    weights = coeffs[class_of].astype(dtype)
-    images = np.zeros((k, 2), dtype=np.int64)
-    for t in range(2):
+    images = np.zeros((k, rounds), dtype=np.int64)
+    for t in range(rounds):
+        weights = coeffs[class_of, t].astype(dtype)
         flat = np.tile(probes[:, t].astype(dtype), k)  # entry m k + j is probes[j, t]
         for lo in range(0, n, step):
             part = weights[lo : lo + step] @ np.take(flat, index[lo : lo + step])
             images[:, t] = (images[:, t] + part.astype(np.int64)) % ell
 
     def failing(rows: np.ndarray) -> np.ndarray:
-        lam = fpmat.mul(rows, coeffs[:, None], ell)
+        lam = fpmat.mul(rows, coeffs, ell)
         return (fpmat.mul(rows, images, ell) != fpmat.mul(rows, probes, ell) * lam % ell).any(axis=1)
 
     return failing
@@ -748,6 +753,8 @@ class _Descent:
         ok = np.ones(len(vectors), dtype=bool)
         for labels, index in levels:
             live = np.flatnonzero(ok)
+            if not len(live):
+                break
             chain, found = self._annihilators(vectors[live], self.draw(labels).astype(self.dtype), index)
             quotients = np.zeros((len(live), index), dtype=self.dtype)
             for j, fr in enumerate(found):
@@ -762,9 +769,9 @@ class _Descent:
     def _annihilators(self, vectors: np.ndarray, a: np.ndarray, bound: int):
         """(chain, found): chain[s, i] = vectors[i] a^s for s <= bound, one
         block product per step, and found[i] = (f, roots) with f the least
-        monic polynomial (ascending) with vectors[i] f(a) = 0, of degree at
-        most bound, and its deg f distinct roots in F_l; None if that f is
-        refused (see _Splitter._annihilator) or does not split so."""
+        monic polynomial (ascending) with vectors[i] f(a) = 0, of degree 1 to
+        bound, and its deg f distinct roots in F_l; None if that f is refused
+        (see _Splitter._annihilator), vectors[i] is 0 or f does not split so."""
         ell = self.ell
         chain = np.empty((bound + 1,) + vectors.shape, dtype=self.dtype)
         chain[0] = vectors
@@ -782,7 +789,7 @@ class _Descent:
         found = []
         for f, kill in zip(polys, killed.tolist()):
             roots = np.array(_poly_roots_mod(f, ell), dtype=np.int64) if kill else None
-            ok = kill and len(f) <= bound + 1 and len(roots) == len(f) - 1
+            ok = kill and 1 < len(f) <= bound + 1 and len(roots) == len(f) - 1
             found.append((f, roots) if ok else None)
         return chain, found
 
@@ -804,9 +811,8 @@ def _galois_rows(lines: np.ndarray, power_maps: np.ndarray, ell: int, rng):
     """
     k, e = power_maps.shape
     units = _units_mod(e)
-    position = np.zeros(e, dtype=np.intp)
+    position = np.zeros(e, dtype=np.intp)  # of each unit among the units
     position[units] = np.arange(len(units))
-    times = position[np.outer(units, units) % e]  # [t, s]: the position of the unit t s
     columns = power_maps[:, units].T  # row s: c -> c^s
     z = rng.integers(0, 2**53 // (k * ell), size=k).astype(np.float64)
     scattered = np.empty(columns.shape)
@@ -818,7 +824,7 @@ def _galois_rows(lines: np.ndarray, power_maps: np.ndarray, ell: int, rng):
         if count + len(first) > k:
             return None
         # chi^sigma_s is the row inverse[s], and its image under sigma_t is chi^sigma_(t s)
-        galois[:, count : count + len(first)] = count + inverse[times[:, first]]
+        galois[:, count : count + len(first)] = count + inverse[position[np.outer(units, units[first]) % e]]
         rows.append(line[columns[first]])
         count += len(first)
     if count < k:
