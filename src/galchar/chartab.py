@@ -31,28 +31,34 @@ The table of a group G is computed in five steps:
      eigenlines;
    - levels i >= 1 walk down the subgroups T_i = {s = 1 (mod e_i)} of the
      units mod e, e_i climbing to e one prime factor at a time (levels
-     where T does not shrink are skipped).  A combination constant on the
-     T_i-orbits of classes has one eigenvalue per T_i-orbit of characters,
-     and a T_(i-1)-orbit holds at most |T_(i-1) : T_i| of those, so each
-     orbit's chain stops there; the chains of all orbits advance as one
-     block product per step, and each vector is deflated onto its least
-     eigenvalue.  At T = 1 each vector is an eigenline.
+     where no orbit of classes splits are skipped).  A combination
+     constant on the T_i-orbits of classes has one eigenvalue per
+     T_i-orbit of characters, and a T_(i-1)-orbit holds at most
+     |T_(i-1) : T_i| of those, so each orbit's chain stops there; the
+     chains of all orbits advance as one block product per step, and each
+     vector is deflated onto its least eigenvalue.  At T = 1 each vector
+     is an eigenline.
    Two eigenvalues of one level can still coincide, leaving a vector in a
    sum of eigenspaces.  So each eigenline must pass the eigen-check below;
-   an orbit that fails it, or whose chain is refused, is redone from
-   level 0's vector with fresh combinations.  The conjugates of the
-   eigenlines give all k rows and the Galois row permutations pi of step 5.
+   an orbit that fails it, or whose chain is refused, is redone with fresh
+   combinations from level 0's vector times a general combination (which
+   moves a part the form is isotropic on).  The conjugates of the
+   eigenlines, told apart by an exact integer fingerprint, give all k rows
+   and the Galois row permutations pi of step 5.
    When a few level-0 draws are refused (r^2 comparable to l, or r = k as
    in C2^n), the general splitter runs instead: it decomposes F_l^k block
    by block into eigenspaces, later probes of a block projected off the
    deflation vectors found so far (their orthogonal complement is
    invariant), and splits subspaces that stay entangled recursively with
    fresh combinations.
-   The eigen-check (Dixon 1967): every row must be an eigenvector of one
-   more combination, drawn from a random stream the split never reads.  It
-   is Freivalds' test on two random vectors r, x (M r) = lambda (x r) with
+   The eigen-check (Dixon 1967): every row must be an eigenvector of more
+   combinations M, drawn from a random stream the split never reads.  Each
+   is Freivalds' test on a random vector r, x (M r) = lambda (x r) with
    lambda read off x, and M r is gathered from the product array without
-   building M.  Everything is deterministic given the seed;
+   building M.  A sum of eigenlines passes one such round with probability
+   at most 2/l, so there are enough rounds to bring that below 2^-30 (3
+   for l = 2,917, 17 for l = 7).  Everything is deterministic given the
+   seed;
 4. degrees from the eigenvector normalisation and character values mod l;
 5. exact values, as a k x k int32 array of ids into a pool of the table's
    few distinct Cyclotomics, keyed by (conductor, coefficients).  Only at
@@ -117,8 +123,9 @@ The table keeps pi in its final row order, and unit_index, the row of pi
 of each residue mod e (-1 for the others).  galois_orbits labels each row
 by the least row of its orbit, the minimum of pi over its rows, and
 galois_conjugate, galois_stabilizer and field_in_pth_cyclotomic read pi
-too.  A Character's values are read through the id array and the pool.  The F_l linear algebra (row reduction, null spaces, products) comes
-from fpmat.
+too.  A Character's values are read through the id array and the pool.
+The F_l linear algebra (row reduction, null spaces, products) comes from
+fpmat.
 
 Kernels are read off the table as sets of class indices, the classes where
 chi(c) = chi(1); |G : ker chi| is |G| over the sum of their sizes, and two
@@ -345,13 +352,18 @@ class CharacterTable:
 # -- mod-l linear algebra helpers -------------------------------------------------
 
 
-def _poly_roots_mod(coeffs: np.ndarray, ell: int) -> list[int]:
-    """Roots in F_l of the polynomial with ascending coeffs (vectorized)."""
+def _roots_mod(polys: np.ndarray, ell: int) -> np.ndarray:
+    """(n, l) bool: which points of F_l are roots of each row's polynomial
+    (ascending coefficients), by Horner's rule over all of F_l at once."""
     xs = np.arange(ell, dtype=np.int64)
-    vals = np.zeros(ell, dtype=np.int64)
-    for c in reversed(coeffs):
-        vals = (vals * xs + int(c)) % ell
-    return [int(x) for x in np.nonzero(vals == 0)[0]]
+    out = np.empty((len(polys), ell), dtype=bool)
+    step = max(1, 2**20 // ell)  # rows per evaluation: bounded temporaries
+    for lo in range(0, len(polys), step):
+        vals = np.zeros((len(polys[lo : lo + step]), ell), dtype=np.int64)
+        for c in polys[lo : lo + step, ::-1].T:
+            vals = (vals * xs + c[:, None]) % ell
+        out[lo : lo + step] = vals == 0
+    return out
 
 
 def _berlekamp_massey(seq: np.ndarray, ell: int) -> np.ndarray:
@@ -431,7 +443,7 @@ class _Splitter:
         rows already are), and y with <x_i, z> = y_i . z for every class
         function z, under <x, z> = sum_c x[c] z[c^-1] / |C_c| mod l."""
         full = rows if red is None else fpmat.mul(rows, red, self.ell)
-        return full, full[:, self.inv_class] * self.size_inv % self.ell
+        return full, (full[:, self.inv_class] * self.size_inv).astype(np.int64) % self.ell
 
     def _annihilator(self, v: np.ndarray, a: np.ndarray, red, bound: int):
         """(f, chain): the least monic f (ascending coeffs) with v . f(a) = 0
@@ -449,7 +461,7 @@ class _Splitter:
         chain = np.empty((bound + 1, len(v)), dtype=self.dtype)
         chain[0] = v
         for s in range(bound):
-            np.mod(chain[s] @ a, ell, out=chain[s + 1])
+            chain[s + 1] = (chain[s] @ a).astype(np.int64) % ell
         full, dual = self._form(chain, red)
         seq = np.empty(2 * bound + 1, dtype=np.int64)
         seq[0::2] = np.einsum("ij,ij->i", full, dual) % ell
@@ -508,7 +520,7 @@ class _Splitter:
             if found is None:
                 continue
             f, chain = found
-            roots = _poly_roots_mod(f, ell)
+            roots = np.flatnonzero(_roots_mod(f[None], ell)[0]).tolist()
             if len(roots) < len(f) - 1:
                 raise TableVerificationError("annihilator fails to split over F_l")
             seen_roots |= set(roots)
@@ -596,30 +608,51 @@ def _product_index(group: PermGroup) -> np.ndarray:
     return index
 
 
-def _combination(index: np.ndarray, class_of: np.ndarray, coeffs: np.ndarray, ell: int):
-    """The int64 k x k matrix of sum_i coeffs[i] M_i acting on rows
+def _combination(index: np.ndarray, class_of: np.ndarray, coeffs: np.ndarray, ell: int, rows=None):
+    """The float64 k x k matrix of sum_i coeffs[i] M_i acting on rows
     (x -> x @ result), where (M_i)[j, m] counts the x in C_i with
-    x^-1 . z_m in C_j, reduced mod l: one flat bincount over index.  Its sums
-    of |G| weights below l stay exact while |G| l < 2**53."""
+    x^-1 . z_m in C_j, not reduced mod l: one flat bincount over index, or
+    over its columns for the given rows only (the others are 0).  Its sums
+    of |G| weights below l are exact while |G| l < 2**53."""
     k = len(coeffs)
-    weights = np.repeat((coeffs % ell)[class_of].astype(np.float64), k)
-    return np.bincount(index.ravel(), weights, minlength=k * k).reshape(k, k).astype(np.int64) % ell
+    part = index if rows is None else index[:, rows]
+    weights = np.repeat((coeffs % ell)[class_of].astype(np.float64), part.shape[1])
+    return np.bincount(part.ravel(), weights, minlength=k * k).reshape(k, k)
 
 
 def _combo_source(index: np.ndarray, class_of: np.ndarray, ell: int, rng):
     """Seeded combinations sum_i c_i M_i of the class matrices, as int64."""
     k = index.shape[1]
     while True:
-        yield _combination(index, class_of, rng.integers(0, ell, size=k, dtype=np.int64), ell).T
+        coeffs = rng.integers(0, ell, size=k, dtype=np.int64)
+        yield (_combination(index, class_of, coeffs, ell).astype(np.int64) % ell).T
 
 
-def _invariant_combinations(index: np.ndarray, class_of: np.ndarray, ell: int, rng):
-    """labels -> a seeded combination acting on rows whose coefficients are
-    equal on classes of equal label (labels[c] is a class index)."""
+def _invariant_combinations(index: np.ndarray, class_of: np.ndarray, power_maps, ell: int, rng):
+    """orbits -> a seeded combination acting on rows whose coefficients are
+    constant on the orbits of classes under a subgroup T of the units mod e,
+    orbits = (rep_of, step) as _orbits gives them for T.
 
-    def draw(labels: np.ndarray) -> np.ndarray:
-        coeffs = rng.integers(0, ell, size=len(labels), dtype=np.int64)[labels]
-        return _combination(index, class_of, coeffs, ell)
+    Such a combination is fixed by T: its entry (m^t, j^t) is its entry
+    (m, j), because class multiplication coefficients are rational and so
+    fixed by the Galois action.  Only the rows of the least classes are
+    summed; row r^t is read off row r, its entry j^t being that of j.
+    """
+    k, e = power_maps.shape
+    units = _units_mod(e)
+    inverse = np.zeros(e, dtype=np.intp)
+    inverse[units] = [pow(int(u), -1, e) for u in units]
+    classes_to = power_maps.T  # row s: c -> c^s
+
+    def draw(orbits) -> np.ndarray:
+        rep_of, step = orbits
+        coeffs = rng.integers(0, ell, size=k, dtype=np.int64)[rep_of]
+        reps = np.flatnonzero(rep_of == np.arange(k))
+        if len(reps) == k:
+            return _combination(index, class_of, coeffs, ell)
+        summed = _combination(index, class_of, coeffs, ell, reps).ravel()
+        # entry (r^t, j) is entry (r, j^(1/t))
+        return np.take(summed, (rep_of * k)[:, None] + classes_to[inverse[step]])
 
     return draw
 
@@ -653,7 +686,8 @@ def _eigen_checker(index: np.ndarray, class_of: np.ndarray, ell: int, rng):
 
     def failing(rows: np.ndarray) -> np.ndarray:
         lam = fpmat.mul(rows, coeffs, ell)
-        return (fpmat.mul(rows, images, ell) != fpmat.mul(rows, probes, ell) * lam % ell).any(axis=1)
+        rhs = fpmat.mul(rows, probes, ell) * lam % ell
+        return (fpmat.mul(rows, images, ell) != rhs).any(axis=1)
 
     return failing
 
@@ -663,26 +697,36 @@ def _units_mod(e: int) -> np.ndarray:
     return np.flatnonzero(np.gcd(np.arange(e), e) == 1)
 
 
-def _descent_levels(power_maps: np.ndarray) -> list[tuple[np.ndarray, int]]:
-    """(labels, index) for each level i >= 1 of the descent: labels[c] is the
-    least class of the orbit of c under T_i = {s = 1 (mod e_i)} among the
-    units mod e, e_i climbing to e one prime factor at a time, and index is
+def _orbits(power_maps: np.ndarray, units: np.ndarray):
+    """(rep_of, step) for the orbits of classes under a group of units mod
+    e: rep_of[c] is the least class c^s, s among the units, and step[c] is a
+    unit s with rep_of[c]^s = c."""
+    orbit = power_maps[:, units]  # the classes c^s
+    rep_of = orbit.min(axis=1)
+    step = units[(orbit[rep_of] == np.arange(len(orbit))[:, None]).argmax(axis=1)]
+    return rep_of, step
+
+
+def _descent_levels(power_maps: np.ndarray) -> list[tuple[tuple, int]]:
+    """(orbits, index) for each level i >= 1 of the descent: orbits are the
+    _orbits of classes under T_i = {s = 1 (mod e_i)} among the units mod e,
+    e_i climbing to e one prime factor at a time, and index is
     |T_(i-1) : T_i|.  A level is skipped where T does not shrink, or where
     the T_i-orbits of classes are the T_(i-1)-orbits: then so are those of
     characters (there are as many of each, by Brauer's permutation lemma),
     and the level would split nothing."""
     units = _units_mod(power_maps.shape[1])
     levels, size, modulus = [], len(units), 1
-    orbits = len(np.unique(power_maps[:, units].min(axis=1)))
+    count = len(np.unique(_orbits(power_maps, units)[0]))
     for p, a in sorted(factorize(power_maps.shape[1]).items()):
         for _ in range(a):
             modulus *= p
             subgroup = units[units % modulus == 1]
-            labels = power_maps[:, subgroup].min(axis=1)
-            count = len(np.unique(labels))
-            if count > orbits:
-                levels.append((labels, size // len(subgroup)))
-            size, orbits = len(subgroup), count
+            orbits = _orbits(power_maps, subgroup)
+            finer = len(np.unique(orbits[0]))
+            if finer > count:
+                levels.append((orbits, size // len(subgroup)))
+            size, count = len(subgroup), finer
     return levels
 
 
@@ -690,8 +734,8 @@ class _Descent:
     """One eigenline per Galois orbit of characters, by descent over the
     subgroups of the units mod e (step 3 of the module docstring).
 
-    draw(labels) gives a combination acting on rows whose coefficients are
-    equal on classes of equal label; failing is the eigen-check."""
+    draw(orbits) gives a combination acting on rows whose coefficients are
+    constant on the given orbits of classes; failing is the eigen-check."""
 
     def __init__(self, draw, power_maps: np.ndarray, ell: int, rng, size_inv, inv_class, failing):
         self.draw = draw
@@ -707,10 +751,11 @@ class _Descent:
     def run(self):
         """(omegas, galois) as _galois_rows gives them, or None when level 0
         is refused _LEVEL0_DRAWS times or orbits keep failing."""
-        labels = self.power_maps[:, _units_mod(self.power_maps.shape[1])].min(axis=1)
-        r = len(np.unique(labels))
+        k, e = self.power_maps.shape
+        orbits = _orbits(self.power_maps, _units_mod(e))
+        r = len(np.unique(orbits[0]))
         for _draw in range(_LEVEL0_DRAWS):
-            starts = self._starts(labels, r)
+            starts = self._starts(orbits, r)
             if starts is not None:
                 break
         else:
@@ -720,8 +765,8 @@ class _Descent:
         todo = np.arange(r)
         for _pass in range(_DESCENT_PASSES):
             if _pass:  # an isotropic part is the start's: move it within its orbit's span
-                general = self.draw(np.arange(len(labels)))
-                starts[todo] = fpmat.mul(starts[todo], general, self.ell)
+                general = self._matrix((np.arange(k), np.ones(k, dtype=np.intp)))
+                starts[todo] = (starts[todo].astype(self.dtype) @ general).astype(np.int64) % self.ell
             found, ok = self._descend(starts[todo], levels)
             ok &= found[:, 0] != 0
             found[ok] = found[ok] * _inverses(found[ok, 0], self.ell)[:, None] % self.ell
@@ -733,12 +778,12 @@ class _Descent:
             self.redone += len(todo)
         return None
 
-    def _starts(self, labels: np.ndarray, r: int):
+    def _starts(self, orbits, r: int):
         """Level 0: the r deflation vectors of one probe, one in the span of
         each Galois orbit's eigenlines, or None if its f is refused or has
         fewer than r roots."""
-        a = self.draw(labels).astype(self.dtype)
-        v = self.rng.integers(0, self.ell, size=(1, len(labels)), dtype=np.int64)
+        a = self._matrix(orbits)
+        v = self.rng.integers(0, self.ell, size=(1, len(a)), dtype=np.int64)
         chain, (found,) = self._annihilators(v, a, r)
         if found is None or len(found[0]) != r + 1:
             return None
@@ -751,11 +796,11 @@ class _Descent:
         ell = self.ell
         vectors = starts.astype(np.int64)
         ok = np.ones(len(vectors), dtype=bool)
-        for labels, index in levels:
+        for orbits, index in levels:
             live = np.flatnonzero(ok)
             if not len(live):
                 break
-            chain, found = self._annihilators(vectors[live], self.draw(labels).astype(self.dtype), index)
+            chain, found = self._annihilators(vectors[live], self._matrix(orbits), index)
             quotients = np.zeros((len(live), index), dtype=self.dtype)
             for j, fr in enumerate(found):
                 if fr is None:
@@ -776,22 +821,31 @@ class _Descent:
         chain = np.empty((bound + 1,) + vectors.shape, dtype=self.dtype)
         chain[0] = vectors
         for s in range(bound):
-            np.mod(chain[s] @ a, ell, out=chain[s + 1])
-        dual = chain[:, :, self.inv_class] * self.size_inv % ell
+            chain[s + 1] = (chain[s] @ a).astype(np.int64) % ell
+        dual = (chain[:, :, self.inv_class] * self.size_inv).astype(np.int64) % ell
         seq = np.empty((len(vectors), 2 * bound + 1), dtype=np.int64)
         seq[:, 0::2] = np.einsum("sik,sik->is", chain, dual) % ell
         seq[:, 1::2] = np.einsum("sik,sik->is", chain[1:], dual[:-1]) % ell
         polys = [_berlekamp_massey(row, ell) for row in seq]
-        padded = np.zeros((len(vectors), bound + 1), dtype=self.dtype)
-        for i, f in enumerate(polys):
-            padded[i, : min(len(f), bound + 1)] = f[: bound + 1]
-        killed = ~(np.einsum("is,sik->ik", padded, chain) % ell).any(axis=1)
-        found = []
-        for f, kill in zip(polys, killed.tolist()):
-            roots = np.array(_poly_roots_mod(f, ell), dtype=np.int64) if kill else None
-            ok = kill and 1 < len(f) <= bound + 1 and len(roots) == len(f) - 1
-            found.append((f, roots) if ok else None)
-        return chain, found
+        degrees = np.array([len(f) - 1 for f in polys], dtype=np.int64)
+        padded = np.zeros((len(polys), bound + 1), dtype=np.int64)
+        for i in np.flatnonzero(degrees <= bound).tolist():
+            padded[i, : len(polys[i])] = polys[i]
+        killed = ~(np.einsum("is,sik->ik", padded.astype(self.dtype), chain) % ell).any(axis=1)
+        roots = _roots_mod(padded, ell)
+        ok = killed & (degrees >= 1) & (degrees <= bound) & (roots.sum(axis=1) == degrees)
+        return chain, [
+            (f, np.flatnonzero(row)) if good else None
+            for f, row, good in zip(polys, roots, ok.tolist())
+        ]
+
+    def _matrix(self, orbits) -> np.ndarray:
+        """The combination draw(orbits) in the chains' dtype, reduced mod l
+        unless a chain step on it stays exact without."""
+        a = self.draw(orbits)
+        if self.dtype is np.float64 and a.max(initial=0) * (self.ell - 1) * len(a) < 2**53:
+            return a
+        return (a.astype(np.int64) % self.ell).astype(self.dtype)
 
 
 def _inverses(values: np.ndarray, ell: int) -> np.ndarray:
@@ -824,7 +878,8 @@ def _galois_rows(lines: np.ndarray, power_maps: np.ndarray, ell: int, rng):
         if count + len(first) > k:
             return None
         # chi^sigma_s is the row inverse[s], and its image under sigma_t is chi^sigma_(t s)
-        galois[:, count : count + len(first)] = count + inverse[position[np.outer(units, units[first]) % e]]
+        products = position[np.outer(units, units[first]) % e]
+        galois[:, count : count + len(first)] = count + inverse[products]
         rows.append(line[columns[first]])
         count += len(first)
     if count < k:
@@ -882,9 +937,7 @@ def _lift_values(group, table_mod: np.ndarray, ell: int, w_e: int, galois=None):
         raise ValueError("the Dixon prime does not fit the int32 row keys")
     rows = table_mod.astype(np.int32)
     units = _units_mod(e)
-    orbit = power_maps[:, units]  # the classes c^s, s a unit
-    rep_of = orbit.min(axis=1)  # one representative per power-orbit
-    step = units[(orbit[rep_of] == np.arange(k)[:, None]).argmax(axis=1)]  # rep^step = c
+    rep_of, step = _orbits(power_maps, units)  # one representative per power-orbit
     for j in np.flatnonzero(rep_of == np.arange(k)).tolist():
         m = classes[j].order
         # inverse DFT of the distinct rows of the columns of the classes g^s:
@@ -1001,7 +1054,7 @@ def _split(group: PermGroup, index: np.ndarray, ell: int, seed: int, size_inv, i
     # general splitter draws from the seed itself
     descent_rng, check_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
     failing = _eigen_checker(index, class_of, ell, check_rng)
-    draw = _invariant_combinations(index, class_of, ell, descent_rng)
+    draw = _invariant_combinations(index, class_of, group.power_maps, ell, descent_rng)
     descent = _Descent(draw, group.power_maps, ell, descent_rng, size_inv, inv_class, failing)
     found = descent.run()
     if found is not None:
@@ -1015,7 +1068,8 @@ def _split(group: PermGroup, index: np.ndarray, ell: int, seed: int, size_inv, i
         omegas, galois = lines * _inverses(lines[:, 0], ell)[:, None] % ell, None
     if failing(omegas).any():
         raise TableVerificationError("a row is not an eigenvector of a fresh combination")
-    return omegas, galois, {"path": "fallback" if found is None else "descent", "redone": descent.redone}
+    path = "fallback" if found is None else "descent"
+    return omegas, galois, {"path": path, "redone": descent.redone}
 
 
 def _verify(table: CharacterTable) -> None:

@@ -27,8 +27,7 @@ def mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """a @ b mod p as int64, for entries in [0, p); in float64 where exact."""
     dtype = exact_dtype(a.shape[-1], p)
     out = a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
-    out %= p
-    return out.astype(np.int64, copy=False)
+    return out.astype(np.int64, copy=False) % p  # float64 remainders are slower
 
 
 def mat_pow(m: np.ndarray, n: int, p: int) -> np.ndarray:

@@ -17,6 +17,7 @@ from galchar.chartab import (
     _descent_levels,
     _eigen_checker,
     _galois_generators,
+    _orbits,
     _product_index,
     _split,
     _units_mod,
@@ -105,21 +106,21 @@ def test_refused_level_zero_falls_back_to_the_splitter(key, seed):
 
 def _coarse_last_level(monkeypatch, group):
     """Make the first draw at the last level of the descent (T = 1) use the
-    labels of the level before it, so every orbit that level should split
-    keeps a sum of eigenlines."""
+    orbits of the level before it, so every orbit of characters that level
+    should split keeps a sum of eigenlines."""
     levels = _descent_levels(group.power_maps)
     last, coarser = levels[-1][0], levels[-2][0]
     real = chartab._invariant_combinations
     stubbed = []
 
-    def source(index, class_of, ell, rng):
-        draw = real(index, class_of, ell, rng)
+    def source(index, class_of, power_maps, ell, rng):
+        draw = real(index, class_of, power_maps, ell, rng)
 
-        def stub(labels):
-            if not stubbed and np.array_equal(labels, last):
-                stubbed.append(labels)
+        def stub(orbits):
+            if not stubbed and np.array_equal(orbits[0], last[0]):
+                stubbed.append(orbits)
                 return draw(coarser)
-            return draw(labels)
+            return draw(orbits)
 
         return stub
 
@@ -147,12 +148,11 @@ def test_eigen_check_flags_exactly_the_merged_rows(monkeypatch):
     truth = {row.tobytes() for row in reference_split(group, 0)[0]}
     _coarse_last_level(monkeypatch, group)
     rng = np.random.default_rng(3)
-    draw = chartab._invariant_combinations(index, group.class_index_array(), ell, rng)
+    draw = chartab._invariant_combinations(index, group.class_index_array(), group.power_maps, ell, rng)
     failing = _eigen_checker(index, group.class_index_array(), ell, np.random.default_rng(4))
     descent = _Descent(draw, group.power_maps, ell, rng, size_inv, inv_class, failing)
-    units = _units_mod(group.exponent)
-    labels = group.power_maps[:, units].min(axis=1)
-    starts = descent._starts(labels, len(np.unique(labels)))
+    orbits = _orbits(group.power_maps, _units_mod(group.exponent))
+    starts = descent._starts(orbits, len(np.unique(orbits[0])))
     lines, ok = descent._descend(starts, _descent_levels(group.power_maps))
     assert ok.all()  # every chain was accepted
     lines = lines * np.array([pow(int(x), -1, ell) for x in lines[:, 0]])[:, None] % ell
