@@ -391,6 +391,38 @@ def _berlekamp_massey(seq: np.ndarray, ell: int) -> np.ndarray:
     return conn[length::-1].copy()
 
 
+def _krylov(vectors: np.ndarray, a: np.ndarray, bound: int, ell: int, form):
+    """(chain, polys, killed) for a block of probes, one block product per
+    step: chain[s, i] = vectors[i] a^s for s <= bound (in a's dtype); polys[i]
+    the ascending coefficients, padded to bound + 1, of the least monic f
+    that Berlekamp-Massey finds for the form sequence <v a^i, v a^j> of
+    v = vectors[i]; killed[i] whether deg f <= bound and f(a) kills v.
+    form(rows) gives (x, y) with x the rows as class functions and
+    <x_i, z> = y_i . z (see _Splitter._form and _Splitter._annihilator)."""
+    n, m = vectors.shape
+    chain = np.empty((bound + 1, n, m), dtype=a.dtype)
+    chain[0] = vectors
+    for s in range(bound):
+        chain[s + 1] = (chain[s] @ a).astype(np.int64) % ell
+    full, dual = (x.reshape(bound + 1, n, -1) for x in form(chain.reshape(-1, m)))
+    seq = np.empty((n, 2 * bound + 1), dtype=np.int64)
+    seq[:, 0::2] = np.einsum("sik,sik->is", full, dual) % ell
+    seq[:, 1::2] = np.einsum("sik,sik->is", full[1:], dual[:-1]) % ell
+    polys = np.zeros((n, bound + 1), dtype=np.int64)
+    fits = np.zeros(n, dtype=bool)
+    for i, row in enumerate(seq):
+        f = _berlekamp_massey(row, ell)
+        fits[i] = len(f) <= bound + 1
+        polys[i, : len(f)] = f[: bound + 1]
+    residue = np.einsum("is,sik->ik", polys.astype(a.dtype), chain) % ell
+    return chain, polys, fits & ~residue.any(axis=1)
+
+
+def _degrees(polys: np.ndarray) -> np.ndarray:
+    """Degrees of monic polynomials given as padded ascending coefficients."""
+    return polys.shape[1] - 1 - (polys[:, ::-1] != 0).argmax(axis=1)
+
+
 class _Splitter:
     """Splits F_l^k into the common eigenlines of the class-matrix algebra.
 
@@ -457,19 +489,9 @@ class _Splitter:
         v, it is that polynomial.  f misses exactly the eigenvalues whose
         eigenspace part of v is isotropic, and then f(a) does not kill v.
         """
-        ell = self.ell
-        chain = np.empty((bound + 1, len(v)), dtype=self.dtype)
-        chain[0] = v
-        for s in range(bound):
-            chain[s + 1] = (chain[s] @ a).astype(np.int64) % ell
-        full, dual = self._form(chain, red)
-        seq = np.empty(2 * bound + 1, dtype=np.int64)
-        seq[0::2] = np.einsum("ij,ij->i", full, dual) % ell
-        seq[1::2] = np.einsum("ij,ij->i", full[1:], dual[:-1]) % ell
-        f = _berlekamp_massey(seq, ell)
-        if len(f) > len(chain) or fpmat.mul(f[None], chain[: len(f)], ell).any():
-            return None
-        return f, chain[: len(f)]
+        chain, padded, killed = _krylov(v[None], a, bound, self.ell, lambda x: self._form(x, red))
+        f = padded[0, : _degrees(padded)[0] + 1]
+        return (f, chain[: len(f), 0]) if killed[0] else None
 
     def _split_once(self, basis: np.ndarray, mt: np.ndarray):
         """Decompose the row space of basis into eigenspaces of the combo.
@@ -812,32 +834,22 @@ class _Descent:
         return vectors, ok
 
     def _annihilators(self, vectors: np.ndarray, a: np.ndarray, bound: int):
-        """(chain, found): chain[s, i] = vectors[i] a^s for s <= bound, one
-        block product per step, and found[i] = (f, roots) with f the least
-        monic polynomial (ascending) with vectors[i] f(a) = 0, of degree 1 to
-        bound, and its deg f distinct roots in F_l; None if that f is refused
-        (see _Splitter._annihilator), vectors[i] is 0 or f does not split so."""
-        ell = self.ell
-        chain = np.empty((bound + 1,) + vectors.shape, dtype=self.dtype)
-        chain[0] = vectors
-        for s in range(bound):
-            chain[s + 1] = (chain[s] @ a).astype(np.int64) % ell
-        dual = (chain[:, :, self.inv_class] * self.size_inv).astype(np.int64) % ell
-        seq = np.empty((len(vectors), 2 * bound + 1), dtype=np.int64)
-        seq[:, 0::2] = np.einsum("sik,sik->is", chain, dual) % ell
-        seq[:, 1::2] = np.einsum("sik,sik->is", chain[1:], dual[:-1]) % ell
-        polys = [_berlekamp_massey(row, ell) for row in seq]
-        degrees = np.array([len(f) - 1 for f in polys], dtype=np.int64)
-        padded = np.zeros((len(polys), bound + 1), dtype=np.int64)
-        for i in np.flatnonzero(degrees <= bound).tolist():
-            padded[i, : len(polys[i])] = polys[i]
-        killed = ~(np.einsum("is,sik->ik", padded.astype(self.dtype), chain) % ell).any(axis=1)
-        roots = _roots_mod(padded, ell)
-        ok = killed & (degrees >= 1) & (degrees <= bound) & (roots.sum(axis=1) == degrees)
+        """(chain, found): _krylov's chain, and found[i] = (f, roots) with f
+        the minimal polynomial of vectors[i] under a, of degree 1 to bound,
+        and its deg f distinct roots in F_l; None if f is refused, vectors[i]
+        is 0 or f does not split so."""
+        chain, polys, killed = _krylov(vectors, a, bound, self.ell, self._form)
+        degrees = _degrees(polys)
+        roots = _roots_mod(polys, self.ell)
+        ok = killed & (degrees >= 1) & (roots.sum(axis=1) == degrees)
         return chain, [
-            (f, np.flatnonzero(row)) if good else None
-            for f, row, good in zip(polys, roots, ok.tolist())
+            (f[: d + 1], np.flatnonzero(row)) if good else None
+            for f, d, row, good in zip(polys, degrees.tolist(), roots, ok.tolist())
         ]
+
+    def _form(self, rows: np.ndarray):
+        """(rows, y) with <rows_i, z> = y_i . z (see _Splitter._form)."""
+        return rows, (rows[:, self.inv_class] * self.size_inv).astype(np.int64) % self.ell
 
     def _matrix(self, orbits) -> np.ndarray:
         """The combination draw(orbits) in the chains' dtype, reduced mod l
@@ -905,11 +917,10 @@ def _find_root_of_unity(ell: int, e: int) -> int:
     return pow(primitive_root(ell), (ell - 1) // e, ell)
 
 
-def _lift_values(group, table_mod: np.ndarray, ell: int, w_e: int, galois=None):
+def _lift_values(group, table_mod: np.ndarray, ell: int, w_e: int, galois: np.ndarray):
     """Exact values from the mod-l table, as a k x k int32 array of ids into
-    a pool of distinct Cyclotomics, and the (phi(e), k) Galois row
-    permutations pi, matched from the rows unless given (step 5 of the
-    module docstring)."""
+    a pool of distinct Cyclotomics, given the (phi(e), k) Galois row
+    permutations pi of its rows (step 5 of the module docstring)."""
     classes = group.conjugacy_classes()
     power_maps = group.power_maps
     k, e = power_maps.shape
@@ -952,12 +963,10 @@ def _lift_values(group, table_mod: np.ndarray, ell: int, w_e: int, galois=None):
             raise TableVerificationError("root-of-unity multiplicities do not sum to chi(1)")
         monomials = np.array(_monomial_table(m), dtype=np.int64)
         ids[:, j] = intern(_galois_image(mults, monomials, 1), m)[inverse]
-    if galois is None:
-        galois = compose_over_exponents(_galois_generators(rows, power_maps), k, e)[units]
     position = np.zeros(e, dtype=np.intp)
     position[units] = np.arange(len(units))
     # chi_i(rep^s) = chi_pi_s(i)(rep): every column is a gather of its representative's
-    return ids[galois[position[step]].T, rep_of], pool, galois
+    return ids[galois[position[step]].T, rep_of], pool
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -974,8 +983,9 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _galois_generators(rows: np.ndarray, power_maps: np.ndarray) -> dict[int, np.ndarray]:
     """For each generator u of the units mod e, the permutation of the int32
-    mod-l rows taking row i to the row of chi_i^sigma_u, chi_i(c^u) as a
-    function of c: one sort of the rows as bytes and one search per u."""
+    rows (mod-l eigenlines or table rows) taking row i to the row of
+    chi_i^sigma_u, chi_i(c^u) as a function of c: one sort of the rows as
+    bytes and one search per u."""
     keys = _void(rows)
     order = np.argsort(keys)
     if (keys[order[1:]] == keys[order[:-1]]).any():
@@ -1025,7 +1035,7 @@ def _build_table(group: PermGroup, seed: int) -> CharacterTable:
     )
 
     w_e = _find_root_of_unity(ell, e)
-    ids, pool, galois = _lift_values(group, table_mod, ell, w_e, galois)
+    ids, pool = _lift_values(group, table_mod, ell, w_e, galois)
 
     # deterministic row order: by degree, then the rendered values; equal ids
     # are equal values, so each pool value is rendered once and ranked
@@ -1046,9 +1056,9 @@ def _build_table(group: PermGroup, seed: int) -> CharacterTable:
 
 def _split(group: PermGroup, index: np.ndarray, ell: int, seed: int, size_inv, inv_class):
     """(omegas, galois, split): the eigenlines (step 3 of the module
-    docstring) as class functions with value 1 at the identity class, the
-    Galois row permutations if the descent found them (else None), and how
-    they were found.  Each row passes the eigen-check."""
+    docstring) as class functions with value 1 at the identity class, their
+    Galois row permutations, and how they were found.  Each row passes the
+    eigen-check."""
     class_of = group.class_index_array()
     # the descent and the eigen-check draw from streams of their own; the
     # general splitter draws from the seed itself
@@ -1065,7 +1075,10 @@ def _split(group: PermGroup, index: np.ndarray, ell: int, seed: int, size_inv, i
         lines = np.array(_Splitter(combos, len(size_inv), ell, rng, size_inv, inv_class).run())
         if not lines[:, 0].all():
             raise TableVerificationError("eigenvector vanishes on the identity class")
-        omegas, galois = lines * _inverses(lines[:, 0], ell)[:, None] % ell, None
+        omegas = lines * _inverses(lines[:, 0], ell)[:, None] % ell
+        k, e = group.power_maps.shape
+        maps = _galois_generators(omegas.astype(np.int32), group.power_maps)
+        galois = compose_over_exponents(maps, k, e)[_units_mod(e)]
     if failing(omegas).any():
         raise TableVerificationError("a row is not an eigenvector of a fresh combination")
     path = "fallback" if found is None else "descent"

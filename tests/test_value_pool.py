@@ -35,7 +35,8 @@ def test_each_distinct_value_is_one_object(a7h3):
 
 def test_lift_reproduces_the_table(a7h3):
     ell, e = a7h3.dixon_prime, a7h3.exponent
-    ids, pool, _ = _lift_values(a7h3.group, a7h3.mod_table, ell, _find_root_of_unity(ell, e))
+    w_e = _find_root_of_unity(ell, e)
+    ids, pool = _lift_values(a7h3.group, a7h3.mod_table, ell, w_e, a7h3.galois)
     for chi, row in zip(a7h3.chars, ids):
         assert [pool[i] for i in row] == list(chi.values)
 
@@ -46,7 +47,7 @@ def test_corrupted_mod_table_breaks_the_multiplicity_bounds(a7h3, row, col, delt
     table_mod = a7h3.mod_table.copy()
     table_mod[row, col] = (table_mod[row, col] + delta) % ell
     with pytest.raises(TableVerificationError, match="multiplicities"):
-        _lift_values(a7h3.group, table_mod, ell, _find_root_of_unity(ell, e))
+        _lift_values(a7h3.group, table_mod, ell, _find_root_of_unity(ell, e), a7h3.galois)
 
 
 def test_shared_value_replaced_in_one_row_fails_verification():
