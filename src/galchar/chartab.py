@@ -71,11 +71,11 @@ The table of a group G is computed in five steps:
    (phi(e), k) int32 array pi holds, for the t-th unit s mod e, pi[t, i]
    the row of chi_i^sigma_s, so chi_i(c^s) = chi_pi[t, i](c).  The descent
    gives pi with the rows.  After the general splitter, for each generator
-   u of the units mod e the mod-l rows with their columns permuted by
-   c -> c^u are matched to the rows by one sort of the rows as bytes (the
-   rows must be distinct and each image must be a row), and these maps
-   compose over Z/e, as the power maps do.  Every column is then one gather
-   from its representative's, ids[:, g^s] = ids[pi[t], g].  The
+   u of the units mod e the eigenlines with their columns permuted by
+   c -> c^u are matched to the eigenlines by one sort of them as bytes
+   (they must be distinct and each image must be one of them), and these
+   maps compose over Z/e, as the power maps do.  Every column is then one
+   gather from its representative's, ids[:, g^s] = ids[pi[t], g].  The
    multiplicity checks run before pi is read, so a corrupted mod-l table
    is reported by them.
 
@@ -246,8 +246,7 @@ class CharacterTable:
         # galois[unit_index[s], i]: the row of chi_i^sigma_s, chi_i(c^s) as a
         # function of c, for each unit s mod e; unit_index is -1 elsewhere
         self.galois: np.ndarray = galois
-        self.unit_index = np.full(exponent, -1, dtype=np.intp)
-        self.unit_index[_units_mod(exponent)] = np.arange(len(galois))
+        self.unit_index = _unit_index(exponent)
         self.chars: list[Character] = [Character(self, i, d) for i, d in enumerate(degrees)]
         self.split: dict = {}  # how the eigenlines were found (set by _build_table)
         self._units: tuple[int, ...] | None = None
@@ -719,6 +718,14 @@ def _units_mod(e: int) -> np.ndarray:
     return np.flatnonzero(np.gcd(np.arange(e), e) == 1)
 
 
+def _unit_index(e: int) -> np.ndarray:
+    """For each residue mod e its position among the units, -1 for others."""
+    units = _units_mod(e)
+    index = np.full(e, -1, dtype=np.intp)
+    index[units] = np.arange(len(units))
+    return index
+
+
 def _orbits(power_maps: np.ndarray, units: np.ndarray):
     """(rep_of, step) for the orbits of classes under a group of units mod
     e: rep_of[c] is the least class c^s, s among the units, and step[c] is a
@@ -877,8 +884,7 @@ def _galois_rows(lines: np.ndarray, power_maps: np.ndarray, ell: int, rng):
     """
     k, e = power_maps.shape
     units = _units_mod(e)
-    position = np.zeros(e, dtype=np.intp)  # of each unit among the units
-    position[units] = np.arange(len(units))
+    position = _unit_index(e)
     columns = power_maps[:, units].T  # row s: c -> c^s
     z = rng.integers(0, 2**53 // (k * ell), size=k).astype(np.float64)
     scattered = np.empty(columns.shape)
@@ -963,10 +969,8 @@ def _lift_values(group, table_mod: np.ndarray, ell: int, w_e: int, galois: np.nd
             raise TableVerificationError("root-of-unity multiplicities do not sum to chi(1)")
         monomials = np.array(_monomial_table(m), dtype=np.int64)
         ids[:, j] = intern(_galois_image(mults, monomials, 1), m)[inverse]
-    position = np.zeros(e, dtype=np.intp)
-    position[units] = np.arange(len(units))
     # chi_i(rep^s) = chi_pi_s(i)(rep): every column is a gather of its representative's
-    return ids[galois[position[step]].T, rep_of], pool
+    return ids[galois[_unit_index(e)[step]].T, rep_of], pool
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
