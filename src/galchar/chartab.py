@@ -137,6 +137,7 @@ checks that the closure of its generators is the set itself.
 from __future__ import annotations
 
 import weakref
+from functools import partial
 from math import ceil, gcd, isqrt, log2
 
 import numpy as np
@@ -488,7 +489,7 @@ class _Splitter:
         v, it is that polynomial.  f misses exactly the eigenvalues whose
         eigenspace part of v is isotropic, and then f(a) does not kill v.
         """
-        chain, padded, killed = _krylov(v[None], a, bound, self.ell, lambda x: self._form(x, red))
+        chain, padded, killed = _krylov(v[None], a, bound, self.ell, partial(self._form, red=red))
         f = padded[0, : _degrees(padded)[0] + 1]
         return (f, chain[: len(f), 0]) if killed[0] else None
 
@@ -795,7 +796,8 @@ class _Descent:
         for _pass in range(_DESCENT_PASSES):
             if _pass:  # an isotropic part is the start's: move it within its orbit's span
                 general = self._matrix((np.arange(k), np.ones(k, dtype=np.intp)))
-                starts[todo] = (starts[todo].astype(self.dtype) @ general).astype(np.int64) % self.ell
+                moved = starts[todo].astype(self.dtype) @ general
+                starts[todo] = moved.astype(np.int64) % self.ell
             found, ok = self._descend(starts[todo], levels)
             ok &= found[:, 0] != 0
             found[ok] = found[ok] * _inverses(found[ok, 0], self.ell)[:, None] % self.ell
