@@ -46,7 +46,7 @@ The table of a group G is computed in five steps:
    eigenlines, told apart by an exact integer fingerprint, give all k rows
    and the Galois row permutations pi of step 5.
    When a few level-0 draws are refused (r^2 comparable to l, or r = k as
-   in C2^n), the general splitter runs instead: it decomposes F_l^k block
+   in C2^n), or at once when r > l, the general splitter runs instead: it decomposes F_l^k block
    by block into eigenspaces, later probes of a block projected off the
    deflation vectors found so far (their orthogonal complement is
    invariant), and splits subspaces that stay entangled recursively with
@@ -780,10 +780,14 @@ class _Descent:
 
     def run(self):
         """(omegas, galois) as _galois_rows gives them, or None when level 0
-        is refused _LEVEL0_DRAWS times or orbits keep failing."""
+        is refused _LEVEL0_DRAWS times or orbits keep failing.  None at once
+        when there are more Galois orbits r than elements of F_l: no
+        combination has r distinct eigenvalues there."""
         k, e = self.power_maps.shape
         orbits = _orbits(self.power_maps, _units_mod(e))
         r = len(np.unique(orbits[0]))
+        if r > self.ell:
+            return None
         for _draw in range(_LEVEL0_DRAWS):
             starts = self._starts(orbits, r)
             if starts is not None:

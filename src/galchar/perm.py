@@ -4,10 +4,23 @@ A group is enumerated once, breadth-first over its generator list, into an
 (|G|, degree) int32 image array (bounded, default 5e5 rows).  An element is
 its id, the index of its row; a subgroup is a sorted id array.  Products,
 closures, centralizers, classes and cosets all work on ids, batched over
-arrays.  A product of any number of factors composes their image rows and
-looks the result up once; a power squares image rows and looks up only the
-last ones.  `Permutation` is the value type at the edges only: generators,
+arrays.  `Permutation` is the value type at the edges only: generators,
 `elements`, class representatives, `Subgroup.elements` and `close()`.
+
+Elements are found by their images of a base (Sims 1970; Seress,
+Permutation Group Algorithms, 2003, ch. 4): the points, taken in order,
+that each tell more elements apart, r of them, until all are told apart.
+An element's key is one int64, the mixed-radix number whose digits are the
+ranks of its base images in the orbits of the base points (should the
+orbit sizes multiply past 2**63, the digits take fixed odd multipliers
+instead and their sum wraps).  The sorted keys
+are built on the first lookup, and all |G| of them must be distinct, which
+proves the points a base.  A product of any number of factors composes only
+the r base images and looks up one key; a power squares whole image rows
+but keeps only the base images of the result.  A key that is not found
+raises KeyError.  Rows from outside the group (`ids_of_rows`, `ids_of`,
+`element_id`, `in`) may agree with an element on the base only, so their
+whole row must also equal the element's.
 
 Classes are the orbits of conjugation by the generators.  Their power maps,
 one (k, e) int32 array indexed by exponents 0..e-1 (e the group exponent),
@@ -171,6 +184,55 @@ def _void(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
 
 
+def _choose_base(images: np.ndarray) -> list[int]:
+    """The points, in order, each kept only if the images of the points kept
+    so far and it tell more elements apart; stops once all are told apart."""
+    n, deg = images.shape
+    label, parts, base = np.zeros(n, dtype=np.int64), 1, []
+    for point in range(deg):
+        if parts == n:
+            break
+        split, label_with = np.unique(label * deg + images[:, point], return_inverse=True)
+        if len(split) > parts:
+            base.append(point)
+            label, parts = label_with.ravel(), len(split)
+    return base
+
+
+def _odd_multiplier(i: int) -> int:
+    """The i-th output of splitmix64 (Steele, Lea and Flood, 2014), made odd."""
+    z = (i + 1) * 0x9E3779B97F4A7C15 % 2**64
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 % 2**64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB % 2**64
+    return z ^ z >> 31 | 1
+
+
+def _base_lookup(images: np.ndarray, base: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(digits, keys, ids): digits[i, x] is the rank of x in the orbit of
+    base[i], times the weight of digit i, so an element's key is the sum of
+    the digits of its base images; keys are the sorted keys of the elements,
+    whose ids are ids.  The weights are the mixed radix over the orbit sizes
+    while their product stays below 2**63, else fixed odd 64-bit multipliers
+    whose sums wrap.  ValueError if two elements share a key, so also if the
+    points are not a base."""
+    orbits = [np.unique(images[:, b]) for b in base]
+    radix = np.cumprod([1] + [len(o) for o in orbits], dtype=object)
+    if radix[-1] < 2**63:
+        weights = radix[:-1].astype(np.uint64)
+    else:
+        weights = np.array([_odd_multiplier(i) for i in range(len(base))], dtype=np.uint64)
+    digits = np.zeros((len(base), images.shape[1]), dtype=np.uint64)
+    for i, orbit in enumerate(orbits):
+        digits[i, orbit] = np.arange(len(orbit), dtype=np.uint64) * weights[i]
+    digits = digits.view(np.int64)
+    keys = digits[np.arange(len(base)), images[:, base]].sum(axis=1)
+    ids = np.argsort(keys, kind="stable")
+    keys = keys[ids]
+    if (keys[1:] == keys[:-1]).any():
+        raise ValueError(f"the points {base} do not tell the elements apart")
+    return digits, keys, ids
+
+
 def _check_cells(cells: int, what: str) -> None:
     if cells > CELL_BUDGET:
         raise OrderBoundExceeded(f"{what} has {cells} cells, over the budget {CELL_BUDGET}")
@@ -318,15 +380,33 @@ class PermGroup:
         return self.ids_of_rows(np.array(rows, dtype=np.int32).reshape(-1, self.degree))
 
     @cached_property
-    def _row_order(self) -> np.ndarray:
-        return np.argsort(_void(self.images))
+    def _lookup(self) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
+        """(base, digits, keys, ids) as _base_lookup gives them, built on the
+        first lookup: building the group looks nothing up."""
+        base = _choose_base(self.images)
+        return (base, *_base_lookup(self.images, base))
+
+    def _ids_of_base_images(self, points: np.ndarray) -> np.ndarray:
+        """Ids of the elements with the base images points (..., r): one
+        int64 key each, found by binary search; KeyError on a miss."""
+        _base, digits, keys, ids = self._lookup
+        key = digits[np.arange(len(digits)), points].sum(axis=-1)
+        pos = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+        if not np.array_equal(keys[pos], key):
+            raise KeyError("no element has these base images")
+        return ids[pos.ravel()].reshape(pos.shape)
 
     def ids_of_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Element ids for a stack of image rows (each row must lie in G)."""
-        order = self._row_order
+        """Element ids for a stack of image rows; KeyError if one is not in
+        G.  The base images find the only candidate, and the whole row must
+        equal it: a row from outside may agree with an element on the base."""
         rows = np.ascontiguousarray(rows, dtype=np.int32)
-        pos = np.searchsorted(_void(self.images), _void(rows), sorter=order)
-        ids = order[np.minimum(pos, len(order) - 1)]
+        if rows.ndim != 2 or rows.shape[1] != self.degree:
+            raise KeyError("row of another degree")
+        points = rows[:, self._lookup[0]]
+        if not ((points >= 0) & (points < self.degree)).all():
+            raise KeyError("row is not a permutation of the group's points")
+        ids = self._ids_of_base_images(points)
         if not np.array_equal(self.images[ids], rows):
             raise KeyError("row is not an element of the group")
         return ids
@@ -353,15 +433,17 @@ class PermGroup:
         return rank
 
     def mul(self, *factors) -> np.ndarray:
-        """Ids of the products f1 * f2 * ... of id arrays, broadcast; the
-        image rows are composed and the result looked up once."""
-        *left, last = [np.asarray(f, dtype=np.int64) for f in factors]
+        """Ids of the products f1 * f2 * ... of id arrays, broadcast.  Only
+        the base images are composed, r gathers per factor, and the key is
+        looked up once.  No whole row is compared, and none is needed: a
+        product of elements of G lies in G, and as the keys of G are
+        distinct no other element of G has its base images, so the element
+        with its key is the product."""
         flat, deg = self.images.ravel(), self.degree
-        rows = self.images[last]
-        for f in reversed(left):  # (a * b)(x) = a(b(x)): a flat gather at a's row offset
-            rows = rows + f[..., None] * deg  # the int32 rows are freed before the gather
-            rows = flat[rows]
-        return self.ids_of_rows(rows.reshape(-1, deg)).reshape(rows.shape[:-1])
+        points = np.asarray(self._lookup[0], dtype=np.int64)  # the identity's base images
+        for f in reversed(factors):  # (a * b)(x) = a(b(x)): a flat gather at a's row offset
+            points = flat[np.asarray(f, dtype=np.int64)[..., None] * deg + points]
+        return self._ids_of_base_images(points)
 
     def conj(self, g, x) -> np.ndarray:
         """Ids of g * x * g^-1."""
@@ -372,19 +454,20 @@ class PermGroup:
         return self.mul(self.inverse[a], self.inverse[b], a, b)
 
     def power(self, ids, n: int) -> np.ndarray:
-        """Ids of x**n (n >= 0) for the ids x: the image rows are squared
-        and only the final rows looked up."""
+        """Ids of x**n (n >= 0) for the ids x: the image rows are squared,
+        and only the base images of the result are kept and looked up."""
         ids = np.asarray(ids)
-        base = self.images[ids.reshape(-1)]
-        offsets = np.arange(len(base))[:, None] * self.degree  # row i of base, flat
-        out = np.broadcast_to(np.arange(self.degree, dtype=np.int32), base.shape)
+        rows = self.images[ids.reshape(-1)]
+        offsets = np.arange(len(rows))[:, None] * self.degree  # row i of rows, flat
+        base = np.asarray(self._lookup[0], dtype=np.int32)
+        out = np.broadcast_to(base, (len(rows), len(base)))
         while n:
             if n & 1:
-                out = base.ravel()[offsets + out]
+                out = rows.ravel()[offsets + out]
             n >>= 1
             if n:
-                base = base.ravel()[offsets + base]
-        return self.ids_of_rows(out).reshape(ids.shape)
+                rows = rows.ravel()[offsets + rows]
+        return self._ids_of_base_images(out).reshape(ids.shape)
 
     def commuting(self, ids, others) -> np.ndarray:
         """Boolean table whose [i, j] entry says ids[i] commutes with others[j]."""

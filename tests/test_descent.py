@@ -5,6 +5,9 @@ The references are the general splitter, which splits the whole space into
 eigenlines, and the Galois row permutations matched from its rows by one
 sort of the rows as bytes.
 """
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -185,3 +188,25 @@ def test_split_raises_when_a_row_fails_the_eigen_check(monkeypatch):
     monkeypatch.setattr(chartab, "_eigen_checker", lambda *args: lambda rows: rows[:, 1] >= 0)
     with pytest.raises(TableVerificationError, match="fresh combination"):
         character_table(group)
+
+
+# sha256 of the sorted-key JSON of to_dict() for C2^6, as the three refused
+# level-0 draws before the splitter gave it
+C2_6_TABLES = {
+    0: "1b531724ab265a6f633fd85754ab1648409c6b737141b5d5cab5bcabda61d7f4",
+    1: "00bc8b9f15e0fb6b88d260698deb763521d4eec97dcc95407ded1bdbd47919d5",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(C2_6_TABLES))
+def test_more_orbits_than_field_elements_skip_level_zero(monkeypatch, seed):
+    group = _group("C2^6")
+    draws = []
+    real = _Descent._starts
+    monkeypatch.setattr(_Descent, "_starts", lambda self, *a: draws.append(a) or real(self, *a))
+    table = character_table(group, seed=seed)
+    assert (len(table.classes), table.dixon_prime) == (64, 17)  # r = k = 64 > l
+    assert draws == []
+    assert table.split["path"] == "fallback"
+    digest = hashlib.sha256(json.dumps(table.to_dict(), sort_keys=True).encode()).hexdigest()
+    assert digest == C2_6_TABLES[seed]

@@ -56,3 +56,52 @@ def test_no_unused_imports():
 def test_detects_an_unused_import():
     tree = ast.parse("import os\nfrom math import gcd, lcm\nx: 'lcm' = 1\n")
     assert set(_imported(tree)) - _used(tree) == {"os", "gcd"}
+
+
+def _private_defs(tree: ast.Module) -> list[ast.AST]:
+    """Private (_name, not __dunder__) functions, methods and classes."""
+    return [
+        node for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.endswith("__")
+    ]
+
+
+def _references(tree: ast.AST) -> list[str]:
+    """Every name loaded and every attribute read or written, with repeats."""
+    return [
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+
+
+def _unreferenced_private(trees: dict[str, ast.Module]) -> list[str]:
+    """Private definitions named nowhere in the package outside their own body."""
+    counts: dict[str, int] = {}
+    for tree in trees.values():
+        for name in _references(tree):
+            counts[name] = counts.get(name, 0) + 1
+    return [
+        f"{path}:{node.lineno} {node.name}"
+        for path, tree in trees.items()
+        for node in _private_defs(tree)
+        if counts.get(node.name, 0) == _references(node).count(node.name)
+    ]
+
+
+def test_every_private_definition_is_referenced():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    assert _unreferenced_private(trees) == []
+
+
+def test_detects_an_unreferenced_private_definition():
+    source = (
+        "def _dead(n):\n    return _dead(n - 1) if n else 0\n"
+        "def _used():\n    return 1\n"
+        "class _Thing:\n    def _method(self):\n        return _used()\n"
+        "    def __len__(self):\n        return 0\n"
+        "x = _Thing()._method\n"
+    )
+    assert _unreferenced_private({"m.py": ast.parse(source)}) == ["m.py:1 _dead"]
