@@ -21,13 +21,28 @@ The table of a group G is computed in five steps:
    minimal polynomial; otherwise the form was isotropic on v's part of a
    repeated eigenspace.  The eigenline of chi^sigma_s is that of chi with
    its columns permuted by c -> c^s, so only one eigenline per Galois orbit
-   of characters is sought, by descent:
+   of characters is sought, by descent from e_0, the class function that
+   is 1 on the identity class and 0 elsewhere:
+   - e_0 = sum_chi (chi(1)^2 / |G|) omega_chi, omega_chi the eigenline of
+     chi with value 1 at the identity class, and l does not divide |G|
+     (l = 1 mod e), so every coefficient is nonzero mod l.  Every vector
+     the descent builds from e_0 is a nonzero multiple of e_0's part on
+     some set X of characters, whose norm is sum_(chi in X) chi(1)^2 / |G|.
+     Inside one Galois orbit all degrees are one d, with d^2 <= |G| < l^2/4,
+     and |X| <= phi(e) < l, so a part inside one orbit's span, of norm
+     |X| d^2 / |G|, is never isotropic;
    - level 0: a combination whose coefficients are constant on the
      power-orbits of classes takes one eigenvalue on each Galois orbit of
      characters (Brauer's permutation lemma), and both kinds of orbit
-     number r, the count of rational classes.  It is accepted if one
-     probe's f has degree r and r distinct roots in F_l; then each
-     deflation vector v (f/(x - lam))(a) lies in the span of one orbit's
+     number r, the count of rational classes.  From e_0, each round chains
+     all n current vectors as one block under a fresh such combination, to
+     min(l, r - n + 1) steps (a vector's part spans at most r - n + 1
+     orbits and takes at most l eigenvalues), and replaces each accepted
+     vector v by its deflation vectors v (f/(x - lam))(a), one per root
+     lam of f.  A vector whose chain is refused (isotropic on a part that
+     spans several orbits) waits for the next round.  The vectors are
+     nonzero parts of e_0 on disjoint sets of whole orbits, so once there
+     are r of them each lies in the span of exactly one orbit's
      eigenlines;
    - levels i >= 1 walk down the subgroups T_i = {s = 1 (mod e_i)} of the
      units mod e, e_i climbing to e one prime factor at a time (levels
@@ -40,17 +55,10 @@ The table of a group G is computed in five steps:
      is an eigenline.
    Two eigenvalues of one level can still coincide, leaving a vector in a
    sum of eigenspaces.  So each eigenline must pass the eigen-check below;
-   an orbit that fails it, or whose chain is refused, is redone with fresh
-   combinations from level 0's vector times a general combination (which
-   moves a part the form is isotropic on).  The conjugates of the
-   eigenlines, told apart by an exact integer fingerprint, give all k rows
-   and the Galois row permutations pi of step 5.
-   When a few level-0 draws are refused (r^2 comparable to l, or r = k as
-   in C2^n), or at once when r > l, the general splitter runs instead: it decomposes F_l^k block
-   by block into eigenspaces, later probes of a block projected off the
-   deflation vectors found so far (their orthogonal complement is
-   invariant), and splits subspaces that stay entangled recursively with
-   fresh combinations.
+   an orbit that fails it is sent down the levels again from its level-0
+   vector with fresh combinations.  The conjugates of the eigenlines, told
+   apart by an exact integer fingerprint, give all k rows and the Galois
+   row permutations pi of step 5.
    The eigen-check (Dixon 1967): every row must be an eigenvector of more
    combinations M, drawn from a random stream the split never reads.  Each
    is Freivalds' test on a random vector r, x (M r) = lambda (x r) with
@@ -69,12 +77,8 @@ The table of a group G is computed in five steps:
    unit permutes the rows as it permutes the classes (Brauer's permutation
    lemma; Isaacs, Character Theory of Finite Groups, 6.32): the
    (phi(e), k) int32 array pi holds, for the t-th unit s mod e, pi[t, i]
-   the row of chi_i^sigma_s, so chi_i(c^s) = chi_pi[t, i](c).  The descent
-   gives pi with the rows.  After the general splitter, for each generator
-   u of the units mod e the eigenlines with their columns permuted by
-   c -> c^u are matched to the eigenlines by one sort of them as bytes
-   (they must be distinct and each image must be one of them), and these
-   maps compose over Z/e, as the power maps do.  Every column is then one
+   the row of chi_i^sigma_s, so chi_i(c^s) = chi_pi[t, i](c).  pi comes
+   only from the descent, with the rows (step 3).  Every column is then one
    gather from its representative's, ids[:, g^s] = ids[pi[t], g].  The
    multiplicity checks run before pi is read, so a corrupted mod-l table
    is reported by them.
@@ -124,8 +128,7 @@ of each residue mod e (-1 for the others).  galois_orbits labels each row
 by the least row of its orbit, the minimum of pi over its rows, and
 galois_conjugate, galois_stabilizer and field_in_pth_cyclotomic read pi
 too.  A Character's values are read through the id array and the pool.
-The F_l linear algebra (row reduction, null spaces, products) comes from
-fpmat.
+The F_l products come from fpmat.
 
 Kernels are read off the table as sets of class indices, the classes where
 chi(c) = chi(1); |G : ker chi| is |G| over the sum of their sizes, and two
@@ -137,7 +140,6 @@ checks that the closure of its generators is the set itself.
 from __future__ import annotations
 
 import weakref
-from functools import partial
 from math import ceil, gcd, isqrt, log2
 
 import numpy as np
@@ -145,12 +147,11 @@ import numpy as np
 from . import fpmat
 from .cyclotomic import Cyclotomic, _monomial_table, cyc
 from .numth import factorize, find_dixon_prime, is_prime, primitive_root, unit_generators
-from .perm import ConjugacyClass, PermGroup, Subgroup, _void, compose_over_exponents
+from .perm import ConjugacyClass, PermGroup, Subgroup, _void
 
 EXACT_BUDGET = 2**53  # n (p - 1)^2 below it keeps the exact check's products exact
-_SPLIT_ROUND_CAP = 200
-_LEVEL0_DRAWS = 3  # refused level-0 draws before the general splitter runs
-_DESCENT_PASSES = 4  # passes over failing orbits before it does
+_LEVEL0_ROUNDS = 64  # refining rounds at level 0 before the descent gives up
+_DESCENT_PASSES = 32  # passes over failing orbits before it does
 
 
 class TableVerificationError(AssertionError):
@@ -398,7 +399,14 @@ def _krylov(vectors: np.ndarray, a: np.ndarray, bound: int, ell: int, form):
     that Berlekamp-Massey finds for the form sequence <v a^i, v a^j> of
     v = vectors[i]; killed[i] whether deg f <= bound and f(a) kills v.
     form(rows) gives (x, y) with x the rows as class functions and
-    <x_i, z> = y_i . z (see _Splitter._form and _Splitter._annihilator)."""
+    <x_i, z> = y_i . z (see _Descent._form).
+
+    a is self-adjoint for the form, so the one chain v a^s, s <= bound,
+    gives s_(i+j) = <v a^i, v a^j> up to 2 bound, and Berlekamp-Massey
+    finds the least f generating them.  The minimal polynomial of v
+    generates them too, so deg f is at most its degree; once f(a) kills v,
+    it is that polynomial.  f misses exactly the eigenvalues whose
+    eigenspace part of v is isotropic, and then f(a) does not kill v."""
     n, m = vectors.shape
     chain = np.empty((bound + 1, n, m), dtype=a.dtype)
     chain[0] = vectors
@@ -421,187 +429,6 @@ def _krylov(vectors: np.ndarray, a: np.ndarray, bound: int, ell: int, form):
 def _degrees(polys: np.ndarray) -> np.ndarray:
     """Degrees of monic polynomials given as padded ascending coefficients."""
     return polys.shape[1] - 1 - (polys[:, ::-1] != 0).argmax(axis=1)
-
-
-class _Splitter:
-    """Splits F_l^k into the common eigenlines of the class-matrix algebra.
-
-    size_inv[c] is 1/|C_c| mod l and inv_class[c] the class of the inverses
-    of C_c; they define the class-function form (see _split_once)."""
-
-    def __init__(self, combo_source, k: int, ell: int, rng, size_inv, inv_class):
-        self.combo_source = combo_source
-        self.k = k
-        self.ell = ell
-        self.rng = rng
-        self.dtype = fpmat.exact_dtype(k, ell)  # exact for every product below
-        self.size_inv = np.asarray(size_inv).astype(self.dtype)
-        self.inv_class = np.asarray(inv_class)
-
-    def run(self) -> list[np.ndarray]:
-        ident = np.eye(self.k, dtype=np.int64)
-        pending = [ident]  # row bases of unsplit invariant subspaces
-        lines: list[np.ndarray] = []
-        rounds = 0
-        while pending:
-            rounds += 1
-            if rounds > _SPLIT_ROUND_CAP:
-                raise TableVerificationError("eigenvector splitting did not converge")
-            mt = (next(self.combo_source).T % self.ell).astype(self.dtype)  # acts on rows
-            still = []
-            for basis in pending:
-                for sub in self._split_once(basis, mt):
-                    if len(sub) == 1:
-                        lines.append(sub[0] % self.ell)
-                    else:
-                        still.append(sub)
-            pending = still
-        if len(lines) != self.k:
-            raise TableVerificationError("wrong number of eigenlines")
-        return lines
-
-    def _restrict(self, basis: np.ndarray, mt: np.ndarray) -> np.ndarray:
-        """Matrix A with basis @ mt = A @ basis (basis rows in RREF)."""
-        red = fpmat.row_reduce(basis, self.ell)
-        pivots = []
-        for r in range(len(red)):
-            nz = np.nonzero(red[r])[0]
-            pivots.append(int(nz[0]))
-        image = fpmat.mul(red, mt, self.ell)
-        return image[:, pivots], red
-
-    def _form(self, rows: np.ndarray, red):
-        """(x, y): the rows as class functions, x = rows @ red (red None: the
-        rows already are), and y with <x_i, z> = y_i . z for every class
-        function z, under <x, z> = sum_c x[c] z[c^-1] / |C_c| mod l."""
-        full = rows if red is None else fpmat.mul(rows, red, self.ell)
-        return full, (full[:, self.inv_class] * self.size_inv).astype(np.int64) % self.ell
-
-    def _annihilator(self, v: np.ndarray, a: np.ndarray, red, bound: int):
-        """(f, chain): the least monic f (ascending coeffs) with v . f(a) = 0
-        mod l and the rows v a^s for s <= deg f; None if the form is isotropic
-        on a part of v.  bound is at least deg f.
-
-        a is self-adjoint for the form, so the one chain v a^s, s <= bound,
-        gives s_(i+j) = <v a^i, v a^j> up to 2 bound, and Berlekamp-Massey
-        finds the least f generating them.  The minimal polynomial of v
-        generates them too, so deg f is at most its degree; once f(a) kills
-        v, it is that polynomial.  f misses exactly the eigenvalues whose
-        eigenspace part of v is isotropic, and then f(a) does not kill v.
-        """
-        chain, padded, killed = _krylov(v[None], a, bound, self.ell, partial(self._form, red=red))
-        f = padded[0, : _degrees(padded)[0] + 1]
-        return (f, chain[: len(f), 0]) if killed[0] else None
-
-    def _split_once(self, basis: np.ndarray, mt: np.ndarray):
-        """Decompose the row space of basis into eigenspaces of the combo.
-
-        For each seeded probe vector v the monic annihilator f of v is
-        found by _annihilator; for every root lam of f the deflation
-        v . (f/(x-lam))(a) lands in the lam-eigenspace.  Probes are
-        accumulated until the eigenspace dimensions sum to the block size,
-        which avoids any full-size nullspace eliminations.  A probe whose
-        annihilator is refused (the form is isotropic on part of it) is
-        dropped.
-
-        The block is a sum of eigenlines of the algebra, which are
-        orthogonal for the form with nonzero norms, so the form is
-        nondegenerate on it and the combo is self-adjoint.  Each later
-        probe w is projected off the deflation vectors u found so far,
-        w - sum <w, u>/<u, u> u over the u of nonzero norm.  Those u are
-        eigenvectors and pairwise orthogonal: u of distinct eigenvalues are,
-        and a projected probe's part in an eigenspace is orthogonal to the
-        u already in it.  So their orthogonal complement is invariant, the
-        projected probe's annihilator has degree at most m minus their
-        number, and its chain stops there.
-        """
-        ell = self.ell
-        m = len(basis)
-        if m == 1:
-            return [basis]
-        if m == self.k:  # the whole space: coordinates are class functions
-            a, red = mt, None
-        else:
-            a, red = self._restrict(basis, mt)
-            a = a.astype(self.dtype)
-        spans: dict[int, tuple[list, list]] = {}
-        seen_roots: set[int] = set()
-        total = 0
-        # the deflation vectors found so far, their duals and inverse norms
-        lines = np.empty((0, m), dtype=np.int64)
-        duals = np.empty((0, self.k), dtype=self.dtype)
-        inv_norms = np.empty(0, dtype=np.int64)
-        for _probe in range(16):
-            v = self.rng.integers(0, ell, size=m, dtype=np.int64)
-            if not v.any():
-                continue
-            if len(lines):
-                coef = fpmat.mul(self._form(v[None], red)[0], duals.T, ell) * inv_norms % ell
-                v = (v - fpmat.mul(coef, lines, ell)[0]) % ell
-            found = self._annihilator(v, a, red, m - len(lines))
-            if found is None:
-                continue
-            f, chain = found
-            roots = np.flatnonzero(_roots_mod(f[None], ell)[0]).tolist()
-            if len(roots) < len(f) - 1:
-                raise TableVerificationError("annihilator fails to split over F_l")
-            seen_roots |= set(roots)
-            cands = fpmat.mul(_synthetic_division(f, np.array(roots), ell), chain[:-1], ell)
-            for lam, u in zip(roots, cands):
-                total += _insert_reduced(spans.setdefault(lam, ([], [])), u, ell)
-            if total == m:
-                break
-            full, dual = self._form(cands, red)
-            norms = np.einsum("ij,ij->i", full, dual) % ell
-            keep = norms != 0
-            lines = np.concatenate([lines, cands[keep]])
-            duals = np.concatenate([duals, dual[keep]])
-            inv_norms = np.concatenate([inv_norms, [pow(int(x), ell - 2, ell) for x in norms[keep]]])
-        if total < m:
-            # safety net: direct eigenspaces for the roots seen so far, plus
-            # the image of the product of the shifts (eigenvalues missed by
-            # every probe)
-            spans = {}
-            ident = np.eye(m, dtype=np.int64)
-            residual = ident.copy()
-            total = 0
-            a = a.astype(np.int64)
-            for lam in sorted(seen_roots):
-                shifted = (a - lam * ident) % ell
-                rows = fpmat.null_space(shifted.T.copy(), ell)
-                spans[lam] = (list(rows), [int(np.nonzero(r0)[0][0]) for r0 in rows])
-                total += len(rows)
-                residual = residual @ shifted % ell
-            if total < m:
-                rest = fpmat.row_reduce(residual, ell)
-                rest = rest[rest.any(axis=1)]
-                if len(rest):
-                    spans[ell] = (list(rest), [])
-        if len(spans) <= 1:
-            # the combination looks scalar on this block; try the next one
-            return [basis]
-        pieces = [rows for _, (rows, _) in sorted(spans.items())]
-        images = np.array([r for rows in pieces for r in rows])
-        if red is not None:
-            images = fpmat.mul(images, red, ell)
-        return np.split(images, np.cumsum([len(rows) for rows in pieces])[:-1])
-
-
-def _insert_reduced(span: tuple[list, list], vec: np.ndarray, ell: int) -> int:
-    """Insert vec into an independent row collection; 1 if the rank grew."""
-    rows, pivots = span
-    red = vec % ell
-    for row, pv in zip(rows, pivots):
-        c = int(red[pv])
-        if c:
-            red = (red - c * row) % ell
-    nz = np.nonzero(red)[0]
-    if len(nz) == 0:
-        return 0
-    pv = int(nz[0])
-    rows.append(red * pow(int(red[pv]), ell - 2, ell) % ell)
-    pivots.append(pv)
-    return 1
 
 
 def _synthetic_division(poly: np.ndarray, lams: np.ndarray, ell: int) -> np.ndarray:
@@ -640,14 +467,6 @@ def _combination(index: np.ndarray, class_of: np.ndarray, coeffs: np.ndarray, el
     part = index if rows is None else index[:, rows]
     weights = np.repeat((coeffs % ell)[class_of].astype(np.float64), part.shape[1])
     return np.bincount(part.ravel(), weights, minlength=k * k).reshape(k, k)
-
-
-def _combo_source(index: np.ndarray, class_of: np.ndarray, ell: int, rng):
-    """Seeded combinations sum_i c_i M_i of the class matrices, as int64."""
-    k = index.shape[1]
-    while True:
-        coeffs = rng.integers(0, ell, size=k, dtype=np.int64)
-        yield (_combination(index, class_of, coeffs, ell).astype(np.int64) % ell).T
 
 
 def _invariant_combinations(index: np.ndarray, class_of: np.ndarray, power_maps, ell: int, rng):
@@ -776,32 +595,16 @@ class _Descent:
         self.size_inv = np.asarray(size_inv).astype(self.dtype)
         self.inv_class = np.asarray(inv_class)
         self.failing = failing
+        self.level0_rounds = 0  # refining rounds at level 0
         self.redone = 0  # orbits sent down the levels again
 
     def run(self):
-        """(omegas, galois) as _galois_rows gives them, or None when level 0
-        is refused _LEVEL0_DRAWS times or orbits keep failing.  None at once
-        when there are more Galois orbits r than elements of F_l: no
-        combination has r distinct eigenvalues there."""
-        k, e = self.power_maps.shape
-        orbits = _orbits(self.power_maps, _units_mod(e))
-        r = len(np.unique(orbits[0]))
-        if r > self.ell:
-            return None
-        for _draw in range(_LEVEL0_DRAWS):
-            starts = self._starts(orbits, r)
-            if starts is not None:
-                break
-        else:
-            return None
+        """(omegas, galois) as _galois_rows gives them."""
+        starts = self._starts()
         levels = _descent_levels(self.power_maps)
         lines = np.empty(starts.shape, dtype=np.int64)
-        todo = np.arange(r)
+        todo = np.arange(len(starts))
         for _pass in range(_DESCENT_PASSES):
-            if _pass:  # an isotropic part is the start's: move it within its orbit's span
-                general = self._matrix((np.arange(k), np.ones(k, dtype=np.intp)))
-                moved = starts[todo].astype(self.dtype) @ general
-                starts[todo] = moved.astype(np.int64) % self.ell
             found, ok = self._descend(starts[todo], levels)
             ok &= found[:, 0] != 0
             found[ok] = found[ok] * _inverses(found[ok, 0], self.ell)[:, None] % self.ell
@@ -811,19 +614,39 @@ class _Descent:
             if not len(todo):
                 return _galois_rows(lines, self.power_maps, self.ell, self.rng)
             self.redone += len(todo)
-        return None
+        raise TableVerificationError(
+            f"{len(todo)} orbits failed {_DESCENT_PASSES} descent passes: a chain was refused"
+            " or a row is not an eigenvector of a fresh combination"
+        )
 
-    def _starts(self, orbits, r: int):
-        """Level 0: the r deflation vectors of one probe, one in the span of
-        each Galois orbit's eigenlines, or None if its f is refused or has
-        fewer than r roots."""
-        a = self._matrix(orbits)
-        v = self.rng.integers(0, self.ell, size=(1, len(a)), dtype=np.int64)
-        chain, (found,) = self._annihilators(v, a, r)
-        if found is None or len(found[0]) != r + 1:
-            return None
-        f, roots = found
-        return fpmat.mul(_synthetic_division(f, roots, self.ell), chain[:-1, 0], self.ell)
+    def _starts(self) -> np.ndarray:
+        """Level 0: one vector in the span of each Galois orbit's eigenlines,
+        refined from e_0 over rounds of combinations constant on the
+        power-orbits of classes (step 3 of the module docstring)."""
+        k, e = self.power_maps.shape
+        orbits = _orbits(self.power_maps, _units_mod(e))
+        r = len(np.unique(orbits[0]))
+        vectors = np.zeros((1, k), dtype=np.int64)
+        vectors[0, 0] = 1
+        while len(vectors) < r:
+            self.level0_rounds += 1
+            if self.level0_rounds > _LEVEL0_ROUNDS:
+                raise TableVerificationError(
+                    f"level 0 found {len(vectors)} of {r} Galois orbits in {_LEVEL0_ROUNDS} rounds"
+                )
+            # a vector's orbits number at most r - n + 1, the others' holding one each
+            bound = min(self.ell, r - len(vectors) + 1)
+            chain, found = self._annihilators(vectors, self._matrix(orbits), bound)
+            parts = []
+            for j, fr in enumerate(found):
+                if fr is None:  # isotropic on a part spanning several orbits: wait
+                    parts.append(vectors[j : j + 1])
+                else:
+                    f, roots = fr
+                    quotients = _synthetic_division(f, roots, self.ell)
+                    parts.append(fpmat.mul(quotients, chain[: len(f) - 1, j], self.ell))
+            vectors = np.concatenate(parts)
+        return vectors
 
     def _descend(self, starts: np.ndarray, levels):
         """Each start taken down the levels, deflated at each onto its least
@@ -861,7 +684,8 @@ class _Descent:
         ]
 
     def _form(self, rows: np.ndarray):
-        """(rows, y) with <rows_i, z> = y_i . z (see _Splitter._form)."""
+        """(rows, y) with <rows_i, z> = y_i . z for every class function z,
+        under <x, z> = sum_c x[c] z[c^-1] / |C_c| mod l."""
         return rows, (rows[:, self.inv_class] * self.size_inv).astype(np.int64) % self.ell
 
     def _matrix(self, orbits) -> np.ndarray:
@@ -881,7 +705,7 @@ def _galois_rows(lines: np.ndarray, power_maps: np.ndarray, ell: int, rng):
     """(omegas, galois) from one normalised eigenline per Galois orbit: the
     rows omega_chi^sigma_s(c) = omega_chi(c^s) over the units s, each
     distinct one once, and galois[t, i] the row of chi_i^sigma_s for the
-    t-th unit s; None unless that gives k rows.
+    t-th unit s.  Raises unless that gives k rows.
 
     Conjugates are told apart by an exact integer fingerprint, their dot
     product with a random vector z: it is lines @ Z^T with
@@ -900,14 +724,14 @@ def _galois_rows(lines: np.ndarray, power_maps: np.ndarray, ell: int, rng):
     for line, row_prints in zip(lines, prints):
         _, first, inverse = np.unique(row_prints, return_index=True, return_inverse=True)
         if count + len(first) > k:
-            return None
+            raise TableVerificationError("the conjugates of the eigenlines give more than k rows")
         # chi^sigma_s is the row inverse[s], and its image under sigma_t is chi^sigma_(t s)
         products = position[np.outer(units, units[first]) % e]
         galois[:, count : count + len(first)] = count + inverse[products]
         rows.append(line[columns[first]])
         count += len(first)
     if count < k:
-        return None
+        raise TableVerificationError("the conjugates of the eigenlines give fewer than k rows")
     return np.concatenate(rows), galois
 
 
@@ -991,26 +815,6 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order[new], inverse
 
 
-def _galois_generators(rows: np.ndarray, power_maps: np.ndarray) -> dict[int, np.ndarray]:
-    """For each generator u of the units mod e, the permutation of the int32
-    rows (mod-l eigenlines or table rows) taking row i to the row of
-    chi_i^sigma_u, chi_i(c^u) as a function of c: one sort of the rows as
-    bytes and one search per u."""
-    keys = _void(rows)
-    order = np.argsort(keys)
-    if (keys[order[1:]] == keys[order[:-1]]).any():
-        raise TableVerificationError("mod-l rows are not distinct")
-    maps = {}
-    for u in unit_generators(power_maps.shape[1]):
-        images = np.take(rows, power_maps[:, u], axis=1)
-        pos = np.searchsorted(keys, _void(images), sorter=order)
-        found = order[np.minimum(pos, len(order) - 1)]
-        if not np.array_equal(rows[found], images):
-            raise TableVerificationError("Galois image is not a table row")
-        maps[u] = found.astype(np.int32)
-    return maps
-
-
 def _galois_image(weights: np.ndarray, monomials: np.ndarray, kk: int) -> np.ndarray:
     """Rows sum_t weights[r, t] z_m^(t kk) in the power basis; monomials[t] is z_m^t."""
     rows, ts = np.nonzero(weights)  # row-major: each row's entries adjacent
@@ -1070,29 +874,15 @@ def _split(group: PermGroup, index: np.ndarray, ell: int, seed: int, size_inv, i
     Galois row permutations, and how they were found.  Each row passes the
     eigen-check."""
     class_of = group.class_index_array()
-    # the descent and the eigen-check draw from streams of their own; the
-    # general splitter draws from the seed itself
+    # the descent and the eigen-check draw from streams of their own
     descent_rng, check_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
     failing = _eigen_checker(index, class_of, ell, check_rng)
     draw = _invariant_combinations(index, class_of, group.power_maps, ell, descent_rng)
     descent = _Descent(draw, group.power_maps, ell, descent_rng, size_inv, inv_class, failing)
-    found = descent.run()
-    if found is not None:
-        omegas, galois = found
-    else:
-        rng = np.random.default_rng(seed)
-        combos = _combo_source(index, class_of, ell, rng)
-        lines = np.array(_Splitter(combos, len(size_inv), ell, rng, size_inv, inv_class).run())
-        if not lines[:, 0].all():
-            raise TableVerificationError("eigenvector vanishes on the identity class")
-        omegas = lines * _inverses(lines[:, 0], ell)[:, None] % ell
-        k, e = group.power_maps.shape
-        maps = _galois_generators(omegas.astype(np.int32), group.power_maps)
-        galois = compose_over_exponents(maps, k, e)[_units_mod(e)]
+    omegas, galois = descent.run()
     if failing(omegas).any():
         raise TableVerificationError("a row is not an eigenvector of a fresh combination")
-    path = "fallback" if found is None else "descent"
-    return omegas, galois, {"path": path, "redone": descent.redone}
+    return omegas, galois, {"level0_rounds": descent.level0_rounds, "redone": descent.redone}
 
 
 def _verify(table: CharacterTable) -> None:

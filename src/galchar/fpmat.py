@@ -1,14 +1,14 @@
 """Linear algebra over prime fields F_p, on numpy int64 arrays.
 
 This is the one home of F_p matrix arithmetic in the package: row reduction,
-rank and null spaces (used by the character-table splitter over F_l as well
-as by the action checks), powers and orders of matrices, companion matrices
-(used by the primitive-polynomial search and the Singer cycles), and the
-action of matrices on the numbered vectors of F_p^n, which turns a matrix
-group into a permutation group on p^n points.  Entries are reduced to
-[0, p) after every product, so a product of n x n matrices stays exact while
-n * (p - 1)**2 < 2**63; `mul` and the character-table splitter work in
-float64 while n * (p - 1)**2 < 2**53 (`exact_dtype`).
+rank and inverses (used by the action checks and the constructors), powers
+and orders of matrices, companion matrices (used by the primitive-polynomial
+search and the Singer cycles), and the action of matrices on the numbered
+vectors of F_p^n, which turns a matrix group into a permutation group on p^n
+points.  Entries are reduced to [0, p) after every product, so a product of
+n x n matrices stays exact while n * (p - 1)**2 < 2**63; `mul` and the
+character-table descent over F_l work in float64 while
+n * (p - 1)**2 < 2**53 (`exact_dtype`).
 """
 from __future__ import annotations
 
@@ -101,24 +101,6 @@ def row_reduce(m: np.ndarray, p: int) -> np.ndarray:
 def mat_rank(m: np.ndarray, p: int) -> int:
     red = row_reduce(m, p)
     return int(np.count_nonzero(red.any(axis=1)))
-
-
-def null_space(m: np.ndarray, p: int) -> np.ndarray:
-    """Rows spanning the right null space of m over F_p."""
-    rows, cols = m.shape
-    red = row_reduce(m, p)
-    pivots = []
-    for r in range(rows):
-        nz = np.nonzero(red[r])[0]
-        if len(nz):
-            pivots.append(int(nz[0]))
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for i, c in enumerate(free):
-        basis[i, c] = 1
-        for r_i, pc in enumerate(pivots):
-            basis[i, pc] = (-red[r_i, c]) % p
-    return basis
 
 
 def all_vectors(p: int, n: int) -> np.ndarray:

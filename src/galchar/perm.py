@@ -258,11 +258,11 @@ def _orders_from_prime_maps(maps: dict[int, np.ndarray], k: int) -> np.ndarray:
     return orders
 
 
-def compose_over_exponents(maps: dict[int, np.ndarray], k: int, e: int) -> np.ndarray:
-    """The (e, k) int32 array whose row t is the t-th map of 0..k-1, from the
-    s-th maps for the exponents s in maps, which must commute: breadth-first
-    over Z/e from 1, row t s is row t mapped by the s-th map.  Rows that are
-    not reached are -1."""
+def _compose_power_maps(maps: dict[int, np.ndarray], k: int, e: int) -> np.ndarray:
+    """The (k, e) int32 array whose [c, t] entry is the class of rep_c**t,
+    from the s-th power maps of the classes for the exponents s in maps:
+    breadth-first over Z/e from 1, column t s is column t mapped by the
+    s-th map (power maps commute).  Every t must be reached."""
     out = np.full((e, k), -1, dtype=np.int32)
     out[1 % e] = np.arange(k)
     walk = [1 % e]
@@ -272,14 +272,6 @@ def compose_over_exponents(maps: dict[int, np.ndarray], k: int, e: int) -> np.nd
             if out[ts, 0] < 0:
                 out[ts] = smap[out[t]]
                 walk.append(ts)
-    return out
-
-
-def _compose_power_maps(maps: dict[int, np.ndarray], k: int, e: int) -> np.ndarray:
-    """The (k, e) int32 array whose [c, t] entry is the class of rep_c**t,
-    from the s-th power maps of the classes for the exponents s in maps.
-    Every t must be reached."""
-    out = compose_over_exponents(maps, k, e)
     if (out[:, 0] < 0).any():
         raise AssertionError("power-map exponents do not generate Z/e")
     return np.ascontiguousarray(out.T)

@@ -1,9 +1,9 @@
-"""The Dixon splitter's linear algebra and the checks that guard the lift."""
+"""The Krylov annihilator's linear algebra and the checks that guard the lift."""
 import numpy as np
 import pytest
 
 from galchar import chartab, fpmat
-from galchar.chartab import TableVerificationError, _Splitter, _verify, character_table
+from galchar.chartab import TableVerificationError, _verify, character_table
 from galchar.constructors import CaseParams, construct_case, cyclic, symmetric
 from galchar.numth import find_dixon_prime
 
@@ -33,22 +33,6 @@ def reference_annihilator(v, a, ell):
         cur = cur @ a % ell
 
 
-def _class_splitters(group):
-    """seed -> a splitter over the class functions of group, with the
-    combinations and probes character_table would draw at that seed."""
-    classes = group.conjugacy_classes()
-    ell = find_dixon_prime(group.exponent, group.order)
-    products = chartab._product_index(group)
-    size_inv = [pow(c.size, -1, ell) for c in classes]
-
-    def at(seed):
-        rng = np.random.default_rng(seed)
-        combos = chartab._combo_source(products, group.class_index_array(), ell, rng)
-        return _Splitter(combos, len(classes), ell, rng, size_inv, group.power_maps[:, -1])
-
-    return at
-
-
 def _isotropic_part(v, a, ell, f, norm):
     """Whether some eigenspace part of v has norm 0: f is the minimal
     polynomial of v, and its part for the root lam is v (f/(x - lam))(a)."""
@@ -70,20 +54,20 @@ def _isotropic_part(v, a, ell, f, norm):
     return False
 
 
-def _accepted(splitter, v, a, red, norm) -> bool:
-    """Run the annihilator on a full chain: it must return the reference
-    with its chain, or refuse exactly when a part of v is isotropic."""
-    ell = splitter.ell
-    found = splitter._annihilator(v, a.astype(splitter.dtype), red, len(v))
+def _accepted(v, a, ell, form, norm) -> bool:
+    """Run _krylov on one full chain: it must find the reference with its
+    chain, or refuse exactly when a part of v is isotropic."""
+    dtype = fpmat.exact_dtype(len(v), ell)
+    chain, polys, killed = chartab._krylov(v[None], a.astype(dtype), len(v), ell, form)
     ref = reference_annihilator(v, a, ell)
-    assert (found is None) == _isotropic_part(v, a, ell, ref, norm)
-    if found is None:
+    assert (not killed[0]) == _isotropic_part(v, a, ell, ref, norm)
+    if not killed[0]:
         return False
-    f, chain = found
+    f = polys[0, : chartab._degrees(polys)[0] + 1]
     assert np.array_equal(f, ref)
-    assert np.array_equal(chain[0], v % ell)
-    for s in range(1, len(chain)):
-        assert np.array_equal(chain[s], chain[s - 1] @ a % ell)
+    assert np.array_equal(chain[0, 0], v % ell)
+    for s in range(1, len(f)):
+        assert np.array_equal(chain[s, 0], chain[s - 1, 0] @ a % ell)
     return True
 
 
@@ -102,7 +86,10 @@ def test_annihilator_matches_reference(m):
     # a = P diag(eig) P^-1 is self-adjoint for it: a P P^T = P diag(eig) P^T
     rng = np.random.default_rng(m)
     p, p_inv = _invertible(rng, m)
-    splitter = _Splitter(iter(()), m, ELL, rng, [1] * m, np.arange(m))
+
+    def form(rows):
+        full = fpmat.mul(rows, p, ELL)
+        return full, full
 
     def norm(x):
         return int((x @ p % ELL) @ (x @ p % ELL)) % ELL
@@ -111,7 +98,7 @@ def test_annihilator_matches_reference(m):
     for eig in (rng.integers(0, ELL, size=m), rng.choice([3, 5, 7], size=m)):
         a = p * eig[None, :] % ELL @ p_inv % ELL
         for v in (rng.integers(0, ELL, size=m), np.eye(m, dtype=np.int64)[0]):
-            accepted += _accepted(splitter, v, a, p, norm)
+            accepted += _accepted(v, a, ELL, form, norm)
     assert accepted
 
 
@@ -127,75 +114,37 @@ def test_annihilator_matches_reference(m):
 def test_class_matrix_annihilator_is_the_reference_or_refused(build, seeds):
     group = build()
     inv = group.power_maps[:, -1]
-    splitters = _class_splitters(group)
+    ell = find_dixon_prime(group.exponent, group.order)
+    size_inv = np.array([pow(c.size, -1, ell) for c in group.conjugacy_classes()])
+    products, class_of = chartab._product_index(group), group.class_index_array()
+    k = len(size_inv)
+
+    def form(rows):  # the class-function form
+        return rows, rows[:, inv] * size_inv % ell
+
+    def norm(x):
+        return int(x @ (x[inv] * size_inv % ell)) % ell
+
     accepted = 0
     for seed in range(seeds):
-        splitter = splitters(seed)
-        ell = splitter.ell
-        size_inv = np.array([pow(c.size, -1, ell) for c in group.conjugacy_classes()])
-
-        def norm(x):
-            return int(x @ (x[inv] * size_inv % ell)) % ell
-
-        a = next(splitter.combo_source).T % ell
-        v = splitter.rng.integers(0, ell, size=splitter.k, dtype=np.int64)
-        accepted += _accepted(splitter, v, a, None, norm)
+        rng = np.random.default_rng(seed)
+        coeffs = rng.integers(0, ell, size=k, dtype=np.int64)
+        a = chartab._combination(products, class_of, coeffs, ell).astype(np.int64) % ell
+        v = rng.integers(0, ell, size=k, dtype=np.int64)
+        accepted += _accepted(v, a, ell, form, norm)
     assert accepted >= seeds // 2
 
 
-class _QueuedRng:
-    """Hands out the given probe vectors in order."""
-
-    def __init__(self, vectors):
-        self.vectors = [np.array(v, dtype=np.int64) for v in vectors]
-
-    def integers(self, low, high, size, dtype):
-        return self.vectors.pop(0)
-
-
-def _recorded(monkeypatch):
-    """Record (block size, annihilator or None) for every _annihilator call."""
-    calls = []
-    original = _Splitter._annihilator
-
-    def recording(self, v, a, red, bound):
-        found = original(self, v, a, red, bound)
-        calls.append((len(v), None if found is None else found[0]))
-        return found
-
-    monkeypatch.setattr(_Splitter, "_annihilator", recording)
-    return calls
-
-
-def test_isotropic_probe_is_refused(monkeypatch):
+def test_isotropic_probe_is_refused():
     # a = diag(1, 1, 2) under the form sum_c x[c] y[c]: the first probe's part
     # (1, 10, 0) of the 1-eigenspace has norm 101 = 0 mod 101, so its
     # sequence misses the eigenvalue 1 and f = x - 2 does not kill it
-    calls = _recorded(monkeypatch)
-    probes = _QueuedRng([[1, 10, 1], [1, 0, 1], [0, 1, 0]])
-    splitter = _Splitter(iter(()), 3, ELL, probes, [1] * 3, [0, 1, 2])
-    pieces = splitter._split_once(np.eye(3, dtype=np.int64), np.diag([1, 1, 2]).astype(np.float64))
-    assert [p.tolist() for p in pieces] == [[[1, 0, 0], [0, 1, 0]], [[0, 0, 1]]]
-    assert calls[0] == (3, None)
-    assert [len(f) - 1 for _, f in calls[1:]] == [2, 1]
-
-
-def test_projected_probes_stay_off_the_eigenlines_found(monkeypatch):
-    # each later probe of the first block is projected off every deflation
-    # vector found before it, so its annihilator's degree is at most k less
-    # their number; an unprojected later probe has degree about 180 of 189
-    group = construct_case(CaseParams("a7", 2, 2, 1, 4))
-    splitters = _class_splitters(group)
-    calls = _recorded(monkeypatch)
-    for seed in (0, 1):
-        splitter = splitters(seed)
-        mt = (next(splitter.combo_source).T % splitter.ell).astype(splitter.dtype)
-        del calls[:]
-        splitter._split_once(np.eye(splitter.k, dtype=np.int64), mt)
-        degrees = [len(f) - 1 for _, f in calls if f is not None]
-        assert degrees[0] < splitter.k and len(degrees) > 1  # eigenvalues repeat
-        for i in range(1, len(degrees)):
-            assert degrees[i] <= splitter.k - sum(degrees[:i]), (seed, degrees)
+    probes = np.array([[1, 10, 1], [1, 0, 1], [0, 1, 0]])
+    a = np.diag([1.0, 1.0, 2.0])
+    _, polys, killed = chartab._krylov(probes, a, 3, ELL, lambda rows: (rows, rows))
+    assert killed.tolist() == [False, True, True]
+    assert chartab._degrees(polys).tolist() == [1, 2, 1]
+    assert polys[0, :2].tolist() == [ELL - 2, 1]
 
 
 def test_corrupted_lifted_value_fails_verification():
