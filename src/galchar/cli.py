@@ -126,7 +126,7 @@ def cmd_sweep(args) -> int:
             record["reason"] = exc.condition
             records.append(record)
             continue
-        report = analyze_structure(group, seed=args.seed)
+        report = analyze_structure(group, character_table(group, seed=args.seed), seed=args.seed)
         record["status"] = "ok"
         record["order"] = group.order
         record["report"] = report.to_dict()
@@ -176,7 +176,7 @@ def cmd_check_theorem(args) -> int:
         except ParamsInvalid as exc:
             lines.append(f"[SKIP] {params.label()}: PARAMS-INVALID ({exc.condition})")
             continue
-        report = analyze_structure(group, seed=args.seed)
+        report = analyze_structure(group, character_table(group, seed=args.seed), seed=args.seed)
         check(
             f"{params.label()}: order {group.order} -> {report.verdict}/{report.case_tag}",
             report.verdict == "SingleGaloisClass"

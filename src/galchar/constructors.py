@@ -22,6 +22,7 @@ from .classify import (
     vector_group,
 )
 from .numth import (
+    PN_BOUND,
     divisors,
     is_mersenne_prime,
     is_prime,
@@ -30,8 +31,6 @@ from .numth import (
     primitive_root,
 )
 from .perm import PermGroup, Permutation
-
-PN_CONSTRUCT_BOUND = 10**6
 
 
 class ParamsInvalid(ValueError):
@@ -151,7 +150,7 @@ def _heisenberg_generators(p: int) -> list[list[int]]:
 
 def singer_matrix(p: int, n: int) -> np.ndarray:
     """Companion matrix of a primitive polynomial: order p^n - 1 in GL(n,p)."""
-    if p**n > PN_CONSTRUCT_BOUND:
+    if p**n > PN_BOUND:
         raise ValueError("p^n exceeds the construction bound")
     return fpmat.companion(primitive_polynomial(p, n), p)
 
@@ -242,7 +241,7 @@ def affine_semidirect(p, n, mats, central_height: int = 1, name=None) -> PermGro
     group, realised faithfully by adding one regular orbit of the cyclic
     group.
     """
-    if p**n > PN_CONSTRUCT_BOUND:
+    if p**n > PN_BOUND:
         raise ValueError("p^n exceeds the construction bound")
     mats = [m % p for m in mats]
     for m in mats:
@@ -321,12 +320,16 @@ def _q8_order3_automorphism() -> Permutation:
 
 
 def _q8_semidirect(mats, central_height: int, name) -> PermGroup:
+    mats = [np.array(m, dtype=np.int64) % 2 for m in mats]
+    for m in mats:
+        if fpmat.mat_rank(m, 2) < 2:
+            raise ParamsInvalid("singular matrix in the acting set")
     q8 = quaternion8()
     alpha = _q8_order3_automorphism()
     if mats:
         if len(mats) != 1:
             raise ParamsInvalid("p = 2 supports only a cyclic order-3 action")
-        m = np.array(mats[0], dtype=np.int64) % 2
+        m = mats[0]
         order = fpmat.mat_order(m, 2, cap=8)
         if order == 3:
             # match the matrix to alpha or alpha^2 by its action on e1, e2

@@ -31,6 +31,8 @@ def mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def mat_pow(m: np.ndarray, n: int, p: int) -> np.ndarray:
+    if n < 0:
+        raise ValueError("negative exponent")
     result = np.eye(len(m), dtype=np.int64)
     base = m % p
     while n:

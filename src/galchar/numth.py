@@ -16,7 +16,7 @@ import numpy as np
 
 from .fpmat import companion, mat_pow
 
-PN_BOUND = 10**6          # default bound for prime-power sweeps
+PN_BOUND = 10**6          # largest p**n of a prime-power search or construction
 DIXON_PRIME_CAP = 2**62   # give up (loudly) past this
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -163,26 +163,7 @@ class PrimePower:
         return self.p**self.n
 
 
-def _prime_factors_ascending(m: int):
-    """Distinct prime factors of m in ascending order, lazily."""
-    for p in (2, 3):
-        if m % p == 0:
-            yield p
-            while m % p == 0:
-                m //= p
-    d = 5
-    while d * d <= m:
-        for q in (d, d + 2):
-            if m % q == 0:
-                yield q
-                while m % q == 0:
-                    m //= q
-        d += 6
-    if m > 1:
-        yield m
-
-
-def zsigmondy_prime(p: int, n: int, bound: int = PN_BOUND) -> int | None:
+def zsigmondy_prime(p: int, n: int) -> int | None:
     """Smallest prime q dividing p**n - 1 but no p**k - 1 with k < n.
 
     Computed from the prime factors of p**n - 1 by checking multiplicative
@@ -194,13 +175,13 @@ def zsigmondy_prime(p: int, n: int, bound: int = PN_BOUND) -> int | None:
         raise ValueError(f"{p} is not prime")
     if n < 1:
         raise ValueError("n must be positive")
-    if p**n > bound:
-        raise ValueError(f"p**n exceeds configured bound {bound}")
+    if p**n > PN_BOUND:
+        raise ValueError(f"p**n exceeds configured bound {PN_BOUND}")
     m = p**n - 1
     if m == 1:
         return None
     proper = [k for k in divisors(n) if k < n]
-    for q in _prime_factors_ascending(m):
+    for q in factorize(m):
         # q | p^n - 1, so ord_q(p) divides n; q is a Zsigmondy prime iff the
         # order is exactly n, i.e. no proper divisor k of n has q | p^k - 1.
         if q == p:
@@ -226,7 +207,7 @@ def matrix_order_is(mat: np.ndarray, p: int, target: int) -> bool:
     )
 
 
-def primitive_polynomial(p: int, n: int, bound: int = PN_BOUND) -> list[int]:
+def primitive_polynomial(p: int, n: int) -> list[int]:
     """First (lexicographic) monic degree-n polynomial over F_p whose
     companion matrix has order p**n - 1.
 
@@ -238,8 +219,8 @@ def primitive_polynomial(p: int, n: int, bound: int = PN_BOUND) -> list[int]:
         raise ValueError(f"{p} is not prime")
     if n < 1:
         raise ValueError("n must be positive")
-    if p**n > bound:
-        raise ValueError(f"p**n exceeds configured bound {bound}")
+    if p**n > PN_BOUND:
+        raise ValueError(f"p**n exceeds configured bound {PN_BOUND}")
     target = p**n - 1
     for coeffs in product(range(p), repeat=n):  # lazily: p**n tuples
         if coeffs[0] == 0:

@@ -8,19 +8,23 @@ arrays.  `Permutation` is the value type at the edges only: generators,
 `elements`, class representatives, `Subgroup.elements` and `close()`.
 
 Elements are found by their images of a base (Sims 1970; Seress,
-Permutation Group Algorithms, 2003, ch. 4): the points, taken in order,
-that each tell more elements apart, r of them, until all are told apart.
-An element's key is one int64, the mixed-radix number whose digits are the
-ranks of its base images in the orbits of the base points (should the
-orbit sizes multiply past 2**63, the digits take fixed odd multipliers
-instead and their sum wraps).  The sorted keys
-are built on the first lookup, and all |G| of them must be distinct, which
-proves the points a base.  A product of any number of factors composes only
-the r base images and looks up one key; a power squares whole image rows
-but keeps only the base images of the result.  A key that is not found
-raises KeyError.  Rows from outside the group (`ids_of_rows`, `ids_of`,
-`element_id`, `in`) may agree with an element on the base only, so their
-whole row must also equal the element's.
+Permutation Group Algorithms, 2003, ch. 4).  Every element carries a label,
+its class of equal images on the points kept so far.  The points are walked
+in order, and one is kept only if its images split those classes further,
+r points in all, until every element is told apart.  A kept point b records
+a table of (labels) x degree cells: cell label * degree + x holds the next
+label of the elements with that label and image x at b, or -1 where no
+element has them; the last table holds ids instead.  The elements with one
+label are a coset gK of the pointwise stabilizer K of the points before b,
+and their images of b split every such coset into the same |K : K_b| >= 2
+parts.  So the number of labels at least doubles at each kept point, and
+all tables together hold fewer than |G| degree cells, the size of the image
+array.  A product of any number of factors composes only the r base
+images and walks them through the r tables; a power squares whole image
+rows but keeps only the base images of the result.  A -1 raises KeyError.
+Rows from outside the group (`ids_of_rows`, `ids_of`, `element_id`, `in`)
+may agree with an element on the base only, so their whole row must also
+equal the element's.
 
 Classes are the orbits of conjugation by the generators.  Their power maps,
 one (k, e) int32 array indexed by exponents 0..e-1 (e the group exponent),
@@ -184,53 +188,28 @@ def _void(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
 
 
-def _choose_base(images: np.ndarray) -> list[int]:
-    """The points, in order, each kept only if the images of the points kept
-    so far and it tell more elements apart; stops once all are told apart."""
+def _base_tables(images: np.ndarray) -> tuple[list[int], list[np.ndarray]]:
+    """(base, tables) of the rows images, as the module docstring has them:
+    the points, in order, each kept only if it splits the classes of equal
+    images on the points kept so far, and for each kept point the table from
+    label * degree + image to the next label, the last one to the id.
+    ValueError if two rows are equal."""
     n, deg = images.shape
-    label, parts, base = np.zeros(n, dtype=np.int64), 1, []
+    label, parts, base, tables = np.zeros(n, dtype=np.int64), 1, [], []
     for point in range(deg):
         if parts == n:
             break
-        split, label_with = np.unique(label * deg + images[:, point], return_inverse=True)
+        code = label * deg + images[:, point]
+        split, label_with = np.unique(code, return_inverse=True)
         if len(split) > parts:
+            table = np.full(parts * deg, -1, dtype=np.int64)
+            parts, label = len(split), label_with.ravel()
+            table[code] = label if parts < n else np.arange(n)
             base.append(point)
-            label, parts = label_with.ravel(), len(split)
-    return base
-
-
-def _odd_multiplier(i: int) -> int:
-    """The i-th output of splitmix64 (Steele, Lea and Flood, 2014), made odd."""
-    z = (i + 1) * 0x9E3779B97F4A7C15 % 2**64
-    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 % 2**64
-    z = (z ^ z >> 27) * 0x94D049BB133111EB % 2**64
-    return z ^ z >> 31 | 1
-
-
-def _base_lookup(images: np.ndarray, base: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(digits, keys, ids): digits[i, x] is the rank of x in the orbit of
-    base[i], times the weight of digit i, so an element's key is the sum of
-    the digits of its base images; keys are the sorted keys of the elements,
-    whose ids are ids.  The weights are the mixed radix over the orbit sizes
-    while their product stays below 2**63, else fixed odd 64-bit multipliers
-    whose sums wrap.  ValueError if two elements share a key, so also if the
-    points are not a base."""
-    orbits = [np.unique(images[:, b]) for b in base]
-    radix = np.cumprod([1] + [len(o) for o in orbits], dtype=object)
-    if radix[-1] < 2**63:
-        weights = radix[:-1].astype(np.uint64)
-    else:
-        weights = np.array([_odd_multiplier(i) for i in range(len(base))], dtype=np.uint64)
-    digits = np.zeros((len(base), images.shape[1]), dtype=np.uint64)
-    for i, orbit in enumerate(orbits):
-        digits[i, orbit] = np.arange(len(orbit), dtype=np.uint64) * weights[i]
-    digits = digits.view(np.int64)
-    keys = digits[np.arange(len(base)), images[:, base]].sum(axis=1)
-    ids = np.argsort(keys, kind="stable")
-    keys = keys[ids]
-    if (keys[1:] == keys[:-1]).any():
-        raise ValueError(f"the points {base} do not tell the elements apart")
-    return digits, keys, ids
+            tables.append(table)
+    if parts < n:
+        raise ValueError("two rows are equal, so no points tell them apart")
+    return base, tables
 
 
 def _check_cells(cells: int, what: str) -> None:
@@ -372,21 +351,20 @@ class PermGroup:
         return self.ids_of_rows(np.array(rows, dtype=np.int32).reshape(-1, self.degree))
 
     @cached_property
-    def _lookup(self) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
-        """(base, digits, keys, ids) as _base_lookup gives them, built on the
-        first lookup: building the group looks nothing up."""
-        base = _choose_base(self.images)
-        return (base, *_base_lookup(self.images, base))
+    def _lookup(self) -> tuple[list[int], list[np.ndarray]]:
+        """(base, tables) as _base_tables gives them, built on the first
+        lookup: building the group looks nothing up."""
+        return _base_tables(self.images)
 
     def _ids_of_base_images(self, points: np.ndarray) -> np.ndarray:
-        """Ids of the elements with the base images points (..., r): one
-        int64 key each, found by binary search; KeyError on a miss."""
-        _base, digits, keys, ids = self._lookup
-        key = digits[np.arange(len(digits)), points].sum(axis=-1)
-        pos = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
-        if not np.array_equal(keys[pos], key):
-            raise KeyError("no element has these base images")
-        return ids[pos.ravel()].reshape(pos.shape)
+        """Ids of the elements with the base images points (..., r), one
+        table cell per base point; KeyError on a -1 cell."""
+        label = np.zeros(points.shape[:-1], dtype=np.int64)
+        for i, table in enumerate(self._lookup[1]):
+            label = table[label * self.degree + points[..., i]]
+            if (label < 0).any():
+                raise KeyError("no element has these base images")
+        return label
 
     def ids_of_rows(self, rows: np.ndarray) -> np.ndarray:
         """Element ids for a stack of image rows; KeyError if one is not in
@@ -426,11 +404,10 @@ class PermGroup:
 
     def mul(self, *factors) -> np.ndarray:
         """Ids of the products f1 * f2 * ... of id arrays, broadcast.  Only
-        the base images are composed, r gathers per factor, and the key is
+        the base images are composed, r gathers per factor, and they are
         looked up once.  No whole row is compared, and none is needed: a
-        product of elements of G lies in G, and as the keys of G are
-        distinct no other element of G has its base images, so the element
-        with its key is the product."""
+        product of elements of G lies in G, and no other element of G has
+        its base images, so the element found by them is the product."""
         flat, deg = self.images.ravel(), self.degree
         points = np.asarray(self._lookup[0], dtype=np.int64)  # the identity's base images
         for f in reversed(factors):  # (a * b)(x) = a(b(x)): a flat gather at a's row offset
@@ -448,6 +425,8 @@ class PermGroup:
     def power(self, ids, n: int) -> np.ndarray:
         """Ids of x**n (n >= 0) for the ids x: the image rows are squared,
         and only the base images of the result are kept and looked up."""
+        if n < 0:
+            raise ValueError("negative exponent")
         ids = np.asarray(ids)
         rows = self.images[ids.reshape(-1)]
         offsets = np.arange(len(rows))[:, None] * self.degree  # row i of rows, flat

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from galchar import cli
 from galchar.cli import main
 from galchar.perm import group_to_json, load_group, save_group
 from galchar.corpus import build
@@ -118,3 +119,17 @@ def test_sweep_small(tmp_path, capsys):
     }
     assert statuses[("a5", 2)] == "ok"
     assert statuses[("a5", 3)] == "PARAMS-INVALID"
+
+
+def test_sweep_tables_take_the_seed(tmp_path, capsys, monkeypatch):
+    seeds, character_table = [], cli.character_table
+
+    def recording(group, seed=0):
+        seeds.append(seed)
+        return character_table(group, seed=seed)
+
+    monkeypatch.setattr(cli, "character_table", recording)
+    argv = ["--seed", "3", "sweep", "--tags", "a1", "--primes", "3", "--out", str(tmp_path / "s.json")]
+    code, _, _ = run(argv, capsys)
+    assert code == 0
+    assert seeds and set(seeds) == {3}

@@ -49,6 +49,13 @@ def test_affine_rejects_singular():
         affine_semidirect(3, 2, [np.array([[1, 0], [0, 0]], dtype=np.int64)], 1)
 
 
+def test_extraspecial_rejects_singular():
+    for p in (2, 3):
+        for m in ([[0, 0], [0, 0]], [[1, 1], [1, 1]]):
+            with pytest.raises(ParamsInvalid, match="singular"):
+                extraspecial_semidirect(p, [np.array(m, dtype=np.int64)])
+
+
 def test_quaternion_subgroups():
     for p, order in ((3, 8), (7, 16), (5, 8)):
         x, y = quaternion_subgroup_SL2(p, order)

@@ -1,12 +1,12 @@
 """Elements found by their base images, against a reference that composes
-whole image rows and finds them in a dict keyed by row bytes; and the checks
-the lookup keeps, each shown to fail."""
+whole image rows and finds them in a dict keyed by row bytes; the size of the
+base tables; and the checks the lookup keeps, each shown to fail."""
 import numpy as np
 import pytest
 
 from galchar.constructors import affine_semidirect, singer_matrix, symmetric
 from galchar.corpus import CORPUS, build
-from galchar.perm import PermGroup, Permutation, _base_lookup
+from galchar.perm import PermGroup, Permutation, _base_tables
 from test_metamorphic import relabelling
 
 
@@ -69,26 +69,48 @@ def test_products_match_the_whole_row_reference(key, relabel):
     assert group.right_multiplication(zs).tolist() == [ref.right_multiplication(z) for z in zs]
 
 
-def test_c2_14_keys_are_its_exponent_vectors():
-    # orbit-rank digits: 14 base points with orbits of 2, so |G| = 2^14 keys
-    # where digits in base degree would need 28^14 > 2^63
+def walk(base, tables, rows) -> np.ndarray:
+    """The labels the base images of rows reach through the tables."""
+    label = np.zeros(len(rows), dtype=np.int64)
+    for b, table in zip(base, tables):
+        label = table[label * rows.shape[1] + rows[:, b]]
+    return label
+
+
+@pytest.mark.parametrize("key", sorted(BUILDERS))
+def test_tables_hold_at_most_order_times_degree_cells(key):
+    group = BUILDERS[key]()
+    base, tables = group._lookup
+    assert sum(len(t) for t in tables) <= group.order * group.degree
+    assert np.array_equal(walk(base, tables, group.images), np.arange(group.order))
+
+
+def test_c2_14_base_is_its_even_points_and_tables_are_smaller_than_its_images():
+    # each even point halves the classes: 1 + 2 + ... + 2^13 classes of 28 cells
     group = c2_14()
-    base, _digits, keys, _ids = group._lookup
+    base, tables = group._lookup
     assert base == list(range(0, 28, 2))
-    assert keys.tolist() == list(range(2**14))
+    assert [len(t) for t in tables] == [2**i * 28 for i in range(14)]
+    assert sum(len(t) for t in tables) == (2**14 - 1) * 28 < group.images.size
 
 
-def test_wrapped_keys_when_the_radix_overflows():
-    # 64 two-valued digits: the orbit sizes multiply to 2^64, so the digits
-    # take fixed odd multipliers and the sums wrap
+def two_valued_rows() -> np.ndarray:
+    """Distinct random rows of 64 two-valued columns, not a group: the values
+    of the columns multiply to 2^64, and no number is formed from them all."""
     rng = np.random.default_rng(0)
-    images = np.unique(rng.integers(0, 2, (3000, 64), dtype=np.int32), axis=0)
-    digits, keys, ids = _base_lookup(images, list(range(64)))
-    assert (digits[:, 1].view(np.uint64) % 2 == 1).all()
-    key = digits[np.arange(64), images].sum(axis=1)
-    assert np.array_equal(ids[np.searchsorted(keys, key)], np.arange(len(images)))
-    with pytest.raises(ValueError, match="do not tell the elements apart"):
-        _base_lookup(np.concatenate([images, images[:1]]), list(range(64)))
+    return np.unique(rng.integers(0, 2, (3000, 64), dtype=np.int32), axis=0)
+
+
+def test_64_two_valued_columns_are_found_at_their_own_index():
+    images = two_valued_rows()
+    base, tables = _base_tables(images)
+    assert np.array_equal(walk(base, tables, images), np.arange(len(images)))
+
+
+def test_a_duplicated_row_raises():
+    for rows in (two_valued_rows(), symmetric(4).images, c3_on_5().images):
+        with pytest.raises(ValueError, match="two rows are equal"):
+            _base_tables(np.concatenate([rows, rows[-1:]]))
 
 
 def c3_on_5() -> PermGroup:
@@ -119,24 +141,26 @@ def test_rows_of_another_degree_are_rejected():
             group.ids_of_rows(np.arange(degree)[None, :])
 
 
-def test_distinctness_check_rejects_points_that_are_not_a_base():
-    group = c3_on_5()
-    with pytest.raises(ValueError, match="do not tell the elements apart"):
-        _base_lookup(group.images, [3])  # a fixed point
-    group = c2_14()
-    with pytest.raises(ValueError, match="do not tell the elements apart"):
-        _base_lookup(group.images, list(range(0, 26, 2)))  # 13 of the 14 base points
-
-
-def test_a_key_miss_in_a_product_raises():
+def test_a_blank_table_cell_makes_exactly_its_products_raise():
     group = symmetric(4)
-    base, digits, keys, ids = group._lookup
+    base, tables = group._lookup
     gone = int(group.mul(1, 2))
-    at = int(np.flatnonzero(ids == gone)[0])
-    group.__dict__["_lookup"] = (base, digits, np.delete(keys, at), np.delete(ids, at))
-    others = [x for x in range(group.order) if x != gone]
-    assert group.mul(0, others).tolist() == others  # 0 is the identity
-    with pytest.raises(KeyError):
-        group.mul(1, 2)
-    with pytest.raises(KeyError):
-        group.mul(np.arange(group.order), 2)
+    assert len(base) == 3
+    for level in range(len(base)):  # two intermediate tables and the last
+        label = walk(base[:level], tables, group.images)
+        cells = label * group.degree + group.images[:, base[level]]
+        blanked = [t.copy() for t in tables]
+        blanked[level][cells[gone]] = -1
+        reached = cells == cells[gone]  # the elements agreeing with gone up to base[level]
+        assert reached.sum() == [6, 2, 1][level]
+        group.__dict__["_lookup"] = (base, blanked)
+        for x in range(group.order):
+            if reached[x]:
+                with pytest.raises(KeyError):
+                    group.mul(0, x)  # 0 is the identity
+            else:
+                assert group.mul(0, x) == x
+        with pytest.raises(KeyError):
+            group.mul(1, 2)
+        with pytest.raises(KeyError):
+            group.mul(np.arange(group.order), 2)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from itertools import combinations
 from math import gcd
 
@@ -303,3 +306,27 @@ def test_quotient_cosets_deterministic():
     q2, _ = s4.quotient(v4)
     assert [g.images for g in q1.generators] == [g.images for g in q2.generators]
     assert q1.order == 6
+
+
+_NEGATIVE_POWERS = """
+import numpy as np
+from galchar import fpmat
+from galchar.constructors import symmetric
+for call in (lambda: symmetric(3).power([1], -1),
+             lambda: fpmat.mat_pow(np.eye(2, dtype=np.int64), -1, 3)):
+    try:
+        call()
+    except ValueError as exc:
+        print(exc)
+"""
+
+
+def test_negative_exponents_raise_instead_of_looping():
+    # run apart with a timeout: halving -1 stays -1, so a loop on n >>= 1 never ends
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", _NEGATIVE_POWERS],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["negative exponent"] * 2
