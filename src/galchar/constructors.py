@@ -233,6 +233,18 @@ def _semidirect(base, acting, mats, p, central_height, name, what) -> PermGroup:
     return group
 
 
+def _acting_matrices(mats, p: int, n: int) -> list[np.ndarray]:
+    """The acting matrices (arrays or nested lists) as int64 arrays mod p;
+    ParamsInvalid unless each is n x n and invertible."""
+    mats = [np.asarray(m, dtype=np.int64) % p for m in mats]
+    for m in mats:
+        if m.shape != (n, n):
+            raise ParamsInvalid(f"acting matrices must be {n} x {n}")
+        if fpmat.mat_rank(m, p) < n:
+            raise ParamsInvalid("singular matrix in the acting set")
+    return mats
+
+
 def affine_semidirect(p, n, mats, central_height: int = 1, name=None) -> PermGroup:
     """V x| H on p^n vector points, V = F_p^n with H = <mats> acting linearly.
 
@@ -243,10 +255,7 @@ def affine_semidirect(p, n, mats, central_height: int = 1, name=None) -> PermGro
     """
     if p**n > PN_BOUND:
         raise ValueError("p^n exceeds the construction bound")
-    mats = [m % p for m in mats]
-    for m in mats:
-        if fpmat.mat_rank(m, p) < n:
-            raise ParamsInvalid("singular matrix in the acting set")
+    mats = _acting_matrices(mats, p, n)
     if central_height < 1:
         raise ValueError("central height must be >= 1")
     vecs = fpmat.all_vectors(p, n)
@@ -291,10 +300,7 @@ def extraspecial_semidirect(p, mats, central_height: int = 1, name=None) -> Perm
         return _q8_semidirect(mats, central_height, name)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    mats = [m % p for m in mats]
-    for m in mats:
-        if fpmat.mat_rank(m, p) < 2:
-            raise ParamsInvalid("singular matrix in the acting set")
+    mats = _acting_matrices(mats, p, 2)
     autos = [_heisenberg_images(p, _heisenberg_automorphism(p, m)) for m in mats]
     return _semidirect(
         _heisenberg_generators(p), autos, mats, p, central_height, name, "extraspecial"
@@ -320,10 +326,7 @@ def _q8_order3_automorphism() -> Permutation:
 
 
 def _q8_semidirect(mats, central_height: int, name) -> PermGroup:
-    mats = [np.array(m, dtype=np.int64) % 2 for m in mats]
-    for m in mats:
-        if fpmat.mat_rank(m, 2) < 2:
-            raise ParamsInvalid("singular matrix in the acting set")
+    mats = _acting_matrices(mats, 2, 2)
     q8 = quaternion8()
     alpha = _q8_order3_automorphism()
     if mats:

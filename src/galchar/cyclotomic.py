@@ -4,9 +4,17 @@ A value is stored as an integer coefficient vector of length phi(e) over the
 power basis 1, z, ..., z^(phi(e)-1) of Z[z], z a primitive e-th root of
 unity, reduced modulo the e-th cyclotomic polynomial.  Within one conductor
 the representation is a unique normal form; values whose coefficients beyond
-index 0 vanish are rational and are normalised to conductor 1, and equality
-of mixed-conductor values rebases both sides to the lcm.  Coefficients are
-plain Python integers, so there is no overflow to guard against.
+index 0 vanish are rational and are normalised to conductor 1.  Coefficients
+are plain Python integers, so there is no overflow to guard against.
+
+One routine, _normal_form, makes that form: it takes any sum of terms
+c * z_e**t, folds the exponents mod e and adds each residue's power-basis
+row once.  Every constructor and operation builds its result through it; a
+sum or product of values of conductors a and b is a sum of terms over
+z_lcm(a, b), and values of different conductors are equal when their
+difference is zero.  Only the _raw constructor bypasses it: from_int,
+negation and callers that already hold a normal form (a character table's
+value pool) store their coefficients as given.
 
 The complex-float view exists for diagnostics only and never participates in
 an equality decision.
@@ -15,7 +23,7 @@ from __future__ import annotations
 
 import cmath
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 CONDUCTOR_BOUND = 10**4
 
@@ -85,22 +93,24 @@ def _monomial_table(e: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _reduce_dense(e: int, dense: list[int]) -> list[int]:
-    """Reduce an arbitrary-degree polynomial in z_e to the canonical vector."""
-    d = phi(e)
+def _normal_form(e: int, terms) -> "Cyclotomic":
+    """The value sum c * z_e**t over the (t, c) terms, in normal form."""
+    if e < 1:
+        raise ValueError("conductor must be positive")
+    if e > CONDUCTOR_BOUND:
+        raise ConductorOverflow(f"conductor {e} exceeds bound")
     folded = [0] * e
-    for t, c in enumerate(dense):
-        if c:
-            folded[t % e] += c
+    for t, c in terms:
+        folded[t % e] += c
+    d = phi(e)
     out = [0] * d
-    table = _monomial_table(e)
-    for t in range(e):
-        c = folded[t]
+    for row, c in zip(_monomial_table(e), folded):
         if c:
-            row = table[t]
             for j in range(d):
                 out[j] += c * row[j]
-    return out
+    if e > 1 and not any(out[1:]):
+        return Cyclotomic(1, (out[0],), _raw=True)
+    return Cyclotomic(e, tuple(out), _raw=True)
 
 
 class Cyclotomic:
@@ -118,17 +128,9 @@ class Cyclotomic:
             self.conductor = conductor
             self.coeffs = coeffs
             return
-        if conductor < 1:
-            raise ValueError("conductor must be positive")
-        if conductor > CONDUCTOR_BOUND:
-            raise ConductorOverflow(f"conductor {conductor} exceeds bound")
-        vec = _reduce_dense(conductor, list(coeffs))
-        if conductor > 1 and not any(vec[1:]):
-            self.conductor = 1
-            self.coeffs = (vec[0],)
-        else:
-            self.conductor = conductor
-            self.coeffs = tuple(vec)
+        value = _normal_form(conductor, enumerate(coeffs))
+        self.conductor = value.conductor
+        self.coeffs = value.coeffs
 
     # -- constructors ------------------------------------------------------
 
@@ -139,9 +141,7 @@ class Cyclotomic:
     @staticmethod
     def zeta(e: int, k: int = 1) -> "Cyclotomic":
         """The root of unity z_e**k."""
-        dense = [0] * e
-        dense[k % e] = 1
-        return Cyclotomic(e, tuple(dense))
+        return _normal_form(e, [(k, 1)])
 
     @staticmethod
     def from_root_multiplicities(e: int, mults) -> "Cyclotomic":
@@ -149,22 +149,7 @@ class Cyclotomic:
         mults = list(mults)
         if len(mults) != e:
             raise ValueError(f"need exactly {e} multiplicities, got {len(mults)}")
-        return Cyclotomic._from_monomials(e, enumerate(mults))
-
-    @staticmethod
-    def _from_monomials(e: int, pairs) -> "Cyclotomic":
-        """Canonical form of sum (t, c) -> c * z_e**t without a dense pass."""
-        d = phi(e)
-        table = _monomial_table(e)
-        out = [0] * d
-        for t, c in pairs:
-            if c:
-                row = table[t % e]
-                for j in range(d):
-                    out[j] += c * row[j]
-        if e > 1 and not any(out[1:]):
-            return Cyclotomic(1, (out[0],), _raw=True)
-        return Cyclotomic(e, tuple(out), _raw=True)
+        return _normal_form(e, enumerate(mults))
 
     # -- structure ---------------------------------------------------------
 
@@ -181,15 +166,11 @@ class Cyclotomic:
             raise ValueError(f"{self} is not rational")
         return self.coeffs[0]
 
-    def _rebased(self, big: int) -> tuple[int, ...]:
-        """Coefficient vector of this value at conductor big (self.conductor | big)."""
-        if big == self.conductor:
-            return self.coeffs
+    def _terms(self, big: int) -> list[tuple[int, int]]:
+        """The (exponent, coefficient) pairs of this value over z_big, for a
+        multiple big of its conductor; zero coefficients are left out."""
         step = big // self.conductor
-        dense = [0] * (step * (len(self.coeffs) - 1) + 1)
-        for i, c in enumerate(self.coeffs):
-            dense[i * step] = c
-        return tuple(_reduce_dense(big, dense))
+        return [(i * step, c) for i, c in enumerate(self.coeffs) if c]
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
@@ -198,31 +179,17 @@ class Cyclotomic:
             return NotImplemented
         if self.conductor == other.conductor:
             return self.coeffs == other.coeffs
-        big = self.conductor * other.conductor // gcd(self.conductor, other.conductor)
-        return self._rebased(big) == other._rebased(big)
+        return (self - other).is_zero
 
     __hash__ = None  # mixed-conductor equality makes hashing a trap
 
     # -- arithmetic --------------------------------------------------------
 
-    def _common(self, other: "Cyclotomic") -> int:
-        big = self.conductor * other.conductor // gcd(self.conductor, other.conductor)
-        if big > CONDUCTOR_BOUND:
-            raise ConductorOverflow(f"conductor {big} exceeds bound")
-        return big
-
     def __add__(self, other) -> "Cyclotomic":
         if isinstance(other, int):
             other = Cyclotomic.from_int(other)
-        if self.conductor == other.conductor:
-            vec = [a + b for a, b in zip(self.coeffs, other.coeffs)]
-            if self.conductor > 1 and not any(vec[1:]):
-                return Cyclotomic(1, (vec[0],), _raw=True)
-            return Cyclotomic(self.conductor, tuple(vec), _raw=True)
-        big = self._common(other)
-        a = self._rebased(big)
-        b = other._rebased(big)
-        return Cyclotomic(big, tuple(x + y for x, y in zip(a, b)))
+        big = lcm(self.conductor, other.conductor)
+        return _normal_form(big, self._terms(big) + other._terms(big))
 
     __radd__ = __add__
 
@@ -239,38 +206,10 @@ class Cyclotomic:
 
     def __mul__(self, other) -> "Cyclotomic":
         if isinstance(other, int):
-            if other == 0:
-                return Cyclotomic.from_int(0)
-            return Cyclotomic(
-                self.conductor, tuple(other * c for c in self.coeffs), _raw=True
-            )
-        if self.is_rational:
-            return other * self.coeffs[0]
-        if other.is_rational:
-            return self * other.coeffs[0]
-        big = self._common(other)
-        a = self._rebased(big)
-        b = other._rebased(big)
-        na = [i for i, c in enumerate(a) if c]
-        nb = [i for i, c in enumerate(b) if c]
-        if len(na) * len(nb) <= 4 * phi(big):
-            # sparse path: accumulate monomial products via the power table
-            table = _monomial_table(big)
-            out = [0] * phi(big)
-            for i in na:
-                ci = a[i]
-                for j in nb:
-                    row = table[(i + j) % big]
-                    c = ci * b[j]
-                    for t in range(len(out)):
-                        out[t] += c * row[t]
-            return Cyclotomic(big, tuple(out))
-        dense = [0] * (2 * len(a) - 1)
-        for i in na:
-            ci = a[i]
-            for j in nb:
-                dense[i + j] += ci * b[j]
-        return Cyclotomic(big, tuple(dense))
+            other = Cyclotomic.from_int(other)
+        big = lcm(self.conductor, other.conductor)
+        theirs = other._terms(big)
+        return _normal_form(big, ((s + t, c * d) for s, c in self._terms(big) for t, d in theirs))
 
     __rmul__ = __mul__
 
@@ -291,17 +230,11 @@ class Cyclotomic:
         e = self.conductor
         if gcd(k, e) != 1:
             raise ValueError(f"{k} is not coprime to conductor {e}")
-        if e == 1:
-            return self
-        return Cyclotomic._from_monomials(
-            e, ((i * k, c) for i, c in enumerate(self.coeffs))
-        )
+        return _normal_form(e, ((t * k, c) for t, c in self._terms(e)))
 
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugation, the Galois map k = -1."""
-        if self.conductor == 1:
-            return self
-        return self.galois_apply(self.conductor - 1)
+        return self.galois_apply(-1)
 
     # -- diagnostics and io --------------------------------------------------
 

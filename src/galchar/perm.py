@@ -20,8 +20,8 @@ and their images of b split every such coset into the same |K : K_b| >= 2
 parts.  So the number of labels at least doubles at each kept point, and
 all tables together hold fewer than |G| degree cells, the size of the image
 array.  A product of any number of factors composes only the r base
-images and walks them through the r tables; a power squares whole image
-rows but keeps only the base images of the result.  A -1 raises KeyError.
+images and walks them through the r tables; powers and commutation tests
+are such products.  A -1 raises KeyError.
 Rows from outside the group (`ids_of_rows`, `ids_of`, `element_id`, `in`)
 may agree with an element on the base only, so their whole row must also
 equal the element's.
@@ -423,30 +423,24 @@ class PermGroup:
         return self.mul(self.inverse[a], self.inverse[b], a, b)
 
     def power(self, ids, n: int) -> np.ndarray:
-        """Ids of x**n (n >= 0) for the ids x: the image rows are squared,
-        and only the base images of the result are kept and looked up."""
+        """Ids of x**n (n >= 0) for the ids x, by repeated squaring with mul
+        from id 0, the identity."""
         if n < 0:
             raise ValueError("negative exponent")
-        ids = np.asarray(ids)
-        rows = self.images[ids.reshape(-1)]
-        offsets = np.arange(len(rows))[:, None] * self.degree  # row i of rows, flat
-        base = np.asarray(self._lookup[0], dtype=np.int32)
-        out = np.broadcast_to(base, (len(rows), len(base)))
+        square = np.asarray(ids)
+        out = np.zeros(square.shape, dtype=np.int64)
         while n:
             if n & 1:
-                out = rows.ravel()[offsets + out]
+                out = self.mul(out, square)
             n >>= 1
             if n:
-                rows = rows.ravel()[offsets + rows]
-        return self._ids_of_base_images(out).reshape(ids.shape)
+                square = self.mul(square, square)
+        return out
 
     def commuting(self, ids, others) -> np.ndarray:
         """Boolean table whose [i, j] entry says ids[i] commutes with others[j]."""
-        xs = self.images[ids]
-        out = np.ones((len(xs), len(others)), dtype=bool)
-        for j, y in enumerate(self.images[others]):
-            out[:, j] = (xs[:, y] == y[xs]).all(axis=1)
-        return out
+        xs, ys = np.asarray(ids)[:, None], np.asarray(others)[None, :]
+        return self.mul(xs, ys) == self.mul(ys, xs)
 
     def right_multiplication(self, ids) -> np.ndarray:
         """Row i: the id of x * elements[ids[i]] for every id x.  Element z is

@@ -56,6 +56,29 @@ def test_extraspecial_rejects_singular():
                 extraspecial_semidirect(p, [np.array(m, dtype=np.int64)])
 
 
+def test_nested_list_matrices_build_the_same_group_as_arrays():
+    m = [[0, 1], [1, 1]]
+    for build in (
+        lambda mats: affine_semidirect(3, 2, mats),
+        lambda mats: extraspecial_semidirect(3, mats),
+        lambda mats: extraspecial_semidirect(2, mats),
+    ):
+        listed, arrayed = build([m]), build([np.array(m, dtype=np.int64)])
+        assert np.array_equal(listed.images, arrayed.images)
+
+
+def test_acting_matrices_of_the_wrong_size_raise():
+    three = np.eye(3, dtype=np.int64)
+    for build in (
+        lambda: affine_semidirect(3, 2, [three]),
+        lambda: extraspecial_semidirect(3, [three]),
+        lambda: extraspecial_semidirect(2, [three]),
+        lambda: affine_semidirect(5, 1, [np.array([2])]),
+    ):
+        with pytest.raises(ParamsInvalid, match=r"\d x \d"):
+            build()
+
+
 def test_quaternion_subgroups():
     for p, order in ((3, 8), (7, 16), (5, 8)):
         x, y = quaternion_subgroup_SL2(p, order)

@@ -1,4 +1,6 @@
 import cmath
+import hashlib
+import random
 from math import gcd
 
 import pytest
@@ -147,3 +149,65 @@ def test_numeric_agreement():
             exact = (a * b).to_complex()
             approx = a.to_complex() * b.to_complex()
             assert cmath.isclose(exact, approx, abs_tol=1e-9)
+
+
+def at_root(v, u: int = 1) -> complex:
+    """sum c_t * exp(2 pi i u t / e) over v's coefficients: v's complex value,
+    or that of its Galois image z -> z^u, without the module's arithmetic."""
+    e = v.conductor
+    return sum(c * cmath.exp(2j * cmath.pi * u * t / e) for t, c in enumerate(v.coeffs))
+
+
+wide_values = st.builds(
+    lambda e, coeffs: Cyclotomic(e, tuple(coeffs[: phi(e)])),
+    st.sampled_from([7, 10, 15, 16, 20, 24, 30, 36]),
+    st.lists(st.integers(min_value=-9, max_value=9), min_size=12, max_size=12),
+)
+
+
+@given(wide_values, wide_values, st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=150, deadline=None)
+def test_wide_conductors_match_complex_arithmetic(a, b, salt):
+    units = [u for u in range(1, a.conductor + 1) if gcd(u, a.conductor) == 1]
+    u = units[salt % len(units)]
+    assert cmath.isclose((a + b).to_complex(), at_root(a) + at_root(b), abs_tol=1e-6)
+    assert cmath.isclose((a * b).to_complex(), at_root(a) * at_root(b), abs_tol=1e-6)
+    assert cmath.isclose(a.galois_apply(u).to_complex(), at_root(a, u), abs_tol=1e-6)
+
+
+PINNED_DIGEST = "c54d4f02b83855e0c88e588b2d6ffb7bca183e0992a3baa413ac842f2b21deef"
+PINNED_CONDUCTORS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 15, 16, 20, 21, 24, 30, 36)
+
+
+def pinned_results(seed: int, pairs: int):
+    """Seeded mixed-conductor results of every public operation: for each
+    pair of random values, +, -, x, x int, 0 x, + int, negation, a root of
+    unity, a cube, a Galois image, a root-multiplicity sum and equalities."""
+    rng = random.Random(seed)
+
+    def value():
+        e = rng.choice(PINNED_CONDUCTORS)
+        return Cyclotomic(e, tuple(rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(rng.randint(1, e))))
+
+    for _ in range(pairs):
+        a, b, n = value(), value(), rng.randint(-5, 5)
+        e = rng.choice(PINNED_CONDUCTORS)
+        units = [u for u in range(1, a.conductor + 1) if gcd(u, a.conductor) == 1]
+        yield from (a + b, a - b, a * b, a * n, 0 * a, a + n, -a, zeta(e, rng.randint(-40, 40)))
+        yield from (a**3, a.galois_apply(rng.choice(units)))
+        yield cyc_from_root_multiplicities(e, [rng.randint(-2, 2) for _ in range(e)])
+        yield from (a == b, a + b - b == a, a * b == b * a)
+
+
+def representation_digest(results) -> str:
+    """sha256 over each result's (conductor, coeffs, str), or its bool."""
+    h = hashlib.sha256()
+    for r in results:
+        h.update(repr(r if isinstance(r, bool) else (r.conductor, r.coeffs, str(r))).encode())
+    return h.hexdigest()
+
+
+def test_representations_are_pinned_across_conductors():
+    # Any change of conductor, coefficient vector or rendering of any
+    # result, or of any equality, changes the digest.
+    assert representation_digest(pinned_results(0, 1500)) == PINNED_DIGEST

@@ -84,7 +84,9 @@ def reference_lift(group, table_mod, ell, w_e):
                     lut = image_of[u] = np.pad(lut, (0, len(pool) - len(lut)), constant_values=-1)
                     new = np.unique(ids[lut[ids[:, jc]] < 0, jc])
                     if len(new):
-                        rows = np.array([pool[i]._rebased(m) for i in new.tolist()], dtype=np.int64)
+                        zero = np.zeros(monomials.shape[1], dtype=np.int64)
+                        rows = np.array([sum((c * monomials[t] for t, c in pool[i]._terms(m)), zero)
+                                         for i in new.tolist()])
                         lut[new] = intern(_galois_image(rows, monomials, u), m)
                     ids[:, jn] = lut[ids[:, jc]]
                     frontier.append(jn)

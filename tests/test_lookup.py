@@ -65,6 +65,10 @@ def test_products_match_the_whole_row_reference(key, relabel):
     for n in (0, 1, 2, 3, 7):
         assert group.power(a, n).tolist() == [ref.mul(*[x] * n) for x in a]
     assert group.inverse.tolist() == [ref.inverse(x) for x in range(group.order)]
+    xs, ys = a[:12], np.concatenate([b[:6], group.power(a[:6], 2)])
+    assert group.commuting(xs, ys).tolist() == [
+        [ref.mul(x, y) == ref.mul(y, x) for y in ys] for x in xs
+    ]
     zs = [0, *a[:3].tolist()]
     assert group.right_multiplication(zs).tolist() == [ref.right_multiplication(z) for z in zs]
 
