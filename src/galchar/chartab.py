@@ -188,16 +188,22 @@ class Character:
         return table.value_pool[table.value_ids[self.index, class_index]]
 
     def kernel_classes(self) -> frozenset[int]:
-        """Indices of the classes where the value equals the degree.
+        """Indices of the classes where the value equals the degree, read
+        off the id array: the classes whose id is one of the rational pool
+        values equal to the degree.
 
         A kernel is a normal subgroup, so the identity class (index 0) must
         be in the set and the class sizes must sum to a divisor of |G|;
         a row failing either is not a character of G.
         """
         if self._kernel_classes is None:
-            members = frozenset(j for j, v in enumerate(self.values) if v == self.degree)
-            size = sum(self.table.classes[j].size for j in members)
-            if 0 not in members or self.table.group.order % size:
+            table = self.table
+            idx, coeffs = table._by_conductor()[1]  # the rational values
+            degree_ids = np.asarray(idx)[coeffs[:, 0] == self.degree]
+            hits = table.value_ids[self.index][:, None] == degree_ids
+            members = frozenset(np.flatnonzero(hits.any(axis=1)).tolist())
+            size = sum(table.classes[j].size for j in members)
+            if 0 not in members or table.group.order % size:
                 raise TableVerificationError("character kernel is not a subgroup")
             self._kernel_classes = members
         return self._kernel_classes

@@ -357,7 +357,7 @@ def _structural_checklist(group, table, part, report, seed) -> tuple[bool, str |
         return False, "exceptional characters have different kernels"
     ksub = table.chars[part.exceptional[0]].kernel()
     report.order_K = ksub.order
-    product = np.unique(group.mul(csub.ids[:, None], usub.ids[None, :]))
+    product = np.flatnonzero(group.mask(group.mul(csub.ids[:, None], usub.ids[None, :])))
     ok = (
         np.array_equal(product, ksub.ids)
         and len(np.intersect1d(csub.ids, usub.ids)) == 1

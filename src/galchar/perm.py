@@ -20,11 +20,15 @@ and their images of b split every such coset into the same |K : K_b| >= 2
 parts.  So the number of labels at least doubles at each kept point, and
 all tables together hold fewer than |G| degree cells, the size of the image
 array.  A product of any number of factors composes only the r base
-images and walks them through the r tables; powers and commutation tests
-are such products.  A -1 raises KeyError.
-Rows from outside the group (`ids_of_rows`, `ids_of`, `element_id`, `in`)
-may agree with an element on the base only, so their whole row must also
-equal the element's.
+images and walks them through the r tables; powers, commutation tests and
+right multiplications are such products.  So is an inverse: x^-1 takes a
+base point to its position in x's row, and lies in G, so, as for a product,
+no whole row is compared.  A -1 raises KeyError.  Rows from outside the
+group (`ids_of_rows`, `ids_of`, `element_id`, `in`) may agree with an
+element on the base only, so their whole row must also equal the element's.
+Two rows first differ at a base point, since a point _base_tables skipped
+has its image decided by the kept points before it: base images order the
+elements as their image tuples do.
 
 Classes are the orbits of conjugation by the generators.  Their power maps,
 one (k, e) int32 array indexed by exponents 0..e-1 (e the group exponent),
@@ -68,6 +72,7 @@ from .numth import factorize, is_prime_power, unit_generators
 
 ORDER_BOUND = 500_000
 CELL_BUDGET = 40_000_000  # cells of the largest derived array (k e or |G| k)
+_BLOCK_CELLS = 1 << 18  # cells of a block of right multiplications
 
 
 class OrderBoundExceeded(RuntimeError):
@@ -192,7 +197,8 @@ def _base_tables(images: np.ndarray) -> tuple[list[int], list[np.ndarray]]:
     """(base, tables) of the rows images, as the module docstring has them:
     the points, in order, each kept only if it splits the classes of equal
     images on the points kept so far, and for each kept point the table from
-    label * degree + image to the next label, the last one to the id.
+    label * degree + image to the next label, numbered in cell order, the
+    last one to the id.
     ValueError if two rows are equal."""
     n, deg = images.shape
     label, parts, base, tables = np.zeros(n, dtype=np.int64), 1, [], []
@@ -256,20 +262,22 @@ def _compose_power_maps(maps: dict[int, np.ndarray], k: int, e: int) -> np.ndarr
     return np.ascontiguousarray(out.T)
 
 
-def orbit_labels(n: int, maps: list[list[int]]) -> np.ndarray:
-    """Orbit number of each id 0..n-1 under the id maps; orbits are
-    numbered in order of their least id."""
-    label, count = [-1] * n, 0
-    for start in range(n):
-        if label[start] < 0:
-            label[start], walk = count, [start]
-            for x in walk:  # grows while it is walked: a breadth-first orbit
-                for m in maps:
-                    if label[m[x]] < 0:
-                        label[m[x]] = count
-                        walk.append(m[x])
-            count += 1
-    return np.array(label, dtype=np.int64)
+def orbit_labels(n: int, maps) -> np.ndarray:
+    """Orbit number of each id 0..n-1 under the id maps, numbered in order
+    of the least id.  Each id points at a smaller one of its orbit or, a
+    root, at itself.  Each round hooks the larger root of x and m(x) onto
+    the smaller, for every x and map m, then jumps every pointer to its
+    root, until no x and m(x) have two roots; each orbit's is its least id."""
+    root, maps = np.arange(n), [np.asarray(m, dtype=np.int64) for m in maps]
+    while maps:
+        near, far = np.tile(root, len(maps)), np.concatenate([root[m] for m in maps])
+        apart = near != far
+        if not apart.any():
+            break
+        np.minimum.at(root, np.maximum(near, far)[apart], np.minimum(near, far)[apart])
+        while not np.array_equal(root, jumped := root[root]):
+            root = jumped
+    return (np.cumsum(root == np.arange(n)) - 1)[root]
 
 
 class PermGroup:
@@ -291,31 +299,23 @@ class PermGroup:
     def _enumerate(self, order_bound: int) -> None:
         """Breadth-first over the generators into self.images.  Each layer
         stacks frontier[:, g], the products x * g, in (x, g) order and keeps
-        the rows not seen before; element y is element parent[y] times
-        generator via[y]."""
+        the rows not seen before, in that order."""
         deg, ngen = self.degree, len(self.generators)
-        gens = np.array([g.images for g in self.generators], dtype=np.int32)
+        gens = np.array([g.images for g in self.generators], dtype=np.int32).reshape(ngen, deg)
         frontier = np.arange(deg, dtype=np.int32)[None, :]
-        seen = {frontier.tobytes()}
-        layers, parents, vias = [frontier], [np.zeros(1, int)], [np.zeros(1, int)]
+        seen, layers = set(_void(frontier).tolist()), [frontier]
         while len(frontier):
-            stacked = frontier[:, gens.reshape(ngen, deg)].reshape(-1, deg)
+            stacked = frontier[:, gens].reshape(-1, deg)
             keep = []
-            for i, row in enumerate(stacked):
-                if (key := row.tobytes()) not in seen:
+            for i, key in enumerate(_void(stacked).tolist()):
+                if key not in seen:
                     seen.add(key)
                     keep.append(i)
-                    if len(seen) > order_bound:
-                        raise OrderBoundExceeded(f"group order exceeds bound {order_bound}")
-            keep = np.array(keep, dtype=np.int64)
-            first = len(seen) - len(keep) - len(frontier)  # id of frontier[0]
-            parents.append(first + keep // ngen)
-            vias.append(keep % ngen)
+            if len(seen) > order_bound:
+                raise OrderBoundExceeded(f"group order exceeds bound {order_bound}")
             frontier = stacked[keep]
             layers.append(frontier)
         self.images: np.ndarray = np.concatenate(layers)
-        self._parent = np.concatenate(parents)
-        self._via = np.concatenate(vias)
 
     # -- elements and products ------------------------------------------------
 
@@ -387,8 +387,11 @@ class PermGroup:
 
     @cached_property
     def inverse(self) -> np.ndarray:
-        """inverse[i]: the id of the inverse of element i."""
-        return self.ids_of_rows(np.argsort(self.images, axis=1))
+        """inverse[i]: the id of the inverse of element i, found by its base
+        images, the positions of the base points in row i."""
+        base = self._lookup[0]
+        points = np.array([(self.images == b).argmax(axis=1) for b in base], dtype=np.int64)
+        return self._ids_of_base_images(points.reshape(len(base), self.order).T)
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(elements, inverses) as int32 image matrices, row i = element i."""
@@ -397,9 +400,13 @@ class PermGroup:
     @cached_property
     def rank(self) -> np.ndarray:
         """rank[i]: the position of element i in the order of image tuples,
-        which is the byte order of the big-endian rows."""
+        that of its base images.  Labels are numbered in the order of their
+        cells, (label before, image), so the id cells of the last table run
+        in that order; an empty base leaves the identity alone."""
+        tables = self._lookup[1]
+        by = tables[-1][tables[-1] >= 0] if tables else np.zeros(1, dtype=np.int64)
         rank = np.empty(self.order, dtype=np.int64)
-        rank[np.argsort(_void(self.images.astype(">i4")))] = np.arange(self.order)
+        rank[by] = np.arange(self.order)
         return rank
 
     def mul(self, *factors) -> np.ndarray:
@@ -443,36 +450,19 @@ class PermGroup:
         return self.mul(xs, ys) == self.mul(ys, xs)
 
     def right_multiplication(self, ids) -> np.ndarray:
-        """Row i: the id of x * elements[ids[i]] for every id x.  Element z is
-        parent[z] times generator via[z], so its row is that generator's right
-        multiplication of its parent's row.  A depth-first walk over the part
-        of the enumeration tree above the ids makes one gather per node and
-        keeps rows only along the current root path."""
+        """Row i: the id of x * elements[ids[i]] for every id x.  The base
+        images of x * z are the image array's columns at z's base images,
+        walked through the tables, in blocks of _BLOCK_CELLS cells (or one
+        row) so that no temporary outgrows the output."""
         _check_cells(len(ids) * self.order, "the right multiplication table")
-        everything = np.arange(self.order)
-        by_gen = [self.mul(everything, g) for g in self.gen_ids]
-        parent, via = self._parent.tolist(), self._via.tolist()
-        ids = np.asarray(ids).tolist()
-        wanted: dict[int, list[int]] = {}  # id -> the rows of out that hold it
-        for i, z in enumerate(ids):
-            wanted.setdefault(z, []).append(i)
-        children: dict[int, list[int]] = {}
-        linked = {0}
-        for z in wanted:
-            while z not in linked:
-                linked.add(z)
-                children.setdefault(parent[z], []).append(z)
-                z = parent[z]
-        out = np.empty((len(ids), self.order), dtype=np.int64)
-        path = [everything]  # path[d]: the row of the current node at depth d
-        stack = [(0, 0)]
-        while stack:
-            z, depth = stack.pop()
-            if depth:
-                del path[depth:]
-                path.append(by_gen[via[z]][path[depth - 1]])
-            out[wanted.get(z, [])] = path[depth]
-            stack.extend((c, depth + 1) for c in children.get(z, ()))
+        points = self.images[ids][:, self._lookup[0]]  # z's base images
+        out = np.zeros((len(ids), self.order), dtype=np.int64)
+        step = max(1, _BLOCK_CELLS // self.order)
+        for at in range(0, len(ids), step):
+            label = out[at : at + step]
+            for column, table in zip(points[at : at + step].T, self._lookup[1]):
+                label = table[label * self.degree + self.images[:, column].T]
+            out[at : at + step] = label
         return out
 
     # -- conjugacy classes ----------------------------------------------------
@@ -482,7 +472,7 @@ class PermGroup:
             return self._classes
         rank, everything = self.rank, np.arange(self.order)
         # g x g^-1 for every element x, one generator g at a time
-        label = orbit_labels(self.order, [self.conj(g, everything).tolist() for g in self.gen_ids])
+        label = orbit_labels(self.order, [self.conj(g, everything) for g in self.gen_ids])
         sizes = np.bincount(label)
         # each class's members in order of image tuples, the least one first
         grouped = np.lexsort((rank, label))
@@ -536,20 +526,24 @@ class PermGroup:
     def closure(self, gens, cap: int | None = None, base=None) -> np.ndarray | None:
         """Sorted ids of the subgroup generated by the ids gens and the subgroup
         base (default trivial), or None once it has more than cap elements.
-        Each breadth-first layer multiplies the frontier by every generator."""
+        Each breadth-first layer multiplies the frontier by every generator
+        and masks out the products inside already."""
         gens = np.asarray(gens, dtype=np.int64)
         frontier = np.zeros(1, dtype=np.int64) if base is None else np.asarray(base)
-        inside = np.zeros(self.order, dtype=bool)
-        inside[frontier] = True
-        size = len(frontier)
+        inside, size = self.mask(frontier), len(frontier)
         while len(frontier) and len(gens):
-            new = self.mul(frontier[:, None], gens[None, :]).ravel()
-            frontier = np.unique(new[~inside[new]])
+            frontier = np.flatnonzero(self.mask(self.mul(frontier[:, None], gens)) & ~inside)
             size += len(frontier)
             if cap is not None and size > cap:
                 return None
             inside[frontier] = True
         return np.flatnonzero(inside)
+
+    def mask(self, ids) -> np.ndarray:
+        """True at the ids, over all ids: its flatnonzero is them, sorted, once each."""
+        out = np.zeros(self.order, dtype=bool)
+        out[ids] = True
+        return out
 
     def close(self, gens, cap: int | None = None) -> frozenset[Permutation] | None:
         """Subgroup closure of permutations in this group; None beyond cap."""
@@ -614,8 +608,7 @@ class PermGroup:
         """For every element x, the least rank (see rank) in the coset xN,
         the orbit of x under right multiplication by the generators of N."""
         everything = np.arange(self.order)
-        maps = [self.mul(everything, u).tolist() for u in normal.gen_ids]
-        orbit = orbit_labels(self.order, maps)
+        orbit = orbit_labels(self.order, [self.mul(everything, u) for u in normal.gen_ids])
         least = np.full(orbit.max() + 1, self.order)
         np.minimum.at(least, orbit, self.rank)
         return least[orbit]
@@ -724,7 +717,8 @@ class Subgroup:
 
     def __init__(self, parent: PermGroup, ids, gens=None):
         self.parent = parent
-        self.ids = np.unique(np.asarray(ids, dtype=np.int64))
+        ids = np.asarray(ids, dtype=np.int64).ravel()
+        self.ids = ids if (ids[1:] > ids[:-1]).all() else np.flatnonzero(parent.mask(ids))
         self._gens = None if gens is None else np.asarray(gens, dtype=np.int64)
         self._group: PermGroup | None = None
         self._normal: bool | None = None
