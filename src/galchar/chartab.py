@@ -3,16 +3,18 @@
 The table of a group G is computed in five steps:
 
 1. conjugacy classes, class sizes and exponent e, and the group's (k, e)
-   power-map array, composed from a few prime and unit power maps (see
-   perm).  Every step below reads columns of that array; a table keeps its
-   own int64 copy;
+   int32 power-map array, composed from a few prime and unit power maps
+   (see perm).  Every step below reads columns of that array; a table keeps
+   its own int32 copy;
 2. a prime l = 1 (mod e) with l^2 > 4|G| (so degrees and root-of-unity
    multiplicities lift uniquely from arithmetic mod l);
 3. simultaneous eigenvectors of the class matrices over F_l.  The |G| x k
-   array of the flat positions of the classes of x^-1 z_m (z_m the class
-   representatives) is built once per table; each seeded random combination
-   a of the class matrices is then one weighted bincount over it.  Every
-   such a is self-adjoint for the class-function form
+   int32 array of the flat positions of the classes of x^-1 z_m (z_m the
+   class representatives) is built once per table, a block of
+   representatives at a time, with no |G| x k array of ids beside it; each
+   seeded random combination a of the class matrices is then a weighted
+   bincount over it, a block of its columns at a time.  Every such a is
+   self-adjoint for the class-function form
    <x, y> = sum_c x[c] y[c^-1] / |C_c| mod l, under which the eigenlines
    are orthogonal with nonzero norms |G| / chi(1)^2 (the form that gives
    the degrees in step 4).  So one Krylov chain v a^s of a probe v gives
@@ -86,7 +88,9 @@ The table of a group G is computed in five steps:
 The finished table is verified before it is returned: degree sum, first
 column, orthogonality modulo l, the rational-row = rational-class count,
 and consistency of the lifted values with the mod-l table, for which the
-pool is reduced mod l with one product per conductor.  The lift's
+pool is reduced mod l with one product per conductor.  The checks of k x k
+arrays read blocks of their rows; besides the table's own arrays, each
+keeps one k x k array whole, the right factor of its Gram products.  The lift's
 multiplicity rows must each sum to chi(1) (chi(g) is a sum of chi(1) roots
 of unity).
 
@@ -140,6 +144,7 @@ checks that the closure of its generators is the set itself.
 from __future__ import annotations
 
 import weakref
+from functools import lru_cache
 from math import ceil, gcd, isqrt, log2
 
 import numpy as np
@@ -147,11 +152,12 @@ import numpy as np
 from . import fpmat
 from .cyclotomic import Cyclotomic, _monomial_table, cyc
 from .numth import factorize, find_dixon_prime, is_prime, primitive_root, unit_generators
-from .perm import ConjugacyClass, PermGroup, Subgroup, _void
+from .perm import _BLOCK_CELLS, ConjugacyClass, PermGroup, Subgroup, _check_cells, _void
 
 EXACT_BUDGET = 2**53  # n (p - 1)^2 below it keeps the exact check's products exact
 _LEVEL0_ROUNDS = 64  # refining rounds at level 0 before the descent gives up
 _DESCENT_PASSES = 32  # passes over failing orbits before it does
+_CHECK_CELLS = 1 << 20  # cells of a row block of a k x k check
 
 
 class TableVerificationError(AssertionError):
@@ -273,9 +279,10 @@ class CharacterTable:
         return self._units
 
     def _powers(self) -> np.ndarray:
-        """This table's int64 copy of the group's (k, e) power-map array."""
+        """This table's own copy of the group's (k, e) int32 power-map array:
+        writing into it leaves the group's alone."""
         if self._power_matrix is None:
-            self._power_matrix = self.group.power_maps.astype(np.int64)
+            self._power_matrix = self.group.power_maps.copy()
         return self._power_matrix
 
     def _by_conductor(self) -> dict[int, tuple[list[int], np.ndarray]]:
@@ -452,27 +459,46 @@ def _synthetic_division(poly: np.ndarray, lams: np.ndarray, ell: int) -> np.ndar
 
 
 def _product_index(group: PermGroup) -> np.ndarray:
-    """|G| x k intp array whose [x, m] entry is m k + j, j the class of
+    """|G| x k int32 array whose [x, m] entry is m k + j, j the class of
     x^-1 . z_m (z_m the representative of class m): the flat position of
-    the entry (m, j) of a combination acting on rows (see _combination)."""
+    the entry (m, j) of a combination acting on rows (see _combination).
+    Its entries are below k^2 <= |G| k, which the cell budget bounds before
+    the array is allocated.  It is filled a block of representatives at a
+    time, _BLOCK_CELLS cells of their right multiplications gathered at the
+    inverses, so no |G| x k array of ids or classes exists."""
     reps = [c.element_ids[0] for c in group.conjugacy_classes()]
-    right = group.right_multiplication(reps)  # [m, y] = id of y . z_m
-    classes = group.class_index_array().astype(np.intp)
-    index = np.ascontiguousarray(classes[right[:, group.inverse]].T)  # no copy: right is F-ordered
-    index += np.arange(0, len(reps) ** 2, len(reps))
+    n, k = group.order, len(reps)
+    _check_cells(n * k, "the right multiplication table")
+    classes, inverse, right = group.class_index_array(), group.inverse, group.right_multiplication
+    index = np.empty((n, k), dtype=np.int32)
+    step = max(1, _BLOCK_CELLS // n)
+    for lo in range(0, k, step):
+        block = reps[lo : lo + step]
+        flat = np.arange(lo * k, (lo + len(block)) * k, k)[:, None]  # m k
+        # right(block)[m, y] = id of y . z_m, read at y = x^-1 in one
+        # statement, so that no block outlives its iteration
+        index[:, lo : lo + len(block)] = (classes[right(block)[:, inverse]] + flat).T
     return index
 
 
 def _combination(index: np.ndarray, class_of: np.ndarray, coeffs: np.ndarray, ell: int, rows=None):
     """The float64 k x k matrix of sum_i coeffs[i] M_i acting on rows
     (x -> x @ result), where (M_i)[j, m] counts the x in C_i with
-    x^-1 . z_m in C_j, not reduced mod l: one flat bincount over index, or
-    over its columns for the given rows only (the others are 0).  Its sums
-    of |G| weights below l are exact while |G| l < 2**53."""
-    k = len(coeffs)
-    part = index if rows is None else index[:, rows]
-    weights = np.repeat((coeffs % ell)[class_of].astype(np.float64), part.shape[1])
-    return np.bincount(part.ravel(), weights, minlength=k * k).reshape(k, k)
+    x^-1 . z_m in C_j, not reduced mod l: its rows m, all or the given ones
+    (the others are 0), are bincounts over the columns m of index, a block
+    of c columns of _BLOCK_CELLS cells at a time, each with c k output
+    cells.  Its sums of |G| weights below l are exact while |G| l < 2**53."""
+    n, k = index.shape
+    rows = np.arange(k) if rows is None else np.asarray(rows)
+    weights = (coeffs % ell)[class_of].astype(np.float64)
+    out = np.zeros((k, k))
+    step = max(1, _BLOCK_CELLS // n)
+    for lo in range(0, len(rows), step):
+        block = rows[lo : lo + step]
+        c = len(block)
+        part = index[:, block] + (np.arange(c) - block) * k  # (m, j) -> (m's place in block, j)
+        out[block] = np.bincount(part.ravel(), np.repeat(weights, c), minlength=c * k).reshape(c, k)
+    return out
 
 
 def _invariant_combinations(index: np.ndarray, class_of: np.ndarray, power_maps, ell: int, rng):
@@ -523,13 +549,14 @@ def _eigen_checker(index: np.ndarray, class_of: np.ndarray, ell: int, rng):
     probes = rng.integers(0, ell, size=(k, rounds), dtype=np.int64)
     step = 256  # rows of index per gather: bounded temporaries, exact sums
     dtype = fpmat.exact_dtype(step, ell)
-    images = np.zeros((k, rounds), dtype=np.int64)
-    for t in range(rounds):
-        weights = coeffs[class_of, t].astype(dtype)
-        flat = np.tile(probes[:, t].astype(dtype), k)  # entry m k + j is probes[j, t]
-        for lo in range(0, n, step):
-            part = weights[lo : lo + step] @ np.take(flat, index[lo : lo + step])
-            images[:, t] = (images[:, t] + part.astype(np.int64)) % ell
+    images = np.zeros((rounds, k), dtype=np.int64)
+    weights, values = coeffs[class_of].T.astype(dtype, order="C"), probes.T.astype(dtype, order="C")
+    for lo in range(0, n, step):
+        classes = index[lo : lo + step] % k  # entry m k + j is class j
+        for t in range(rounds):
+            part = weights[t, lo : lo + step] @ np.take(values[t], classes)
+            images[t] = (images[t] + part.astype(np.int64)) % ell
+    images = images.T
 
     def failing(rows: np.ndarray) -> np.ndarray:
         lam = fpmat.mul(rows, coeffs, ell)
@@ -726,7 +753,7 @@ def _galois_rows(lines: np.ndarray, power_maps: np.ndarray, ell: int, rng):
     scattered = np.empty(columns.shape)
     scattered[np.arange(len(units))[:, None], columns] = z
     prints = lines.astype(np.float64) @ scattered.T  # exact: k l z < 2**53
-    rows, galois, count = [], np.empty((len(units), k), dtype=np.int32), 0
+    rows, galois, count = np.empty((k, k), dtype=lines.dtype), np.empty((len(units), k), np.int32), 0
     for line, row_prints in zip(lines, prints):
         _, first, inverse = np.unique(row_prints, return_index=True, return_inverse=True)
         if count + len(first) > k:
@@ -734,16 +761,19 @@ def _galois_rows(lines: np.ndarray, power_maps: np.ndarray, ell: int, rng):
         # chi^sigma_s is the row inverse[s], and its image under sigma_t is chi^sigma_(t s)
         products = position[np.outer(units, units[first]) % e]
         galois[:, count : count + len(first)] = count + inverse[products]
-        rows.append(line[columns[first]])
+        rows[count : count + len(first)] = line[columns[first]]
         count += len(first)
     if count < k:
         raise TableVerificationError("the conjugates of the eigenlines give fewer than k rows")
-    return np.concatenate(rows), galois
+    return rows, galois
 
 
 def _degrees_from_omegas(group, omegas: np.ndarray, ell: int, size_inv, inv_class) -> list[int]:
-    """chi(1) from <omega, omega> = |G| / chi(1)^2 mod l, for all rows at once."""
-    forms = (omegas * omegas[:, inv_class] % ell * size_inv % ell).sum(axis=1) % ell
+    """chi(1) from <omega, omega> = |G| / chi(1)^2 mod l, a block of rows at a time."""
+    forms = np.concatenate([
+        (omegas[r] * omegas[r][:, inv_class] % ell * size_inv % ell).sum(axis=1) % ell
+        for r in _row_blocks(len(omegas))
+    ])
     squares = np.array([group.order * pow(int(s), ell - 2, ell) % ell for s in forms])
     root = np.zeros(ell, dtype=np.int64)  # root[t^2 mod l] = t for 0 < t <= l/2
     small = np.arange(1, ell // 2 + 1, dtype=np.int64)
@@ -757,6 +787,26 @@ def _degrees_from_omegas(group, omegas: np.ndarray, ell: int, size_inv, inv_clas
 def _find_root_of_unity(ell: int, e: int) -> int:
     """An element of order e in F_l* (deterministic: smallest generator)."""
     return pow(primitive_root(ell), (ell - 1) // e, ell)
+
+
+@lru_cache(maxsize=None)
+def _monomials(m: int) -> np.ndarray:
+    """_monomial_table(m) as a read-only (m, phi(m)) int64 array: row t is
+    z_m^t in the power basis."""
+    out = np.array(_monomial_table(m), dtype=np.int64)
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=64)
+def _inverse_dft(m: int, e: int, ell: int, w_e: int) -> np.ndarray:
+    """The read-only m x m matrix w_m^-(s t) over F_l, w_m = w_e^(e/m), in
+    fpmat.mul's dtype for rows of length m.  _lift_values takes it from the
+    cache where it has at most _BLOCK_CELLS cells and builds it otherwise."""
+    powers = np.array([pow(w_e, -(e // m) * t, ell) for t in range(m)])  # w_m^-t
+    out = powers[np.outer(np.arange(m), np.arange(m)) % m].astype(fpmat.exact_dtype(m, ell))
+    out.flags.writeable = False
+    return out
 
 
 def _lift_values(group, table_mod: np.ndarray, ell: int, w_e: int, galois: np.ndarray):
@@ -797,14 +847,14 @@ def _lift_values(group, table_mod: np.ndarray, ell: int, w_e: int, galois: np.nd
         # mult[t] = m^{-1} sum_s table[:, class(g^s)] w_m^{-st}, w_m = w_e^(e/m)
         cols = np.take(rows, power_maps[j, :m], axis=1)
         first, inverse = _distinct_rows(cols)
-        powers = np.array([pow(w_e, -(e // m) * t, ell) for t in range(m)])  # w_m^-t
-        dft = powers[np.outer(np.arange(m), np.arange(m)) % m]
-        mults = fpmat.mul(cols[first], dft, ell) * pow(m, -1, ell) % ell
+        dft = (_inverse_dft if m * m <= _BLOCK_CELLS else _inverse_dft.__wrapped__)(m, e, ell, w_e)
+        mults = np.empty((len(first), m), dtype=np.int32)  # entries below l < 2^31
+        for r in _row_blocks(len(first), m):
+            mults[r] = fpmat.mul(cols[first[r]], dft, ell) * pow(m, -1, ell) % ell
         # chi(g) is a sum of chi(1) = table_mod[:, 0] roots of unity (Isaacs, Lemma 2.15)
         if not np.array_equal(mults.sum(axis=1)[inverse], table_mod[:, 0]):
             raise TableVerificationError("root-of-unity multiplicities do not sum to chi(1)")
-        monomials = np.array(_monomial_table(m), dtype=np.int64)
-        ids[:, j] = intern(_galois_image(mults, monomials, 1), m)[inverse]
+        ids[:, j] = intern(_galois_image(mults, _monomials(m), 1), m)[inverse]
     # chi_i(rep^s) = chi_pi_s(i)(rep): every column is a gather of its representative's
     return ids[galois[_unit_index(e)[step]].T, rep_of], pool
 
@@ -822,12 +872,19 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _galois_image(weights: np.ndarray, monomials: np.ndarray, kk: int) -> np.ndarray:
-    """Rows sum_t weights[r, t] z_m^(t kk) in the power basis; monomials[t] is z_m^t."""
-    rows, ts = np.nonzero(weights)  # row-major: each row's entries adjacent
-    present, starts = np.unique(rows, return_index=True)
-    terms = weights[rows, ts][:, None] * monomials[ts * kk % len(monomials)]
+    """Rows sum_t weights[r, t] z_m^(t kk) in the power basis; monomials[t] is
+    z_m^t.  Each nonzero weight gives one term, a monomial row, and the
+    terms are summed a block of rows at a time, about _BLOCK_CELLS cells of
+    terms (or one row) each."""
     out = np.zeros((len(weights), monomials.shape[1]), dtype=np.int64)
-    out[present] = np.add.reduceat(terms, starts, axis=0)
+    cells = np.cumsum(np.count_nonzero(weights, axis=1)) * monomials.shape[1]
+    total = cells[-1] if len(cells) else 0
+    ends = np.searchsorted(cells, np.arange(_BLOCK_CELLS, total, _BLOCK_CELLS))
+    for lo, hi in zip([0, *ends.tolist()], [*ends.tolist(), len(weights)]):
+        rows, ts = np.nonzero(weights[lo:hi])  # row-major: each row's entries adjacent
+        present, starts = np.unique(rows, return_index=True)
+        terms = weights[lo + rows, ts][:, None] * monomials[ts * kk % len(monomials)]
+        out[lo + present] = np.add.reduceat(terms, starts, axis=0)
     return out
 
 
@@ -850,9 +907,11 @@ def _build_table(group: PermGroup, seed: int) -> CharacterTable:
     inv_class = group.power_maps[:, -1]
     omegas, galois, split = _split(group, _product_index(group), ell, seed, size_inv, inv_class)
     degrees = _degrees_from_omegas(group, omegas, ell, size_inv, inv_class)
-    table_mod = (
-        omegas * np.array(degrees, dtype=np.int64)[:, None] % ell * size_inv[None, :] % ell
-    )
+    table_mod = omegas  # omega chi(1) / |C_c| mod l, in place
+    table_mod *= np.array(degrees, dtype=np.int64)[:, None]
+    table_mod %= ell
+    table_mod *= size_inv
+    table_mod %= ell
 
     w_e = _find_root_of_unity(ell, e)
     ids, pool = _lift_values(group, table_mod, ell, w_e, galois)
@@ -861,9 +920,12 @@ def _build_table(group: PermGroup, seed: int) -> CharacterTable:
     # are equal values, so each pool value is rendered once and ranked
     labels = [str(v) for v in pool]
     rank = {label: r for r, label in enumerate(sorted(set(labels)))}
-    ranks = np.array([rank[label] for label in labels], dtype=np.int64)[ids]
-    order = sorted(range(len(degrees)), key=lambda i: (degrees[i], ranks[i].tolist()))
-    degrees = [degrees[i] for i in order]
+    ranks = np.array([rank[label] for label in labels], dtype=np.int32)
+    keys = np.empty((k + 1, k), dtype=np.int32)  # np.lexsort's last key comes first
+    np.take(ranks, ids.T[::-1], out=keys[:k])  # the ranks of columns k - 1, ..., 0
+    keys[k] = degrees
+    order = np.lexsort(keys)
+    degrees = [degrees[i] for i in order.tolist()]
     where = np.empty(k, dtype=np.int32)
     where[order] = np.arange(k)
     table = CharacterTable(
@@ -902,17 +964,20 @@ def _verify(table: CharacterTable) -> None:
     for i, d in zip(ids[:, 0].tolist(), table.degrees):
         if pool[i] != d:
             raise TableVerificationError("first column does not equal the degree")
+    mod_table = table.mod_table
     # lifted values must reduce back to the mod-l table
     reduced = _pool_mod(table._by_conductor(), len(pool), e, ell).astype(np.int64)
-    if not np.array_equal(reduced[ids], table.mod_table % ell):
-        raise TableVerificationError("lift is inconsistent with the mod-l table")
+    for r in _row_blocks(k):
+        if not np.array_equal(reduced[ids[r]], mod_table[r] % ell):
+            raise TableVerificationError("lift is inconsistent with the mod-l table")
     # modular orthogonality (always)
     powers = table._powers()
     sizes = np.array([c.size for c in table.classes], dtype=np.int64)
-    t_inv = table.mod_table[:, powers[:, -1]]
-    gram = fpmat.mul(table.mod_table, (t_inv * sizes[None, :] % ell).T, ell)
-    if not np.array_equal(gram, (group.order % ell) * np.eye(k, dtype=np.int64) % ell):
+    inv, dtype = powers[:, -1], fpmat.exact_dtype(k, ell)
+    t_inv = _filled(lambda r: mod_table[r][:, inv] * sizes % ell, k, dtype)
+    if not _gram_is(lambda r: mod_table[r], t_inv.T, group.order % ell, ell):
         raise TableVerificationError("row orthogonality fails mod l")
+    del t_inv  # verify_orthogonality_exact keeps a k x k array of its own
     # rational rows match rational classes
     units = np.array(table.units()) % e
     rational_classes = int((powers[:, units] == np.arange(k)[:, None]).all(axis=1).sum())
@@ -925,28 +990,13 @@ def _verify(table: CharacterTable) -> None:
 def verify_orthogonality_exact(table: CharacterTable) -> None:
     """Exact row and column orthogonality: the Galois action on the value
     pool, an integer bound on the Gram entries, and the Gram matrices modulo
-    enough primes to exceed it (see the module docstring)."""
+    enough primes to exceed it (see the module docstring).  Besides the id
+    array, one k x k array is kept at a time, and the checks read blocks of
+    its rows."""
     by_conductor = table._by_conductor()
     ids, e, k = table.value_ids, table.exponent, table.n_classes
     powers = table._powers()
-    key_of = {
-        (m, row.tobytes()): i
-        for m, (idx, coeffs) in by_conductor.items()
-        for i, row in zip(idx, coeffs)
-    }
-    rows = np.sort(_void(np.ascontiguousarray(ids)))
-    for u in unit_generators(e):
-        lut = np.arange(len(table.value_pool), dtype=ids.dtype)  # rationals are fixed
-        for m, (idx, coeffs) in by_conductor.items():
-            if m > 1:
-                monomials = np.array(_monomial_table(m), dtype=np.int64)
-                images = _galois_image(coeffs, monomials, u % m)
-                lut[idx] = [key_of.get((m, row.tobytes()), -1) for row in images]
-        moved = lut[ids]
-        if not np.array_equal(moved, ids[:, powers[:, u]]):
-            raise TableVerificationError("entrywise Galois action disagrees with the power maps")
-        if not np.array_equal(np.sort(_void(moved)), rows):
-            raise TableVerificationError("Galois images of the rows are not the rows")
+    _check_galois_action(table, by_conductor, powers)
     # each Gram matrix is dominated entrywise by a positive semidefinite one
     # in the L1 norms of the values, whose largest entry is on its diagonal
     order = table.group.order
@@ -955,27 +1005,29 @@ def verify_orthogonality_exact(table: CharacterTable) -> None:
     l1 = np.empty(len(table.value_pool))
     for idx, coeffs in by_conductor.values():
         l1[idx] = np.abs(coeffs).sum(axis=1)
-    sq = (l1**2)[ids]
-    cap = max((sq @ sizes).max(), sq.sum(axis=0).max(), (l1[ids][:, square] @ sizes).max())
+    sq, caps, column_sums = l1**2, [], np.zeros(k)
+    for r in _row_blocks(k):
+        part = sq[ids[r]]
+        caps += [(part @ sizes).max(), (l1[ids[r][:, square]] @ sizes).max()]
+        column_sums += part.sum(axis=0)
+    cap = max(*caps, column_sums.max())
     # float64 sums of k nonnegative terms: relative error below k 2^-53
     bound = 2 * (int(cap * (1 + 2**-20)) + 1 + order)
     width = max(k, max(coeffs.shape[1] for _, coeffs in by_conductor.values()))
     inv = powers[:, -1]
-    diagonal = np.arange(k), np.arange(k)
-    real = (ids[:, inv] == ids).all(axis=1)
+    real = np.concatenate([(ids[r][:, inv] == ids[r]).all(axis=1) for r in _row_blocks(k)])
     indicators = None
     for p in _gram_primes(e, width, bound):
-        x = _pool_mod(by_conductor, len(table.value_pool), e, p)[ids]
-        x_inv = x[:, inv]
-        gram = fpmat.mul(x * sizes % p, x_inv.T, p)  # float64 x |C_c| < p |G| < 2^53
-        gram[diagonal] -= order % p
-        if gram.any():
+        x = _pool_mod(by_conductor, len(table.value_pool), e, p)
+        x_inv = _filled(lambda r: x[ids[r][:, inv]], k, np.float64)
+        # float64 x |C_c| < p |G| < 2^53
+        if not _gram_is(lambda r: x[ids[r]] * sizes % p, x_inv.T, order % p, p):
             raise TableVerificationError(f"row orthogonality fails mod {p}")
-        gram = fpmat.mul(x.T, x_inv, p)
-        gram[diagonal] -= order // sizes % p
-        if gram.any():
+        if not _gram_is(lambda r: x[ids[:, r]].T, x_inv, order // sizes % p, p):
             raise TableVerificationError(f"column orthogonality fails mod {p}")
-        twisted = fpmat.mul(x[:, square], sizes[:, None] % p, p)[:, 0]  # sum_c |C_c| chi(c^2)
+        twisted = np.concatenate(  # sum_c |C_c| chi(c^2)
+            [fpmat.mul(x[ids[r][:, square]], sizes[:, None] % p, p)[:, 0] for r in _row_blocks(k)]
+        )
         nu = np.select([twisted == 0, twisted == order % p, twisted == -order % p], [0, 1, -1], 2)
         if indicators is None:
             indicators = nu
@@ -983,6 +1035,68 @@ def verify_orthogonality_exact(table: CharacterTable) -> None:
             raise TableVerificationError(f"Frobenius-Schur indicator is not -1, 0 or 1 mod {p}")
         if ((nu != 0) != real).any():
             raise TableVerificationError("Frobenius-Schur indicator is 0 on a real row or nonzero on another")
+
+
+def _check_galois_action(table: CharacterTable, by_conductor, powers: np.ndarray) -> None:
+    """For each generator u of the units mod e, the pool mapped through
+    z -> z^u must move the id array as the power map c -> c^u moves its
+    columns, and the moved rows must be the rows."""
+    ids = table.value_ids
+    rows = np.sort(_void(np.ascontiguousarray(ids)))
+    for u in unit_generators(table.exponent):
+        lut = np.arange(len(table.value_pool), dtype=ids.dtype)  # rationals are fixed
+        for m, (idx, coeffs) in by_conductor.items():
+            if m > 1:
+                found = _find_rows(_galois_image(coeffs, _monomials(m), u % m), coeffs)
+                lut[idx] = np.where(found >= 0, np.asarray(idx)[found], -1)
+        moved = lut[ids]
+        for r in _row_blocks(table.n_classes):
+            if not np.array_equal(moved[r], ids[r][:, powers[:, u]]):
+                raise TableVerificationError("entrywise Galois action disagrees with the power maps")
+        moved_rows = _void(moved)
+        moved_rows.sort()  # in place: moved is not read again
+        if not np.array_equal(moved_rows, rows):
+            raise TableVerificationError("Galois images of the rows are not the rows")
+
+
+def _find_rows(rows: np.ndarray, among: np.ndarray) -> np.ndarray:
+    """For each of the rows, the index of the last equal row of among, or -1."""
+    keys, wanted = _void(among), _void(rows)
+    order = np.argsort(keys, kind="stable")
+    at = np.searchsorted(keys, wanted, side="right", sorter=order) - 1
+    found = order[at.clip(0)]
+    return np.where((at >= 0) & (keys[found] == wanted), found, -1)
+
+
+def _row_blocks(n: int, width: int | None = None) -> list[slice]:
+    """Slices of consecutive rows of an n x width array (width n by
+    default), _CHECK_CELLS cells (or one row) each."""
+    step = max(1, _CHECK_CELLS // (n if width is None else width))
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
+def _filled(block_of, k: int, dtype) -> np.ndarray:
+    """The k x k array whose rows r are block_of(r), filled a block at a time."""
+    out = np.empty((k, k), dtype=dtype)
+    for r in _row_blocks(k):
+        out[r] = block_of(r)
+    return out
+
+
+def _gram_is(block_of, right: np.ndarray, diagonal, p: int) -> bool:
+    """Whether the k x k product of the rows block_of(r) and right is, mod
+    p, diagonal with the given entries (one for all rows, or one per row),
+    a block of rows at a time.  right is in fpmat.mul's dtype, so never
+    copied."""
+    k = len(right)
+    diagonal = np.broadcast_to(diagonal, k)
+    for r in _row_blocks(k):
+        gram = fpmat.mul(block_of(r), right, p)
+        at = np.arange(r.start, r.stop)
+        gram[at - r.start, at] -= diagonal[r]
+        if gram.any():
+            return False
+    return True
 
 
 def _pool_by_conductor(pool: list[Cyclotomic]) -> dict[int, tuple[list[int], np.ndarray]]:

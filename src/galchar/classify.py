@@ -191,6 +191,13 @@ def find_complement(
     Seeded randomized search: sample p'-parts of random elements, close under
     multiplication with a size cap, keep the closure when it stays a
     p'-group, restart the sample otherwise.  Deterministic given the seed.
+
+    The order of a p'-subgroup divides |G|/|P|, and a subgroup of order
+    divisible by p holds an element of order p (Cauchy), so a sample is
+    dropped at the first layer of its closure holding an element of order
+    divisible by p, or once the closure passes |G|/|P|.  The closure starts
+    from that of the kept generators, and a sample already in it is kept
+    without one.
     """
     target = group.order // psub.order
     if group.order % psub.order:
@@ -203,12 +210,20 @@ def find_complement(
     p = pp[0]
     if target % p == 0:
         raise ValueError("P must be a full Sylow p-subgroup")
+    orders = group.order_of(np.arange(group.order))
+    singular = orders % p == 0
+
+    def refuse(ids) -> bool:
+        return bool(singular[ids].any())
+
     rng = random.Random(seed)
     gens: list[int] = []
+    kept = np.zeros(1, dtype=np.int64)  # the closure of gens, a p'-group
+    inside = group.mask(kept)
     closures = 0
     while closures < COMPLEMENT_CLOSURE_CAP:
         g = rng.randrange(group.order)
-        o, p_part = int(group.order_of(g)), 1
+        o, p_part = int(orders[g]), 1
         while o % p == 0:
             o //= p
             p_part *= p
@@ -217,13 +232,15 @@ def find_complement(
             continue
         candidate = gens + [h]
         closures += 1
-        closure = group.closure(candidate, cap=target)
+        if inside[h]:
+            gens = candidate
+            continue
+        closure = group.closure(candidate, cap=target, base=kept, refuse=refuse)
         if closure is None:
-            continue  # overshoot: p-singular closure, drop the sample
+            continue  # p-singular or too large: drop the sample
         if len(closure) == target:
             return Subgroup(group, closure, candidate)
-        if len(closure) % p:
-            gens = candidate
+        gens, kept, inside = candidate, closure, group.mask(closure)
     raise ComplementNotFound(
         f"no complement of order {target} found within "
         f"{COMPLEMENT_CLOSURE_CAP} closures"

@@ -46,8 +46,9 @@ products (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
   x^s ~ y^s, so a breadth-first walk over Z/e from 1 fills column t s from
   column t by the s-th map, for s running over the primes and the units.
 
-Arrays of more than CELL_BUDGET cells (the power maps, and the |G| x k
-right multiplications of the class representatives) raise
+Arrays of more than CELL_BUDGET cells (the power maps, and a character
+table's |G| x k int32 index of the classes of the right multiplications of
+the class representatives, built from blocks of them) raise
 OrderBoundExceeded before they are allocated.  That is 14x the largest
 input in the repo, but it is a tighter limit than ORDER_BOUND on groups
 with many classes: a character table needs |G| k <= 4e7, so an abelian
@@ -72,7 +73,7 @@ from .numth import factorize, is_prime_power, unit_generators
 
 ORDER_BOUND = 500_000
 CELL_BUDGET = 40_000_000  # cells of the largest derived array (k e or |G| k)
-_BLOCK_CELLS = 1 << 18  # cells of a block of right multiplications
+_BLOCK_CELLS = 1 << 18  # cells of a block of an array built or read in blocks
 
 
 class OrderBoundExceeded(RuntimeError):
@@ -356,14 +357,28 @@ class PermGroup:
         lookup: building the group looks nothing up."""
         return _base_tables(self.images)
 
+    @cached_property
+    def _base(self) -> np.ndarray:
+        """The base points as an int64 array: the identity's base images."""
+        return np.asarray(self._lookup[0], dtype=np.int64)
+
     def _ids_of_base_images(self, points: np.ndarray) -> np.ndarray:
         """Ids of the elements with the base images points (..., r), one
-        table cell per base point; KeyError on a -1 cell."""
-        label = np.zeros(points.shape[:-1], dtype=np.int64)
-        for i, table in enumerate(self._lookup[1]):
-            label = table[label * self.degree + points[..., i]]
-            if (label < 0).any():
-                raise KeyError("no element has these base images")
+        table cell per base point; KeyError on a -1 cell.  No label is
+        tested on the way: np.ravel_multi_index refuses a -1 label as a
+        coordinate of the next table, so only the last one is."""
+        tables, deg = self._lookup[1], self.degree
+        if not tables:
+            return np.zeros(points.shape[:-1], dtype=np.int64)
+        try:
+            label = tables[0][points[..., 0]]  # the first table has one label
+            for i in range(1, len(tables)):
+                cells = np.ravel_multi_index((label, points[..., i]), (len(tables[i]) // deg, deg))
+                label = tables[i][cells]
+        except ValueError:
+            raise KeyError("no element has these base images") from None
+        if (label < 0).any():
+            raise KeyError("no element has these base images")
         return label
 
     def ids_of_rows(self, rows: np.ndarray) -> np.ndarray:
@@ -415,8 +430,7 @@ class PermGroup:
         looked up once.  No whole row is compared, and none is needed: a
         product of elements of G lies in G, and no other element of G has
         its base images, so the element found by them is the product."""
-        flat, deg = self.images.ravel(), self.degree
-        points = np.asarray(self._lookup[0], dtype=np.int64)  # the identity's base images
+        flat, deg, points = self.images.ravel(), self.degree, self._base
         for f in reversed(factors):  # (a * b)(x) = a(b(x)): a flat gather at a's row offset
             points = flat[np.asarray(f, dtype=np.int64)[..., None] * deg + points]
         return self._ids_of_base_images(points)
@@ -523,18 +537,19 @@ class PermGroup:
 
     # -- subgroup machinery ---------------------------------------------------
 
-    def closure(self, gens, cap: int | None = None, base=None) -> np.ndarray | None:
+    def closure(self, gens, cap: int | None = None, base=None, refuse=None) -> np.ndarray | None:
         """Sorted ids of the subgroup generated by the ids gens and the subgroup
-        base (default trivial), or None once it has more than cap elements.
-        Each breadth-first layer multiplies the frontier by every generator
-        and masks out the products inside already."""
+        base (default trivial), or None once it has more than cap elements or
+        refuse(ids) is true of the new ids of a layer.  Each breadth-first
+        layer multiplies the frontier by every generator and masks out the
+        products inside already."""
         gens = np.asarray(gens, dtype=np.int64)
         frontier = np.zeros(1, dtype=np.int64) if base is None else np.asarray(base)
         inside, size = self.mask(frontier), len(frontier)
         while len(frontier) and len(gens):
             frontier = np.flatnonzero(self.mask(self.mul(frontier[:, None], gens)) & ~inside)
             size += len(frontier)
-            if cap is not None and size > cap:
+            if cap is not None and size > cap or refuse is not None and refuse(frontier):
                 return None
             inside[frontier] = True
         return np.flatnonzero(inside)

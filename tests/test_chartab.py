@@ -1,15 +1,25 @@
 import json
+import tracemalloc
 from math import gcd
 
 import numpy as np
 import pytest
 
+from galchar import chartab
 from galchar.chartab import (
     TableVerificationError,
     character_table,
     verify_orthogonality_exact,
 )
-from galchar.constructors import cyclic, dihedral, symmetric
+from galchar.constructors import (
+    CaseParams,
+    ParamsInvalid,
+    construct_case,
+    cyclic,
+    dihedral,
+    sweep_parameter_points,
+    symmetric,
+)
 from galchar.corpus import build
 from galchar.cyclotomic import cyc, zeta
 
@@ -168,3 +178,40 @@ def test_table_serialization_schema():
     for row, chi in zip(doc["values"], table.chars):
         for text, value in zip(row, chi.values):
             assert Cyclotomic.parse(text) == value
+
+
+def _sweep_groups():
+    for params in sweep_parameter_points():
+        try:
+            yield params.label(), construct_case(params)
+        except ParamsInvalid:
+            pass
+
+
+def test_rows_are_sorted_by_degree_then_rendered_values(get_table, corpus_keys):
+    tables = [(key, get_table(key)) for key in corpus_keys]
+    tables += [(label, character_table(group)) for label, group in _sweep_groups()]
+    tables.append(("a7(h=4)", character_table(construct_case(CaseParams("a7", 2, 2, 1, 4)))))
+    for label, table in tables:
+        keys = [(chi.degree, [str(v) for v in chi.values]) for chi in table.chars]
+        assert keys == sorted(keys), label
+
+
+def test_product_index_is_int32_and_never_holds_an_int64_copy():
+    # the parent layout held a |G| x k int64 right multiplication, its
+    # gather at the inverses and an intp class array at once: 26.5 MB here
+    group = construct_case(CaseParams("a7", 2, 2, 1, 5))
+    group.conjugacy_classes(), group.inverse, group._lookup  # built before tracing
+    n, k = group.order, len(group.conjugacy_classes())
+    tracemalloc.start()
+    try:
+        index = chartab._product_index(group)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n * k * 8  # 17.6 MB
+    assert index.dtype == np.int32 and index.shape == (n, k)
+    reps = [c.element_ids[0] for c in group.conjugacy_classes()]
+    right = group.right_multiplication(reps[:5])
+    expected = group.class_index_array()[right[:, group.inverse]] + k * np.arange(5)[:, None]
+    assert np.array_equal(index[:, :5], expected.T)

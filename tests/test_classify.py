@@ -1,8 +1,12 @@
+import random
+
 import numpy as np
 import pytest
 
+from galchar import classify
 from galchar.chartab import character_table
 from galchar.classify import (
+    COMPLEMENT_CLOSURE_CAP,
     ComplementNotFound,
     analyze_structure,
     check_frobenius_action,
@@ -16,16 +20,20 @@ from galchar.classify import (
     is_single_galois_class,
 )
 from galchar.constructors import (
+    ParamsInvalid,
     affine_semidirect,
     alternating,
+    construct_case,
     cyclic,
     heisenberg,
     quaternion8,
     singer_matrix,
+    sweep_parameter_points,
     symmetric,
 )
-from galchar.corpus import build
-from galchar.perm import Permutation
+from galchar.corpus import CORPUS, build
+from galchar.numth import factorize
+from galchar.perm import Permutation, Subgroup
 
 
 def mat(rows):
@@ -192,3 +200,64 @@ def test_report_roundtrip():
     assert doc["case_tag"] == "a1"
     assert doc["checklist"]["scalar_transitivity"] is True
     assert doc["group_order"] == 6
+
+
+def reference_complement(group, psub, seed):
+    """find_complement's earlier loop: every sample is closed from the
+    identity with the size cap alone, and kept when its order is prime to p."""
+    target = group.order // psub.order
+    if target == 1:
+        return group.trivial_subgroup()
+    p = min(factorize(psub.order))
+    rng = random.Random(seed)
+    gens, closures = [], 0
+    while closures < COMPLEMENT_CLOSURE_CAP:
+        g = rng.randrange(group.order)
+        o, p_part = int(group.order_of(g)), 1
+        while o % p == 0:
+            o //= p
+            p_part *= p
+        h = int(group.power(g, p_part))
+        if h == 0:
+            continue
+        candidate = gens + [h]
+        closures += 1
+        closure = group.closure(candidate, cap=target)
+        if closure is None:
+            continue
+        if len(closure) == target:
+            return Subgroup(group, closure, candidate)
+        if len(closure) % p:
+            gens = candidate
+    raise ComplementNotFound("reference")
+
+
+def _complement_inputs(monkeypatch):
+    """(label, group, P) for every call analyze_structure makes to
+    find_complement on the corpus and the default sweep."""
+    groups = [(e.key, build(e.key)) for e in CORPUS]
+    for params in sweep_parameter_points():
+        try:
+            groups.append((params.label(), construct_case(params)))
+        except ParamsInvalid:
+            pass
+    calls = []
+    for label, group in groups:
+        def record(g, psub, seed, label=label):
+            calls.append((label, g, psub))
+            return find_complement(g, psub, seed=seed)
+
+        monkeypatch.setattr(classify, "find_complement", record)
+        analyze_structure(group)
+    monkeypatch.undo()
+    return calls
+
+
+def test_find_complement_matches_the_earlier_loop(monkeypatch):
+    calls = _complement_inputs(monkeypatch)
+    assert len(calls) > 30
+    for label, group, psub in calls:
+        for seed in range(4):
+            ours, ref = find_complement(group, psub, seed=seed), reference_complement(group, psub, seed)
+            assert np.array_equal(ours.ids, ref.ids), (label, seed)
+            assert np.array_equal(ours.gen_ids, ref.gen_ids), (label, seed)

@@ -242,3 +242,34 @@ def test_pool_reduction_matches_the_dixon_table(a7h3):
     by_conductor = chartab._pool_by_conductor(a7h3.value_pool)
     reduced = chartab._pool_mod(by_conductor, len(a7h3.value_pool), e, ell)
     assert np.array_equal(reduced[a7h3.value_ids], a7h3.mod_table % ell)
+
+
+CORRUPTIONS = [
+    test_conjugated_entry_fails_the_galois_check,
+    test_swap_in_a_rational_column_fails_orthogonality_mod_p,
+    test_swap_with_a_nonrational_row_fails_the_galois_check,
+    test_entry_shifted_by_the_first_prime_needs_a_second,
+    test_misplaced_square_fails_the_frobenius_schur_sum,
+    test_squares_read_as_the_classes_fail_the_real_row_check,
+]
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS, ids=[c.__name__[5:] for c in CORRUPTIONS])
+def test_checks_read_in_small_blocks_fail_alike(corrupt, a7h3_group, monkeypatch):
+    # the k x k checks read blocks of rows; with two rows per block the
+    # corruptions that the default single block catches must still be caught
+    monkeypatch.setattr(chartab, "_CHECK_CELLS", 2 * 63)
+    corrupt(character_table(a7h3_group, seed=1))
+
+
+def test_small_blocks_build_and_verify_the_same_table(monkeypatch):
+    # every array built or read in blocks, here a few cells each, gives the
+    # table the default blocks give, and passes the same checks
+    groups = [construct_case(CaseParams("a7", 2, 2, 1, 3)), construct_case(CaseParams("a3", 2, 2, 1, 2))]
+    expected = [(t.to_dict(), t.mod_table, t.galois) for t in map(character_table, groups)]
+    monkeypatch.setattr(chartab, "_BLOCK_CELLS", 300)
+    monkeypatch.setattr(chartab, "_CHECK_CELLS", 100)
+    for group, (doc, mod_table, galois) in zip(groups, expected):
+        table = character_table(group)  # verified in blocks of one row
+        assert table.to_dict() == doc
+        assert np.array_equal(table.mod_table, mod_table) and np.array_equal(table.galois, galois)

@@ -168,3 +168,15 @@ def test_a_blank_table_cell_makes_exactly_its_products_raise():
             group.mul(1, 2)
         with pytest.raises(KeyError):
             group.mul(np.arange(group.order), 2)
+
+
+@pytest.mark.parametrize("key", ["S4", "SL(2,3)", "Heis3:Q8", "C3^2:Q8", "Q8:C9", "C2^14", "AGL(3,2)"])
+def test_mul_is_the_lookup_of_the_composed_rows(key):
+    # mul walks the tables without testing each label, so an oracle that
+    # composes whole image rows and looks them up with every check
+    group = BUILDERS[key]()
+    rng = np.random.default_rng(17)
+    a, b = rng.integers(0, group.order, (2, 300))
+    rows = np.take_along_axis(group.images[a], group.images[b], axis=1)  # a(b(x))
+    assert group.mul(a, b).tolist() == group.ids_of_rows(rows).tolist()
+    assert [int(group.mul(int(x), int(y))) for x, y in zip(a[:20], b[:20])] == group.mul(a, b)[:20].tolist()
