@@ -88,11 +88,11 @@ The table of a group G is computed in five steps:
 The finished table is verified before it is returned: degree sum, first
 column, orthogonality modulo l, the rational-row = rational-class count,
 and consistency of the lifted values with the mod-l table, for which the
-pool is reduced mod l with one product per conductor.  The checks of k x k
-arrays read blocks of their rows; besides the table's own arrays, each
-keeps one k x k array whole, the right factor of its Gram products.  The lift's
+pool is reduced mod l with one product per conductor.  The lift's
 multiplicity rows must each sum to chi(1) (chi(g) is a sum of chi(1) roots
-of unity).
+of unity).  The checks read the k x k arrays a block of rows at a time;
+besides the table's own arrays, each keeps one k x k array whole, the right
+factor of its Gram products.
 
 Orthogonality is then checked exactly, at every table size, on the id array
 and the pool (Cohen, A Course in Computational Algebraic Number Theory,
@@ -157,7 +157,7 @@ from .perm import _BLOCK_CELLS, ConjugacyClass, PermGroup, Subgroup, _check_cell
 EXACT_BUDGET = 2**53  # n (p - 1)^2 below it keeps the exact check's products exact
 _LEVEL0_ROUNDS = 64  # refining rounds at level 0 before the descent gives up
 _DESCENT_PASSES = 32  # passes over failing orbits before it does
-_CHECK_CELLS = 1 << 20  # cells of a row block of a k x k check
+_CHECK_CELLS = 1 << 20  # cells of a block of rows of a k x k check or of the lift
 
 
 class TableVerificationError(AssertionError):

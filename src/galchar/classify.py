@@ -212,10 +212,6 @@ def find_complement(
         raise ValueError("P must be a full Sylow p-subgroup")
     orders = group.order_of(np.arange(group.order))
     singular = orders % p == 0
-
-    def refuse(ids) -> bool:
-        return bool(singular[ids].any())
-
     rng = random.Random(seed)
     gens: list[int] = []
     kept = np.zeros(1, dtype=np.int64)  # the closure of gens, a p'-group
@@ -235,7 +231,7 @@ def find_complement(
         if inside[h]:
             gens = candidate
             continue
-        closure = group.closure(candidate, cap=target, base=kept, refuse=refuse)
+        closure = group.closure(candidate, target, kept, refuse=lambda ids: singular[ids].any())
         if closure is None:
             continue  # p-singular or too large: drop the sample
         if len(closure) == target:
