@@ -198,8 +198,8 @@ def test_rows_are_sorted_by_degree_then_rendered_values(get_table, corpus_keys):
 
 
 def test_product_index_is_int32_and_never_holds_an_int64_copy():
-    # the parent layout held a |G| x k int64 right multiplication, its
-    # gather at the inverses and an intp class array at once: 26.5 MB here
+    # built whole, a |G| x k int64 right multiplication, its gather at the
+    # inverses and an intp class array were alive at once: 26.5 MB here
     group = construct_case(CaseParams("a7", 2, 2, 1, 5))
     group.conjugacy_classes(), group.inverse, group._lookup  # built before tracing
     n, k = group.order, len(group.conjugacy_classes())
