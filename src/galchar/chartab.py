@@ -802,7 +802,8 @@ def _monomials(m: int) -> np.ndarray:
 def _inverse_dft(m: int, e: int, ell: int, w_e: int) -> np.ndarray:
     """The read-only m x m matrix w_m^-(s t) over F_l, w_m = w_e^(e/m), in
     fpmat.mul's dtype for rows of length m.  _lift_values takes it from the
-    cache where it has at most _BLOCK_CELLS cells and builds it otherwise."""
+    cache where it has at most 4 _BLOCK_CELLS cells (m <= 512) and builds it
+    otherwise."""
     powers = np.array([pow(w_e, -(e // m) * t, ell) for t in range(m)])  # w_m^-t
     out = powers[np.outer(np.arange(m), np.arange(m)) % m].astype(fpmat.exact_dtype(m, ell))
     out.flags.writeable = False
@@ -847,7 +848,8 @@ def _lift_values(group, table_mod: np.ndarray, ell: int, w_e: int, galois: np.nd
         # mult[t] = m^{-1} sum_s table[:, class(g^s)] w_m^{-st}, w_m = w_e^(e/m)
         cols = np.take(rows, power_maps[j, :m], axis=1)
         first, inverse = _distinct_rows(cols)
-        dft = (_inverse_dft if m * m <= _BLOCK_CELLS else _inverse_dft.__wrapped__)(m, e, ell, w_e)
+        cached = m * m <= 4 * _BLOCK_CELLS  # m <= 512
+        dft = (_inverse_dft if cached else _inverse_dft.__wrapped__)(m, e, ell, w_e)
         mults = np.empty((len(first), m), dtype=np.int32)  # entries below l < 2^31
         for r in _row_blocks(len(first), m):
             mults[r] = fpmat.mul(cols[first[r]], dft, ell) * pow(m, -1, ell) % ell

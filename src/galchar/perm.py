@@ -1,7 +1,11 @@
 """Finite permutation groups at desk scale.
 
 A group is enumerated once, breadth-first over its generator list, into an
-(|G|, degree) int32 image array (bounded, default 5e5 rows).  An element is
+(|G|, degree) image array (bounded, default 5e5 rows) of the narrowest
+unsigned type that holds degree - 1: uint8 up to 256 points, uint16 up to
+65,536.  Under NumPy 2's promotion rules (NEP 50) an image value combined
+with a Python int keeps that type and wraps silently, so every arithmetic
+on image values meets an int64 array (ids, labels) first.  An element is
 its id, the index of its row; a subgroup is a sorted id array.  Products,
 closures, centralizers, classes and cosets all work on ids, batched over
 arrays.  `Permutation` is the value type at the edges only: generators,
@@ -73,7 +77,7 @@ from .numth import factorize, is_prime_power, unit_generators
 
 ORDER_BOUND = 500_000
 CELL_BUDGET = 40_000_000  # cells of the largest derived array (k e or |G| k)
-_BLOCK_CELLS = 1 << 18  # cells of a block of an array built or read in blocks
+_BLOCK_CELLS = 1 << 16  # cells of a block of an array built or read in blocks: 0.5 MiB of int64
 
 
 class OrderBoundExceeded(RuntimeError):
@@ -172,12 +176,18 @@ class Permutation:
 
 @dataclass
 class ConjugacyClass:
-    """One conjugacy class: representative, members, and its power map."""
+    """One conjugacy class: its least member's image row, members, and its
+    power map.  Equality compares members and order, which determine the
+    representative."""
 
-    rep: Permutation
+    row: np.ndarray = field(compare=False, repr=False)  # in the image type
     element_ids: tuple[int, ...]
     order: int
     powers: np.ndarray = field(compare=False, repr=False)  # its row of power_maps
+
+    @property
+    def rep(self) -> Permutation:
+        return Permutation._of_row(self.row.tolist())
 
     @property
     def size(self) -> int:
@@ -190,7 +200,7 @@ class ConjugacyClass:
 
 
 def _void(rows: np.ndarray) -> np.ndarray:
-    """Each int32 row of a C-contiguous array as one opaque byte string."""
+    """Each row of a C-contiguous array as one opaque byte string."""
     return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
 
 
@@ -300,10 +310,12 @@ class PermGroup:
     def _enumerate(self, order_bound: int) -> None:
         """Breadth-first over the generators into self.images.  Each layer
         stacks frontier[:, g], the products x * g, in (x, g) order and keeps
-        the rows not seen before, in that order."""
+        the rows not seen before, in that order.  Every array here, and the
+        set's row keys, are in the image type (see the module docstring)."""
         deg, ngen = self.degree, len(self.generators)
-        gens = np.array([g.images for g in self.generators], dtype=np.int32).reshape(ngen, deg)
-        frontier = np.arange(deg, dtype=np.int32)[None, :]
+        point = np.min_scalar_type(max(deg - 1, 0))
+        gens = np.array([g.images for g in self.generators], dtype=point).reshape(ngen, deg)
+        frontier = np.arange(deg, dtype=point)[None, :]
         seen, layers = set(_void(frontier).tolist()), [frontier]
         while len(frontier):
             stacked = frontier[:, gens].reshape(-1, deg)
@@ -349,7 +361,7 @@ class PermGroup:
         rows = [p.images for p in perms]
         if any(len(r) != self.degree for r in rows):
             raise KeyError("permutation of another degree")
-        return self.ids_of_rows(np.array(rows, dtype=np.int32).reshape(-1, self.degree))
+        return self.ids_of_rows(np.array(rows, dtype=np.int64).reshape(-1, self.degree))
 
     @cached_property
     def _lookup(self) -> tuple[list[int], list[np.ndarray]]:
@@ -384,8 +396,9 @@ class PermGroup:
     def ids_of_rows(self, rows: np.ndarray) -> np.ndarray:
         """Element ids for a stack of image rows; KeyError if one is not in
         G.  The base images find the only candidate, and the whole row must
-        equal it: a row from outside may agree with an element on the base."""
-        rows = np.ascontiguousarray(rows, dtype=np.int32)
+        equal it: a row from outside may agree with an element on the base.
+        The rows are read as int64, so no value wraps into the image type."""
+        rows = np.asarray(rows, dtype=np.int64)
         if rows.ndim != 2 or rows.shape[1] != self.degree:
             raise KeyError("row of another degree")
         points = rows[:, self._lookup[0]]
@@ -409,7 +422,8 @@ class PermGroup:
         return self._ids_of_base_images(points.reshape(len(base), self.order).T)
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(elements, inverses) as int32 image matrices, row i = element i."""
+        """(elements, inverses) as image matrices in the image type, row i =
+        element i."""
         return self.images, self.images[self.inverse]
 
     @cached_property
@@ -506,7 +520,7 @@ class PermGroup:
         members = np.split(grouped, np.cumsum(sizes)[:-1])
         self._classes = [
             ConjugacyClass(
-                self.element(least[i]), tuple(members[i].tolist()), int(orders[i]), row
+                self.images[least[i]], tuple(members[i].tolist()), int(orders[i]), row
             )
             for i, row in zip(by.tolist(), self._power_maps)
         ]

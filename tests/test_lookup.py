@@ -32,10 +32,15 @@ class Reference:
 
     def __init__(self, group: PermGroup):
         self.rows = group.images
-        self.id_of = {row.tobytes(): i for i, row in enumerate(self.rows)}
+        self.id_of = {self.key(row): i for i, row in enumerate(self.rows)}
+
+    @staticmethod
+    def key(row) -> bytes:
+        """The row's int32 bytes, whatever its type."""
+        return np.asarray(row, dtype=np.int32).tobytes()
 
     def find(self, row) -> int:
-        return self.id_of[np.asarray(row, dtype=np.int32).tobytes()]
+        return self.id_of[self.key(row)]
 
     def mul(self, *ids) -> int:
         row = np.arange(self.rows.shape[1])
