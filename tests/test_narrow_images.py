@@ -9,6 +9,7 @@ import pytest
 from galchar import chartab
 from galchar.chartab import character_table
 from galchar.constructors import CaseParams, construct_case, cyclic, symmetric
+from galchar.perm import ConjugacyClass
 
 
 @pytest.mark.parametrize(
@@ -59,7 +60,7 @@ def test_classes_keep_rows_and_build_representatives_on_access():
         assert np.array_equal(c.row, group.images[c.element_ids[0]])
         assert c.rep == group.element(c.element_ids[0])
     first = group.conjugacy_classes()[1]
-    assert first == chartab.ConjugacyClass(
+    assert first == ConjugacyClass(
         first.row[::-1], first.element_ids, first.order, first.powers
     )
 
