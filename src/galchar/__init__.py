@@ -2,9 +2,8 @@
 classification of groups whose exceptional irreducible characters form a
 single Galois conjugacy class."""
 
-from .cyclotomic import Cyclotomic, cyc, cyc_from_root_multiplicities, zeta
+from .cyclotomic import Cyclotomic, cyc, zeta
 from .numth import (
-    PrimePower,
     find_dixon_prime,
     is_mersenne_prime,
     is_prime,
@@ -17,7 +16,6 @@ from .perm import (
     Subgroup,
     direct_product,
     frattini_of_pgroup,
-    group_from_generators,
     group_from_json,
     group_to_json,
     load_group,
@@ -28,10 +26,6 @@ from .chartab import (
     Character,
     CharacterTable,
     character_table,
-    field_in_pth_cyclotomic,
-    galois_conjugate,
-    galois_orbits,
-    kernel_of,
     verify_orthogonality_exact,
 )
 from .classify import (

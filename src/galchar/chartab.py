@@ -4,8 +4,8 @@ The table of a group G is computed in five steps:
 
 1. conjugacy classes, class sizes and exponent e, and the group's (k, e)
    int32 power-map array, composed from a few prime and unit power maps
-   (see perm).  Every step below reads columns of that array; a table keeps
-   its own int32 copy;
+   (see perm).  Every step below reads columns of that array; a table
+   reads its group's read-only array;
 2. a prime l = 1 (mod e) with l^2 > 4|G| (so degrees and root-of-unity
    multiplicities lift uniquely from arithmetic mod l);
 3. simultaneous eigenvectors of the class matrices over F_l.  The |G| x k
@@ -264,7 +264,6 @@ class CharacterTable:
         self.chars: list[Character] = [Character(self, i, d) for i, d in enumerate(degrees)]
         self.split: dict = {}  # how the eigenlines were found (set by _build_table)
         self._units: tuple[int, ...] | None = None
-        self._power_matrix: np.ndarray | None = None
         self._conductors: tuple[int, dict] | None = None
 
     @property
@@ -277,13 +276,6 @@ class CharacterTable:
                 k for k in range(1, self.exponent + 1) if gcd(k, self.exponent) == 1
             )
         return self._units
-
-    def _powers(self) -> np.ndarray:
-        """This table's own copy of the group's (k, e) int32 power-map array:
-        writing into it leaves the group's alone."""
-        if self._power_matrix is None:
-            self._power_matrix = self.group.power_maps.copy()
-        return self._power_matrix
 
     def _by_conductor(self) -> dict[int, tuple[list[int], np.ndarray]]:
         """_pool_by_conductor of the pool, built again only when it grows."""
@@ -302,7 +294,7 @@ class CharacterTable:
         if gcd(k, self.exponent) != 1:
             raise ValueError(f"{k} is not coprime to the exponent {self.exponent}")
         target = self.chars[self.galois[self.unit_index[k % self.exponent], chi.index]]
-        powers = self._powers()[:, k % self.exponent]
+        powers = self.group.power_maps[:, k % self.exponent]
         row = self.value_ids[chi.index].tolist()
         images = {i: self.value_pool[i].galois_apply(k) for i in set(row)}
         values, target_values = chi.values, target.values
@@ -371,12 +363,11 @@ def _roots_mod(polys: np.ndarray, ell: int) -> np.ndarray:
     (ascending coefficients), by Horner's rule over all of F_l at once."""
     xs = np.arange(ell, dtype=np.int64)
     out = np.empty((len(polys), ell), dtype=bool)
-    step = max(1, 2**20 // ell)  # rows per evaluation: bounded temporaries
-    for lo in range(0, len(polys), step):
-        vals = np.zeros((len(polys[lo : lo + step]), ell), dtype=np.int64)
-        for c in polys[lo : lo + step, ::-1].T:
+    for r in _row_blocks(len(polys), ell):  # bounded temporaries
+        vals = np.zeros((len(polys[r]), ell), dtype=np.int64)
+        for c in polys[r, ::-1].T:
             vals = (vals * xs + c[:, None]) % ell
-        out[lo : lo + step] = vals == 0
+        out[r] = vals == 0
     return out
 
 
@@ -973,7 +964,7 @@ def _verify(table: CharacterTable) -> None:
         if not np.array_equal(reduced[ids[r]], mod_table[r] % ell):
             raise TableVerificationError("lift is inconsistent with the mod-l table")
     # modular orthogonality (always)
-    powers = table._powers()
+    powers = group.power_maps
     sizes = np.array([c.size for c in table.classes], dtype=np.int64)
     inv, dtype = powers[:, -1], fpmat.exact_dtype(k, ell)
     t_inv = _filled(lambda r: mod_table[r][:, inv] * sizes % ell, k, dtype)
@@ -997,7 +988,7 @@ def verify_orthogonality_exact(table: CharacterTable) -> None:
     its rows."""
     by_conductor = table._by_conductor()
     ids, e, k = table.value_ids, table.exponent, table.n_classes
-    powers = table._powers()
+    powers = table.group.power_maps
     _check_galois_action(table, by_conductor, powers)
     # each Gram matrix is dominated entrywise by a positive semidefinite one
     # in the L1 norms of the values, whose largest entry is on its diagonal
@@ -1142,17 +1133,3 @@ def _pool_mod(by_conductor, size: int, e: int, p: int) -> np.ndarray:
     return out
 
 
-def kernel_of(chi: Character) -> Subgroup:
-    return chi.kernel()
-
-
-def galois_conjugate(chi: Character, k: int) -> Character:
-    return chi.table.galois_conjugate(chi, k)
-
-
-def galois_orbits(table: CharacterTable) -> list[tuple[int, ...]]:
-    return table.galois_orbits()
-
-
-def field_in_pth_cyclotomic(chi: Character, p: int) -> bool:
-    return chi.table.field_in_pth_cyclotomic(chi, p)

@@ -44,8 +44,6 @@ VERDICT_NILPOTENT = "NilpotentEmpty"
 VERDICT_SINGLE = "SingleGaloisClass"
 VERDICT_NOT_SINGLE = "NotSingleClass"
 
-CASE_TAGS = ("a1", "a2", "a3", "a4", "a5", "a6", "a7")
-
 CHECKLIST_ITEMS = (
     "nonnilpotent",
     "solvable",
@@ -439,23 +437,20 @@ def _structural_checklist(group, table, part, report, seed) -> tuple[bool, str |
 
 
 def _case_tag(group, psub, usub, csub, hsub, p, n, d) -> str | None:
-    hgroup = hsub.as_group()
     u_trivial = usub.order == 1
     c_trivial = csub.order == 1
     if u_trivial and c_trivial:
-        if hgroup.is_cyclic():
+        if hsub.is_cyclic():
             return "a1"
         if (
             n == 2
             and is_mersenne_prime(p)
-            and hgroup.is_nilpotent()
-            and _quaternion_times_cyclic(hgroup)
+            and hsub.is_nilpotent()
+            and _quaternion_times_cyclic(hsub)
         ):
             return "a2"
         return None
     if u_trivial and not c_trivial:
-        if p > 2 and (p**n - 1) % (p - 1):
-            return None
         q = (p**n - 1) // (p - 1)
         if not is_prime(q):
             return None
@@ -470,7 +465,7 @@ def _case_tag(group, psub, usub, csub, hsub, p, n, d) -> str | None:
         if not is_extraspecial_p3(psub, p):
             return None
         chu = group.centralizer(usub, within=hsub)
-        h_cyclic = hgroup.is_cyclic()
+        h_cyclic = hsub.is_cyclic()
         if (
             h_cyclic
             and hsub.order == 2 * (p + 1)
@@ -481,7 +476,7 @@ def _case_tag(group, psub, usub, csub, hsub, p, n, d) -> str | None:
             return "a5"
         if (
             chu == hsub
-            and hgroup.is_generalized_quaternion()
+            and hsub.is_generalized_quaternion()
             and is_mersenne_prime(p)
             and hsub.order * d == p * p - 1
             and d in ((p - 1) // 2, p - 1)
@@ -504,7 +499,7 @@ def _case_tag(group, psub, usub, csub, hsub, p, n, d) -> str | None:
     syl2 = Subgroup(quot, np.flatnonzero((orders & (orders - 1)) == 0))
     if syl2.order != 8 or not syl2.is_normal():
         return None
-    if not syl2.as_group().is_generalized_quaternion():
+    if not syl2.is_generalized_quaternion():
         return None
     if quot.center().order != 2:
         return None
@@ -513,16 +508,16 @@ def _case_tag(group, psub, usub, csub, hsub, p, n, d) -> str | None:
     return "a7"
 
 
-def _quaternion_times_cyclic(hgroup: PermGroup) -> bool:
+def _quaternion_times_cyclic(hsub: Subgroup) -> bool:
     """H = Q x D with Q a generalized quaternion Sylow 2 and D cyclic odd."""
-    syl = hgroup.sylow_decomposition()
+    syl = hsub.sylow_decomposition()
     if 2 not in syl:
         return False
-    if not syl[2].as_group().is_generalized_quaternion():
+    if not syl[2].is_generalized_quaternion():
         return False
     odd = [s for q, s in syl.items() if q != 2]
     for s in odd:
-        if not s.as_group().is_cyclic():
+        if not s.is_cyclic():
             return False
     return True
 
@@ -539,7 +534,7 @@ def check_isaacs_bound(group: PermGroup, acting: Subgroup, target: Subgroup) -> 
     """
     if acting.order == 1:
         raise ValueError("acting group must be nontrivial")
-    if not acting.as_group().is_nilpotent():
+    if not acting.is_nilpotent():
         raise ValueError("acting group must be nilpotent")
     if gcd(acting.order, target.order) != 1:
         raise ValueError("action must be coprime")

@@ -7,12 +7,13 @@ diagnostics.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 from .chartab import character_table
 from .classify import analyze_structure, irr_partition, VERDICT_SINGLE
-from .constructors import CaseParams, ParamsInvalid, construct_case, sweep_parameter_points
+from .constructors import CASE_TAGS, CaseParams, ParamsInvalid, construct_case, sweep_parameter_points
 from .corpus import CORPUS, build
 from .cyclotomic import CONDUCTOR_BOUND
 from .numth import zsigmondy_prime
@@ -91,12 +92,7 @@ def _mark(value) -> str:
 
 
 def cmd_construct(args) -> int:
-    params = CaseParams(args.tag, args.p, args.n, args.d, args.height)
-    try:
-        group = construct_case(params)
-    except ParamsInvalid as exc:
-        print(f"PARAMS-INVALID: {exc.condition}", file=sys.stderr)
-        return 1
+    group = construct_case(CaseParams(args.tag, args.p, args.n, args.d, args.height))
     _write(group_to_json(group), args.out)
     return 0
 
@@ -110,15 +106,7 @@ def cmd_sweep(args) -> int:
     records = []
     violations = 0
     for params in points:
-        record = {
-            "params": {
-                "tag": params.tag,
-                "p": params.p,
-                "n": params.n,
-                "d": params.d,
-                "height": params.height,
-            }
-        }
+        record = {"params": dataclasses.asdict(params)}
         try:
             group = construct_case(params)
         except ParamsInvalid as exc:
@@ -219,7 +207,7 @@ def main(argv=None) -> int:
     p_c.set_defaults(func=cmd_classify)
 
     p_b = sub.add_parser("construct", help="build a family member as a group file")
-    p_b.add_argument("tag", choices=("a1", "a2", "a3", "a4", "a5", "a6", "a7"))
+    p_b.add_argument("tag", choices=CASE_TAGS)
     p_b.add_argument("--p", type=int, required=True)
     p_b.add_argument("--n", type=int, default=1)
     p_b.add_argument("--d", type=int, default=1)
@@ -228,7 +216,7 @@ def main(argv=None) -> int:
     p_b.set_defaults(func=cmd_construct)
 
     p_s = sub.add_parser("sweep", help="classify every parameter point in a range")
-    p_s.add_argument("--tags", default="a1,a2,a3,a4,a5,a6,a7")
+    p_s.add_argument("--tags", default=",".join(CASE_TAGS))
     p_s.add_argument("--primes", default="2,3,5,7")
     p_s.add_argument("--max-pn", type=int, default=81)
     p_s.add_argument("--max-order", type=int, default=1000)

@@ -284,7 +284,3 @@ def cyc(n: int) -> Cyclotomic:
 
 def zeta(e: int, k: int = 1) -> Cyclotomic:
     return Cyclotomic.zeta(e, k)
-
-
-def cyc_from_root_multiplicities(e: int, mults) -> Cyclotomic:
-    return Cyclotomic.from_root_multiplicities(e, mults)

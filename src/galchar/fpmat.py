@@ -2,7 +2,7 @@
 
 This is the one home of F_p matrix arithmetic in the package: row reduction,
 rank and inverses (used by the action checks and the constructors), powers
-and orders of matrices, companion matrices (used by the primitive-polynomial
+of matrices, companion matrices (used by the primitive-polynomial
 search and the Singer cycles), and the action of matrices on the numbered
 vectors of F_p^n, which turns a matrix group into a permutation group on p^n
 points.  Entries are reduced to [0, p) after every product, so a product of
@@ -13,8 +13,6 @@ n * (p - 1)**2 < 2**53 (`exact_dtype`).
 from __future__ import annotations
 
 import numpy as np
-
-MATRIX_GROUP_BOUND = 200_000
 
 
 def exact_dtype(n: int, p: int):
@@ -61,16 +59,6 @@ def mat_inv(m: np.ndarray, p: int) -> np.ndarray:
     if not np.array_equal(aug[:, :n], np.eye(n, dtype=np.int64)):
         raise ZeroDivisionError("matrix is singular")
     return aug[:, n:]
-
-
-def mat_order(m: np.ndarray, p: int, cap: int = MATRIX_GROUP_BOUND) -> int:
-    ident = np.eye(len(m), dtype=np.int64)
-    cur = m % p
-    for k in range(1, cap + 1):
-        if np.array_equal(cur, ident):
-            return k
-        cur = cur @ m % p
-    raise RuntimeError("matrix order exceeds cap")
 
 
 def row_reduce(m: np.ndarray, p: int) -> np.ndarray:

@@ -8,7 +8,6 @@ are reproducible across runs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import gcd
 
@@ -26,7 +25,7 @@ def is_prime(m: int) -> bool:
     """Deterministic primality test, valid for all m < 3.3e24."""
     if m < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if m % p == 0:
             return m == p
     d = m - 1
@@ -143,24 +142,6 @@ def unit_generators(e: int) -> list[int]:
             x = x * u % e
         reached = grown
     return gens
-
-
-@dataclass(frozen=True)
-class PrimePower:
-    """A prime p together with a positive exponent n."""
-
-    p: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if self.n < 1:
-            raise ValueError("exponent must be positive")
-
-    @property
-    def value(self) -> int:
-        return self.p**self.n
 
 
 def zsigmondy_prime(p: int, n: int) -> int | None:

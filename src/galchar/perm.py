@@ -10,6 +10,9 @@ its id, the index of its row; a subgroup is a sorted id array.  Products,
 closures, centralizers, classes and cosets all work on ids, batched over
 arrays.  `Permutation` is the value type at the edges only: generators,
 `elements`, class representatives, `Subgroup.elements` and `close()`.
+A subgroup's predicates (cyclic, nilpotent, generalized quaternion) and its
+Sylow subgroups come from the element orders of its ids, read off the
+parent's classes, so no subgroup is enumerated again as a group of its own.
 
 Elements are found by their images of a base (Sims 1970; Seress,
 Permutation Group Algorithms, 2003, ch. 4).  Every element carries a label,
@@ -517,6 +520,7 @@ class PermGroup:
         for u in unit_generators(e):
             maps[u] = class_of[self.power(least[by], u)]
         self._power_maps = _compose_power_maps(maps, len(sizes), e)
+        self._power_maps.flags.writeable = False
         members = np.split(grouped, np.cumsum(sizes)[:-1])
         self._classes = [
             ConjugacyClass(
@@ -678,44 +682,27 @@ class PermGroup:
         return self.lower_central_series()[-1]
 
     def is_nilpotent(self) -> bool:
-        return self.lower_central_series()[-1].order == 1
+        return self.full_subgroup().is_nilpotent()
 
     def is_solvable(self) -> bool:
         return self.derived_series()[-1].order == 1
 
-    def is_abelian(self) -> bool:
-        return bool(self.commuting(self.gen_ids, self.gen_ids).all())
-
     def is_cyclic(self) -> bool:
-        return self.order in self.order_of(np.arange(self.order))
+        return self.full_subgroup().is_cyclic()
 
     def has_fitting_height_at_most_two(self) -> bool:
         """For solvable groups: the nilpotent residue is itself nilpotent."""
         if not self.is_solvable():
             raise ValueError("Fitting height test requires a solvable group")
-        return self.nilpotent_residue().as_group().is_nilpotent()
+        return self.nilpotent_residue().is_nilpotent()
 
     def is_generalized_quaternion(self) -> bool:
         """2-group of order >= 8, nonabelian, one involution, cyclic index 2."""
-        pp = is_prime_power(self.order)
-        if pp is None or pp[0] != 2 or self.order < 8:
-            return False
-        if self.is_abelian():
-            return False
-        orders = self.order_of(np.arange(self.order))
-        return bool((orders == 2).sum() == 1) and self.order // 2 in orders
+        return self.full_subgroup().is_generalized_quaternion()
 
     def sylow_decomposition(self) -> dict[int, "Subgroup"]:
         """Internal Sylow subgroups of a nilpotent group."""
-        if not self.is_nilpotent():
-            raise ValueError("Sylow decomposition requires a nilpotent group")
-        orders = self.order_of(np.arange(self.order))
-        out = {}
-        for p, a in factorize(self.order).items():
-            out[p] = Subgroup(self, np.flatnonzero(p**a % orders == 0))
-            if out[p].order != p**a:
-                raise AssertionError("p-elements of a nilpotent group must form Syl_p")
-        return out
+        return self.full_subgroup().sylow_decomposition()
 
     # -- quotients ---------------------------------------------------------------
 
@@ -749,7 +736,6 @@ class Subgroup:
         ids = np.asarray(ids, dtype=np.int64).ravel()
         self.ids = ids if (ids[1:] > ids[:-1]).all() else np.flatnonzero(parent.mask(ids))
         self._gens = None if gens is None else np.asarray(gens, dtype=np.int64)
-        self._group: PermGroup | None = None
         self._normal: bool | None = None
 
     @property
@@ -797,12 +783,33 @@ class Subgroup:
         comms = parent.comm(gens[:, None], gens[None, :]).ravel()
         return parent._normal_closure(comms, gens)
 
-    def as_group(self) -> PermGroup:
-        if self._group is None:
-            self._group = PermGroup(self.parent.degree, self.generating_set())
-            if self._group.order != self.order:
-                raise AssertionError("generating set does not span the subgroup")
-        return self._group
+    def is_cyclic(self) -> bool:
+        return self.order in self.parent.order_of(self.ids)
+
+    def is_nilpotent(self) -> bool:
+        """For each prime q, the elements of q-power order number |H|_q.
+        Every Sylow q-subgroup lies among them, so it is the only one, and a
+        group whose Sylow subgroups are all normal is nilpotent."""
+        orders = self.parent.order_of(self.ids)
+        return all((q**a % orders == 0).sum() == q**a for q, a in factorize(self.order).items())
+
+    def is_generalized_quaternion(self) -> bool:
+        """A 2-group of order >= 8 with one involution that is not cyclic: a
+        p-group with a single subgroup of order p is cyclic or generalized
+        quaternion (Burnside)."""
+        orders, n = self.parent.order_of(self.ids), self.order
+        return bool(n >= 8 and n & (n - 1) == 0 and (orders == 2).sum() == 1 and n not in orders)
+
+    def sylow_decomposition(self) -> dict[int, "Subgroup"]:
+        """The Sylow subgroups of a nilpotent subgroup, each its elements of
+        prime-power order (see is_nilpotent)."""
+        if not self.is_nilpotent():
+            raise ValueError("Sylow decomposition requires a nilpotent group")
+        orders = self.parent.order_of(self.ids)
+        return {
+            q: Subgroup(self.parent, self.ids[q**a % orders == 0])
+            for q, a in factorize(self.order).items()
+        }
 
     def is_normal(self) -> bool:
         """A subgroup (the set is closed under products) normalized by the
@@ -819,10 +826,6 @@ class Subgroup:
 
 
 # -- spec-level convenience wrappers ---------------------------------------------
-
-
-def group_from_generators(degree, gens, name=None, order_bound=ORDER_BOUND) -> PermGroup:
-    return PermGroup(degree, gens, name=name, order_bound=order_bound)
 
 
 def frattini_of_pgroup(pgroup: Subgroup | PermGroup, p: int) -> Subgroup:

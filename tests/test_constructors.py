@@ -17,18 +17,18 @@ from galchar.constructors import (
     sweep_parameter_points,
     symmetric,
 )
-from galchar.fpmat import mat_order, vector_action
-from galchar.numth import primitive_root
+from galchar.fpmat import vector_action
+from galchar.numth import matrix_order_is, primitive_root
 from galchar.perm import PermGroup, Permutation
 
 
 def test_singer_matrix():
     s = singer_matrix(2, 2)
     assert s.tolist() == [[0, 1], [1, 1]]
-    assert mat_order(s, 2) == 3
+    assert matrix_order_is(s, 2, 3)
     assert singer_matrix(3, 1).tolist() == [[2]]
     for p, n in ((3, 2), (5, 2), (2, 4)):
-        assert mat_order(singer_matrix(p, n), p) == p**n - 1
+        assert matrix_order_is(singer_matrix(p, n), p, p**n - 1)
 
 
 def test_affine_semidirect_examples():
@@ -88,7 +88,7 @@ def test_quaternion_subgroups():
         assert group.order == order
         # unique involution, cyclic index-2 subgroup: generalized quaternion
         assert int((group.order_of(np.arange(order)) == 2).sum()) == 1
-        assert mat_order(x, p) == order // 2
+        assert matrix_order_is(x, p, order // 2)
         # acts Frobeniusly on F_p^2
         assert check_frobenius_action([x, y], p, 2)
 

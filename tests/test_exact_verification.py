@@ -100,9 +100,9 @@ def a7h3(a7h3_group):
     return table
 
 
-def test_conjugated_entry_fails_the_galois_check(a7h3):
+def test_conjugated_entry_fails_the_galois_check(a7h3, monkeypatch):
     pool, ids = a7h3.value_pool, a7h3.value_ids
-    inv = a7h3._powers()[:, -1]
+    inv = a7h3.group.power_maps[:, -1]
     i, c = next(
         (i, c)
         for i in range(a7h3.n_classes)
@@ -116,7 +116,7 @@ def test_conjugated_entry_fails_the_galois_check(a7h3):
     assert not reference_orthogonality(a7h3)
 
 
-def test_swap_in_a_rational_column_fails_orthogonality_mod_p(a7h3):
+def test_swap_in_a_rational_column_fails_orthogonality_mod_p(a7h3, monkeypatch):
     pool, ids = a7h3.value_pool, a7h3.value_ids
     rational_rows = [chi.index for chi in a7h3.chars if chi.is_rational()]
     c, i, j = next(
@@ -133,7 +133,7 @@ def test_swap_in_a_rational_column_fails_orthogonality_mod_p(a7h3):
     assert not reference_orthogonality(a7h3)
 
 
-def test_swap_with_a_nonrational_row_fails_the_galois_check(a7h3):
+def test_swap_with_a_nonrational_row_fails_the_galois_check(a7h3, monkeypatch):
     # entrywise consistent with the power maps, but the Galois image of the
     # changed non-rational row is no longer a row of the table
     pool, ids = a7h3.value_pool, a7h3.value_ids
@@ -152,7 +152,7 @@ def test_swap_with_a_nonrational_row_fails_the_galois_check(a7h3):
     assert not reference_orthogonality(a7h3)
 
 
-def test_entry_shifted_by_the_first_prime_needs_a_second(a7h3):
+def test_entry_shifted_by_the_first_prime_needs_a_second(a7h3, monkeypatch):
     # a rational entry plus the largest usable prime p is unchanged mod p;
     # its L1 norm raises the bound past p, so a second prime must catch it
     pool, ids = a7h3.value_pool, a7h3.value_ids
@@ -166,19 +166,31 @@ def test_entry_shifted_by_the_first_prime_needs_a_second(a7h3):
     assert not reference_orthogonality(a7h3)
 
 
-def test_misplaced_square_fails_the_frobenius_schur_sum(a7h3):
+def _writable_power_maps(table, monkeypatch):
+    """A writable copy of the group's read-only power maps, swapped in for
+    the rest of the test."""
+    monkeypatch.setattr(table.group, "_power_maps", table.group.power_maps.copy())
+    return table.group.power_maps
+
+
+def test_power_maps_are_read_only(a7h3):
+    with pytest.raises(ValueError):
+        a7h3.group.power_maps[0, 0] = 1
+
+
+def test_misplaced_square_fails_the_frobenius_schur_sum(a7h3, monkeypatch):
     # c^2 read as the identity class for one class c: on some row the sum
     # over classes of |C_c| chi(c^2) is no longer 0 or +-|G|
-    square = a7h3._powers()[:, 2]
+    square = _writable_power_maps(a7h3, monkeypatch)[:, 2]
     square[next(c for c in range(a7h3.n_classes) if square[c] != 0)] = 0
     with pytest.raises(TableVerificationError, match="not -1, 0 or 1"):
         verify_orthogonality_exact(a7h3)
 
 
-def test_squares_read_as_the_classes_fail_the_real_row_check(a7h3):
+def test_squares_read_as_the_classes_fail_the_real_row_check(a7h3, monkeypatch):
     # with c^2 read as c the sum is |G| <chi, 1>, so 0 on every nontrivial
     # row, the real ones included
-    a7h3._powers()[:, 2] = np.arange(a7h3.n_classes)
+    _writable_power_maps(a7h3, monkeypatch)[:, 2] = np.arange(a7h3.n_classes)
     with pytest.raises(TableVerificationError, match="0 on a real row"):
         verify_orthogonality_exact(a7h3)
 
@@ -244,7 +256,7 @@ def test_pool_reduction_matches_the_dixon_table(a7h3):
     assert np.array_equal(reduced[a7h3.value_ids], a7h3.mod_table % ell)
 
 
-CORRUPTIONS = [
+CORRUPTIONS = [  # each takes the table and a monkeypatch, which two of them use
     test_conjugated_entry_fails_the_galois_check,
     test_swap_in_a_rational_column_fails_orthogonality_mod_p,
     test_swap_with_a_nonrational_row_fails_the_galois_check,
@@ -259,7 +271,7 @@ def test_checks_read_in_small_blocks_fail_alike(corrupt, a7h3_group, monkeypatch
     # the k x k checks read blocks of rows; with two rows per block the
     # corruptions that the default single block catches must still be caught
     monkeypatch.setattr(chartab, "_CHECK_CELLS", 2 * 63)
-    corrupt(character_table(a7h3_group, seed=1))
+    corrupt(character_table(a7h3_group, seed=1), monkeypatch)
 
 
 def test_small_blocks_build_and_verify_the_same_table(monkeypatch):

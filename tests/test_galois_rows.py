@@ -98,7 +98,7 @@ def reference_permuted_row(table):
     mod-l rows."""
     lookup = {row.tobytes(): r for r, row in enumerate(table.mod_table)}
     assert len(lookup) == table.n_classes
-    powers = table._powers()
+    powers = table.group.power_maps
 
     def permuted_row(i, k):
         return lookup[table.mod_table[i][powers[:, k % table.exponent]].tobytes()]
@@ -139,7 +139,7 @@ def test_row_permutations_match_the_row_lookup(key, relabel):
     table = _table(key, relabel)
     e, k = table.exponent, table.n_classes
     lookup = {row.tobytes(): r for r, row in enumerate(table.mod_table)}
-    powers = table._powers()
+    powers = table.group.power_maps
     units = [u % e for u in table.units()]
     assert table.galois.shape == (len(units), k)
     for u in units:

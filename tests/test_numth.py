@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from galchar.numth import (
-    PrimePower,
     divisors,
     factorize,
     find_dixon_prime,
@@ -169,15 +168,6 @@ class TestDixonPrime:
                 assert not (
                     is_prime(cand) and cand % e == 1 and cand * cand > 4 * order
                 )
-
-
-def test_prime_power_type():
-    pp = PrimePower(3, 4)
-    assert pp.value == 81
-    with pytest.raises(ValueError):
-        PrimePower(4, 1)
-    with pytest.raises(ValueError):
-        PrimePower(3, 0)
 
 
 @given(st.integers(min_value=2, max_value=2000))

@@ -25,7 +25,6 @@ from galchar.perm import (
     direct_product,
     frattini_of_pgroup,
     group_from_dict,
-    group_from_generators,
     group_from_json,
     group_to_json,
     quotient_module_action,
@@ -45,16 +44,16 @@ def test_permutation_basics():
 
 
 def test_group_from_generators_examples():
-    s3 = group_from_generators(3, [[1, 2, 0], [1, 0, 2]])
+    s3 = PermGroup(3, [[1, 2, 0], [1, 0, 2]])
     assert s3.order == 6
-    klein = group_from_generators(4, [[1, 0, 3, 2], [2, 3, 0, 1]])
+    klein = PermGroup(4, [[1, 0, 3, 2], [2, 3, 0, 1]])
     assert klein.order == 4
     assert quaternion8().order == 8
 
 
 def test_order_bound():
     with pytest.raises(OrderBoundExceeded):
-        group_from_generators(
+        PermGroup(
             5, [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]], order_bound=20
         )
 
@@ -160,7 +159,7 @@ def test_center_centralizer():
 
 
 def test_frattini():
-    klein = group_from_generators(4, [[1, 0, 3, 2], [2, 3, 0, 1]])
+    klein = PermGroup(4, [[1, 0, 3, 2], [2, 3, 0, 1]])
     assert frattini_of_pgroup(klein, 2).order == 1
     assert frattini_of_pgroup(quaternion8(), 2).elements == quaternion8().center().elements
     heis = heisenberg(3)

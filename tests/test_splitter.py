@@ -161,7 +161,8 @@ def test_galois_check_runs_in_verification():
     # C5: send class 1 under k = 2 to a class other than that of its square
     table = character_table(cyclic(5))
     _verify(table)
-    powers = table._powers()
+    powers = table.group.power_maps.copy()
+    table.group._power_maps = powers  # the group's own array is read-only
     j = int(powers[1, 2])
     powers[1, 2] = next(c for c in range(2, 5) if c not in (1, j))
     with pytest.raises(TableVerificationError):
