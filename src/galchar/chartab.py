@@ -69,9 +69,12 @@ The table of a group G is computed in five steps:
    at most 2/l, so there are enough rounds to bring that below 2^-30 (3
    for l = 2,917, 17 for l = 7).  Everything is deterministic given the
    seed;
-4. degrees from the eigenvector normalisation and character values mod l;
+4. degrees from <omega, omega> = |G| / chi(1)^2 mod l, at the least row of
+   each Galois orbit only: permuting the classes by c -> c^s keeps the
+   form, so the degree holds on the orbit.  Then the values mod l;
 5. exact values, as a k x k int32 array of ids into a pool of the table's
-   few distinct Cyclotomics, keyed by (conductor, coefficients).  Only at
+   few distinct Cyclotomics, found by their coefficients among the lift's
+   rows of each conductor, which the table keeps.  Only at
    one representative g per power-orbit of classes (the least class c^s, s
    a unit mod e) does an inverse DFT mod l of the distinct rows of the
    columns of the powers g^s give the multiplicities of the roots of unity,
@@ -83,49 +86,60 @@ The table of a group G is computed in five steps:
    only from the descent, with the rows (step 3).  Every column is then one
    gather from its representative's, ids[:, g^s] = ids[pi[t], g].  The
    multiplicity checks run before pi is read, so a corrupted mod-l table
-   is reported by them.
+   is reported by them.  The rows are sorted by degree, then by the ranks
+   of their rendered values: big-endian int32 keys >= 0 compare as bytes
+   as they do as numbers, so one stable sort of the key rows as bytes.
 
 The finished table is verified before it is returned: degree sum, first
-column, orthogonality modulo l, the rational-row = rational-class count,
-and consistency of the lifted values with the mod-l table, for which the
-pool is reduced mod l with one product per conductor.  The lift's
-multiplicity rows must each sum to chi(1) (chi(g) is a sum of chi(1) roots
-of unity).  The checks read the k x k arrays a block of rows at a time;
-besides the table's own arrays, each keeps one k x k array whole, the right
-factor of its Gram products.
+column, the rational-row = rational-class count, and consistency of the
+lifted values with the mod-l table, for which the pool is reduced mod l
+with one product per conductor.  The checks read the k x k arrays a block
+of rows at a time.  Orthogonality is then checked exactly, at every table
+size, at the cost of one row per Galois orbit (Cohen, A Course in
+Computational Algebraic Number Theory, 1993, 1.3.3).  R is the set of
+least rows of the orbits, s' the inverse of a unit s mod e, and
+Gram(x, y) = sum_c |C_c| x(c) conj y(c):
 
-Orthogonality is then checked exactly, at every table size, on the id array
-and the pool (Cohen, A Course in Computational Algebraic Number Theory,
-1993, 1.3.3):
-
-- Galois equivariance.  For each generator u of the units mod e, every pool
-  value is mapped through z -> z^u at its own conductor (classes c and c^u
-  have the same order), and the image of the id array must equal its
-  columns permuted by the power map c -> c^u, with its rows a permutation
-  of the table's rows.  This composes to every unit, u = -1 included, so
-  conj chi(c) = chi(c^-1), and each entry of the Gram matrices
-  X D X[:, inv]^T and X^T X[:, inv] is fixed by Gal(Q(zeta_e)/Q): being a
-  cyclotomic integer, it is a rational integer.
+- Galois action.  pi_1 must be the identity.  For each generator u of the
+  units mod e, every pool value is mapped through z -> z^u at its own
+  conductor (classes c and c^u have the same order); the image of the id
+  array must equal its columns permuted by the power map c -> c^u, and its
+  row i must be row pi_u(i).  pi_(u s) must be pi_u after pi_s for every
+  unit s.  By induction over words in the generators, sigma_s chi_i, the
+  row c -> chi_i(c^s), is row pi_s(i) for every unit s, and pi is an
+  action, so pi_s is a permutation with inverse pi_s'.  With s = -1,
+  conj chi(c) = chi(c^-1).  As c -> c^s permutes the classes and keeps
+  their sizes, each Gram(chi_i, chi_j) and sum_c |C_c| chi_i(c^2) is fixed
+  by Gal(Q(zeta_e)/Q): a cyclotomic integer, so a rational integer.
+- One row per orbit.  Row i's label rho = min_s pi_s(i) lies in its
+  orbit, so chi_i = sigma_s chi_rho for some s, and as sigma_s commutes
+  with conj and fixes rational integers,
+  Gram(chi_i, chi_j) = Gram(chi_rho, chi_pi_s'(j)), where pi_s'(i) = rho.
+  So if Gram(chi_rho, chi_j) = |G| delta_(rho j) for rho in R and every j,
+  Gram(chi_i, chi_j) = |G| delta_ij: X D conj(X)^T = |G| I for the table X
+  and D = diag |C_c|.  X is square, so conj(X)^T X = |G| D^-1, column
+  orthogonality, and with the lift check the rows are orthogonal mod l.
 - The bound.  With L1 the sum of the absolute coefficients of a value,
-  |chi(c)| <= L1(chi(c)), so the (i, j) row Gram entry is at most
-  sum_c |C_c| L1(chi_i(c)) L1(chi_j(c)) in absolute value, and by
-  Cauchy-Schwarz at most the largest i = j sum; likewise for columns.  B
-  is the larger of the two and of max_i sum_c |C_c| L1(chi_i(c^2)), and
-  each Gram entry differs from its target |G| delta_ij or delta |G|/|C_c|
-  by at most B + |G|.
+  |chi(c)| <= L1(chi(c)), so |Gram(chi_i, chi_j)| is at most
+  sum_c |C_c| L1(chi_i(c)) L1(chi_j(c)), and by Cauchy-Schwarz at most the
+  largest i = j sum.  The rows of one orbit hold the same ids on classes
+  permuted within their sizes, so R attains it.  B is the larger of that
+  and of max over R of sum_c |C_c| L1(chi(c^2)), and each checked sum
+  differs from its target by at most B + |G|.
 - Primes.  Primes p = 1 (mod e) with n (p - 1)^2 < 2^53, n the larger of
   k and the longest coefficient vector, so that every float64 product is
   exact, are taken largest first until their product exceeds
   2 (B + |G|); usually one suffices.  For each, the pool is reduced
-  under zeta_e -> an element of order e in F_p and both Gram matrices are
-  checked with one product each; agreement mod every p is exact equality.
-  If the primes run out first, verification fails.
+  under zeta_e -> an element of order e in F_p, and one product of the r
+  rows of R, times |C_c| at c^-1, by the k x k right factor checks
+  Gram(chi_rho, .); agreement mod every p is exact equality.  If the
+  primes run out first, verification fails.
 - Frobenius-Schur indicators.  Mod each of those primes, one product over
-  the square power-map column gives sum_c |C_c| chi(c^2), which must be
-  nu |G| with nu in {-1, 0, 1} the same for every prime, and nu != 0
+  the square power-map column gives sum_c |C_c| chi(c^2) on R, which must
+  be nu |G| with nu in {-1, 0, 1} the same for every prime, and nu != 0
   exactly on the rows fixed by u = -1 (the real ones).  The sum is a
-  rational integer by the Galois check, the bound B covers it, and so the
-  check is exact.
+  rational integer that B covers, so the check is exact; both it and
+  being real are constant on Galois orbits, so R stands for all rows.
 
 The table keeps pi in its final row order, and unit_index, the row of pi
 of each residue mod e (-1 for the others).  galois_orbits labels each row
@@ -205,7 +219,7 @@ class Character:
         if self._kernel_classes is None:
             table = self.table
             idx, coeffs = table._by_conductor()[1]  # the rational values
-            degree_ids = np.asarray(idx)[coeffs[:, 0] == self.degree]
+            degree_ids = idx[coeffs[:, 0] == self.degree]
             hits = table.value_ids[self.index][:, None] == degree_ids
             members = frozenset(np.flatnonzero(hits.any(axis=1)).tolist())
             size = sum(table.classes[j].size for j in members)
@@ -277,8 +291,9 @@ class CharacterTable:
             )
         return self._units
 
-    def _by_conductor(self) -> dict[int, tuple[list[int], np.ndarray]]:
-        """_pool_by_conductor of the pool, built again only when it grows."""
+    def _by_conductor(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """_pool_by_conductor of the pool: the lift's arrays, built again
+        from the pool only when it grows."""
         if self._conductors is None or self._conductors[0] != len(self.value_pool):
             self._conductors = len(self.value_pool), _pool_by_conductor(self.value_pool)
         return self._conductors[1]
@@ -759,7 +774,7 @@ def _galois_rows(lines: np.ndarray, power_maps: np.ndarray, ell: int, rng):
     return rows, galois
 
 
-def _degrees_from_omegas(group, omegas: np.ndarray, ell: int, size_inv, inv_class) -> list[int]:
+def _degrees_from_omegas(group, omegas: np.ndarray, ell: int, size_inv, inv_class) -> np.ndarray:
     """chi(1) from <omega, omega> = |G| / chi(1)^2 mod l, a block of rows at a time."""
     forms = np.concatenate([
         (omegas[r] * omegas[r][:, inv_class] % ell * size_inv % ell).sum(axis=1) % ell
@@ -772,7 +787,7 @@ def _degrees_from_omegas(group, omegas: np.ndarray, ell: int, size_inv, inv_clas
     degrees = root[squares]
     if not degrees.all():
         raise TableVerificationError("degree is not a small square root mod l")
-    return degrees.tolist()
+    return degrees
 
 
 def _find_root_of_unity(ell: int, e: int) -> int:
@@ -802,31 +817,39 @@ def _inverse_dft(m: int, e: int, ell: int, w_e: int) -> np.ndarray:
 
 
 def _lift_values(group, table_mod: np.ndarray, ell: int, w_e: int, galois: np.ndarray):
-    """Exact values from the mod-l table, as a k x k int32 array of ids into
-    a pool of distinct Cyclotomics, given the (phi(e), k) Galois row
-    permutations pi of its rows (step 5 of the module docstring)."""
+    """(ids, pool, by_conductor): exact values from the mod-l table, as a
+    k x k int32 array of ids into a pool of distinct Cyclotomics, given the
+    (phi(e), k) Galois row permutations pi of its rows (step 5 of the module
+    docstring), and the pool as _pool_by_conductor has it."""
     classes = group.conjugacy_classes()
     power_maps = group.power_maps
     k, e = power_maps.shape
     ids = np.full(table_mod.shape, -1, dtype=np.int32)
     pool: list[Cyclotomic] = []
-    rational: dict[int, int] = {}  # value -> id
-    books: dict[int, dict] = {}  # conductor m -> coefficient bytes at m -> id
+    by_conductor: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def intern(coeffs: np.ndarray, m: int) -> np.ndarray:  # rows at conductor m
-        book = books.setdefault(m, {})
-        keys = coeffs.view(np.dtype((np.void, 8 * coeffs.shape[1]))).ravel().tolist()
-        out = list(map(book.get, keys))
-        for r in [r for r, vid in enumerate(out) if vid is None]:  # new at conductor m
-            vid = book.get(keys[r])
-            if vid is None:
-                c0, irrational = int(coeffs[r, 0]), coeffs[r, 1:].any()
-                vid = len(pool) if irrational else rational.setdefault(c0, len(pool))
-                if vid == len(pool):
-                    vec = tuple(coeffs[r].tolist())
-                    pool.append(Cyclotomic(m, vec, _raw=True) if irrational else cyc(c0))
-            out[r] = book[keys[r]] = vid
-        return np.array(out, dtype=np.int32)
+        out = np.empty(len(coeffs), dtype=np.int32)
+        rational = ~coeffs[:, 1:].any(axis=1)  # kept at conductor 1
+        for mm, where in ((1, rational), (m, ~rational)):
+            if not where.any():
+                continue
+            rows = np.ascontiguousarray(coeffs[where, : 1 if mm == 1 else None])
+            idx, known = by_conductor.get(mm, (np.empty(0, dtype=np.int32), rows[:0]))
+            found = _find_rows(rows, known) if len(known) else np.full(len(rows), -1)
+            missing = np.flatnonzero(found < 0)
+            first, inverse = _distinct_rows(rows[missing])
+            found[missing] = len(known) + inverse  # places in the grown arrays
+            added = rows[missing[first]]
+            new = np.arange(len(pool), len(pool) + len(added), dtype=np.int32)
+            pool.extend(
+                cyc(row[0]) if mm == 1 else Cyclotomic(m, tuple(row), _raw=True)
+                for row in added.tolist()
+            )
+            idx, known = np.concatenate([idx, new]), np.concatenate([known, added])
+            by_conductor[mm] = idx, known
+            out[where] = idx[found]
+        return out
 
     if ell >= 2**31:
         raise ValueError("the Dixon prime does not fit the int32 row keys")
@@ -849,12 +872,12 @@ def _lift_values(group, table_mod: np.ndarray, ell: int, w_e: int, galois: np.nd
             raise TableVerificationError("root-of-unity multiplicities do not sum to chi(1)")
         ids[:, j] = intern(_galois_image(mults, _monomials(m), 1), m)[inverse]
     # chi_i(rep^s) = chi_pi_s(i)(rep): every column is a gather of its representative's
-    return ids[galois[_unit_index(e)[step]].T, rep_of], pool
+    return ids[galois[_unit_index(e)[step]].T, rep_of], pool, by_conductor
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first, inverse) for int32 rows: the index of one row per distinct row,
-    in byte order, and for each row the position of its own among them."""
+    """(first, inverse) for integer rows: the index of one row per distinct
+    row, in byte order, and for each row the position of its own among them."""
     keys = _void(rows)
     order = np.argsort(keys)
     new = np.ones(len(keys), dtype=bool)
@@ -899,32 +922,36 @@ def _build_table(group: PermGroup, seed: int) -> CharacterTable:
     size_inv = np.array([pow(int(s), ell - 2, ell) for s in sizes], dtype=np.int64)
     inv_class = group.power_maps[:, -1]
     omegas, galois, split = _split(group, _product_index(group), ell, seed, size_inv, inv_class)
-    degrees = _degrees_from_omegas(group, omegas, ell, size_inv, inv_class)
+    # a degree is constant on its Galois orbit: one per orbit's least row
+    reps, orbit_of = np.unique(galois.min(axis=0), return_inverse=True)
+    degrees = _degrees_from_omegas(group, omegas[reps], ell, size_inv, inv_class)[orbit_of]
     table_mod = omegas  # omega chi(1) / |C_c| mod l, in place
-    table_mod *= np.array(degrees, dtype=np.int64)[:, None]
+    table_mod *= degrees[:, None]
     table_mod %= ell
     table_mod *= size_inv
     table_mod %= ell
 
     w_e = _find_root_of_unity(ell, e)
-    ids, pool = _lift_values(group, table_mod, ell, w_e, galois)
+    ids, pool, by_conductor = _lift_values(group, table_mod, ell, w_e, galois)
 
     # deterministic row order: by degree, then the rendered values; equal ids
-    # are equal values, so each pool value is rendered once and ranked
+    # are equal values, so each pool value is rendered once and ranked.  Rows
+    # of big-endian nonnegative int32 keys compare as bytes as they do as
+    # numbers, so one stable sort of the rows as bytes is np.lexsort's order
     labels = [str(v) for v in pool]
     rank = {label: r for r, label in enumerate(sorted(set(labels)))}
-    ranks = np.array([rank[label] for label in labels], dtype=np.int32)
-    keys = np.empty((k + 1, k), dtype=np.int32)  # np.lexsort's last key comes first
-    np.take(ranks, ids.T[::-1], out=keys[:k])  # the ranks of columns k - 1, ..., 0
-    keys[k] = degrees
-    order = np.lexsort(keys)
-    degrees = [degrees[i] for i in order.tolist()]
+    ranks = np.array([rank[label] for label in labels], dtype=">i4")
+    keys = np.empty((k, k + 1), dtype=">i4")
+    keys[:, 0] = degrees
+    np.take(ranks, ids, out=keys[:, 1:])
+    order = np.argsort(_void(keys), kind="stable")
     where = np.empty(k, dtype=np.int32)
     where[order] = np.arange(k)
     table = CharacterTable(
-        group, classes, ids[order], pool, where[galois[:, order]], degrees, e, ell,
+        group, classes, ids[order], pool, where[galois[:, order]], degrees[order].tolist(), e, ell,
         table_mod[order], seed,
     )
+    table._conductors = len(pool), by_conductor
     table.split = split
     return table
 
@@ -957,21 +984,13 @@ def _verify(table: CharacterTable) -> None:
     for i, d in zip(ids[:, 0].tolist(), table.degrees):
         if pool[i] != d:
             raise TableVerificationError("first column does not equal the degree")
-    mod_table = table.mod_table
     # lifted values must reduce back to the mod-l table
     reduced = _pool_mod(table._by_conductor(), len(pool), e, ell).astype(np.int64)
     for r in _row_blocks(k):
-        if not np.array_equal(reduced[ids[r]], mod_table[r] % ell):
+        if not np.array_equal(reduced[ids[r]], table.mod_table[r] % ell):
             raise TableVerificationError("lift is inconsistent with the mod-l table")
-    # modular orthogonality (always)
-    powers = group.power_maps
-    sizes = np.array([c.size for c in table.classes], dtype=np.int64)
-    inv, dtype = powers[:, -1], fpmat.exact_dtype(k, ell)
-    t_inv = _filled(lambda r: mod_table[r][:, inv] * sizes % ell, k, dtype)
-    if not _gram_is(lambda r: mod_table[r], t_inv.T, group.order % ell, ell):
-        raise TableVerificationError("row orthogonality fails mod l")
-    del t_inv  # verify_orthogonality_exact keeps a k x k array of its own
     # rational rows match rational classes
+    powers = group.power_maps
     units = np.array(table.units()) % e
     rational_classes = int((powers[:, units] == np.arange(k)[:, None]).all(axis=1).sum())
     rational = np.array([v.is_rational for v in pool], dtype=bool)
@@ -981,46 +1000,44 @@ def _verify(table: CharacterTable) -> None:
 
 
 def verify_orthogonality_exact(table: CharacterTable) -> None:
-    """Exact row and column orthogonality: the Galois action on the value
-    pool, an integer bound on the Gram entries, and the Gram matrices modulo
-    enough primes to exceed it (see the module docstring).  Besides the id
-    array, one k x k array is kept at a time, and the checks read blocks of
-    its rows."""
+    """Exact orthogonality at Galois-orbit cost: the Galois action on the
+    value pool and the row permutations pi, an integer bound on the Gram
+    entries, and per prime one product of the rows of one character per
+    Galois orbit against all rows, modulo enough primes to exceed the bound
+    (see the module docstring).  Besides the id array, one k x k array is
+    kept at a time, the right factor of the product."""
     by_conductor = table._by_conductor()
     ids, e, k = table.value_ids, table.exponent, table.n_classes
     powers = table.group.power_maps
     _check_galois_action(table, by_conductor, powers)
-    # each Gram matrix is dominated entrywise by a positive semidefinite one
-    # in the L1 norms of the values, whose largest entry is on its diagonal
+    reps = np.unique(table.galois.min(axis=0))  # the least row of each orbit
     order = table.group.order
     sizes = np.array([c.size for c in table.classes], dtype=np.int64)
-    square = powers[:, 2 % e]
+    inv, square = powers[:, -1], powers[:, 2 % e]
+    # each Gram entry is dominated by a positive semidefinite form in the L1
+    # norms of the values, whose largest entry is on its diagonal; rows of
+    # one orbit hold the same ids on permuted classes, so reps attain it
     l1 = np.empty(len(table.value_pool))
     for idx, coeffs in by_conductor.values():
         l1[idx] = np.abs(coeffs).sum(axis=1)
-    sq, caps, column_sums = l1**2, [], np.zeros(k)
-    for r in _row_blocks(k):
-        part = sq[ids[r]]
-        caps += [(part @ sizes).max(), (l1[ids[r][:, square]] @ sizes).max()]
-        column_sums += part.sum(axis=0)
-    cap = max(*caps, column_sums.max())
+    rep_ids = ids[reps]
+    cap = max((l1[rep_ids] ** 2 @ sizes).max(), (l1[rep_ids[:, square]] @ sizes).max())
     # float64 sums of k nonnegative terms: relative error below k 2^-53
     bound = 2 * (int(cap * (1 + 2**-20)) + 1 + order)
     width = max(k, max(coeffs.shape[1] for _, coeffs in by_conductor.values()))
-    inv = powers[:, -1]
-    real = np.concatenate([(ids[r][:, inv] == ids[r]).all(axis=1) for r in _row_blocks(k)])
+    real = (rep_ids[:, inv] == rep_ids).all(axis=1)
     indicators = None
     for p in _gram_primes(e, width, bound):
         x = _pool_mod(by_conductor, len(table.value_pool), e, p)
-        x_inv = _filled(lambda r: x[ids[r][:, inv]], k, np.float64)
-        # float64 x |C_c| < p |G| < 2^53
-        if not _gram_is(lambda r: x[ids[r]] * sizes % p, x_inv.T, order % p, p):
-            raise TableVerificationError(f"row orthogonality fails mod {p}")
-        if not _gram_is(lambda r: x[ids[:, r]].T, x_inv, order // sizes % p, p):
-            raise TableVerificationError(f"column orthogonality fails mod {p}")
-        twisted = np.concatenate(  # sum_c |C_c| chi(c^2)
-            [fpmat.mul(x[ids[r][:, square]], sizes[:, None] % p, p)[:, 0] for r in _row_blocks(k)]
-        )
+        right = x[ids].T  # sum_c |C_c| chi(c^-1) psi(c) = sum_c |C_c| chi(c) conj psi(c)
+        for r in _row_blocks(len(reps), k):
+            # float64 x |C_c| < p |G| < 2^53
+            gram = fpmat.mul(x[rep_ids[r][:, inv]] * sizes % p, right, p)
+            gram[np.arange(len(gram)), reps[r]] -= order % p
+            if gram.any():
+                raise TableVerificationError(f"row orthogonality fails mod {p}")
+        del right
+        twisted = fpmat.mul(x[rep_ids[:, square]], sizes[:, None] % p, p)[:, 0]  # sum_c |C_c| chi(c^2)
         nu = np.select([twisted == 0, twisted == order % p, twisted == -order % p], [0, 1, -1], 2)
         if indicators is None:
             indicators = nu
@@ -1031,25 +1048,31 @@ def verify_orthogonality_exact(table: CharacterTable) -> None:
 
 
 def _check_galois_action(table: CharacterTable, by_conductor, powers: np.ndarray) -> None:
-    """For each generator u of the units mod e, the pool mapped through
-    z -> z^u must move the id array as the power map c -> c^u moves its
-    columns, and the moved rows must be the rows."""
-    ids = table.value_ids
-    rows = np.sort(_void(np.ascontiguousarray(ids)))
-    for u in unit_generators(table.exponent):
+    """pi_1 must be the identity and, for each generator u of the units mod
+    e, the pool mapped through z -> z^u must move the id array as the power
+    map c -> c^u moves its columns, row i moving to row pi_u(i), and
+    pi_(u s) must be pi_u after pi_s for every unit s."""
+    ids, galois, at = table.value_ids, table.galois, table.unit_index
+    k, e = table.n_classes, table.exponent
+    units = _units_mod(e)
+    if not np.array_equal(galois[at[1 % e]], np.arange(k)):
+        raise TableVerificationError("the Galois row permutation of the unit 1 is not the identity")
+    for u in unit_generators(e):
         lut = np.arange(len(table.value_pool), dtype=ids.dtype)  # rationals are fixed
         for m, (idx, coeffs) in by_conductor.items():
             if m > 1:
                 found = _find_rows(_galois_image(coeffs, _monomials(m), u % m), coeffs)
-                lut[idx] = np.where(found >= 0, np.asarray(idx)[found], -1)
-        moved = lut[ids]
-        for r in _row_blocks(table.n_classes):
-            if not np.array_equal(moved[r], ids[r][:, powers[:, u]]):
+                lut[idx] = np.where(found >= 0, idx[found], -1)
+        pi_u = galois[at[u]]
+        for r in _row_blocks(k):
+            moved = lut[ids[r]]
+            if not np.array_equal(moved, ids[r][:, powers[:, u]]):
                 raise TableVerificationError("entrywise Galois action disagrees with the power maps")
-        moved_rows = _void(moved)
-        moved_rows.sort()  # in place: moved is not read again
-        if not np.array_equal(moved_rows, rows):
-            raise TableVerificationError("Galois images of the rows are not the rows")
+            if not np.array_equal(moved, ids[pi_u[r]]):
+                raise TableVerificationError("Galois images of the rows are not the rows pi names")
+        for r in _row_blocks(len(units), k):
+            if not np.array_equal(galois[at[u * units[r] % e]], pi_u[galois[r]]):
+                raise TableVerificationError("the Galois row permutations do not compose")
 
 
 def _find_rows(rows: np.ndarray, among: np.ndarray) -> np.ndarray:
@@ -1068,37 +1091,13 @@ def _row_blocks(n: int, width: int | None = None) -> list[slice]:
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
-def _filled(block_of, k: int, dtype) -> np.ndarray:
-    """The k x k array whose rows r are block_of(r), filled a block at a time."""
-    out = np.empty((k, k), dtype=dtype)
-    for r in _row_blocks(k):
-        out[r] = block_of(r)
-    return out
-
-
-def _gram_is(block_of, right: np.ndarray, diagonal, p: int) -> bool:
-    """Whether the k x k product of the rows block_of(r) and right is, mod
-    p, diagonal with the given entries (one for all rows, or one per row),
-    a block of rows at a time.  right is in fpmat.mul's dtype, so never
-    copied."""
-    k = len(right)
-    diagonal = np.broadcast_to(diagonal, k)
-    for r in _row_blocks(k):
-        gram = fpmat.mul(block_of(r), right, p)
-        at = np.arange(r.start, r.stop)
-        gram[at - r.start, at] -= diagonal[r]
-        if gram.any():
-            return False
-    return True
-
-
-def _pool_by_conductor(pool: list[Cyclotomic]) -> dict[int, tuple[list[int], np.ndarray]]:
+def _pool_by_conductor(pool: list[Cyclotomic]) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """Conductor m -> (pool ids, their coefficient rows at m)."""
     groups: dict[int, list[int]] = {}
     for i, v in enumerate(pool):
         groups.setdefault(v.conductor, []).append(i)
     return {
-        m: (idx, np.array([pool[i].coeffs for i in idx], dtype=np.int64))
+        m: (np.array(idx, dtype=np.int32), np.array([pool[i].coeffs for i in idx], dtype=np.int64))
         for m, idx in groups.items()
     }
 

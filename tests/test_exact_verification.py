@@ -1,6 +1,8 @@
-"""Exact orthogonality at every table size: the pool-level Galois check and
-the Gram matrices modulo primes, against the cyclotomic triple loop they
-replaced, and the corruptions each of them must catch on a7(h=3) (k = 63)."""
+"""Exact orthogonality at every table size: the pool-level Galois check, the
+check of the row permutations pi, and one Gram product per prime over one
+row per Galois orbit, against the cyclotomic triple loop they replaced; the
+corruptions each of them must catch on a7(h=3) (k = 63), seeded corruptions
+on a7(h=2) and a7(h=3), and the shapes of the products."""
 import gc
 import weakref
 
@@ -166,6 +168,106 @@ def test_entry_shifted_by_the_first_prime_needs_a_second(a7h3, monkeypatch):
     assert not reference_orthogonality(a7h3)
 
 
+def _non_representative_rows(table):
+    """Rows that are not the least row of their Galois orbit."""
+    return np.flatnonzero(table.galois.min(axis=0) != np.arange(table.n_classes))
+
+
+def test_rational_column_swap_at_a_non_representative_row_fails(a7h3, monkeypatch):
+    # only the rows of one character per Galois orbit enter the Gram product,
+    # so the row check of pi must see a non-representative row changed
+    pool, ids = a7h3.value_pool, a7h3.value_ids
+    c, i, j = next(
+        (c, i, j)
+        for c in range(1, a7h3.n_classes)
+        if all(pool[v].is_rational for v in ids[:, c])
+        for i in _non_representative_rows(a7h3)
+        for j in range(a7h3.n_classes)
+        if ids[i, c] != ids[j, c]
+    )
+    ids[[i, j], c] = ids[[j, i], c]
+    with pytest.raises(TableVerificationError):
+        verify_orthogonality_exact(a7h3)
+    assert not reference_orthogonality(a7h3)
+
+
+def test_one_entry_of_a_non_representative_row_fails(a7h3, monkeypatch):
+    pool, ids = a7h3.value_pool, a7h3.value_ids
+    i = _non_representative_rows(a7h3)[-1]
+    c = a7h3.n_classes - 1
+    ids[i, c] = next(v for v in range(len(pool)) if v != ids[i, c] and pool[v].is_rational)
+    with pytest.raises(TableVerificationError):
+        verify_orthogonality_exact(a7h3)
+    assert not reference_orthogonality(a7h3)
+
+
+def test_swapped_entries_of_a_galois_row_fail(a7h3, monkeypatch):
+    # the values are untouched, but pi no longer names the conjugate rows
+    t = a7h3.unit_index[-1 % a7h3.exponent]  # complex conjugation, not a generator here
+    i, j = _non_representative_rows(a7h3)[:2]
+    a7h3.galois[t, [i, j]] = a7h3.galois[t, [j, i]]
+    with pytest.raises(TableVerificationError, match="Galois row permutations"):
+        verify_orthogonality_exact(a7h3)
+
+
+def test_swapped_entries_of_the_identity_row_of_pi_fail(a7h3):
+    i, j = _non_representative_rows(a7h3)[:2]
+    a7h3.galois[0, [i, j]] = a7h3.galois[0, [j, i]]  # the unit 1 comes first
+    with pytest.raises(TableVerificationError, match="unit 1 is not the identity"):
+        verify_orthogonality_exact(a7h3)
+
+
+def test_random_corruptions_are_caught_or_harmless():
+    # seeded single corruptions of the ids or of pi: whatever the exact check
+    # accepts must pass the triple loop, and no corruption of pi is accepted
+    rng = np.random.default_rng(2)
+    verdicts = {}
+    for h, runs in [(2, 300), (3, 300)]:
+        table = character_table(construct_case(CaseParams("a7", 2, 2, 1, h)), seed=1)
+        ids, galois, k = table.value_ids, table.galois, table.n_classes
+        kept_ids, kept_galois = ids.copy(), galois.copy()
+        for _ in range(runs):
+            kind, i, j, c = rng.integers(3), *rng.integers(k, size=3)
+            if kind == 0:  # one id set to another pool id
+                ids[i, c] = (ids[i, c] + rng.integers(1, len(table.value_pool))) % len(table.value_pool)
+            elif kind == 1:  # two different entries of a column swapped
+                j = rng.choice(np.flatnonzero(ids[:, c] != ids[i, c]))
+                ids[[i, j], c] = ids[[j, i], c]
+            else:  # two entries of a row of pi swapped
+                t, j = rng.integers(len(galois)), (i + rng.integers(1, k)) % k
+                galois[t, [i, j]] = galois[t, [j, i]]
+            try:
+                verify_orthogonality_exact(table)
+                accepted = True
+            except TableVerificationError:
+                accepted = False
+            verdicts[kind, accepted] = verdicts.get((kind, accepted), 0) + 1
+            if accepted:
+                assert kind != 2 and reference_orthogonality(table)
+            ids[:], galois[:] = kept_ids, kept_galois
+    assert all(verdicts.get((kind, False), 0) > 50 for kind in range(3)), verdicts
+
+
+def test_one_gram_product_per_prime_over_one_row_per_orbit(a7h3, monkeypatch):
+    # mod the Dixon prime no product has a k x k operand; per Gram prime
+    # exactly one has, the r rows of one character per orbit by all k rows
+    shapes = []
+    mul = chartab.fpmat.mul
+
+    def recording(a, b, p):
+        shapes.append((a.shape, b.shape, p))
+        return mul(a, b, p)
+
+    monkeypatch.setattr(chartab.fpmat, "mul", recording)
+    chartab._verify(a7h3)
+    k, r = a7h3.n_classes, len(a7h3.galois_orbits())
+    square = [(a, b, p) for a, b, p in shapes if (k, k) in (a, b)]
+    primes = {p for _, _, p in shapes} - {a7h3.dixon_prime}
+    assert primes and all(p != a7h3.dixon_prime for _, _, p in square)
+    assert sorted(p for _, _, p in square) == sorted(primes)
+    assert all(a == (r, k) and b == (k, k) for a, b, _ in square) and r < k
+
+
 def _writable_power_maps(table, monkeypatch):
     """A writable copy of the group's read-only power maps, swapped in for
     the rest of the test."""
@@ -263,6 +365,9 @@ CORRUPTIONS = [  # each takes the table and a monkeypatch, which two of them use
     test_entry_shifted_by_the_first_prime_needs_a_second,
     test_misplaced_square_fails_the_frobenius_schur_sum,
     test_squares_read_as_the_classes_fail_the_real_row_check,
+    test_rational_column_swap_at_a_non_representative_row_fails,
+    test_one_entry_of_a_non_representative_row_fails,
+    test_swapped_entries_of_a_galois_row_fail,
 ]
 
 

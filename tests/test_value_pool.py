@@ -8,6 +8,7 @@ from galchar.chartab import (
     TableVerificationError,
     _find_root_of_unity,
     _lift_values,
+    _pool_by_conductor,
     _verify,
     character_table,
 )
@@ -36,9 +37,14 @@ def test_each_distinct_value_is_one_object(a7h3):
 def test_lift_reproduces_the_table(a7h3):
     ell, e = a7h3.dixon_prime, a7h3.exponent
     w_e = _find_root_of_unity(ell, e)
-    ids, pool = _lift_values(a7h3.group, a7h3.mod_table, ell, w_e, a7h3.galois)
+    ids, pool, by_conductor = _lift_values(a7h3.group, a7h3.mod_table, ell, w_e, a7h3.galois)
     for chi, row in zip(a7h3.chars, ids):
         assert [pool[i] for i in row] == list(chi.values)
+    # the lift's own arrays are those rebuilt from the pool's values
+    rebuilt = _pool_by_conductor(pool)
+    assert list(by_conductor) == list(rebuilt)
+    for m, (idx, coeffs) in by_conductor.items():
+        assert np.array_equal(idx, rebuilt[m][0]) and np.array_equal(coeffs, rebuilt[m][1])
 
 
 @pytest.mark.parametrize("row,col,delta", [(5, 7, 1), (30, 40, 2), (62, 1, 10)])
