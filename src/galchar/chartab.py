@@ -828,28 +828,27 @@ def _lift_values(group, table_mod: np.ndarray, ell: int, w_e: int, galois: np.nd
     pool: list[Cyclotomic] = []
     by_conductor: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    def intern(coeffs: np.ndarray, m: int) -> np.ndarray:  # rows at conductor m
-        out = np.empty(len(coeffs), dtype=np.int32)
-        rational = ~coeffs[:, 1:].any(axis=1)  # kept at conductor 1
-        for mm, where in ((1, rational), (m, ~rational)):
-            if not where.any():
-                continue
-            rows = np.ascontiguousarray(coeffs[where, : 1 if mm == 1 else None])
-            idx, known = by_conductor.get(mm, (np.empty(0, dtype=np.int32), rows[:0]))
-            found = _find_rows(rows, known) if len(known) else np.full(len(rows), -1)
-            missing = np.flatnonzero(found < 0)
-            first, inverse = _distinct_rows(rows[missing])
-            found[missing] = len(known) + inverse  # places in the grown arrays
-            added = rows[missing[first]]
-            new = np.arange(len(pool), len(pool) + len(added), dtype=np.int32)
-            pool.extend(
-                cyc(row[0]) if mm == 1 else Cyclotomic(m, tuple(row), _raw=True)
-                for row in added.tolist()
-            )
-            idx, known = np.concatenate([idx, new]), np.concatenate([known, added])
-            by_conductor[mm] = idx, known
-            out[where] = idx[found]
-        return out
+    def add(rows: np.ndarray, pick: np.ndarray, m: int) -> np.ndarray:
+        """Pool ids of the distinct rows[pick] at conductor m, looked up in
+        place: only the new ones are copied, to be kept."""
+        idx, known = by_conductor.get(m, (np.empty(0, dtype=np.int32), rows[:0]))
+        found = _find_rows(rows, known)[pick] if len(known) else np.full(len(pick), -1)
+        new = found < 0
+        added = rows[pick[new]]
+        found[new] = len(known) + np.arange(len(added))
+        idx = np.concatenate([idx, np.arange(len(pool), len(pool) + len(added), dtype=np.int32)])
+        pool.extend(cyc(row[0]) if m == 1 else Cyclotomic(m, tuple(row), _raw=True) for row in added.tolist())
+        by_conductor[m] = idx, np.concatenate([known, added]) if len(known) else added
+        return idx[found]
+
+    def intern(coeffs: np.ndarray, m: int) -> np.ndarray:  # C-contiguous rows at conductor m
+        first, inverse = _distinct_rows(coeffs)
+        irrational = coeffs[:, 1:].any(axis=1)[first]  # the others are kept at conductor 1
+        out = np.empty(len(first), dtype=np.int32)
+        for pick, rows, at in ((~irrational, coeffs[:, :1].copy(), 1), (irrational, coeffs, m)):
+            if pick.any():
+                out[pick] = add(rows, first[pick], at)
+        return out[inverse]
 
     if ell >= 2**31:
         raise ValueError("the Dixon prime does not fit the int32 row keys")
