@@ -837,7 +837,7 @@ def _lift_values(group, table_mod: np.ndarray, ell: int, w_e: int, galois: np.nd
         added = rows[pick[new]]
         found[new] = len(known) + np.arange(len(added))
         idx = np.concatenate([idx, np.arange(len(pool), len(pool) + len(added), dtype=np.int32)])
-        pool.extend(cyc(row[0]) if m == 1 else Cyclotomic(m, tuple(row), _raw=True) for row in added.tolist())
+        pool.extend(cyc(int(row[0])) if m == 1 else Cyclotomic(m, tuple(row.tolist()), _raw=True) for row in added)
         by_conductor[m] = idx, np.concatenate([known, added]) if len(known) else added
         return idx[found]
 
@@ -870,8 +870,12 @@ def _lift_values(group, table_mod: np.ndarray, ell: int, w_e: int, galois: np.nd
         if not np.array_equal(mults.sum(axis=1)[inverse], table_mod[:, 0]):
             raise TableVerificationError("root-of-unity multiplicities do not sum to chi(1)")
         ids[:, j] = intern(_galois_image(mults, _monomials(m), 1), m)[inverse]
-    # chi_i(rep^s) = chi_pi_s(i)(rep): every column is a gather of its representative's
-    return ids[galois[_unit_index(e)[step]].T, rep_of], pool, by_conductor
+    # chi_i(rep^s) = chi_pi_s(i)(rep): every column is a gather of its
+    # representative's, made a block of columns at a time
+    out, at = np.empty_like(ids), _unit_index(e)[step]
+    for c in _row_blocks(k):
+        out[:, c] = ids[galois[at[c]].T, rep_of[c]]
+    return out, pool, by_conductor
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -973,10 +977,7 @@ def _split(group: PermGroup, index: np.ndarray, ell: int, seed: int, size_inv, i
 
 
 def _verify(table: CharacterTable) -> None:
-    group = table.group
-    k = table.n_classes
-    ell = table.dixon_prime
-    e = table.exponent
+    group, k, ell, e = table.group, table.n_classes, table.dixon_prime, table.exponent
     if sum(d * d for d in table.degrees) != group.order:
         raise TableVerificationError("degree squares do not sum to |G|")
     pool, ids = table.value_pool, table.value_ids
