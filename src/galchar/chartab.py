@@ -837,7 +837,8 @@ def _lift_values(group, table_mod: np.ndarray, ell: int, w_e: int, galois: np.nd
         added = rows[pick[new]]
         found[new] = len(known) + np.arange(len(added))
         idx = np.concatenate([idx, np.arange(len(pool), len(pool) + len(added), dtype=np.int32)])
-        pool.extend(cyc(int(row[0])) if m == 1 else Cyclotomic(m, tuple(row.tolist()), _raw=True) for row in added)
+        pool.extend(cyc(int(row[0])) if m == 1 else Cyclotomic(m, tuple(row.tolist()), _raw=True)
+                    for row in added)
         by_conductor[m] = idx, np.concatenate([known, added]) if len(known) else added
         return idx[found]
 
