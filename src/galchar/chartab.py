@@ -8,23 +8,22 @@ The table of a group G is computed in five steps:
    reads its group's read-only array;
 2. a prime l = 1 (mod e) with l^2 > 4|G| (so degrees and root-of-unity
    multiplicities lift uniquely from arithmetic mod l);
-3. simultaneous eigenvectors of the class matrices over F_l.  The |G| x k
-   int32 array of the flat positions of the classes of x^-1 z_m (z_m the
-   class representatives) is built once per table, a block of
-   representatives at a time, with no |G| x k array of ids beside it; each
-   seeded random combination a of the class matrices is then a weighted
-   bincount over it, a block of its columns at a time.  Every such a is
-   self-adjoint for the class-function form
-   <x, y> = sum_c x[c] y[c^-1] / |C_c| mod l, under which the eigenlines
-   are orthogonal with nonzero norms |G| / chi(1)^2 (the form that gives
-   the degrees in step 4).  So one Krylov chain v a^s of a probe v gives
-   the scalar sequence <v a^i, v a^j>, and Berlekamp-Massey on it gives a
-   polynomial f, accepted only if f(a) kills v, which proves it is v's
-   minimal polynomial; otherwise the form was isotropic on v's part of a
-   repeated eigenspace.  The eigenline of chi^sigma_s is that of chi with
-   its columns permuted by c -> c^s, so only one eigenline per Galois orbit
-   of characters is sought, by descent from e_0, the class function that
-   is 1 on the identity class and 0 elsewhere:
+3. simultaneous eigenvectors of the class matrices M_c over F_l, built only
+   from the products they read (Schneider, J. Symbolic Comput. 9, 1990):
+   row m of sum_c a_c M_c counts the classes of x^-1 z_m (z_m the class
+   representatives) for the x of its support, the classes with a_c possibly
+   nonzero, each product formed at most once per table into one cache keyed
+   by the row class.  Each seeded random combination a is self-adjoint for
+   the class-function form <x, y> = sum_c x[c] y[c^-1] / |C_c| mod l, under
+   which the eigenlines are orthogonal with nonzero norms |G| / chi(1)^2
+   (the form that gives the degrees in step 4).  So one Krylov chain v a^s
+   of a probe v gives the scalar sequence <v a^i, v a^j>, and
+   Berlekamp-Massey on it gives a polynomial f, accepted only if f(a) kills
+   v, which proves it is v's minimal polynomial; otherwise the form was
+   isotropic on v's part of a repeated eigenspace.  The eigenline of
+   chi^sigma_s is that of chi with its columns permuted by c -> c^s, so only
+   one eigenline per Galois orbit of characters is sought, by descent from
+   e_0, the class function that is 1 on the identity class and 0 elsewhere:
    - e_0 = sum_chi (chi(1)^2 / |G|) omega_chi, omega_chi the eigenline of
      chi with value 1 at the identity class, and l does not divide |G|
      (l = 1 mod e), so every coefficient is nonzero mod l.  Every vector
@@ -34,7 +33,8 @@ The table of a group G is computed in five steps:
      and |X| <= phi(e) < l, so a part inside one orbit's span, of norm
      |X| d^2 / |G|, is never isotropic;
    - level 0: a combination whose coefficients are constant on the
-     power-orbits of classes takes one eigenvalue on each Galois orbit of
+     power-orbits of classes (over every class, its rows formed at the least
+     class of each) takes one eigenvalue on each Galois orbit of
      characters (Brauer's permutation lemma), and both kinds of orbit
      number r, the count of rational classes.  From e_0, each round chains
      all n current vectors as one block under a fresh such combination, to
@@ -54,21 +54,32 @@ The table of a group G is computed in five steps:
      |T_(i-1) : T_i| of those, so each orbit's chain stops there; the
      chains of all orbits advance as one block product per step, and each
      vector is deflated onto its least eigenvalue.  At T = 1 each vector
-     is an eigenline.
-   Two eigenvalues of one level can still coincide, leaving a vector in a
-   sum of eigenspaces.  So each eigenline must pass the eigen-check below;
-   an orbit that fails it is sent down the levels again from its level-0
-   vector with fresh combinations.  The conjugates of the eigenlines, told
-   apart by an exact integer fingerprint, give all k rows and the Galois
-   row permutations pi of step 5.
-   The eigen-check (Dixon 1967): every row must be an eigenvector of more
-   combinations M, drawn from a random stream the split never reads.  Each
-   is Freivalds' test on a random vector r, x (M r) = lambda (x r) with
-   lambda read off x, and M r is gathered from the product array without
-   building M.  A sum of eigenlines passes one such round with probability
-   at most 2/l, so there are enough rounds to bring that below 2^-30 (3
-   for l = 2,917, 17 for l = 7).  Everything is deterministic given the
-   seed;
+     is an eigenline.  Level i's support is the union of the T_i-orbits of
+     S, the least class of each power-orbit, and its rows are the least
+     classes of the T_i-orbits: supports shrink as the rows grow, so what
+     the cache holds for a row serves every later level;
+   Two eigenvalues of one level can still coincide mod l, leaving a vector
+   in a sum of eigenspaces.  The conjugates of the eigenlines, told apart
+   by an exact integer fingerprint, give all k rows and the Galois row
+   permutations pi of step 5, and the k rows must pass the eigen-check
+   together; the orbit of a failing row is sent down the levels again from
+   its level-0 vector with fresh combinations, which mostly settle a chance
+   coincidence, and from the third pass on over every class.
+   The eigen-check (Dixon 1967): the k rows must be pairwise distinct on
+   the columns S (else S widens to every class), and each row x must pass
+   Freivalds' test x (M r) = lambda (x r), lambda read off x, for random
+   combinations M of the M_c, c in S, and random vectors r from a stream
+   the split never reads, M r summed over the products of S's elements.
+   A row that is not a joint eigenvector of these M_c passes a round with
+   probability at most 2/l, so there are enough rounds to bring that below
+   2^-30 (3 for l = 2,917, 17 for l = 7).  Rows that pass are the central
+   characters omega_j: the M_c act diagonally on their basis (l does not
+   divide |G|), omega_j M_c = omega_j(c) omega_j, so a joint eigenvector x
+   of the M_c, c in S, with x[0] = 1, whose eigenvalues are
+   (x M_c)[0] = x(c), lies in the span of the omega_j equal to x on S.  k
+   rows pairwise distinct on S meet k disjoint nonempty sets of the k
+   omega_j, so each meets one, and x[0] = 1 = omega_j(1) makes x = omega_j.
+   Everything is deterministic given the seed;
 4. degrees from <omega, omega> = |G| / chi(1)^2 mod l, at the least row of
    each Galois orbit only: permuting the classes by c -> c^s keeps the
    form, so the degree holds on the orbit.  Then the values mod l;
@@ -464,53 +475,65 @@ def _synthetic_division(poly: np.ndarray, lams: np.ndarray, ell: int) -> np.ndar
 # -- the table computation ---------------------------------------------------------
 
 
-def _product_index(group: PermGroup) -> np.ndarray:
-    """|G| x k int32 array whose [x, m] entry is m k + j, j the class of
-    x^-1 . z_m (z_m the representative of class m): the flat position of
-    the entry (m, j) of a combination acting on rows (see _combination).
-    Its entries are below k^2 <= |G| k, which the cell budget bounds before
-    the array is allocated.  It is filled a block of representatives at a
-    time, _BLOCK_CELLS cells of their right multiplications gathered at the
-    inverses, so no |G| x k array of ids or classes exists."""
-    reps = [c.element_ids[0] for c in group.conjugacy_classes()]
-    n, k = group.order, len(reps)
-    _check_cells(n * k, "the right multiplication table")
-    classes, inverse, right = group.class_index_array(), group.inverse, group.right_multiplication
-    index = np.empty((n, k), dtype=np.int32)
-    step = max(1, _BLOCK_CELLS // n)
-    for lo in range(0, k, step):
-        block = reps[lo : lo + step]
-        flat = np.arange(lo * k, (lo + len(block)) * k, k)[:, None]  # m k
-        # right(block)[m, y] = id of y . z_m, read at y = x^-1 in one
-        # statement, so that no block outlives its iteration
-        index[:, lo : lo + len(block)] = (classes[right(block)[:, inverse]] + flat).T
-    return index
+class _Products:
+    """The classes of the products x^-1 z_m (z_m the representative of class
+    m) that the split reads, each formed at most once per table, so never
+    more than |G| k, in batches for some rows m and the x of some classes."""
+
+    def __init__(self, group: PermGroup):
+        self.group, self.class_of = group, group.class_index_array()
+        self.reps = np.array([c.element_ids[0] for c in group.conjugacy_classes()])
+        self.held = np.zeros((len(self.reps),) * 2, dtype=bool)  # [m, c]: row m holds class c
+        self.batches = []  # (rows, classes of the x, (rows, x) int32 classes of x^-1 z_m)
+        self.count = 0  # products formed
+
+    def blocks(self, rows: np.ndarray, support: np.ndarray):
+        """Blocks (rows, products, classes) of about _BLOCK_CELLS cells (or
+        one row): products[i, j] is the class of x_j^-1 z_m, m = rows[i], x_j
+        of the support's classes[j] in one batch.  Each set of classes some of
+        the rows lack of the support is formed first; a row's batches are disjoint."""
+        lacks = support & ~self.held[rows]
+        first, which = _distinct_rows(lacks)
+        for i, missing in enumerate(lacks[first]):
+            batch, xs = rows[which == i], np.flatnonzero(missing[self.class_of])
+            if len(xs):
+                _check_cells(self.count + len(batch) * len(xs), "the product columns")
+                products = np.empty((len(batch), len(xs)), dtype=np.int32)
+                inverse, step = self.group.inverse[xs], max(1, _BLOCK_CELLS // len(xs))
+                for lo in range(0, len(batch), step):  # x^-1 z for the x and a block of z
+                    zs = self.reps[batch[lo : lo + step], None]
+                    products[lo : lo + step] = self.class_of[self.group.mul(inverse, zs)]
+                self.batches.append((batch, self.class_of[xs], products))
+                self.count += products.size
+                self.held[batch] |= missing
+        wanted = np.zeros(len(self.reps), dtype=bool)
+        wanted[rows] = True
+        for held, classes, products in self.batches:
+            mine, cols = np.flatnonzero(wanted[held]), np.flatnonzero(support[classes])
+            step = max(1, _BLOCK_CELLS // max(1, len(cols)))
+            for lo in range(0, len(mine) if len(cols) else 0, step):
+                pick = mine[lo : lo + step]
+                yield held[pick], products[pick[:, None], cols], classes[cols]
+
+    def combination(self, rows: np.ndarray, coeffs: np.ndarray, support: np.ndarray) -> np.ndarray:
+        """The float64 k x k matrix of sum_c coeffs[c] M_c, c over the
+        support, acting on rows (x -> x @ result): row m, for the given rows
+        (the others are 0), sums coeffs[c] at j over the x in C_c with
+        x^-1 . z_m in C_j, exactly while |G| l < 2**53 (not reduced mod l)."""
+        k = len(self.reps)
+        out = np.zeros((k, k))
+        for at, products, classes in self.blocks(rows, support):
+            flat = products + (np.arange(len(at)) * k)[:, None]
+            weights = np.tile(coeffs[classes].astype(np.float64), len(at))
+            out[at] += np.bincount(flat.ravel(), weights, minlength=len(at) * k).reshape(-1, k)
+        return out
 
 
-def _combination(index: np.ndarray, class_of: np.ndarray, coeffs: np.ndarray, ell: int, rows=None):
-    """The float64 k x k matrix of sum_i coeffs[i] M_i acting on rows
-    (x -> x @ result), where (M_i)[j, m] counts the x in C_i with
-    x^-1 . z_m in C_j, not reduced mod l: its rows m, all or the given ones
-    (the others are 0), are bincounts over the columns m of index, a block
-    of c columns of _BLOCK_CELLS cells at a time, each with c k output
-    cells.  Its sums of |G| weights below l are exact while |G| l < 2**53."""
-    n, k = index.shape
-    rows = np.arange(k) if rows is None else np.asarray(rows)
-    weights = (coeffs % ell)[class_of].astype(np.float64)
-    out = np.zeros((k, k))
-    step = max(1, _BLOCK_CELLS // n)
-    for lo in range(0, len(rows), step):
-        block = rows[lo : lo + step]
-        c = len(block)
-        part = index[:, block] + (np.arange(c) - block) * k  # (m, j) -> (m's place in block, j)
-        out[block] = np.bincount(part.ravel(), np.repeat(weights, c), minlength=c * k).reshape(c, k)
-    return out
-
-
-def _invariant_combinations(index: np.ndarray, class_of: np.ndarray, power_maps, ell: int, rng):
-    """orbits -> a seeded combination acting on rows whose coefficients are
-    constant on the orbits of classes under a subgroup T of the units mod e,
-    orbits = (rep_of, step) as _orbits gives them for T.
+def _invariant_combinations(products: _Products, power_maps: np.ndarray, ell: int, rng):
+    """(orbits, support) -> a seeded combination acting on rows whose
+    coefficients are constant on the orbits of classes under a subgroup T of
+    the units mod e, orbits = (rep_of, step) as _orbits gives them for T, and
+    0 off the support, a union of those orbits.
 
     Such a combination is fixed by T: its entry (m^t, j^t) is its entry
     (m, j), because class multiplication coefficients are rational and so
@@ -523,51 +546,40 @@ def _invariant_combinations(index: np.ndarray, class_of: np.ndarray, power_maps,
     inverse[units] = [pow(int(u), -1, e) for u in units]
     classes_to = power_maps.T  # row s: c -> c^s
 
-    def draw(orbits) -> np.ndarray:
+    def draw(orbits, support: np.ndarray) -> np.ndarray:
         rep_of, step = orbits
-        coeffs = rng.integers(0, ell, size=k, dtype=np.int64)[rep_of]
+        coeffs = rng.integers(0, ell, size=k, dtype=np.int64)[rep_of] * support
         reps = np.flatnonzero(rep_of == np.arange(k))
+        summed = products.combination(reps, coeffs, support)
         if len(reps) == k:
-            return _combination(index, class_of, coeffs, ell)
-        summed = _combination(index, class_of, coeffs, ell, reps).ravel()
+            return summed
         # entry (r^t, j) is entry (r, j^(1/t))
         return np.take(summed, (rep_of * k)[:, None] + classes_to[inverse[step]])
 
     return draw
 
 
-def _eigen_checker(index: np.ndarray, class_of: np.ndarray, ell: int, rng):
+def _eigen_checker(products: _Products, least: np.ndarray, ell: int, rng):
     """rows -> for each row x (a class function with x[0] = 1), whether it
-    fails to be an eigenvector of random combinations M_t acting on rows.
-
-    Freivalds' test on a random vector r_t per combination: x M = lambda x
-    gives x (M r) = lambda (x r), and lambda = (x M)[0] = x . c, c the
-    coefficients, because x^-1 . z_m is the identity only for x = z_m.  M r
-    is gathered from index without building M: (M r)[m] is the sum over x
-    of c[class of x] r[class of x^-1 . z_m].  A row that is not an
-    eigenline passes one round with probability at most 2/l (M takes one
-    eigenvalue on two of its eigenlines, or r misses), so there are enough
-    rounds to bring that below 2^-30.
-    """
-    n, k = index.shape
-    rounds = ceil(30 / log2(ell / 2))
-    coeffs = rng.integers(0, ell, size=(k, rounds), dtype=np.int64)
-    probes = rng.integers(0, ell, size=(k, rounds), dtype=np.int64)
-    step = 256  # rows of index per gather: bounded temporaries, exact sums
-    dtype = fpmat.exact_dtype(step, ell)
-    images = np.zeros((rounds, k), dtype=np.int64)
-    weights, values = coeffs[class_of].T.astype(dtype, order="C"), probes.T.astype(dtype, order="C")
-    for lo in range(0, n, step):
-        classes = index[lo : lo + step] % k  # entry m k + j is class j
-        for t in range(rounds):
-            part = weights[t, lo : lo + step] @ np.take(values[t], classes)
-            images[t] = (images[t] + part.astype(np.int64)) % ell
-    images = images.T
+    fails the eigen-check of step 3 of the module docstring over S = least,
+    widened in place to every class unless the rows are distinct on S.
+    lambda = (x M)[0] = x . c, c the coefficients of M: x^-1 z_m = 1 only
+    for x = z_m."""
+    rounds = ceil(30 / log2(ell / 2))  # each passes a wrong row with probability <= 2/l
+    coeffs, probes = rng.integers(0, ell, size=(2, len(least), rounds), dtype=np.int64)
 
     def failing(rows: np.ndarray) -> np.ndarray:
-        lam = fpmat.mul(rows, coeffs, ell)
+        for _ in range(2):  # S widens to every class if two rows are equal on it
+            keys = _void(np.ascontiguousarray(rows[:, least]))
+            _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+            least[:] |= (counts > 1).any()
+        images = np.zeros(coeffs.shape, dtype=np.int64)  # column t: M_t r_t
+        for at, held, classes in products.blocks(np.arange(len(least)), least):
+            for t, (c, r) in enumerate(zip(coeffs[classes].T, probes.T)):
+                images[at, t] += fpmat.mul(np.take(r, held), c[:, None], ell)[:, 0]
+        lam = fpmat.mul(rows, coeffs * least[:, None], ell)
         rhs = fpmat.mul(rows, probes, ell) * lam % ell
-        return (fpmat.mul(rows, images, ell) != rhs).any(axis=1)
+        return (counts[inverse] > 1) | (fpmat.mul(rows, images % ell, ell) != rhs).any(axis=1)
 
     return failing
 
@@ -622,8 +634,9 @@ class _Descent:
     """One eigenline per Galois orbit of characters, by descent over the
     subgroups of the units mod e (step 3 of the module docstring).
 
-    draw(orbits) gives a combination acting on rows whose coefficients are
-    constant on the given orbits of classes; failing is the eigen-check."""
+    draw(orbits, support) gives a combination acting on rows whose
+    coefficients are constant on the given orbits of classes and 0 off the
+    support; failing is the eigen-check."""
 
     def __init__(self, draw, power_maps: np.ndarray, ell: int, rng, size_inv, inv_class, failing):
         self.draw = draw
@@ -637,22 +650,29 @@ class _Descent:
         self.level0_rounds = 0  # refining rounds at level 0
         self.redone = 0  # orbits sent down the levels again
 
-    def run(self):
-        """(omegas, galois) as _galois_rows gives them."""
+    def run(self, least: np.ndarray):
+        """(omegas, galois) as _galois_rows gives them, once the k rows pass
+        the eigen-check.  Supports: the orbits meeting least, all from pass 3."""
         starts = self._starts()
         levels = _descent_levels(self.power_maps)
         lines = np.empty(starts.shape, dtype=np.int64)
         todo = np.arange(len(starts))
         for _pass in range(_DESCENT_PASSES):
-            found, ok = self._descend(starts[todo], levels)
+            found, ok = self._descend(starts[todo], levels, least)
             ok &= found[:, 0] != 0
-            found[ok] = found[ok] * _inverses(found[ok, 0], self.ell)[:, None] % self.ell
-            ok[ok] = ~self.failing(found[ok])
-            lines[todo[ok]] = found[ok]
+            inverse = np.array([pow(int(v), -1, self.ell) for v in found[ok, 0]], dtype=np.int64)
+            lines[todo[ok]] = found[ok] * inverse[:, None] % self.ell
             todo = todo[~ok]
             if not len(todo):
-                return _galois_rows(lines, self.power_maps, self.ell, self.rng)
+                omegas, galois = _galois_rows(lines, self.power_maps, self.ell, self.rng)
+                line_of = np.unique(galois.min(axis=0), return_inverse=True)[1]  # its first row
+                todo = np.unique(line_of[self.failing(omegas)])
+                if not len(todo) and len(omegas) < len(lines[0]):
+                    raise TableVerificationError("the eigenline conjugates give fewer than k rows")
+                if not len(todo):
+                    return omegas, galois
             self.redone += len(todo)
+            least = np.ones_like(least) if _pass else least
         raise TableVerificationError(
             f"{len(todo)} orbits failed {_DESCENT_PASSES} descent passes: a chain was refused"
             " or a row is not an eigenvector of a fresh combination"
@@ -675,7 +695,8 @@ class _Descent:
                 )
             # a vector's orbits number at most r - n + 1, the others' holding one each
             bound = min(self.ell, r - len(vectors) + 1)
-            chain, found = self._annihilators(vectors, self._matrix(orbits), bound)
+            a = self._matrix(orbits, np.ones(k, dtype=bool))  # over every class
+            chain, found = self._annihilators(vectors, a, bound)
             parts = []
             for j, fr in enumerate(found):
                 if fr is None:  # isotropic on a part spanning several orbits: wait
@@ -687,7 +708,7 @@ class _Descent:
             vectors = np.concatenate(parts)
         return vectors
 
-    def _descend(self, starts: np.ndarray, levels):
+    def _descend(self, starts: np.ndarray, levels, least: np.ndarray):
         """Each start taken down the levels, deflated at each onto its least
         eigenvalue, and whether each chain was accepted at every level."""
         ell = self.ell
@@ -697,7 +718,8 @@ class _Descent:
             live = np.flatnonzero(ok)
             if not len(live):
                 break
-            chain, found = self._annihilators(vectors[live], self._matrix(orbits), index)
+            a = self._matrix(orbits, np.isin(orbits[0], orbits[0][least]))
+            chain, found = self._annihilators(vectors[live], a, index)
             quotients = np.zeros((len(live), index), dtype=self.dtype)
             for j, fr in enumerate(found):
                 if fr is None:
@@ -727,24 +749,20 @@ class _Descent:
         under <x, z> = sum_c x[c] z[c^-1] / |C_c| mod l."""
         return rows, (rows[:, self.inv_class] * self.size_inv).astype(np.int64) % self.ell
 
-    def _matrix(self, orbits) -> np.ndarray:
-        """The combination draw(orbits) in the chains' dtype, reduced mod l
-        unless a chain step on it stays exact without."""
-        a = self.draw(orbits)
+    def _matrix(self, orbits, support: np.ndarray) -> np.ndarray:
+        """The combination draw(orbits, support) in the chains' dtype,
+        reduced mod l unless a chain step on it stays exact without."""
+        a = self.draw(orbits, support)
         if self.dtype is np.float64 and a.max(initial=0) * (self.ell - 1) * len(a) < 2**53:
             return a
         return (a.astype(np.int64) % self.ell).astype(self.dtype)
 
 
-def _inverses(values: np.ndarray, ell: int) -> np.ndarray:
-    return np.array([pow(int(v), ell - 2, ell) for v in values], dtype=np.int64)
-
-
 def _galois_rows(lines: np.ndarray, power_maps: np.ndarray, ell: int, rng):
     """(omegas, galois) from one normalised eigenline per Galois orbit: the
     rows omega_chi^sigma_s(c) = omega_chi(c^s) over the units s, each
-    distinct one once, and galois[t, i] the row of chi_i^sigma_s for the
-    t-th unit s.  Raises unless that gives k rows.
+    distinct one once and each line's in turn, and galois[t, i] the row of
+    chi_i^sigma_s for the t-th unit s.  Raises if that gives more than k rows.
 
     Conjugates are told apart by an exact integer fingerprint, their dot
     product with a random vector z: it is lines @ Z^T with
@@ -763,15 +781,13 @@ def _galois_rows(lines: np.ndarray, power_maps: np.ndarray, ell: int, rng):
     for line, row_prints in zip(lines, prints):
         _, first, inverse = np.unique(row_prints, return_index=True, return_inverse=True)
         if count + len(first) > k:
-            raise TableVerificationError("the conjugates of the eigenlines give more than k rows")
+            raise TableVerificationError("the eigenline conjugates give more than k rows")
         # chi^sigma_s is the row inverse[s], and its image under sigma_t is chi^sigma_(t s)
         products = position[np.outer(units, units[first]) % e]
         galois[:, count : count + len(first)] = count + inverse[products]
         rows[count : count + len(first)] = line[columns[first]]
         count += len(first)
-    if count < k:
-        raise TableVerificationError("the conjugates of the eigenlines give fewer than k rows")
-    return rows, galois
+    return rows[:count], galois[:, :count]
 
 
 def _degrees_from_omegas(group, omegas: np.ndarray, ell: int, size_inv, inv_class) -> np.ndarray:
@@ -919,13 +935,14 @@ def _build_table(group: PermGroup, seed: int) -> CharacterTable:
     """The unverified table."""
     classes = group.conjugacy_classes()
     k = len(classes)
+    _check_cells(k * k, "the k x k table")
     e = group.exponent
     ell = find_dixon_prime(e, group.order)
 
     sizes = np.array([c.size for c in classes], dtype=np.int64)
     size_inv = np.array([pow(int(s), ell - 2, ell) for s in sizes], dtype=np.int64)
     inv_class = group.power_maps[:, -1]
-    omegas, galois, split = _split(group, _product_index(group), ell, seed, size_inv, inv_class)
+    omegas, galois, split = _split(group, ell, seed, size_inv, inv_class)
     # a degree is constant on its Galois orbit: one per orbit's least row
     reps, orbit_of = np.unique(galois.min(axis=0), return_inverse=True)
     degrees = _degrees_from_omegas(group, omegas[reps], ell, size_inv, inv_class)[orbit_of]
@@ -960,21 +977,22 @@ def _build_table(group: PermGroup, seed: int) -> CharacterTable:
     return table
 
 
-def _split(group: PermGroup, index: np.ndarray, ell: int, seed: int, size_inv, inv_class):
+def _split(group: PermGroup, ell: int, seed: int, size_inv, inv_class):
     """(omegas, galois, split): the eigenlines (step 3 of the module
     docstring) as class functions with value 1 at the identity class, their
-    Galois row permutations, and how they were found.  Each row passes the
-    eigen-check."""
-    class_of = group.class_index_array()
+    Galois row permutations, and how they were found.  S (least) is the least
+    class of each power-orbit of classes."""
     # the descent and the eigen-check draw from streams of their own
     descent_rng, check_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
-    failing = _eigen_checker(index, class_of, ell, check_rng)
-    draw = _invariant_combinations(index, class_of, group.power_maps, ell, descent_rng)
-    descent = _Descent(draw, group.power_maps, ell, descent_rng, size_inv, inv_class, failing)
-    omegas, galois = descent.run()
-    if failing(omegas).any():
-        raise TableVerificationError("a row is not an eigenvector of a fresh combination")
-    return omegas, galois, {"level0_rounds": descent.level0_rounds, "redone": descent.redone}
+    products, power_maps = _Products(group), group.power_maps
+    least = _orbits(power_maps, _units_mod(group.exponent))[0] == np.arange(len(power_maps))
+    failing = _eigen_checker(products, least, ell, check_rng)  # widens least in place
+    draw = _invariant_combinations(products, power_maps, ell, descent_rng)
+    descent = _Descent(draw, power_maps, ell, descent_rng, size_inv, inv_class, failing)
+    r = int(least.sum())
+    omegas, galois = descent.run(least)
+    return omegas, galois, {"level0_rounds": descent.level0_rounds, "redone": descent.redone,
+                            "widened": int(least.sum()) - r, "products": products.count}
 
 
 def _verify(table: CharacterTable) -> None:

@@ -31,7 +31,7 @@ from .numth import (
     primitive_polynomial,
     primitive_root,
 )
-from .perm import PermGroup, Permutation
+from .perm import ORDER_BOUND, OrderBoundExceeded, PermGroup, Permutation
 
 CASE_TAGS = ("a1", "a2", "a3", "a4", "a5", "a6", "a7")
 
@@ -227,6 +227,8 @@ def _semidirect(base, acting, mats, p, central_height, name, what) -> PermGroup:
         gens = [b + fixed for b in base] + [acting[0] + cycle]
         expected = n_base * cyc_order
         failure = "cyclic cover action is not faithful"
+    if expected > ORDER_BOUND:  # refused before a single element is enumerated
+        raise OrderBoundExceeded(f"expected order {expected} exceeds the order bound {ORDER_BOUND}")
     group = PermGroup(len(gens[0]), gens, name=name)
     if group.order != expected:
         raise ParamsInvalid(failure)

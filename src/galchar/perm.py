@@ -28,9 +28,9 @@ parts.  So the number of labels at least doubles at each kept point, and
 all tables together hold fewer than |G| degree cells, the size of the image
 array.  A product of any number of factors composes only the r base
 images and walks them through the r tables; powers, commutation tests and
-right multiplications are such products.  So is an inverse: x^-1 takes a
-base point to its position in x's row, and lies in G, so, as for a product,
-no whole row is compared.  A -1 raises KeyError.  Rows from outside the
+a character table's products x^-1 z are such products.  So is an inverse:
+x^-1 takes a base point to its position in x's row, and lies in G, so, as
+for a product, no whole row is compared.  A -1 raises KeyError.  Rows from outside the
 group (`ids_of_rows`, `ids_of`, `element_id`, `in`) may agree with an
 element on the base only, so their whole row must also equal the element's.
 Two rows first differ at a base point, since a point _base_tables skipped
@@ -54,13 +54,12 @@ products (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
   column t by the s-th map, for s running over the primes and the units.
 
 Arrays of more than CELL_BUDGET cells (the power maps, and a character
-table's |G| x k int32 index of the classes of the right multiplications of
-the class representatives, built from blocks of them) raise
-OrderBoundExceeded before they are allocated.  That is 14x the largest
-input in the repo, but it is a tighter limit than ORDER_BOUND on groups
-with many classes: a character table needs |G| k <= 4e7, so an abelian
-group (k = |G|) of more than about 6,300 elements, C80 x C80 for one, is
-refused, and a group at ORDER_BOUND may have at most 80 classes.
+table's k x k arrays and the products its split keeps, at most |G| k, see
+chartab) raise OrderBoundExceeded before they are allocated.  That is 14x
+the largest input in the repo, but it is a tighter limit than ORDER_BOUND
+on groups with many classes: a character table needs k^2 <= 4e7, so an
+abelian group (k = |G|) of more than 6,324 elements, C80 x C80 for one, is
+refused.
 
 All orderings are deterministic: ids follow the breadth-first order over
 the generator list, classes are sorted by (element order, class size,
@@ -79,7 +78,7 @@ import numpy as np
 from .numth import factorize, is_prime_power, unit_generators
 
 ORDER_BOUND = 500_000
-CELL_BUDGET = 40_000_000  # cells of the largest derived array (k e or |G| k)
+CELL_BUDGET = 40_000_000  # cells of the largest derived array (k e, k^2 or products kept)
 _BLOCK_CELLS = 1 << 16  # cells of a block of an array built or read in blocks: 0.5 MiB of int64
 
 
@@ -378,20 +377,17 @@ class PermGroup:
         return np.asarray(self._lookup[0], dtype=np.int64)
 
     def _ids_of_base_images(self, points: np.ndarray) -> np.ndarray:
-        """Ids of the elements with the base images points (..., r), one
-        table cell per base point; KeyError on a -1 cell.  No label is
-        tested on the way: np.ravel_multi_index refuses a -1 label as a
-        coordinate of the next table, so only the last one is."""
+        """Ids of the elements with the base images points (..., r), points
+        in [0, degree), one table cell per base point; KeyError on a -1
+        cell, tested before it would index the next table."""
         tables, deg = self._lookup[1], self.degree
         if not tables:
             return np.zeros(points.shape[:-1], dtype=np.int64)
-        try:
-            label = tables[0][points[..., 0]]  # the first table has one label
-            for i in range(1, len(tables)):
-                cells = np.ravel_multi_index((label, points[..., i]), (len(tables[i]) // deg, deg))
-                label = tables[i][cells]
-        except ValueError:
-            raise KeyError("no element has these base images") from None
+        label = tables[0][points[..., 0]]  # the first table has one label
+        for i in range(1, len(tables)):
+            if (label < 0).any():
+                raise KeyError("no element has these base images")
+            label = tables[i][label * deg + points[..., i]]
         if (label < 0).any():
             raise KeyError("no element has these base images")
         return label
@@ -479,22 +475,6 @@ class PermGroup:
         """Boolean table whose [i, j] entry says ids[i] commutes with others[j]."""
         xs, ys = np.asarray(ids)[:, None], np.asarray(others)[None, :]
         return self.mul(xs, ys) == self.mul(ys, xs)
-
-    def right_multiplication(self, ids) -> np.ndarray:
-        """Row i: the id of x * elements[ids[i]] for every id x.  The base
-        images of x * z are the image array's columns at z's base images,
-        walked through the tables, in blocks of _BLOCK_CELLS cells (or one
-        row) so that no temporary outgrows the output."""
-        _check_cells(len(ids) * self.order, "the right multiplication table")
-        points = self.images[ids][:, self._lookup[0]]  # z's base images
-        out = np.zeros((len(ids), self.order), dtype=np.int64)
-        step = max(1, _BLOCK_CELLS // self.order)
-        for at in range(0, len(ids), step):
-            label = out[at : at + step]
-            for column, table in zip(points[at : at + step].T, self._lookup[1]):
-                label = table[label * self.degree + self.images[:, column].T]
-            out[at : at + step] = label
-        return out
 
     # -- conjugacy classes ----------------------------------------------------
 

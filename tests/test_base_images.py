@@ -79,7 +79,7 @@ def test_trivial_group_has_an_empty_base(degree):
     assert group.order == 1 and group._lookup == ([], [])
     assert group.inverse.tolist() == [0]
     assert group.rank.tolist() == [0]
-    assert group.right_multiplication([0, 0]).tolist() == [[0], [0]]
+    assert group.mul([0], np.zeros((2, 1), dtype=np.int64)).tolist() == [[0], [0]]
     (cls,) = group.conjugacy_classes()
     assert (cls.element_ids, cls.order, cls.power_map) == ((0,), 1, (0,))
     table = character_table(group)
@@ -95,7 +95,7 @@ def test_a_long_base_and_blocks_of_right_multiplications():
     assert np.argsort(group.rank).tolist() == by_tuple
     zs = np.random.default_rng(6).integers(0, group.order, 3 * _BLOCK_CELLS // group.order)
     expected = [group.ids_of_rows(rows[:, rows[z]]) for z in zs]
-    assert np.array_equal(group.right_multiplication(zs), expected)
+    assert np.array_equal(group.mul(np.arange(group.order), zs[:, None]), expected)
 
 
 def test_subgroups_from_unsorted_or_repeated_ids():

@@ -1,5 +1,4 @@
 import json
-import tracemalloc
 from math import gcd
 
 import numpy as np
@@ -20,7 +19,7 @@ from galchar.constructors import (
     sweep_parameter_points,
     symmetric,
 )
-from galchar.corpus import build
+from galchar.corpus import CORPUS, build
 from galchar.cyclotomic import cyc, zeta
 
 
@@ -197,21 +196,33 @@ def test_rows_are_sorted_by_degree_then_rendered_values(get_table, corpus_keys):
         assert keys == sorted(keys), label
 
 
-def test_product_index_is_int32_and_never_holds_an_int64_copy():
-    # built whole, a |G| x k int64 right multiplication, its gather at the
-    # inverses and an intp class array were alive at once: 26.5 MB here
+_split_tables = []
+
+
+def _split_tables_at_seeds_0_and_1():
+    """(label, |G|, table) for the corpus and the default sweep at seeds 0 and 1."""
+    if not _split_tables:
+        groups = [(entry.key, build(entry.key)) for entry in CORPUS] + list(_sweep_groups())
+        _split_tables.extend(
+            (f"{label} seed {seed}", group.order, character_table(group, seed=seed))
+            for seed in (0, 1) for label, group in groups
+        )
+    return _split_tables
+
+
+def test_split_forms_at_most_g_k_products():
+    # each product x^-1 z_m is formed at most once per table, and only for
+    # the classes a level reads; the |G| x k index of every product is gone
+    for label, order, table in _split_tables_at_seeds_0_and_1():
+        assert 0 < table.split["products"] <= order * table.n_classes, label
     group = construct_case(CaseParams("a7", 2, 2, 1, 5))
-    group.conjugacy_classes(), group.inverse, group._lookup  # built before tracing
-    n, k = group.order, len(group.conjugacy_classes())
-    tracemalloc.start()
-    try:
-        index = chartab._product_index(group)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * n * k * 8  # 17.6 MB
-    assert index.dtype == np.int32 and index.shape == (n, k)
-    reps = [c.element_ids[0] for c in group.conjugacy_classes()]
-    right = group.right_multiplication(reps[:5])
-    expected = group.class_index_array()[right[:, group.inverse]] + k * np.arange(5)[:, None]
-    assert np.array_equal(index[:, :5], expected.T)
+    for seed in (0, 1):
+        table = character_table(group, seed=seed)
+        assert table.split["products"] <= group.order * table.n_classes // 4
+
+
+def test_no_small_table_widens_the_eigen_check():
+    # the least class of each power-orbit tells the central characters of
+    # every corpus and default-sweep table apart mod l
+    for label, _, table in _split_tables_at_seeds_0_and_1():
+        assert table.split["widened"] == 0, label

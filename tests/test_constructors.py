@@ -1,3 +1,8 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -19,7 +24,7 @@ from galchar.constructors import (
 )
 from galchar.fpmat import vector_action
 from galchar.numth import matrix_order_is, primitive_root
-from galchar.perm import PermGroup, Permutation
+from galchar.perm import ORDER_BOUND, PermGroup, Permutation
 
 
 def test_singer_matrix():
@@ -214,3 +219,37 @@ def test_sweep_enumeration():
     assert [p.label() for p in sweep_parameter_points()] == [
         p.label() for p in points
     ]
+
+
+# Child process: build 7^{1+2} x| H for H = <diag(3, 1), [[0, 6], [1, 1]]> of
+# order 2,016 in GL(2, 7), and report the seconds of the call and the
+# ru_maxrss growth (kB) until it is refused.  Exit 3 if nothing raised.
+_REFUSE = """
+import json, resource, sys, time
+import numpy as np
+from galchar.constructors import extraspecial_semidirect
+from galchar.perm import OrderBoundExceeded
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+t0 = time.perf_counter()
+try:
+    extraspecial_semidirect(7, [np.diag([3, 1]), [[0, 6], [1, 1]]])
+except OrderBoundExceeded as exc:
+    grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+    print(json.dumps([time.perf_counter() - t0, grown, str(exc)]))
+    sys.exit(0)
+sys.exit(3)
+"""
+
+
+def test_semidirect_past_the_order_bound_is_refused_before_enumeration():
+    # |G| = 343 * 2,016 = 691,488: enumerating 500,000 elements first took
+    # seconds and more than a GB
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", _REFUSE], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    seconds, grown_kb, message = json.loads(done.stdout)
+    assert "691488" in message and str(ORDER_BOUND) in message
+    assert seconds < 1.0
+    assert grown_kb < 50 * 1024

@@ -20,7 +20,7 @@ from galchar.chartab import (
     _descent_levels,
     _eigen_checker,
     _galois_rows,
-    _product_index,
+    _Products,
     _split,
     _units_mod,
     character_table,
@@ -54,10 +54,16 @@ def _group(key):
 
 
 def _setup(group):
-    """(index, ell, size_inv, inv_class) as _build_table passes them to _split."""
+    """(ell, size_inv, inv_class) as _build_table passes them to _split."""
     ell = find_dixon_prime(group.exponent, group.order)
     size_inv = np.array([pow(c.size, -1, ell) for c in group.conjugacy_classes()], dtype=np.int64)
-    return _product_index(group), ell, size_inv, group.power_maps[:, -1]
+    return ell, size_inv, group.power_maps[:, -1]
+
+
+def _least(group):
+    """S as _split takes it: the least class of each power-orbit of classes."""
+    rep_of = chartab._orbits(group.power_maps, _units_mod(group.exponent))[0]
+    return rep_of == np.arange(len(rep_of))
 
 
 def _digest(table):
@@ -100,8 +106,8 @@ def assert_dense_oracle(group, omegas, galois, ell):
 @pytest.mark.parametrize("key", ["a7(h=4)", "a3(h=5)"])
 def test_descent_passes_the_dense_oracle(key, seed):
     group = _group(key)
-    index, ell, size_inv, inv_class = _setup(group)
-    omegas, galois, split = _split(group, index, ell, seed, size_inv, inv_class)
+    ell, size_inv, inv_class = _setup(group)
+    omegas, galois, split = _split(group, ell, seed, size_inv, inv_class)
     assert split["level0_rounds"] >= 1
     assert_dense_oracle(group, omegas, galois, ell)
     assert character_table(group, seed=seed).split == split
@@ -117,8 +123,8 @@ C2_6_TABLES = {
 @pytest.mark.parametrize("key, seed", [("C2^6", 0), ("a7(h=3)", A7H3_ROUNDS_SEED)])
 def test_level_zero_refines_over_rounds(key, seed):
     group = _group(key)
-    index, ell, size_inv, inv_class = _setup(group)
-    omegas, galois, split = _split(group, index, ell, seed, size_inv, inv_class)
+    ell, size_inv, inv_class = _setup(group)
+    omegas, galois, split = _split(group, ell, seed, size_inv, inv_class)
     assert split["level0_rounds"] >= 2
     assert_dense_oracle(group, omegas, galois, ell)
     table = character_table(group, seed=seed)
@@ -163,7 +169,7 @@ def test_level_zero_raises_past_its_round_cap(monkeypatch):
         character_table(_group("C2^6"))
 
 
-def test_galois_rows_raise_unless_they_give_k_rows():
+def test_galois_rows_raise_unless_they_give_k_rows(monkeypatch):
     group = _group("a7(h=3)")
     table = character_table(group, seed=1)
     ell = table.dixon_prime
@@ -172,10 +178,18 @@ def test_galois_rows_raise_unless_they_give_k_rows():
     rng = np.random.default_rng(0)
     rows, _ = _galois_rows(lines, group.power_maps, ell, rng)
     assert len(rows) == len(omegas)
-    with pytest.raises(TableVerificationError, match="fewer than k rows"):
-        _galois_rows(lines[1:], group.power_maps, ell, rng)
+    assert len(_galois_rows(lines[1:], group.power_maps, ell, rng)[0]) < len(omegas)
     with pytest.raises(TableVerificationError, match="more than k rows"):
         _galois_rows(lines[[0, *range(len(lines))]], group.power_maps, ell, rng)
+    # rows that all pass the eigen-check but fall short of k are refused
+    real = chartab._galois_rows
+
+    def short(lines, *args):
+        return real(lines[:-1], *args)
+
+    monkeypatch.setattr(chartab, "_galois_rows", short)
+    with pytest.raises(TableVerificationError, match="fewer than k rows"):
+        character_table(group, seed=1)
 
 
 def _coarse_last_level(monkeypatch, group):
@@ -187,14 +201,14 @@ def _coarse_last_level(monkeypatch, group):
     real = chartab._invariant_combinations
     stubbed = []
 
-    def source(index, class_of, power_maps, ell, rng):
-        draw = real(index, class_of, power_maps, ell, rng)
+    def source(products, power_maps, ell, rng):
+        draw = real(products, power_maps, ell, rng)
 
-        def stub(orbits):
+        def stub(orbits, support):
             if not stubbed and np.array_equal(orbits[0], last[0]):
                 stubbed.append(orbits)
-                return draw(coarser)
-            return draw(orbits)
+                return draw(coarser, np.isin(coarser[0], coarser[0][support]))
+            return draw(orbits, support)
 
         return stub
 
@@ -218,14 +232,15 @@ def test_eigen_check_flags_exactly_the_merged_rows(monkeypatch):
     # orbit pass the counts and f(a) kills them, and only a fresh combination
     # tells them apart
     group = _group("a7(h=4)")
-    index, ell, size_inv, inv_class = _setup(group)
+    ell, size_inv, inv_class = _setup(group)
     truth = {row.tobytes() for row in _table_omegas(character_table(group, seed=0))}
     _coarse_last_level(monkeypatch, group)
     rng = np.random.default_rng(3)
-    draw = chartab._invariant_combinations(index, group.class_index_array(), group.power_maps, ell, rng)
-    failing = _eigen_checker(index, group.class_index_array(), ell, np.random.default_rng(4))
+    products, least = _Products(group), _least(group)
+    draw = chartab._invariant_combinations(products, group.power_maps, ell, rng)
+    failing = _eigen_checker(products, least, ell, np.random.default_rng(4))
     descent = _Descent(draw, group.power_maps, ell, rng, size_inv, inv_class, failing)
-    lines, ok = descent._descend(descent._starts(), _descent_levels(group.power_maps))
+    lines, ok = descent._descend(descent._starts(), _descent_levels(group.power_maps), least)
     assert ok.all()  # every chain was accepted
     lines = lines * np.array([pow(int(x), -1, ell) for x in lines[:, 0]])[:, None] % ell
     wrong = np.array([row.tobytes() not in truth for row in lines])
@@ -234,18 +249,25 @@ def test_eigen_check_flags_exactly_the_merged_rows(monkeypatch):
 
 
 def test_eigen_check_flags_a_corrupted_row():
+    # one entry of one row is corrupted, at a class of S (the least class of
+    # each power-orbit, whose class matrices the check combines) and at a
+    # class outside S, which only the products M r can reveal
     group = _group("a7(h=3)")
     table = character_table(group, seed=1)
     ell = table.dixon_prime
     omegas = _table_omegas(table)
-    index = _product_index(group)
+    least = _least(group)
+    inside, outside = np.flatnonzero(least), np.flatnonzero(~least)
+    corrupted = [(5, outside[3]), (40, outside[-1]), (62, inside[1]), (7, inside[-1])]
     for seed in range(3):
-        failing = _eigen_checker(index, group.class_index_array(), ell, np.random.default_rng(seed))
+        s = least.copy()
+        failing = _eigen_checker(_Products(group), s, ell, np.random.default_rng(seed))
         assert not failing(omegas).any()
-        for row, col in [(5, 7), (40, 1), (62, 62)]:
+        for row, col in corrupted:
             bad = omegas.copy()
             bad[row, col] = (bad[row, col] + 1) % ell
             assert failing(bad).tolist() == [i == row for i in range(len(bad))]
+        assert np.array_equal(s, least)  # flagged by the test over S, which never widened
 
 
 def test_split_raises_when_a_row_fails_the_eigen_check(monkeypatch):
@@ -253,3 +275,25 @@ def test_split_raises_when_a_row_fails_the_eigen_check(monkeypatch):
     monkeypatch.setattr(chartab, "_eigen_checker", lambda *args: lambda rows: rows[:, 1] >= 0)
     with pytest.raises(TableVerificationError, match="fresh combination"):
         character_table(group)
+
+
+@pytest.mark.parametrize("key", ["a7(h=3)", "a3(h=5)"])
+def test_a_non_separating_s_widens_to_the_same_table(monkeypatch, key):
+    # S forced to the central classes: their class matrices act as scalars
+    # on each central character, so neither the first pass's supports nor
+    # the check over S tell its rows apart
+    group = _group(key)
+    expected = character_table(group, seed=1)
+    central = np.array([c.size == 1 for c in group.conjugacy_classes()])
+    assert not central.all()
+    real = chartab._eigen_checker
+
+    def forced(products, least, ell, rng):
+        least[:] = central  # in place: the first pass's supports read it too
+        return real(products, least, ell, rng)
+
+    monkeypatch.setattr(chartab, "_eigen_checker", forced)
+    table = character_table(group, seed=1)
+    assert table.split["widened"] > 0 and table.split["redone"] > 0
+    assert table.to_dict() == expected.to_dict()
+    assert np.array_equal(table.galois, expected.galois)

@@ -40,7 +40,7 @@ def test_products_agree_with_whole_rows_composed_in_wide_types(build):
     assert group.inverse.tolist() == group.ids_of_rows(np.argsort(rows, axis=1)).tolist()
     zs = [0, group.order - 1, *a[:3].tolist()]
     expected = [group.ids_of_rows(rows[:, rows[z]]) for z in zs]
-    assert np.array_equal(group.right_multiplication(zs), expected)
+    assert np.array_equal(group.mul(np.arange(group.order), np.array(zs)[:, None]), expected)
 
 
 @pytest.mark.parametrize("wide", [np.int32, np.int64])

@@ -193,8 +193,8 @@ sys.exit(3)
     [
         # |G| = k = e = 27,720: k e is about 7.7e8
         ([5, 7, 8, 9, 11], "classes", "power-map"),
-        # C2^14: k e = 32,768, but |G| k is about 2.7e8
-        ([2] * 14, "table", "right multiplication"),
+        # C2^14: k e = 32,768, but k^2 is about 2.7e8
+        ([2] * 14, "table", "k x k table"),
     ],
 )
 def test_cell_budget_trips_before_allocating(blocks, call, what):

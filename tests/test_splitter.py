@@ -116,8 +116,8 @@ def test_class_matrix_annihilator_is_the_reference_or_refused(build, seeds):
     inv = group.power_maps[:, -1]
     ell = find_dixon_prime(group.exponent, group.order)
     size_inv = np.array([pow(c.size, -1, ell) for c in group.conjugacy_classes()])
-    products, class_of = chartab._product_index(group), group.class_index_array()
-    k = len(size_inv)
+    products, k = chartab._Products(group), len(size_inv)
+    rows, support = np.arange(k), np.ones(k, dtype=bool)
 
     def form(rows):  # the class-function form
         return rows, rows[:, inv] * size_inv % ell
@@ -129,7 +129,7 @@ def test_class_matrix_annihilator_is_the_reference_or_refused(build, seeds):
     for seed in range(seeds):
         rng = np.random.default_rng(seed)
         coeffs = rng.integers(0, ell, size=k, dtype=np.int64)
-        a = chartab._combination(products, class_of, coeffs, ell).astype(np.int64) % ell
+        a = products.combination(rows, coeffs, support).astype(np.int64) % ell
         v = rng.integers(0, ell, size=k, dtype=np.int64)
         accepted += _accepted(v, a, ell, form, norm)
     assert accepted >= seeds // 2
