@@ -665,7 +665,7 @@ class _Descent:
             todo = todo[~ok]
             if not len(todo):
                 omegas, galois = _galois_rows(lines, self.power_maps, self.ell, self.rng)
-                line_of = np.unique(galois.min(axis=0), return_inverse=True)[1]  # its first row
+                line_of = np.unique(galois.min(axis=0), return_inverse=True)[1]  # by orbit
                 todo = np.unique(line_of[self.failing(omegas)])
                 if not len(todo) and len(omegas) < len(lines[0]):
                     raise TableVerificationError("the eigenline conjugates give fewer than k rows")

@@ -27,11 +27,11 @@ and their images of b split every such coset into the same |K : K_b| >= 2
 parts.  So the number of labels at least doubles at each kept point, and
 all tables together hold fewer than |G| degree cells, the size of the image
 array.  A product of any number of factors composes only the r base
-images and walks them through the r tables; powers, commutation tests and
-a character table's products x^-1 z are such products.  So is an inverse:
-x^-1 takes a base point to its position in x's row, and lies in G, so, as
-for a product, no whole row is compared.  A -1 raises KeyError.  Rows from outside the
-group (`ids_of_rows`, `ids_of`, `element_id`, `in`) may agree with an
+images and walks them through the r tables; powers, commutation tests and a
+character table's products x^-1 z are such products.  So is an inverse: x^-1
+takes a base point to its position in x's row, and lies in G, so, as for a
+product, no whole row is compared.  A -1 raises KeyError.  Rows from outside
+the group (`ids_of_rows`, `ids_of`, `element_id`, `in`) may agree with an
 element on the base only, so their whole row must also equal the element's.
 Two rows first differ at a base point, since a point _base_tables skipped
 has its image decided by the kept points before it: base images order the
