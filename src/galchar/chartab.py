@@ -506,14 +506,14 @@ class _Products:
                 self.batches.append((batch, self.class_of[xs], products))
                 self.count += products.size
                 self.held[batch] |= missing
-        wanted = np.zeros(len(self.reps), dtype=bool)
-        wanted[rows] = True
+        wanted = np.isin(np.arange(len(self.reps)), rows)
         for held, classes, products in self.batches:
             mine, cols = np.flatnonzero(wanted[held]), np.flatnonzero(support[classes])
+            if len(mine) < len(held) or len(cols) < len(classes):  # one copy of what is read
+                held, classes, products = held[mine], classes[cols], products[np.ix_(mine, cols)]
             step = max(1, _BLOCK_CELLS // max(1, len(cols)))
-            for lo in range(0, len(mine) if len(cols) else 0, step):
-                pick = mine[lo : lo + step]
-                yield held[pick], products[pick[:, None], cols], classes[cols]
+            for lo in range(0, len(held) if len(cols) else 0, step):
+                yield held[lo : lo + step], products[lo : lo + step], classes
 
     def combination(self, rows: np.ndarray, coeffs: np.ndarray, support: np.ndarray) -> np.ndarray:
         """The float64 k x k matrix of sum_c coeffs[c] M_c, c over the
@@ -562,11 +562,9 @@ def _invariant_combinations(products: _Products, power_maps: np.ndarray, ell: in
 def _eigen_checker(products: _Products, least: np.ndarray, ell: int, rng):
     """rows -> for each row x (a class function with x[0] = 1), whether it
     fails the eigen-check of step 3 of the module docstring over S = least,
-    widened in place to every class unless the rows are distinct on S.
-    lambda = (x M)[0] = x . c, c the coefficients of M: x^-1 z_m = 1 only
-    for x = z_m."""
-    rounds = ceil(30 / log2(ell / 2))  # each passes a wrong row with probability <= 2/l
-    coeffs, probes = rng.integers(0, ell, size=(2, len(least), rounds), dtype=np.int64)
+    which widens in place to every class unless the rows are distinct on S.
+    lambda = (x M)[0] = x . c for the coefficients c: x^-1 z_m = 1 iff x = z_m."""
+    coeffs, probes = rng.integers(0, ell, (2, len(least), ceil(30 / log2(ell / 2))), dtype=np.int64)
 
     def failing(rows: np.ndarray) -> np.ndarray:
         for _ in range(2):  # S widens to every class if two rows are equal on it
@@ -634,9 +632,8 @@ class _Descent:
     """One eigenline per Galois orbit of characters, by descent over the
     subgroups of the units mod e (step 3 of the module docstring).
 
-    draw(orbits, support) gives a combination acting on rows whose
-    coefficients are constant on the given orbits of classes and 0 off the
-    support; failing is the eigen-check."""
+    draw(orbits, support): a combination acting on rows, its coefficients
+    constant on the orbits and 0 off the support; failing: the eigen-check."""
 
     def __init__(self, draw, power_maps: np.ndarray, ell: int, rng, size_inv, inv_class, failing):
         self.draw = draw

@@ -377,17 +377,20 @@ class PermGroup:
         return np.asarray(self._lookup[0], dtype=np.int64)
 
     def _ids_of_base_images(self, points: np.ndarray) -> np.ndarray:
-        """Ids of the elements with the base images points (..., r), points
-        in [0, degree), one table cell per base point; KeyError on a -1
-        cell, tested before it would index the next table."""
+        """Ids of the elements with the base images points (..., r), one
+        table cell per base point; KeyError on a -1 cell.  No label is
+        tested on the way: np.ravel_multi_index refuses a -1 label as a
+        coordinate of the next table, so only the last one is."""
         tables, deg = self._lookup[1], self.degree
         if not tables:
             return np.zeros(points.shape[:-1], dtype=np.int64)
-        label = tables[0][points[..., 0]]  # the first table has one label
-        for i in range(1, len(tables)):
-            if (label < 0).any():
-                raise KeyError("no element has these base images")
-            label = tables[i][label * deg + points[..., i]]
+        try:
+            label = tables[0][points[..., 0]]  # the first table has one label
+            for i in range(1, len(tables)):
+                cells = np.ravel_multi_index((label, points[..., i]), (len(tables[i]) // deg, deg))
+                label = tables[i][cells]
+        except ValueError:
+            raise KeyError("no element has these base images") from None
         if (label < 0).any():
             raise KeyError("no element has these base images")
         return label
