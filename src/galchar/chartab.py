@@ -506,13 +506,14 @@ class _Products:
                 self.batches.append((batch, self.class_of[xs], products))
                 self.count += products.size
                 self.held[batch] |= missing
-        wanted = np.isin(np.arange(len(self.reps)), rows)
+        wanted = np.zeros(len(self.reps), dtype=bool)
+        wanted[rows] = True
         for held, classes, products in self.batches:
-            mine, cols = np.flatnonzero(wanted[held]), np.flatnonzero(support[classes])
-            if len(mine) < len(held) or len(cols) < len(classes):  # one copy of what is read
+            mine, cols = wanted[held], support[classes]
+            if not (mine.all() and cols.all()):  # one copy of what is read
                 held, classes, products = held[mine], classes[cols], products[np.ix_(mine, cols)]
-            step = max(1, _BLOCK_CELLS // max(1, len(cols)))
-            for lo in range(0, len(held) if len(cols) else 0, step):
+            step = max(1, _BLOCK_CELLS // max(1, len(classes)))
+            for lo in range(0, len(held) if len(classes) else 0, step):
                 yield held[lo : lo + step], products[lo : lo + step], classes
 
     def combination(self, rows: np.ndarray, coeffs: np.ndarray, support: np.ndarray) -> np.ndarray:
@@ -573,8 +574,7 @@ def _eigen_checker(products: _Products, least: np.ndarray, ell: int, rng):
             least[:] |= (counts > 1).any()
         images = np.zeros(coeffs.shape, dtype=np.int64)  # column t: M_t r_t
         for at, held, classes in products.blocks(np.arange(len(least)), least):
-            for t, (c, r) in enumerate(zip(coeffs[classes].T, probes.T)):
-                images[at, t] += fpmat.mul(np.take(r, held), c[:, None], ell)[:, 0]
+            images[at] += (probes[held] * coeffs[classes] % ell).sum(axis=1)  # [m, x, t] summed
         lam = fpmat.mul(rows, coeffs * least[:, None], ell)
         rhs = fpmat.mul(rows, probes, ell) * lam % ell
         return (counts[inverse] > 1) | (fpmat.mul(rows, images % ell, ell) != rhs).any(axis=1)
