@@ -261,7 +261,7 @@ class Character:
     def galois_stabilizer(self) -> frozenset[int]:
         """Residues k mod e (units) with chi^sigma_k = chi."""
         if self._stab is None:
-            units = np.array(self.table.units())
+            units = self.table.units()
             self._stab = frozenset(units[self.table._fixes(self.index, units)].tolist())
         return self._stab
 
@@ -288,19 +288,15 @@ class CharacterTable:
         self.unit_index = _unit_index(exponent)
         self.chars: list[Character] = [Character(self, i, d) for i, d in enumerate(degrees)]
         self.split: dict = {}  # how the eigenlines were found (set by _build_table)
-        self._units: tuple[int, ...] | None = None
         self._conductors: tuple[int, dict] | None = None
 
     @property
     def n_classes(self) -> int:
         return len(self.classes)
 
-    def units(self) -> tuple[int, ...]:
-        if self._units is None:
-            self._units = tuple(
-                k for k in range(1, self.exponent + 1) if gcd(k, self.exponent) == 1
-            )
-        return self._units
+    def units(self) -> np.ndarray:
+        """The units mod the exponent, ascending."""
+        return _units_mod(self.exponent)
 
     def _by_conductor(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
         """_pool_by_conductor of the pool: the lift's arrays, built again
@@ -342,7 +338,7 @@ class CharacterTable:
         """True iff the field of values of chi lies in Q(zeta_p)."""
         if self.exponent % p != 0:
             return chi.is_rational()
-        units = np.array(self.units())
+        units = self.units()
         return bool(self._fixes(chi.index, units[units % p == 1]).all())
 
     # -- serialization -------------------------------------------------------
@@ -1007,7 +1003,7 @@ def _verify(table: CharacterTable) -> None:
             raise TableVerificationError("lift is inconsistent with the mod-l table")
     # rational rows match rational classes
     powers = group.power_maps
-    units = np.array(table.units()) % e
+    units = _units_mod(e)
     rational_classes = int((powers[:, units] == np.arange(k)[:, None]).all(axis=1).sum())
     rational = np.array([v.is_rational for v in pool], dtype=bool)
     if rational_classes != int(rational[ids].all(axis=1).sum()):

@@ -122,27 +122,35 @@ class ClassificationReport:
 # -- action checks: matrix groups as permutation groups on F_p^n ---------------
 
 
-def vector_group(mats, p: int, n: int) -> PermGroup:
-    """<mats> as a permutation group on the p^n vectors of F_p^n, numbered as
-    in `fpmat.all_vectors`, so the identity is element 0 and vector 0 is
-    point 0.
+def _action_images(mats, p: int, n: int) -> list[list[int]]:
+    """For each of mats, the numbers of the images of the p^n vectors of
+    F_p^n, numbered as in `fpmat.all_vectors`: <mats> acting on p^n points.
+    Every action check starts here.
 
     A group containing V x| <mats> has order at least p^n |<mats>|, so
-    p^n > ORDER_BOUND raises OrderBoundExceeded before any vector is built,
-    and a matrix group with more than ORDER_BOUND // p^n elements raises it
-    as soon as its enumeration passes that bound.
+    p^n > ORDER_BOUND raises OrderBoundExceeded before any vector is built.
     """
     if p**n > ORDER_BOUND:
         raise OrderBoundExceeded(f"p^n = {p}^{n} = {p**n} exceeds the order bound {ORDER_BOUND}")
     for m in mats:
         if fpmat.mat_rank(m, p) < n:
             raise ValueError("matrices must be invertible")
-    return PermGroup(p**n, fpmat.vector_action(mats, p), order_bound=ORDER_BOUND // p**n)
+    return fpmat.vector_action(mats, p)
+
+
+def vector_group(mats, p: int, n: int) -> PermGroup:
+    """<mats> as a permutation group on the p^n vectors of F_p^n (see
+    _action_images), so the identity is element 0 and vector 0 is point 0.
+    A matrix group with more than ORDER_BOUND // p^n elements raises
+    OrderBoundExceeded as soon as its enumeration passes that bound.
+    """
+    return PermGroup(p**n, _action_images(mats, p, n), order_bound=ORDER_BOUND // p**n)
 
 
 def check_frobenius_action(mats, p: int, n: int) -> bool:
     """Every nonidentity element of <mats> fixes only the zero vector: each
-    image row after the identity's has exactly one fixed point.
+    image row after the identity's has exactly one fixed point.  The one
+    action check that enumerates <mats>.
 
     A trivial group does not act Frobeniusly (the acting group must be
     nontrivial), so identity-only input returns False.
@@ -158,8 +166,7 @@ def check_irreducible_action(mats, p: int, n: int) -> bool:
     One rank per orbit, since the vectors of one orbit span one subspace;
     orbit c is members[ends[c - 1]:ends[c]], and orbit 0 is the zero vector.
     """
-    group = vector_group(mats, p, n)
-    label = orbit_labels(p**n, [g.images for g in group.generators])
+    label = orbit_labels(p**n, _action_images(mats, p, n))
     members, ends = np.argsort(label, kind="stable"), np.cumsum(np.bincount(label))
     vectors = fpmat.all_vectors(p, n)
     return all(
@@ -171,9 +178,8 @@ def check_scalar_transitivity(mats, p: int, n: int) -> bool:
     """<mats> together with the scalars acts transitively on nonzero vectors:
     the orbit of e_1 under the generators and a primitive-root scalar has
     p^n - 1 points."""
-    group = vector_group(mats, p, n)
-    scalar = fpmat.vector_action([primitive_root(p) * np.eye(n, dtype=np.int64)], p)
-    label = orbit_labels(p**n, [g.images for g in group.generators] + scalar)
+    scalar = primitive_root(p) * np.eye(n, dtype=np.int64)
+    label = orbit_labels(p**n, _action_images([*mats, scalar], p, n))
     return int((label == label[p ** (n - 1)]).sum()) == p**n - 1
 
 
@@ -244,10 +250,8 @@ def find_complement(
 # -- structural predicates ----------------------------------------------------------
 
 
-def is_extraspecial_p3(psub: Subgroup | PermGroup, p: int) -> bool:
+def is_extraspecial_p3(psub: Subgroup, p: int) -> bool:
     """|P| = p^3 with center = derived = Frattini of order p."""
-    if isinstance(psub, PermGroup):
-        psub = psub.full_subgroup()
     if psub.order != p**3:
         return False
     center = psub.parent.centralizer(psub, within=psub)
@@ -379,9 +383,7 @@ def _structural_checklist(group, table, part, report, seed) -> tuple[bool, str |
         return False, "shared kernel is not C_H(P) x Phi(P)"
 
     try:
-        mats, basis, p2, n = quotient_module_action(
-            group, psub, usub, hsub.generating_set()
-        )
+        mats, basis, p2, n = quotient_module_action(group, psub, usub, hsub.gen_ids)
     except ValueError as exc:
         checklist["action_kernel_is_centralizer"] = False
         return False, f"module action unavailable: {exc}"
@@ -389,7 +391,7 @@ def _structural_checklist(group, table, part, report, seed) -> tuple[bool, str |
     report.n = n
     # h acts trivially on P/U iff it fixes every basis coset
     fixes = np.ones(hsub.order, dtype=bool)
-    for b in group.ids_of(basis):
+    for b in basis.tolist():
         fixes &= usub.contains(group.mul(group.conj(hsub.ids, b), group.inverse[b]))
     ok = np.array_equal(hsub.ids[fixes], csub.ids)
     checklist["action_kernel_is_centralizer"] = ok

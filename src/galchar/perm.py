@@ -8,8 +8,10 @@ with a Python int keeps that type and wraps silently, so every arithmetic
 on image values meets an int64 array (ids, labels) first.  An element is
 its id, the index of its row; a subgroup is a sorted id array.  Products,
 closures, centralizers, classes and cosets all work on ids, batched over
-arrays.  `Permutation` is the value type at the edges only: generators,
-`elements`, class representatives, `Subgroup.elements` and `close()`.
+arrays, and ids are what the other modules pass to it and get back.
+`Permutation` is the value type at the edges only: generators (and so group
+files), `element`, `elements`, `Subgroup.elements`, `close()` and the
+membership tests `ids_of`, `element_id` and `in`.
 A subgroup's predicates (cyclic, nilpotent, generalized quaternion) and its
 Sylow subgroups come from the element orders of its ids, read off the
 parent's classes, so no subgroup is enumerated again as a group of its own.
@@ -19,20 +21,23 @@ Permutation Group Algorithms, 2003, ch. 4).  Every element carries a label,
 its class of equal images on the points kept so far.  The points are walked
 in order, and one is kept only if its images split those classes further,
 r points in all, until every element is told apart.  A kept point b records
-a table of (labels) x degree cells: cell label * degree + x holds the next
-label of the elements with that label and image x at b, or -1 where no
+a table of (labels + 1) x degree cells: cell label * degree + x holds the
+next label of the elements with that label and image x at b, or -1 where no
 element has them; the last table holds ids instead.  The elements with one
 label are a coset gK of the pointwise stabilizer K of the points before b,
 and their images of b split every such coset into the same |K : K_b| >= 2
 parts.  So the number of labels at least doubles at each kept point, and
-all tables together hold fewer than |G| degree cells, the size of the image
-array.  A product of any number of factors composes only the r base
+the real cells of all tables together are fewer than |G| degree, the size
+of the image array.  The extra row, the last, is degree cells of -1: a -1
+label reads cell -degree + x, in that row, so a lookup walks on with -1
+and tests its labels once, after the last table; a -1 there raises
+KeyError.  A product of any number of factors composes only the r base
 images and walks them through the r tables; powers, commutation tests and a
 character table's products x^-1 z are such products.  So is an inverse: x^-1
 takes a base point to its position in x's row, and lies in G, so, as for a
-product, no whole row is compared.  A -1 raises KeyError.  Rows from outside
-the group (`ids_of_rows`, `ids_of`, `element_id`, `in`) may agree with an
-element on the base only, so their whole row must also equal the element's.
+product, no whole row is compared.  Rows from outside the group
+(`ids_of_rows`, `ids_of`, `element_id`, `in`) may agree with an element on
+the base only, so their whole row must also equal the element's.
 Two rows first differ at a base point, since a point _base_tables skipped
 has its image decided by the kept points before it: base images order the
 elements as their image tuples do.
@@ -188,17 +193,8 @@ class ConjugacyClass:
     powers: np.ndarray = field(compare=False, repr=False)  # its row of power_maps
 
     @property
-    def rep(self) -> Permutation:
-        return Permutation._of_row(self.row.tolist())
-
-    @property
     def size(self) -> int:
         return len(self.element_ids)
-
-    @cached_property
-    def power_map(self) -> tuple[int, ...]:
-        """Index t -> class of rep**t, t in 0..e-1."""
-        return tuple(self.powers.tolist())
 
 
 def _void(rows: np.ndarray) -> np.ndarray:
@@ -211,7 +207,7 @@ def _base_tables(images: np.ndarray) -> tuple[list[int], list[np.ndarray]]:
     the points, in order, each kept only if it splits the classes of equal
     images on the points kept so far, and for each kept point the table from
     label * degree + image to the next label, numbered in cell order, the
-    last one to the id.
+    last one to the id, each table ending in a row of degree cells of -1.
     ValueError if two rows are equal."""
     n, deg = images.shape
     label, parts, base, tables = np.zeros(n, dtype=np.int64), 1, [], []
@@ -221,7 +217,7 @@ def _base_tables(images: np.ndarray) -> tuple[list[int], list[np.ndarray]]:
         code = label * deg + images[:, point]
         split, label_with = np.unique(code, return_inverse=True)
         if len(split) > parts:
-            table = np.full(parts * deg, -1, dtype=np.int64)
+            table = np.full((parts + 1) * deg, -1, dtype=np.int64)  # a last row of -1s
             parts, label = len(split), label_with.ravel()
             table[code] = label if parts < n else np.arange(n)
             base.append(point)
@@ -344,10 +340,7 @@ class PermGroup:
     @cached_property
     def elements(self) -> list[Permutation]:
         """Every element as a Permutation, in id order."""
-        return [Permutation(row) for row in self.images.tolist()]
-
-    def identity(self) -> Permutation:
-        return Permutation.identity(self.degree)
+        return list(map(Permutation._of_row, self.images.tolist()))
 
     def __contains__(self, perm: Permutation) -> bool:
         try:
@@ -378,19 +371,11 @@ class PermGroup:
 
     def _ids_of_base_images(self, points: np.ndarray) -> np.ndarray:
         """Ids of the elements with the base images points (..., r), one
-        table cell per base point; KeyError on a -1 cell.  No label is
-        tested on the way: np.ravel_multi_index refuses a -1 label as a
-        coordinate of the next table, so only the last one is."""
-        tables, deg = self._lookup[1], self.degree
-        if not tables:
-            return np.zeros(points.shape[:-1], dtype=np.int64)
-        try:
-            label = tables[0][points[..., 0]]  # the first table has one label
-            for i in range(1, len(tables)):
-                cells = np.ravel_multi_index((label, points[..., i]), (len(tables[i]) // deg, deg))
-                label = tables[i][cells]
-        except ValueError:
-            raise KeyError("no element has these base images") from None
+        table cell per base point; KeyError on a -1 cell.  A -1 label reads
+        the table's last row, all -1, so no label is tested on the way."""
+        label, deg = np.zeros(points.shape[:-1], dtype=np.int64), self.degree
+        for i, table in enumerate(self._lookup[1]):
+            label = table[label * deg + points[..., i]]
         if (label < 0).any():
             raise KeyError("no element has these base images")
         return label
@@ -422,11 +407,6 @@ class PermGroup:
         base = self._lookup[0]
         points = np.array([(self.images == b).argmax(axis=1) for b in base], dtype=np.int64)
         return self._ids_of_base_images(points.reshape(len(base), self.order).T)
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(elements, inverses) as image matrices in the image type, row i =
-        element i."""
-        return self.images, self.images[self.inverse]
 
     @cached_property
     def rank(self) -> np.ndarray:
@@ -524,9 +504,6 @@ class PermGroup:
     def exponent(self) -> int:
         return self.power_maps.shape[1]
 
-    def class_of(self, perm: Permutation) -> int:
-        return int(self.class_index_array()[self.element_id(perm)])
-
     def class_index_array(self) -> np.ndarray:
         self.conjugacy_classes()
         return self._class_of
@@ -574,20 +551,11 @@ class PermGroup:
             raise ValueError("generator lies outside the parent group") from None
         return Subgroup(self, self.closure(ids), ids)
 
-    def subgroup_from_elements(self, elements) -> "Subgroup":
-        return Subgroup(self, self.ids_of(list(elements)))
-
     def trivial_subgroup(self) -> "Subgroup":
         return Subgroup(self, [0], [])
 
     def full_subgroup(self) -> "Subgroup":
         return Subgroup(self, np.arange(self.order), self.gen_ids)
-
-    def normal_closure(self, gens, ambient_gens=None) -> "Subgroup":
-        """Closure of the permutations gens under products and conjugation
-        by ambient_gens (default: this group's generators)."""
-        ambient = self.gen_ids if ambient_gens is None else self.ids_of(ambient_gens)
-        return self._normal_closure(self.ids_of(gens), ambient)
 
     def _normal_closure(self, seeds, ambient) -> "Subgroup":
         """Closure of the ids seeds under products and conjugation by the ids
@@ -670,22 +638,11 @@ class PermGroup:
     def is_solvable(self) -> bool:
         return self.derived_series()[-1].order == 1
 
-    def is_cyclic(self) -> bool:
-        return self.full_subgroup().is_cyclic()
-
     def has_fitting_height_at_most_two(self) -> bool:
         """For solvable groups: the nilpotent residue is itself nilpotent."""
         if not self.is_solvable():
             raise ValueError("Fitting height test requires a solvable group")
         return self.nilpotent_residue().is_nilpotent()
-
-    def is_generalized_quaternion(self) -> bool:
-        """2-group of order >= 8, nonabelian, one involution, cyclic index 2."""
-        return self.full_subgroup().is_generalized_quaternion()
-
-    def sylow_decomposition(self) -> dict[int, "Subgroup"]:
-        """Internal Sylow subgroups of a nilpotent group."""
-        return self.full_subgroup().sylow_decomposition()
 
     # -- quotients ---------------------------------------------------------------
 
@@ -757,9 +714,6 @@ class Subgroup:
             self._gens = self.parent._normal_closure(by_rank, [])._gens
         return self._gens
 
-    def generating_set(self) -> tuple[Permutation, ...]:
-        return tuple(map(self.parent.element, self.gen_ids.tolist()))
-
     def derived_subgroup(self) -> "Subgroup":
         """The commutator subgroup, as a subgroup of the parent."""
         gens, parent = self.gen_ids, self.parent
@@ -811,11 +765,9 @@ class Subgroup:
 # -- spec-level convenience wrappers ---------------------------------------------
 
 
-def frattini_of_pgroup(pgroup: Subgroup | PermGroup, p: int) -> Subgroup:
+def frattini_of_pgroup(pgroup: Subgroup, p: int) -> Subgroup:
     """Frattini subgroup of a p-group: normal closure of generator
     commutators and p-th powers (equals P' * P^p)."""
-    if isinstance(pgroup, PermGroup):
-        pgroup = pgroup.full_subgroup()
     pp = is_prime_power(pgroup.order)
     if pgroup.order != 1 and (pp is None or pp[0] != p):
         raise ValueError(f"not a {p}-group (order {pgroup.order})")
@@ -825,13 +777,14 @@ def frattini_of_pgroup(pgroup: Subgroup | PermGroup, p: int) -> Subgroup:
 
 
 def quotient_module_action(
-    group: PermGroup, psub: Subgroup, usub: Subgroup, acting_gens
-) -> tuple[list[np.ndarray], list[Permutation], int, int]:
-    """Matrices of acting_gens (by conjugation) on the elementary abelian
-    quotient P/U over F_p.
+    group: PermGroup, psub: Subgroup, usub: Subgroup, acting_ids
+) -> tuple[list[np.ndarray], np.ndarray, int, int]:
+    """Matrices of the elements acting_ids (by conjugation) on the
+    elementary abelian quotient P/U over F_p.
 
-    Returns (matrices, basis coset representatives, p, n).  The basis is the
-    first elements of P (in sorted order) whose cosets are independent.
+    Returns (matrices, ids of the basis coset representatives, p, n).  The
+    basis is the first elements of P (in order of image tuples) whose cosets
+    are independent.
     """
     if not usub <= psub:
         raise ValueError("U must be contained in P")
@@ -866,13 +819,13 @@ def quotient_module_action(
         raise ValueError("could not span P/U with p-power cosets")
 
     mats = []
-    for h in group.ids_of(acting_gens):
+    for h in acting_ids:
         img = group.conj(h, basis)
         if not psub.contains(img).all():
             raise ValueError("acting element does not normalize P")
         cols = [vec_of[key] for key in label[img].tolist()]
         mats.append(np.array(cols, dtype=np.int64).T % p)
-    return mats, [group.element(b) for b in basis], p, n
+    return mats, np.array(basis, dtype=np.int64), p, n
 
 
 def direct_product(a: PermGroup, b: PermGroup, name=None) -> PermGroup:

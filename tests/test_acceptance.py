@@ -35,7 +35,7 @@ from galchar.numth import (
     zsigmondy_exception_expected,
     zsigmondy_prime,
 )
-from galchar.perm import frattini_of_pgroup, quotient_module_action
+from galchar.perm import Permutation, frattini_of_pgroup, quotient_module_action
 
 from conftest import corpus_group, corpus_table
 
@@ -68,10 +68,10 @@ def _linear_from_powermaps(table, order3_first_index):
     e = table.exponent
     c = order3_first_index
     lam[c] = zeta(3)
-    lam[cls[c].power_map[2 % e]] = zeta(3, 2)
+    lam[cls[c].powers[2 % e]] = zeta(3, 2)
     for j, cj in enumerate(cls):
         if cj.order == 6:
-            sq = cj.power_map[2 % e]
+            sq = cj.powers[2 % e]
             lam[j] = lam[sq] * lam[sq]
     return lam
 
@@ -92,11 +92,12 @@ def expected_hand_table(key, table):
         ]
     if key == "C6":
         g_idx = by(6, 1)[0]
-        g = cls[g_idx].rep
+        group = table.group
+        g, class_of = group.element(cls[g_idx].element_ids[0]), group.class_index_array()
         dlog = {}
-        cur = table.group.identity()
+        cur = Permutation.identity(group.degree)
         for t in range(6):
-            dlog[table.group.class_of(cur)] = t
+            dlog[int(class_of[group.element_id(cur)])] = t
             cur = cur * g
         return [
             tuple(zeta(6, (j * dlog[c]) % 6) for c in range(k)) for j in range(6)
@@ -178,7 +179,7 @@ def regular_representation_check(table, tol=1e-8):
     representation must be idempotent with trace deg^2."""
     group = table.group
     n = group.order
-    arr, _ = group.arrays()
+    arr = group.images
     ids = np.arange(n)
     class_sums = []
     for c in table.classes:
@@ -407,9 +408,7 @@ def test_criterion_8_coprime_action_checks():
         p = is_prime_power(psub.order)[0]
         usub = frattini_of_pgroup(psub, p)
         hsub = find_complement(group, psub)
-        mats, _, p2, n = quotient_module_action(
-            group, psub, usub, hsub.generating_set()
-        )
+        mats, _, p2, n = quotient_module_action(group, psub, usub, hsub.gen_ids)
         assert check_frobenius_criterion(mats, p2, n), key
         ambient = affine_semidirect(p2, n, mats, 1)
         acting = ambient.subgroup(ambient.generators[n:])

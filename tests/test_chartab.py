@@ -147,7 +147,7 @@ def test_rational_rows_equal_rational_classes(get_table):
         rational_classes = sum(
             1
             for c in table.classes
-            if all(c.power_map[u % e] == table.classes.index(c) for u in units)
+            if all(c.powers[u % e] == table.classes.index(c) for u in units)
         )
         rational_rows = sum(1 for chi in table.chars if chi.is_rational())
         assert rational_rows == rational_classes

@@ -122,10 +122,10 @@ class TestActionChecks:
 
 class TestExtraspecial:
     def test_examples(self):
-        assert is_extraspecial_p3(quaternion8(), 2)
-        assert not is_extraspecial_p3(cyclic(8), 2)
-        assert is_extraspecial_p3(heisenberg(3), 3)
-        assert not is_extraspecial_p3(heisenberg(3), 2)
+        assert is_extraspecial_p3(quaternion8().full_subgroup(), 2)
+        assert not is_extraspecial_p3(cyclic(8).full_subgroup(), 2)
+        assert is_extraspecial_p3(heisenberg(3).full_subgroup(), 3)
+        assert not is_extraspecial_p3(heisenberg(3).full_subgroup(), 2)
 
 
 class TestAnalyze:

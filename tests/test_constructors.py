@@ -116,7 +116,7 @@ def test_generalized_quaternion_structure():
     for order in (8, 16, 32):
         q = generalized_quaternion(order)
         assert q.order == order
-        assert q.is_generalized_quaternion()
+        assert q.full_subgroup().is_generalized_quaternion()
     with pytest.raises(ValueError):
         generalized_quaternion(4)
 
@@ -201,7 +201,7 @@ def test_extraspecial_lemma_converse():
     for maker, p in ((lambda: heisenberg(3), 3), (quaternion8, 2)):
         group = maker()
         z = group.center()
-        fr = frattini_of_pgroup(group, p)
+        fr = frattini_of_pgroup(group.full_subgroup(), p)
         der = group.derived_subgroup()
         if z.elements == fr.elements == der.elements and group.order == z.order * p * p:
             assert group.order == p**3

@@ -56,7 +56,7 @@ def test_output_digest(key, seed):
     doc = {
         "table": character_table(group, seed=seed).to_dict(),
         "sizes": [c.size for c in classes],
-        "power_maps": [list(c.power_map) for c in classes],
+        "power_maps": [c.powers.tolist() for c in classes],
     }
     digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
     assert digest == GOLDEN[(key, seed)]

@@ -1,4 +1,6 @@
-"""Source hygiene: every name a galchar module imports is used in it."""
+"""Source hygiene: every name a galchar module imports is used in it, and
+every function, method and class is referenced outside its own body (public
+ones may be allowed, each with its reason)."""
 from __future__ import annotations
 
 import ast
@@ -105,3 +107,77 @@ def test_detects_an_unreferenced_private_definition():
         "x = _Thing()._method\n"
     )
     assert _unreferenced_private({"m.py": ast.parse(source)}) == ["m.py:1 _dead"]
+
+
+# Public definitions that nothing in src/galchar refers to, each with the
+# reason it stays: tracer-pinned (galbench/tracer.py patches or reads it),
+# test reference (an oracle or reference the tests check the library with),
+# public I/O, or a lemma check that waits on ROADMAP item 5.
+UNREFERENCED_PUBLIC = {
+    "perm.PermGroup.elements": "tracer-pinned: the enumeration hook reads len(group.elements)",
+    "perm.PermGroup.close": "tracer-pinned: patched as perm.close",
+    "perm.Subgroup.elements": "test reference: subgroups against brute-force Permutation sets",
+    "perm.Permutation.commutator": "test reference: the Permutation arithmetic the id core matches",
+    "perm.save_group": "public I/O: writes a group file, as load_group reads one",
+    "chartab.Character.galois_stabilizer": "test reference: the Galois action against row lookups",
+    "chartab.CharacterTable.galois_conjugate": "test reference: pi against the entrywise action",
+    "classify.check_isaacs_bound": "lemma check: waits on ROADMAP item 5",
+    "classify.check_frobenius_criterion": "lemma check: waits on ROADMAP item 5",
+    "cyclotomic.Cyclotomic.from_root_multiplicities": "test reference: builds values for oracles",
+    "cyclotomic.Cyclotomic.rational_value": "test reference: the Cyclotomic arithmetic oracle",
+    "cyclotomic.Cyclotomic.conjugate": "test reference: the Cyclotomic arithmetic oracle",
+    "cyclotomic.Cyclotomic.to_complex": "test reference: the Cyclotomic arithmetic oracle",
+    "cyclotomic.Cyclotomic.parse": "public I/O: reads a rendered value back",
+    "numth.multiplicative_order": "test reference: the oracle for primitive roots",
+    "numth.zsigmondy_exception_expected": "test reference: the Zsigmondy oracle",
+}
+REASONS = ("tracer-pinned: ", "test reference: ", "public I/O: ", "lemma check: ")
+
+
+def _public_defs(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """(qualified name, node) of each public module-level function or class
+    and each public method of a module-level class."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    out = []
+    for node in tree.body:
+        if isinstance(node, defs) and not node.name.startswith("_"):
+            out.append((node.name, node))
+        if isinstance(node, ast.ClassDef):
+            out += [(f"{node.name}.{m.name}", m) for m in node.body
+                    if isinstance(m, defs) and not m.name.startswith("_")]
+    return out
+
+
+def _unreferenced_public(trees: dict[str, ast.Module]) -> list[str]:
+    """Public definitions named nowhere in the modules outside their own
+    body, as module.qualified_name.  A package's re-exports are no use, so
+    the caller leaves its __init__ out."""
+    counts: dict[str, int] = {}
+    for tree in trees.values():
+        for name in _references(tree):
+            counts[name] = counts.get(name, 0) + 1
+    return [
+        f"{path.removesuffix('.py')}.{qualname}"
+        for path, tree in trees.items()
+        for qualname, node in _public_defs(tree)
+        if counts.get(node.name, 0) == _references(node).count(node.name)
+    ]
+
+
+def test_every_public_definition_is_referenced_or_allowed():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+    assert sorted(_unreferenced_public(trees)) == sorted(UNREFERENCED_PUBLIC)
+    assert all(reason.startswith(REASONS) for reason in UNREFERENCED_PUBLIC.values())
+
+
+def test_detects_an_unreferenced_public_definition():
+    source = (
+        "def dead(n):\n    return dead(n - 1) if n else 0\n"
+        "def used():\n    return 1\n"
+        "class Thing:\n    def method(self):\n        return used()\n"
+        "    def idle(self):\n        return 0\n"
+        "    def __len__(self):\n        return 0\n"
+        "x = Thing().method\n"
+    )
+    assert _unreferenced_public({"m.py": ast.parse(source)}) == ["m.dead", "m.Thing.idle"]

@@ -106,9 +106,9 @@ def test_membership_outside_the_group():
 def test_normal_closures_have_few_generators(key):
     group = build(key)
     terms = group.lower_central_series() + group.derived_series()
-    terms += [group.normal_closure([g]) for g in group.generators]
+    terms += [group._normal_closure([g], group.gen_ids) for g in group.gen_ids]
     for term in terms:
-        assert len(term.generating_set()) <= math.log2(term.order), term
+        assert len(term.gen_ids) <= math.log2(term.order), term
 
 
 @pytest.mark.parametrize("key, case", [("Heis3:Q8", "a6"), ("Q8:C9", "a7")])
@@ -127,3 +127,19 @@ def test_no_permutation_products(monkeypatch, key, case):
     report = analyze_structure(group, character_table(group))
     assert report.case_tag == case
     assert len(products) == 0
+
+
+def test_elements_validate_no_row(monkeypatch):
+    # the rows are permutations by construction, as element() has them
+    group = build("Heis3:C8")
+    expected = reference_elements(group)
+    validated = []
+    init = Permutation.__init__
+
+    def counted(self, images):
+        validated.append(1)
+        init(self, images)
+
+    monkeypatch.setattr(Permutation, "__init__", counted)
+    assert group.elements == expected
+    assert validated == []

@@ -1,6 +1,7 @@
 """Elements found by their base images, against a reference that composes
 whole image rows and finds them in a dict keyed by row bytes; the size of the
-base tables; and the checks the lookup keeps, each shown to fail."""
+base tables and their rows of -1; and the checks the lookup keeps, each shown
+to fail."""
 import numpy as np
 import pytest
 
@@ -91,8 +92,16 @@ def walk(base, tables, rows) -> np.ndarray:
 def test_tables_hold_at_most_order_times_degree_cells(key):
     group = BUILDERS[key]()
     base, tables = group._lookup
-    assert sum(len(t) for t in tables) <= group.order * group.degree
+    assert sum(len(t) - group.degree for t in tables) <= group.order * group.degree
     assert np.array_equal(walk(base, tables, group.images), np.arange(group.order))
+
+
+@pytest.mark.parametrize("key", sorted(BUILDERS))
+def test_every_table_ends_in_a_row_of_minus_ones(key):
+    group = BUILDERS[key]()
+    for table in group._lookup[1]:
+        assert len(table) % group.degree == 0
+        assert (table[-group.degree:] == -1).all()
 
 
 def test_c2_14_base_is_its_even_points_and_tables_are_smaller_than_its_images():
@@ -100,8 +109,38 @@ def test_c2_14_base_is_its_even_points_and_tables_are_smaller_than_its_images():
     group = c2_14()
     base, tables = group._lookup
     assert base == list(range(0, 28, 2))
-    assert [len(t) for t in tables] == [2**i * 28 for i in range(14)]
-    assert sum(len(t) for t in tables) == (2**14 - 1) * 28 < group.images.size
+    assert [len(t) - 28 for t in tables] == [2**i * 28 for i in range(14)]
+    assert sum(len(t) - 28 for t in tables) == (2**14 - 1) * 28 < group.images.size
+
+
+@pytest.mark.parametrize("key", ["S4", "AGL(3,2)", "C2^14"])
+def test_a_row_that_leaves_the_tables_at_any_level_raises(key):
+    # a row that agrees with an element up to base level i and then reads a
+    # -1 cell: its -1 label reads each later table's row of -1s, and the
+    # lookup refuses it at the end
+    group = BUILDERS[key]()
+    base, tables = group._lookup
+    deg, rng = group.degree, np.random.default_rng(len(key))
+    levels = set()
+    for i, table in enumerate(tables):
+        label = walk(base[:i], tables, group.images)
+        cells = table[label[:, None] * deg + np.arange(deg)]  # [x, image at base[i]]
+        leaves = np.flatnonzero((cells < 0).any(axis=1))
+        if i > 0:  # an image of base[0] again is no permutation
+            assert len(leaves) == group.order
+        if not len(leaves):
+            continue
+        levels.add(i)
+        rows = group.images[leaves].astype(np.int64)
+        rows[:, base[i]] = (cells[leaves] < 0).argmax(axis=1)
+        assert (walk(base, tables, rows) == -1).all()
+        for row in rows[rng.choice(len(rows), min(len(rows), 24), replace=False)]:
+            with pytest.raises(KeyError):
+                group.ids_of_rows(row[None, :])
+            with pytest.raises(KeyError):
+                group._ids_of_base_images(row[base])
+    transitive = key != "C2^14"  # so every cell of the first table is filled
+    assert levels == set(range(int(transitive), len(tables)))
 
 
 def two_valued_rows() -> np.ndarray:

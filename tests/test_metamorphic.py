@@ -68,7 +68,8 @@ def test_table_is_invariant(get_group, key):
 
     other, sigma = relabelling(group, seed=len(key))
     table, moved = character_table(group), character_table(other)
-    column = [other.class_of(conjugated(c.rep, sigma)) for c in group.conjugacy_classes()]
+    reps = [conjugated(group.element(c.element_ids[0]), sigma) for c in group.conjugacy_classes()]
+    column = other.class_index_array()[other.ids_of(reps)].tolist()
     assert sorted(column) == list(range(len(column)))
     assert [(c.size, c.order) for c in group.conjugacy_classes()] == [
         (moved.classes[j].size, moved.classes[j].order) for j in column

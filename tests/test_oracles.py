@@ -5,7 +5,7 @@ from sympy.combinatorics import PermutationGroup
 
 from galchar.constructors import symmetric
 from galchar.corpus import CORPUS, build
-from galchar.perm import Permutation
+from galchar.perm import Permutation, Subgroup
 
 
 @pytest.mark.parametrize("key", [entry.key for entry in CORPUS])
@@ -28,7 +28,7 @@ def test_is_normal_requires_closure():
     ]
     assert len(transpositions) == 6
     # closed under conjugation, but not under products
-    not_closed = s4.subgroup_from_elements([s4.identity()] + transpositions)
+    not_closed = Subgroup(s4, [0, *s4.ids_of(transpositions).tolist()])
     assert not not_closed.is_normal()
     v4 = s4.subgroup(
         [

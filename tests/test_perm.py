@@ -22,6 +22,7 @@ from galchar.perm import (
     OrderBoundExceeded,
     PermGroup,
     Permutation,
+    Subgroup,
     direct_product,
     frattini_of_pgroup,
     group_from_dict,
@@ -90,16 +91,17 @@ def test_class_equation_and_power_maps():
         group = build(key)
         classes = group.conjugacy_classes()
         assert sum(c.size for c in classes) == group.order
-        e = group.exponent
+        e, class_of = group.exponent, group.class_index_array()
         for c in classes:
             assert group.order % c.size == 0
-            assert c.power_map[1 % e] == group.class_of(c.rep)
-            assert c.power_map[(c.order - 1) % e] == group.class_of(c.rep.inv())
+            rep = group.element(c.element_ids[0])
+            assert c.powers[1 % e] == class_of[group.element_id(rep)]
+            assert c.powers[(c.order - 1) % e] == class_of[group.element_id(rep.inv())]
             # power map composition: (rep^a)^b lands where rep^(ab) does
             for a in (2, 3):
                 for b in (2, 5):
-                    ca = classes[c.power_map[a % e]]
-                    assert ca.power_map[b % e] == c.power_map[(a * b) % e]
+                    ca = classes[c.powers[a % e]]
+                    assert ca.powers[b % e] == c.powers[(a * b) % e]
 
 
 def test_derived_and_series():
@@ -160,14 +162,15 @@ def test_center_centralizer():
 
 def test_frattini():
     klein = PermGroup(4, [[1, 0, 3, 2], [2, 3, 0, 1]])
-    assert frattini_of_pgroup(klein, 2).order == 1
-    assert frattini_of_pgroup(quaternion8(), 2).elements == quaternion8().center().elements
+    assert frattini_of_pgroup(klein.full_subgroup(), 2).order == 1
+    q8 = quaternion8()
+    assert frattini_of_pgroup(q8.full_subgroup(), 2).elements == q8.center().elements
     heis = heisenberg(3)
-    fr = frattini_of_pgroup(heis, 3)
+    fr = frattini_of_pgroup(heis.full_subgroup(), 3)
     assert fr.order == 3
     assert fr.elements == heis.derived_subgroup().elements
     with pytest.raises(ValueError):
-        frattini_of_pgroup(symmetric(3), 2)
+        frattini_of_pgroup(symmetric(3).full_subgroup(), 2)
 
 
 def all_subgroups(group):
@@ -215,7 +218,7 @@ def test_frattini_is_intersection_of_maximals(maker):
         and not any(len(s) < len(t) < group.order and s < t for t in subs)
     ]
     expected = frozenset.intersection(*(frozenset(m) for m in maximals))
-    assert frattini_of_pgroup(group, pp[0]).elements == expected
+    assert frattini_of_pgroup(group.full_subgroup(), pp[0]).elements == expected
 
 
 def test_quotient_module_action_examples():
@@ -223,8 +226,8 @@ def test_quotient_module_action_examples():
     v4 = a4.nilpotent_residue()
     u = a4.trivial_subgroup()
     h = [g for g in a4.elements if g.order() == 3][0]
-    mats, basis, p, n = quotient_module_action(a4, v4, u, [h])
-    assert (p, n) == (2, 2)
+    mats, basis, p, n = quotient_module_action(a4, v4, u, a4.ids_of([h]))
+    assert (p, n) == (2, 2) and len(basis) == 2 and v4.contains(basis).all()
     m = mats[0]
     m2 = m @ m % 2
     m3 = m2 @ m % 2
@@ -232,16 +235,16 @@ def test_quotient_module_action_examples():
     assert np.array_equal(m3, np.eye(2, dtype=np.int64))
 
     # trivial action: identity matrices
-    mats, _, _, _ = quotient_module_action(a4, v4, u, [a4.identity()])
+    mats, _, _, _ = quotient_module_action(a4, v4, u, [0])  # id 0 is the identity
     assert np.array_equal(mats[0], np.eye(2, dtype=np.int64))
 
     sl23 = build("SL(2,3)")
     q8 = sl23.nilpotent_residue()
-    z = sl23.subgroup_from_elements(
+    z = Subgroup(sl23, sl23.ids_of(
         [x for x in q8.elements if all(x * y == y * x for y in q8.elements)]
-    )
+    ))
     h3 = [g for g in sl23.elements if g.order() == 3][0]
-    mats, _, p, n = quotient_module_action(sl23, q8, z, [h3])
+    mats, _, p, n = quotient_module_action(sl23, q8, z, sl23.ids_of([h3]))
     assert (p, n) == (2, 2)
     m = mats[0]
     assert np.array_equal(m @ m % 2 @ m % 2, np.eye(2, dtype=np.int64))
@@ -253,19 +256,19 @@ def test_quotient_module_action_rejects_nonelementary():
     full = c8.full_subgroup()
     triv = c8.trivial_subgroup()
     with pytest.raises(ValueError):
-        quotient_module_action(c8, full, triv, [c8.identity()])
+        quotient_module_action(c8, full, triv, [0])
 
 
 def test_structure_tests():
-    assert cyclic(6).is_cyclic()
-    assert quaternion8().is_generalized_quaternion()
-    assert generalized_quaternion(16).is_generalized_quaternion()
-    assert not dihedral(4).is_generalized_quaternion()
-    assert not cyclic(8).is_generalized_quaternion()
-    syl = build("C3xQ8").sylow_decomposition()
+    assert cyclic(6).full_subgroup().is_cyclic()
+    assert quaternion8().full_subgroup().is_generalized_quaternion()
+    assert generalized_quaternion(16).full_subgroup().is_generalized_quaternion()
+    assert not dihedral(4).full_subgroup().is_generalized_quaternion()
+    assert not cyclic(8).full_subgroup().is_generalized_quaternion()
+    syl = build("C3xQ8").full_subgroup().sylow_decomposition()
     assert sorted((p, s.order) for p, s in syl.items()) == [(2, 8), (3, 3)]
     with pytest.raises(ValueError):
-        symmetric(3).sylow_decomposition()
+        symmetric(3).full_subgroup().sylow_decomposition()
 
 
 def test_subgroup_equality_by_elements():
@@ -273,7 +276,7 @@ def test_subgroup_equality_by_elements():
     a = s3.subgroup([Permutation([1, 2, 0])])
     b = s3.subgroup([Permutation([2, 0, 1])])
     assert a == b
-    assert a.generating_set() != b.generating_set()
+    assert a.gen_ids.tolist() != b.gen_ids.tolist()
 
 
 def test_direct_product():
@@ -299,7 +302,7 @@ def test_groupfile_roundtrip(tmp_path):
 
 def test_quotient_cosets_deterministic():
     s4 = symmetric(4)
-    v4 = s4.normal_closure([Permutation([1, 0, 3, 2])])
+    v4 = s4._normal_closure(s4.ids_of([Permutation([1, 0, 3, 2])]), s4.gen_ids)
     assert v4.order == 4
     q1, _ = s4.quotient(v4)
     q2, _ = s4.quotient(v4)

@@ -13,7 +13,7 @@ from test_power_maps import SWEEP, _group
 
 
 def _oracle(sub) -> PermutationGroup:
-    gens = [SympyPermutation(list(g.images)) for g in sub.generating_set()]
+    gens = [SympyPermutation(sub.parent.images[i].tolist()) for i in sub.gen_ids]
     return PermutationGroup(gens or [SympyPermutation(list(range(sub.parent.degree)))])
 
 
@@ -59,8 +59,6 @@ def test_predicates_match_the_oracles(key):
         _check(sub)
     whole = subs[0]
     assert group.is_nilpotent() == whole.is_nilpotent()
-    assert group.is_cyclic() == whole.is_cyclic()
-    assert group.is_generalized_quaternion() == whole.is_generalized_quaternion()
 
 
 def test_a2_complements_have_their_sylow_subgroups_checked():

@@ -15,14 +15,16 @@ import numpy as np
 import pytest
 
 from galchar import fpmat
+from galchar.chartab import character_table
 from galchar.classify import (
+    analyze_structure,
     check_frobenius_action,
     check_frobenius_criterion,
     check_irreducible_action,
     check_scalar_transitivity,
     vector_group,
 )
-from galchar.constructors import quaternion_subgroup_SL2, singer_matrix
+from galchar.constructors import CaseParams, construct_case, quaternion_subgroup_SL2, singer_matrix
 from galchar.numth import matrix_order_is, primitive_root
 from galchar.perm import ORDER_BOUND, OrderBoundExceeded, PermGroup, Permutation
 
@@ -273,8 +275,29 @@ def test_vectors_past_the_order_bound_raise_before_any_is_built():
     # any group containing F_2^19 has order at least 2^19 > ORDER_BOUND
     p, n = 2, 19
     assert p**n > ORDER_BOUND
-    with pytest.raises(OrderBoundExceeded, match=f"{p**n}.*{ORDER_BOUND}"):
-        vector_group([np.eye(n, dtype=np.int64)], p, n)
+    for build in (vector_group, check_frobenius_action, check_irreducible_action,
+                  check_scalar_transitivity):
+        with pytest.raises(OrderBoundExceeded, match=f"{p**n}.*{ORDER_BOUND}"):
+            build([np.eye(n, dtype=np.int64)], p, n)
+
+
+def test_analyze_structure_builds_one_matrix_group(monkeypatch):
+    # only the Frobenius check enumerates <mats>; the irreducibility and
+    # scalar checks read the generators' images
+    group = construct_case(CaseParams("a1", 7, 2, 3))
+    table = character_table(group)
+    group.conjugacy_classes()
+    built = []
+    init = PermGroup.__init__
+
+    def counted(self, degree, *args, **kwargs):
+        built.append(degree)
+        init(self, degree, *args, **kwargs)
+
+    monkeypatch.setattr(PermGroup, "__init__", counted)
+    report = analyze_structure(group, table)
+    assert report.case_tag == "a1" and report.n == 2
+    assert built == [7**2]
 
 
 def test_construct_past_the_order_bound_exits_at_once():
