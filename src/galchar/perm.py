@@ -574,19 +574,14 @@ class PermGroup:
                 pending += self.conj(ambient, s).tolist()
         return Subgroup(self, closure, gens)
 
-    def centralizer(self, other, within: "Subgroup | None" = None) -> "Subgroup":
+    def centralizer(self, other: "Subgroup", within: "Subgroup | None" = None) -> "Subgroup":
         """Elements of within (default: this group) commuting with every element
-        of other (a Subgroup, a PermGroup or permutations, all in this group);
-        commuting with a generating set suffices."""
-        if isinstance(other, Subgroup):
-            gens = other.gen_ids
-        else:
-            gens = self.ids_of(other.generators if isinstance(other, PermGroup) else other)
+        of the subgroup other; commuting with its generators suffices."""
         ids = np.arange(self.order) if within is None else within.ids
-        return Subgroup(self, ids[self.commuting(ids, gens).all(axis=1)])
+        return Subgroup(self, ids[self.commuting(ids, other.gen_ids).all(axis=1)])
 
     def center(self) -> "Subgroup":
-        return self.centralizer(self)
+        return self.centralizer(self.full_subgroup())
 
     def coset_labels(self, normal: "Subgroup") -> np.ndarray:
         """For every element x, the least rank (see rank) in the coset xN,
