@@ -375,7 +375,9 @@ class PermGroup:
         the table's last row, all -1, so no label is tested on the way."""
         label, deg = np.zeros(points.shape[:-1], dtype=np.int64), self.degree
         for i, table in enumerate(self._lookup[1]):
-            label = table[label * deg + points[..., i]]
+            cells = label * deg
+            cells += points[..., i]  # in place: one temporary per step
+            label = table[cells]
         if (label < 0).any():
             raise KeyError("no element has these base images")
         return label
