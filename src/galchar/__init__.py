@@ -2,7 +2,7 @@
 classification of groups whose exceptional irreducible characters form a
 single Galois conjugacy class."""
 
-from .cyclotomic import Cyclotomic, cyc, zeta
+from .cyclotomic import Cyclotomic, cyc
 from .numth import (
     find_dixon_prime,
     is_mersenne_prime,
@@ -33,9 +33,7 @@ from .classify import (
     IrrPartition,
     analyze_structure,
     check_frobenius_action,
-    check_frobenius_criterion,
     check_irreducible_action,
-    check_isaacs_bound,
     check_scalar_transitivity,
     find_complement,
     irr_partition,

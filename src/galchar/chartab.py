@@ -155,9 +155,8 @@ Gram(x, y) = sum_c |C_c| x(c) conj y(c):
 The table keeps pi in its final row order, and unit_index, the row of pi
 of each residue mod e (-1 for the others).  galois_orbits labels each row
 by the least row of its orbit, the minimum of pi over its rows, and
-galois_conjugate, galois_stabilizer and field_in_pth_cyclotomic read pi
-too.  A Character's values are read through the id array and the pool.
-The F_l products come from fpmat.
+field_in_pth_cyclotomic reads pi too.  A Character's values are read
+through the id array and the pool.  The F_l products come from fpmat.
 
 Kernels are read off the table as sets of class indices, the classes where
 chi(c) = chi(1); |G : ker chi| is |G| over the sum of their sizes, and two
@@ -170,12 +169,12 @@ from __future__ import annotations
 
 import weakref
 from functools import lru_cache
-from math import ceil, gcd, isqrt, log2
+from math import ceil, isqrt, log2
 
 import numpy as np
 
 from . import fpmat
-from .cyclotomic import Cyclotomic, _monomial_table, cyc
+from .cyclotomic import Cyclotomic, _check_conductor, _monomial_table, cyc
 from .numth import factorize, find_dixon_prime, is_prime, primitive_root, unit_generators
 from .perm import _BLOCK_CELLS, ConjugacyClass, PermGroup, Subgroup, _check_cells, _void
 
@@ -194,7 +193,7 @@ class Character:
     refers to the table weakly: a cycle would keep the table and its group
     alive until the cyclic garbage collector runs."""
 
-    __slots__ = ("_table", "index", "degree", "_kernel_classes", "_kernel", "_stab")
+    __slots__ = ("_table", "index", "degree", "_kernel_classes", "_kernel")
 
     def __init__(self, table: "CharacterTable", index: int, degree: int):
         self._table = weakref.ref(table)
@@ -202,7 +201,6 @@ class Character:
         self.degree = degree
         self._kernel_classes: frozenset[int] | None = None
         self._kernel: Subgroup | None = None
-        self._stab: frozenset | None = None
 
     @property
     def table(self) -> "CharacterTable":
@@ -258,13 +256,6 @@ class Character:
     def is_rational(self) -> bool:
         return all(v.is_rational for v in self.values)
 
-    def galois_stabilizer(self) -> frozenset[int]:
-        """Residues k mod e (units) with chi^sigma_k = chi."""
-        if self._stab is None:
-            units = self.table.units()
-            self._stab = frozenset(units[self.table._fixes(self.index, units)].tolist())
-        return self._stab
-
     def __repr__(self) -> str:
         return f"<Character #{self.index} degree {self.degree}>"
 
@@ -310,21 +301,6 @@ class CharacterTable:
         return self.galois[self.unit_index[units % self.exponent], i] == i
 
     # -- Galois action -------------------------------------------------------
-
-    def galois_conjugate(self, chi: Character, k: int) -> Character:
-        """The row g -> chi(g**k); asserts it matches entrywise galois_apply."""
-        if gcd(k, self.exponent) != 1:
-            raise ValueError(f"{k} is not coprime to the exponent {self.exponent}")
-        target = self.chars[self.galois[self.unit_index[k % self.exponent], chi.index]]
-        powers = self.group.power_maps[:, k % self.exponent]
-        row = self.value_ids[chi.index].tolist()
-        images = {i: self.value_pool[i].galois_apply(k) for i in set(row)}
-        values, target_values = chi.values, target.values
-        for c, i in enumerate(row):
-            lhs = values[powers[c]]
-            if lhs != images[i] or lhs != target_values[c]:
-                raise TableVerificationError("power-map and entrywise Galois actions disagree")
-        return target
 
     def galois_orbits(self) -> list[tuple[int, ...]]:
         """Orbits of row indices under the full unit group mod e, in order of
@@ -929,6 +905,8 @@ def _build_table(group: PermGroup, seed: int) -> CharacterTable:
     classes = group.conjugacy_classes()
     k = len(classes)
     _check_cells(k * k, "the k x k table")
+    # the lift builds values at class orders, and classes are sorted by order
+    _check_conductor(classes[-1].order)
     e = group.exponent
     ell = find_dixon_prime(e, group.order)
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, asdict
-from math import gcd
 
 import numpy as np
 
@@ -207,7 +206,7 @@ def find_complement(
     if group.order % psub.order:
         raise ValueError("subgroup order does not divide the group order")
     if target == 1:
-        return group.trivial_subgroup()
+        return Subgroup(group, [0], [])
     pp = is_prime_power(psub.order)
     if pp is None:
         raise ValueError("P must be a p-group")
@@ -521,54 +520,4 @@ def _quaternion_times_cyclic(hsub: Subgroup) -> bool:
     for s in odd:
         if not s.is_cyclic():
             return False
-    return True
-
-
-# -- lemma-style property checks -----------------------------------------------------
-
-
-def check_isaacs_bound(group: PermGroup, acting: Subgroup, target: Subgroup) -> bool:
-    """Some element of the target has a small centralizer in the acting group.
-
-    For a nontrivial nilpotent group N acting faithfully and coprimely (here:
-    by conjugation inside a common parent) there must be a g in the target
-    with |C_N(g)|^p <= |N|/p, p the smallest prime divisor of |N|.
-    """
-    if acting.order == 1:
-        raise ValueError("acting group must be nontrivial")
-    if not acting.is_nilpotent():
-        raise ValueError("acting group must be nilpotent")
-    if gcd(acting.order, target.order) != 1:
-        raise ValueError("action must be coprime")
-    if group.centralizer(target, within=acting).order != 1:
-        raise ValueError("action must be faithful")
-    p = min(factorize(acting.order))
-    cent = group.commuting(acting.ids, target.ids).sum(axis=0)
-    return bool((cent**p * p <= acting.order).any())
-
-
-def check_frobenius_criterion(mats, p: int, n: int) -> bool:
-    """Pointwise stabilizer criterion for a Frobenius action.
-
-    Preconditions: <mats> nontrivial, nilpotent, acting irreducibly (the
-    action of matrices on F_p^n is faithful by construction).  When every
-    nonzero vector v has either a trivial stabilizer or one whose order
-    squared is divisible by |H|, the action must be Frobenius; the
-    conclusion is computed and returned, and a failure of the implication
-    is raised as an inconsistency.
-    """
-    group = vector_group(mats, p, n)
-    if group.order == 1:
-        raise ValueError("acting group must be nontrivial")
-    if not check_irreducible_action(mats, p, n):
-        raise ValueError("action must be irreducible")
-    if not group.is_nilpotent():
-        raise ValueError("acting group must be nilpotent")
-    stab = (group.images == np.arange(p**n)).sum(axis=0)[1:]
-    if not ((stab == 1) | (stab * stab % group.order == 0)).all():
-        return False
-    if not check_frobenius_action(mats, p, n):
-        raise AssertionError(
-            "stabilizer hypothesis held but the action is not Frobenius"
-        )
     return True

@@ -341,7 +341,7 @@ def _q8_semidirect(mats, central_height: int, name) -> PermGroup:
             if np.array_equal(m, std):
                 act = alpha
             else:
-                act = Permutation(alpha(a) for a in alpha.images)  # alpha^2
+                act = Permutation(alpha.images[a] for a in alpha.images)  # alpha^2
         elif matrix_order_is(m, 2, 1):
             act = None
         else:

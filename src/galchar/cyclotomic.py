@@ -1,4 +1,4 @@
-"""Exact arithmetic in rings of cyclotomic integers.
+"""Values in rings of cyclotomic integers, as a character table holds them.
 
 A value is stored as an integer coefficient vector of length phi(e) over the
 power basis 1, z, ..., z^(phi(e)-1) of Z[z], z a primitive e-th root of
@@ -7,29 +7,33 @@ the representation is a unique normal form; values whose coefficients beyond
 index 0 vanish are rational and are normalised to conductor 1.  Coefficients
 are plain Python integers, so there is no overflow to guard against.
 
-One routine, _normal_form, makes that form: it takes any sum of terms
-c * z_e**t, folds the exponents mod e and adds each residue's power-basis
-row once.  Every constructor and operation builds its result through it; a
-sum or product of values of conductors a and b is a sum of terms over
-z_lcm(a, b), and values of different conductors are equal when their
-difference is zero.  Only the _raw constructor bypasses it: from_int,
-negation and callers that already hold a normal form (a character table's
-value pool) store their coefficients as given.
-
-The complex-float view exists for diagnostics only and never participates in
-an equality decision.
+The library builds every value in that form already: a character table's
+lift writes each value at its class order through the _raw constructor, and
+from_int writes a rational one.  So values are compared and rendered here,
+not combined.  One routine, _normal_form, makes the form from any sum of
+terms c * z_e**t: it folds the exponents mod e and adds each residue's
+power-basis row once.  It serves the checked constructor and == between
+conductors, which holds when the terms of the difference over z_lcm fold to
+zero.  Conductors past CONDUCTOR_BOUND raise ConductorOverflow, in
+_normal_form and, through _check_conductor, in character_table before a
+table is split.
 """
 from __future__ import annotations
 
-import cmath
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 
 CONDUCTOR_BOUND = 10**4
 
 
 class ConductorOverflow(ValueError):
-    """Raised when an operation would need a conductor past the bound."""
+    """Raised when a value would need a conductor past the bound."""
+
+
+def _check_conductor(e: int) -> None:
+    """ConductorOverflow if e is past the bound, read at the call."""
+    if e > CONDUCTOR_BOUND:
+        raise ConductorOverflow(f"conductor {e} exceeds bound")
 
 
 @lru_cache(maxsize=None)
@@ -97,8 +101,7 @@ def _normal_form(e: int, terms) -> "Cyclotomic":
     """The value sum c * z_e**t over the (t, c) terms, in normal form."""
     if e < 1:
         raise ValueError("conductor must be positive")
-    if e > CONDUCTOR_BOUND:
-        raise ConductorOverflow(f"conductor {e} exceeds bound")
+    _check_conductor(e)
     folded = [0] * e
     for t, c in terms:
         folded[t % e] += c
@@ -116,9 +119,9 @@ def _normal_form(e: int, terms) -> "Cyclotomic":
 class Cyclotomic:
     """An element of the ring of integers of a cyclotomic field.
 
-    Values are immutable: every operation returns a new value.  A character
-    table shares one object between all its entries that hold the same
-    value, so nothing may change a value in place.
+    Values are immutable.  A character table shares one object between all
+    its entries that hold the same value, so nothing may change a value in
+    place.
     """
 
     __slots__ = ("conductor", "coeffs")
@@ -138,33 +141,11 @@ class Cyclotomic:
     def from_int(n: int) -> "Cyclotomic":
         return Cyclotomic(1, (n,), _raw=True)
 
-    @staticmethod
-    def zeta(e: int, k: int = 1) -> "Cyclotomic":
-        """The root of unity z_e**k."""
-        return _normal_form(e, [(k, 1)])
-
-    @staticmethod
-    def from_root_multiplicities(e: int, mults) -> "Cyclotomic":
-        """Canonical form of sum_t mults[t] * z_e**t; len(mults) must be e."""
-        mults = list(mults)
-        if len(mults) != e:
-            raise ValueError(f"need exactly {e} multiplicities, got {len(mults)}")
-        return _normal_form(e, enumerate(mults))
-
     # -- structure ---------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return self.conductor == 1 and self.coeffs[0] == 0
 
     @property
     def is_rational(self) -> bool:
         return self.conductor == 1
-
-    def rational_value(self) -> int:
-        if not self.is_rational:
-            raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
 
     def _terms(self, big: int) -> list[tuple[int, int]]:
         """The (exponent, coefficient) pairs of this value over z_big, for a
@@ -179,73 +160,13 @@ class Cyclotomic:
             return NotImplemented
         if self.conductor == other.conductor:
             return self.coeffs == other.coeffs
-        return (self - other).is_zero
+        big = lcm(self.conductor, other.conductor)
+        terms = self._terms(big) + [(t, -c) for t, c in other._terms(big)]
+        return _normal_form(big, terms) == 0
 
     __hash__ = None  # mixed-conductor equality makes hashing a trap
 
-    # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other) -> "Cyclotomic":
-        if isinstance(other, int):
-            other = Cyclotomic.from_int(other)
-        big = lcm(self.conductor, other.conductor)
-        return _normal_form(big, self._terms(big) + other._terms(big))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Cyclotomic":
-        return Cyclotomic(self.conductor, tuple(-c for c in self.coeffs), _raw=True)
-
-    def __sub__(self, other) -> "Cyclotomic":
-        if isinstance(other, int):
-            other = Cyclotomic.from_int(other)
-        return self + (-other)
-
-    def __rsub__(self, other) -> "Cyclotomic":
-        return (-self) + other
-
-    def __mul__(self, other) -> "Cyclotomic":
-        if isinstance(other, int):
-            other = Cyclotomic.from_int(other)
-        big = lcm(self.conductor, other.conductor)
-        theirs = other._terms(big)
-        return _normal_form(big, ((s + t, c * d) for s, c in self._terms(big) for t, d in theirs))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "Cyclotomic":
-        if n < 0:
-            raise ValueError("negative powers are not ring operations")
-        result = Cyclotomic.from_int(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def galois_apply(self, k: int) -> "Cyclotomic":
-        """Image under z_e -> z_e**k; requires gcd(k, e) = 1."""
-        e = self.conductor
-        if gcd(k, e) != 1:
-            raise ValueError(f"{k} is not coprime to conductor {e}")
-        return _normal_form(e, ((t * k, c) for t, c in self._terms(e)))
-
-    def conjugate(self) -> "Cyclotomic":
-        """Complex conjugation, the Galois map k = -1."""
-        return self.galois_apply(-1)
-
-    # -- diagnostics and io --------------------------------------------------
-
-    def to_complex(self) -> complex:
-        """Floating approximation; never used in equality decisions."""
-        e = self.conductor
-        return sum(
-            c * cmath.exp(2j * cmath.pi * i / e)
-            for i, c in enumerate(self.coeffs)
-            if c
-        ) + 0j
+    # -- io ------------------------------------------------------------------
 
     def __str__(self) -> str:
         if self.is_rational:
@@ -261,26 +182,8 @@ class Cyclotomic:
     def __repr__(self) -> str:
         return f"Cyclotomic({self})"
 
-    @staticmethod
-    def parse(text: str) -> "Cyclotomic":
-        """Inverse of str(); exact round trip."""
-        total = Cyclotomic.from_int(0)
-        for term in text.strip().split(" + "):
-            if "*" in term:
-                coeff_s, mono = term.split("*", 1)
-                if not (mono.startswith("z(") and "^" in mono):
-                    raise ValueError(f"bad term {term!r}")
-                e_s, k_s = mono[2:].split(")^", 1)
-                total = total + Cyclotomic.zeta(int(e_s), int(k_s)) * int(coeff_s)
-            else:
-                total = total + int(term)
-        return total
-
 
 def cyc(n: int) -> Cyclotomic:
     """Shorthand for a rational cyclotomic value."""
     return Cyclotomic.from_int(n)
 
-
-def zeta(e: int, k: int = 1) -> Cyclotomic:
-    return Cyclotomic.zeta(e, k)

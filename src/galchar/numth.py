@@ -94,26 +94,6 @@ def is_mersenne_prime(p: int) -> bool:
     return q & (q - 1) == 0
 
 
-def multiplicative_order(a: int, m: int) -> int:
-    """Order of a in (Z/m)*; requires gcd(a, m) = 1."""
-    a %= m
-    if gcd(a, m) != 1:
-        raise ValueError(f"{a} is not a unit mod {m}")
-    if m == 1:
-        return 1
-    order = 1
-    for p, k in factorize(m).items():
-        # group order contribution is p^(k-1)*(p-1) for odd p; handle via
-        # totient of the prime power and peel off factors
-        t = p ** (k - 1) * (p - 1)
-        order = order * t // gcd(order, t)
-    # order divides totient; strip unnecessary prime factors
-    for q in factorize(order):
-        while order % q == 0 and pow(a, order // q, m) == 1:
-            order //= q
-    return order
-
-
 def primitive_root(p: int) -> int:
     """Smallest primitive root modulo the prime p."""
     if not is_prime(p):
@@ -149,8 +129,8 @@ def zsigmondy_prime(p: int, n: int) -> int | None:
 
     Computed from the prime factors of p**n - 1 by checking multiplicative
     orders, independently of the classical exception list (p**n = 2, n = 2
-    with p Mersenne, p**n = 64), so the exception list is testable against
-    this function.
+    with p Mersenne, p**n = 64), so the tests check that list against this
+    function.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -170,11 +150,6 @@ def zsigmondy_prime(p: int, n: int) -> int | None:
         if all(pow(p, k, q) != 1 for k in proper):
             return q
     return None
-
-
-def zsigmondy_exception_expected(p: int, n: int) -> bool:
-    """The classical exception list: no Zsigmondy prime exists exactly here."""
-    return p**n == 2 or (n == 2 and is_mersenne_prime(p)) or p**n == 64
 
 
 def matrix_order_is(mat: np.ndarray, p: int, target: int) -> bool:

@@ -10,8 +10,9 @@ its id, the index of its row; a subgroup is a sorted id array.  Products,
 closures, centralizers, classes and cosets all work on ids, batched over
 arrays, and ids are what the other modules pass to it and get back.
 `Permutation` is the value type at the edges only: generators (and so group
-files), `element`, `elements`, `Subgroup.elements`, `close()` and the
-membership tests `ids_of`, `element_id` and `in`.
+files and the constructors), `element`, `elements`, `close()` and `ids_of`,
+which finds the ids of permutations.  It composes (`*`) but keeps no other
+arithmetic: inverses, powers and orders are read off ids.
 A subgroup's predicates (cyclic, nilpotent, generalized quaternion) and its
 Sylow subgroups come from the element orders of its ids, read off the
 parent's classes, so no subgroup is enumerated again as a group of its own.
@@ -36,8 +37,8 @@ images and walks them through the r tables; powers, commutation tests and a
 character table's products x^-1 z are such products.  So is an inverse: x^-1
 takes a base point to its position in x's row, and lies in G, so, as for a
 product, no whole row is compared.  Rows from outside the group
-(`ids_of_rows`, `ids_of`, `element_id`, `in`) may agree with an element on
-the base only, so their whole row must also equal the element's.
+(`ids_of_rows`, `ids_of`) may agree with an element on the base only, so
+their whole row must also equal the element's.
 Two rows first differ at a base point, since a point _base_tables skipped
 has its image decided by the kept points before it: base images order the
 elements as their image tuples do.
@@ -111,10 +112,6 @@ class Permutation:
         return perm
 
     @staticmethod
-    def identity(degree: int) -> "Permutation":
-        return Permutation(range(degree))
-
-    @staticmethod
     def from_cycles(degree: int, *cycles) -> "Permutation":
         images = list(range(degree))
         for cycle in cycles:
@@ -126,25 +123,10 @@ class Permutation:
     def degree(self) -> int:
         return len(self.images)
 
-    def __call__(self, point: int) -> int:
-        return self.images[point]
-
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Composition: (a * b)(x) = a(b(x))."""
         a = self.images
         return Permutation(tuple(a[x] for x in other.images))
-
-    def inv(self) -> "Permutation":
-        out = [0] * len(self.images)
-        for i, x in enumerate(self.images):
-            out[x] = i
-        return Permutation(out)
-
-    def __pow__(self, n: int) -> "Permutation":
-        result = Permutation.identity(self.degree)
-        for _ in range(n % self.order()):
-            result = result * self
-        return result
 
     def _cycles(self) -> list[list[int]]:
         """The cycles of length > 1, each from its least point."""
@@ -158,15 +140,9 @@ class Permutation:
                 out.append(cycle)
         return out
 
-    def order(self) -> int:
-        return lcm(1, *map(len, self._cycles()))
-
     @property
     def is_identity(self) -> bool:
         return all(i == x for i, x in enumerate(self.images))
-
-    def commutator(self, other: "Permutation") -> "Permutation":
-        return self.inv() * other.inv() * self * other
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
@@ -341,15 +317,6 @@ class PermGroup:
     def elements(self) -> list[Permutation]:
         """Every element as a Permutation, in id order."""
         return list(map(Permutation._of_row, self.images.tolist()))
-
-    def __contains__(self, perm: Permutation) -> bool:
-        try:
-            return self.element_id(perm) >= 0
-        except KeyError:
-            return False
-
-    def element_id(self, perm: Permutation) -> int:
-        return int(self.ids_of([perm])[0])
 
     def ids_of(self, perms) -> np.ndarray:
         """Ids of permutations; KeyError if one is not in the group."""
@@ -545,17 +512,6 @@ class PermGroup:
         ids = self.closure(self.ids_of(gens), cap)
         return None if ids is None else frozenset(map(self.element, ids.tolist()))
 
-    def subgroup(self, gens) -> "Subgroup":
-        gens = [g if isinstance(g, Permutation) else Permutation(g) for g in gens]
-        try:
-            ids = self.ids_of(gens)
-        except KeyError:
-            raise ValueError("generator lies outside the parent group") from None
-        return Subgroup(self, self.closure(ids), ids)
-
-    def trivial_subgroup(self) -> "Subgroup":
-        return Subgroup(self, [0], [])
-
     def full_subgroup(self) -> "Subgroup":
         return Subgroup(self, np.arange(self.order), self.gen_ids)
 
@@ -679,16 +635,9 @@ class Subgroup:
     def order(self) -> int:
         return len(self.ids)
 
-    @cached_property
-    def elements(self) -> frozenset[Permutation]:
-        return frozenset(map(self.parent.element, self.ids.tolist()))
-
     def contains(self, ids) -> np.ndarray:
         """Which of the element ids lie in this subgroup."""
         return np.isin(ids, self.ids)
-
-    def __contains__(self, perm: Permutation) -> bool:
-        return perm in self.parent and bool(self.contains(self.parent.element_id(perm)))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Subgroup):

@@ -1,11 +1,13 @@
+import hashlib
 import json
 
 import pytest
 
-from galchar import cli
+from galchar import cli, cyclotomic
+from galchar.chartab import character_table
 from galchar.cli import main
 from galchar.perm import group_to_json, load_group, save_group
-from galchar.corpus import build
+from galchar.corpus import CORPUS, build
 
 
 def run(argv, capsys):
@@ -133,3 +135,45 @@ def test_sweep_tables_take_the_seed(tmp_path, capsys, monkeypatch):
     code, _, _ = run(argv, capsys)
     assert code == 0
     assert seeds and set(seeds) == {3}
+
+
+def test_conductor_bound_refuses_a_table_before_the_split(tmp_path, capsys, monkeypatch):
+    # S4's largest class order is 4, the conductor of its lifted values
+    monkeypatch.setattr(cyclotomic, "CONDUCTOR_BOUND", 3)
+    with pytest.raises(cyclotomic.ConductorOverflow, match="conductor 4 exceeds bound"):
+        character_table(build("S4"))
+    gf = tmp_path / "s4.json"
+    save_group(build("S4"), gf)
+    code, out, err = run(["chartab", str(gf)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: conductor 4 exceeds bound")
+    assert character_table(build("S3")).n_classes == 3  # class order 3 is within it
+
+
+# sha256 of the stdout and the exit code of whole runs in process.  A change
+# to any byte of these outputs is an output change, to be made on purpose.
+PINNED_STDOUT = {
+    "sweep": (0, "55920e24902b2ac5e6145ce08d6f836d2b3f54db34d12f73c2d518d4a64e34da"),
+    "check-theorem": (0, "58846ac8f9bd12343d29deae7b4bf212e92597477871da2c1a0b82db32dbf338"),
+}
+# one digest over "key code\n" and the JSON report of each corpus group, in order
+PINNED_CLASSIFY = "de3ff0235be63b7d3b4ef15eb568a6490740563d1051ab49447c511be18bed00"
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_sweep_and_check_theorem_outputs_are_pinned(capsys):
+    for argv, name in ((["--seed", "0", "sweep"], "sweep"), (["check-theorem"], "check-theorem")):
+        code, out, _ = run(argv, capsys)
+        assert (code, _digest(out)) == PINNED_STDOUT[name], name
+
+
+def test_classify_reports_of_the_corpus_are_pinned(tmp_path, capsys):
+    gf, outputs = tmp_path / "group.json", []
+    for entry in CORPUS:
+        gf.write_text(group_to_json(build(entry.key)))
+        code, out, _ = run(["classify", str(gf), "--report", "json"], capsys)
+        outputs.append(f"{entry.key} {code}\n{out}")
+    assert _digest("".join(outputs)) == PINNED_CLASSIFY

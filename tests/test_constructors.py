@@ -26,6 +26,8 @@ from galchar.fpmat import vector_action
 from galchar.numth import matrix_order_is, primitive_root
 from galchar.perm import ORDER_BOUND, PermGroup, Permutation
 
+from reference import element_set, order
+
 
 def test_singer_matrix():
     s = singer_matrix(2, 2)
@@ -108,7 +110,7 @@ def test_heisenberg_and_q8():
     assert h.center().order == 3
     q8 = quaternion8()
     assert q8.order == 8
-    assert sum(1 for x in q8.elements if x.order() == 2) == 1
+    assert sum(1 for x in q8.elements if order(x) == 2) == 1
     assert heisenberg(2).order == 8
 
 
@@ -187,8 +189,8 @@ def test_constructed_frobenius_property():
     g = construct_case(CaseParams("a1", 7, 1, 2))
     # points 0..6 are the vectors; 0 is the zero vector
     for point in range(1, 7):
-        stab = [x for x in g.elements if x(point) == point and not x.is_identity]
-        non_translations = [x for x in stab if x(0) == 0]
+        stab = [x for x in g.elements if x.images[point] == point and not x.is_identity]
+        non_translations = [x for x in stab if x.images[0] == 0]
         assert not non_translations or all(x.is_identity for x in non_translations)
     report = analyze_structure(g)
     assert report.checklist["frobenius_action"]
@@ -203,7 +205,7 @@ def test_extraspecial_lemma_converse():
         z = group.center()
         fr = frattini_of_pgroup(group.full_subgroup(), p)
         der = group.derived_subgroup()
-        if z.elements == fr.elements == der.elements and group.order == z.order * p * p:
+        if element_set(z) == element_set(fr) == element_set(der) and group.order == z.order * p * p:
             assert group.order == p**3
 
 

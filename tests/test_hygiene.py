@@ -4,7 +4,10 @@ ones may be allowed, each with its reason)."""
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
+
+import galchar
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "galchar"
 
@@ -110,28 +113,15 @@ def test_detects_an_unreferenced_private_definition():
 
 
 # Public definitions that nothing in src/galchar refers to, each with the
-# reason it stays: tracer-pinned (galbench/tracer.py patches or reads it),
-# test reference (an oracle or reference the tests check the library with),
-# public I/O, or a lemma check that waits on ROADMAP item 5.
+# reason it stays: tracer-pinned (galbench/tracer.py patches or reads it) or
+# public I/O.  Tests alone are no reason: their references and oracles live
+# in tests/reference.py.
 UNREFERENCED_PUBLIC = {
     "perm.PermGroup.elements": "tracer-pinned: the enumeration hook reads len(group.elements)",
     "perm.PermGroup.close": "tracer-pinned: patched as perm.close",
-    "perm.Subgroup.elements": "test reference: subgroups against brute-force Permutation sets",
-    "perm.Permutation.commutator": "test reference: the Permutation arithmetic the id core matches",
     "perm.save_group": "public I/O: writes a group file, as load_group reads one",
-    "chartab.Character.galois_stabilizer": "test reference: the Galois action against row lookups",
-    "chartab.CharacterTable.galois_conjugate": "test reference: pi against the entrywise action",
-    "classify.check_isaacs_bound": "lemma check: waits on ROADMAP item 5",
-    "classify.check_frobenius_criterion": "lemma check: waits on ROADMAP item 5",
-    "cyclotomic.Cyclotomic.from_root_multiplicities": "test reference: builds values for oracles",
-    "cyclotomic.Cyclotomic.rational_value": "test reference: the Cyclotomic arithmetic oracle",
-    "cyclotomic.Cyclotomic.conjugate": "test reference: the Cyclotomic arithmetic oracle",
-    "cyclotomic.Cyclotomic.to_complex": "test reference: the Cyclotomic arithmetic oracle",
-    "cyclotomic.Cyclotomic.parse": "public I/O: reads a rendered value back",
-    "numth.multiplicative_order": "test reference: the oracle for primitive roots",
-    "numth.zsigmondy_exception_expected": "test reference: the Zsigmondy oracle",
 }
-REASONS = ("tracer-pinned: ", "test reference: ", "public I/O: ", "lemma check: ")
+REASONS = ("tracer-pinned: ", "public I/O: ")
 
 
 def _public_defs(tree: ast.Module) -> list[tuple[str, ast.AST]]:
@@ -181,3 +171,56 @@ def test_detects_an_unreferenced_public_definition():
         "x = Thing().method\n"
     )
     assert _unreferenced_public({"m.py": ast.parse(source)}) == ["m.dead", "m.Thing.idle"]
+
+
+# Names the library must not define, as "module" or "module:Class" -> names:
+# only tests used them, and tests/reference.py holds them.
+MOVED = {
+    "galchar": ("zeta", "check_isaacs_bound", "check_frobenius_criterion"),
+    "galchar.cyclotomic": ("zeta", "cmath"),
+    "galchar.numth": ("multiplicative_order", "zsigmondy_exception_expected"),
+    "galchar.classify": ("check_isaacs_bound", "check_frobenius_criterion"),
+    "galchar.cyclotomic:Cyclotomic": (
+        "zeta", "from_root_multiplicities", "is_zero", "rational_value", "__add__",
+        "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__pow__", "__neg__",
+        "galois_apply", "conjugate", "to_complex", "parse",
+    ),
+    "galchar.chartab:CharacterTable": ("galois_conjugate",),
+    "galchar.chartab:Character": ("galois_stabilizer", "_stab"),
+    "galchar.perm:Permutation": ("identity", "__call__", "inv", "__pow__", "order", "commutator"),
+    "galchar.perm:PermGroup": ("element_id", "__contains__", "subgroup", "trivial_subgroup"),
+    "galchar.perm:Subgroup": ("elements", "__contains__"),
+}
+
+
+def _defines(owner: str, name: str) -> bool:
+    """Whether the module has the attribute, or the class or one of its
+    bases other than object defines it (slots included)."""
+    module, _, cls = owner.partition(":")
+    found = importlib.import_module(module)
+    if not cls:
+        return hasattr(found, name)
+    return any(name in vars(c) for c in getattr(found, cls).__mro__ if c is not object)
+
+
+def test_package_surface():
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = [
+        (node.module, alias.name, alias.asname or alias.name)
+        for node in tree.body if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert imported
+    for module, name, bound in imported:
+        source = importlib.import_module(f"galchar.{module}")
+        assert getattr(galchar, bound) is getattr(source, name), (module, name)
+    left = [f"{owner}.{name}" for owner, names in MOVED.items()
+            for name in names if _defines(owner, name)]
+    assert left == []
+
+
+def test_detects_a_defined_name():
+    assert _defines("galchar.perm:Permutation", "__mul__")
+    assert _defines("galchar.chartab:Character", "_kernel")  # a slot
+    assert not _defines("galchar.perm:Permutation", "__init_subclass__")  # object's
+    assert _defines("galchar.numth", "factorize")

@@ -9,12 +9,12 @@ from galchar.numth import (
     is_mersenne_prime,
     is_prime,
     is_prime_power,
-    multiplicative_order,
     primitive_polynomial,
     primitive_root,
     zsigmondy_prime,
-    zsigmondy_exception_expected,
 )
+
+from reference import multiplicative_order, zsigmondy_exception_expected
 
 
 def trial_division_prime(m):

@@ -2,10 +2,11 @@
 
 Class orders are read off the prime power maps and the (k, e) power-map
 array is composed from the maps for the primes and the unit generators mod
-e.  The reference below is the earlier code: orders from Permutation.order
-and every representative stepped through every exponent below the largest
-order.  Limits on derived arrays trip before anything large is allocated;
-those inputs run in a child process so that its peak memory can be read.
+e.  The reference below is the earlier code: orders from the cycles of each
+representative, and every representative stepped through every exponent
+below the largest order.  Limits on derived arrays trip before anything
+large is allocated; those inputs run in a child process so that its peak
+memory can be read.
 """
 import json
 import os
@@ -20,6 +21,7 @@ from galchar.constructors import CaseParams, ParamsInvalid, construct_case, swee
 from galchar.corpus import CORPUS, build
 from galchar.numth import unit_generators
 from galchar.perm import CELL_BUDGET, PermGroup, group_to_json, orbit_labels
+from reference import commutator, inverse, order, power
 from test_metamorphic import relabelling
 
 
@@ -32,8 +34,8 @@ def reference_rank(group):
 
 def reference_classes(group):
     """(order, element ids, power map) of each class, as computed before the
-    prime power maps: one conjugation map per generator, orders from
-    Permutation.order, and one lookup per class and exponent below the
+    prime power maps: one conjugation map per generator, permutation orders,
+    and one lookup per class and exponent below the
     largest order."""
     images, rank = group.images, reference_rank(group)
     maps = []
@@ -44,7 +46,7 @@ def reference_classes(group):
     grouped = np.lexsort((rank, label))
     classes = []
     for members in np.split(grouped, np.cumsum(np.bincount(label))[:-1]):
-        classes.append((group.element(members[0]).order(), members))
+        classes.append((order(group.element(members[0])), members))
     classes.sort(key=lambda c: (c[0], len(c[1]), rank[c[1][0]]))
     class_of = np.empty(group.order, dtype=np.int64)
     for ci, (_, members) in enumerate(classes):
@@ -128,8 +130,8 @@ def test_products_of_many_factors_match_permutation_arithmetic(key):
         x, y, z, w = elements[x], elements[y], elements[z], elements[w]
         assert elements[xyz] == x * y * z
         assert elements[xyzw] == x * y * z * w
-        assert elements[conj] == x * y * x.inv()
-        assert elements[comm] == x.commutator(y)
+        assert elements[conj] == x * y * inverse(x)
+        assert elements[comm] == commutator(x, y)
     # broadcasting: a column, a scalar and a row
     table = group.mul(a[:5, None], b[0], c[None, :7])
     assert table.shape == (5, 7)
@@ -139,7 +141,7 @@ def test_products_of_many_factors_match_permutation_arithmetic(key):
     exponent = group.exponent
     for n in (0, 1, 2, 3, 5, exponent - 1, exponent, exponent + 1, 3 * exponent + 2):
         for x, xn in zip(a, group.power(a, n)):
-            assert elements[xn] == elements[x] ** n
+            assert elements[xn] == power(elements[x], n)
     assert group.power(a[0], 2).shape == ()
 
 

@@ -4,6 +4,8 @@ import pytest
 
 from galchar.constructors import affine_semidirect, extraspecial_semidirect, singer_matrix
 
+from reference import order
+
 # name -> (builder of height h, points of the base group, |<mats>|, prime q)
 CASES = {
     "affine": (lambda h: affine_semidirect(2, 2, [singer_matrix(2, 2)], h), 4, 3, 3),
@@ -34,4 +36,4 @@ def test_cover_order_and_central_kernel(case, height):
     kernel = [x for x in group.elements if x.images[:n_base] == fixed]
     assert len(kernel) == q ** (height - 1)
     assert all(x * g == g * x for x in kernel for g in group.generators)
-    assert any(x.order() == len(kernel) for x in kernel)
+    assert any(order(x) == len(kernel) for x in kernel)

@@ -7,6 +7,8 @@ from galchar.chartab import TableVerificationError, _verify, character_table
 from galchar.constructors import CaseParams, construct_case, cyclic, symmetric
 from galchar.numth import find_dixon_prime
 
+from reference import Cyc
+
 ELL = 101
 
 
@@ -151,7 +153,7 @@ def test_corrupted_lifted_value_fails_verification():
     table = character_table(symmetric(4))
     _verify(table)
     chi = table.chars[-1]
-    table.value_pool.append(chi(2) + 1)
+    table.value_pool.append(Cyc.of(chi(2)) + 1)
     table.value_ids[chi.index, 2] = len(table.value_pool) - 1
     with pytest.raises(TableVerificationError, match="lift is inconsistent"):
         _verify(table)

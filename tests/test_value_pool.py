@@ -14,6 +14,8 @@ from galchar.chartab import (
 )
 from galchar.constructors import CaseParams, construct_case
 
+from reference import Cyc
+
 
 @pytest.fixture(scope="module")
 def a7h3():
@@ -71,7 +73,7 @@ def test_shared_value_replaced_in_one_row_fails_verification():
     shared = chi.values[col]
     assert sum(v is shared for other in chars for v in other.values) > 1
     _verify(table)
-    table.value_pool.append(shared + 1)
+    table.value_pool.append(Cyc.of(shared) + 1)
     table.value_ids[row, col] = len(table.value_pool) - 1
     with pytest.raises(TableVerificationError, match="lift is inconsistent"):
         _verify(table)

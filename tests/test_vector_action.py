@@ -19,7 +19,6 @@ from galchar.chartab import character_table
 from galchar.classify import (
     analyze_structure,
     check_frobenius_action,
-    check_frobenius_criterion,
     check_irreducible_action,
     check_scalar_transitivity,
     vector_group,
@@ -27,6 +26,8 @@ from galchar.classify import (
 from galchar.constructors import CaseParams, construct_case, quaternion_subgroup_SL2, singer_matrix
 from galchar.numth import matrix_order_is, primitive_root
 from galchar.perm import ORDER_BOUND, OrderBoundExceeded, PermGroup, Permutation
+
+from reference import check_frobenius_criterion
 
 PN = ((2, 2), (2, 3), (3, 2), (5, 2), (2, 4), (3, 3), (7, 2), (2, 6), (3, 4), (5, 3))
 ACTIONS_PER_PN = 21
