@@ -101,12 +101,13 @@ The table of a group G is computed in five steps:
    of their rendered values: big-endian int32 keys >= 0 compare as bytes
    as they do as numbers, so one stable sort of the key rows as bytes.
 
-The finished table is verified before it is returned: degree sum, first
-column, the rational-row = rational-class count, and consistency of the
-lifted values with the mod-l table, for which the pool is reduced mod l
-with one product per conductor.  The checks read the k x k arrays a block
-of rows at a time.  Orthogonality is then checked exactly, at every table
-size, at the cost of one row per Galois orbit (Cohen, A Course in
+The build checks the lift before it reorders the rows: the pool reduced
+mod l, one product per conductor, must give back the mod-l table through
+the id array, and then the mod-l table is dropped.  The finished table is
+verified before it is returned: degree sum, first column and the
+rational-row = rational-class count.  The checks read the k x k arrays a
+block of rows at a time.  Orthogonality is then checked exactly, at every
+table size, at the cost of one row per Galois orbit (Cohen, A Course in
 Computational Algebraic Number Theory, 1993, 1.3.3).  R is the set of
 least rows of the orbits, s' the inverse of a unit s mod e, and
 Gram(x, y) = sum_c |C_c| x(c) conj y(c):
@@ -152,24 +153,28 @@ Gram(x, y) = sum_c |C_c| x(c) conj y(c):
   rational integer that B covers, so the check is exact; both it and
   being real are constant on Galois orbits, so R stands for all rows.
 
-The table keeps pi in its final row order, and unit_index, the row of pi
-of each residue mod e (-1 for the others).  galois_orbits labels each row
-by the least row of its orbit, the minimum of pi over its rows, and
-field_in_pth_cyclotomic reads pi too.  A Character's values are read
-through the id array and the pool.  The F_l products come from fpmat.
+The table keeps the id array, the pool, the lift's rows of each conductor,
+pi in its final row order, and unit_index, the row of pi of each residue
+mod e (-1 for the others); it keeps no mod-l table.  galois_orbits labels
+each row by the least row of its orbit, the minimum of pi over its rows,
+and field_in_pth_cyclotomic reads pi too: chi's field lies in Q(zeta_p)
+iff every unit u = 1 (mod gcd(p, e)) fixes chi's row.  A Character's
+values are read through the id array and the pool.  The F_l products come
+from fpmat.
 
-Kernels are read off the table as sets of class indices, the classes where
-chi(c) = chi(1); |G : ker chi| is |G| over the sum of their sizes, and two
-kernels are equal iff their class sets are.  Each class set is checked to
-contain the identity class and to have a size dividing |G|.  Only
-Character.kernel() builds the kernel as a Subgroup of elements, and it
-checks that the closure of its generators is the set itself.
+Kernels are one (k, k) bool mask of classes, built on first use: c lies in
+ker chi iff chi(c) has the id of the rational pool value chi(1), looked up
+among the rational values, not read off column 0.  |G : ker chi| is |G|
+over the mask's product with the class sizes, and two kernels are equal
+iff their rows are.  Every row must hold the identity class and a size
+dividing |G|.  Only Character.kernel() builds a kernel as a Subgroup of
+elements, and it checks that the closure of its generators is the set.
 """
 from __future__ import annotations
 
 import weakref
 from functools import lru_cache
-from math import ceil, isqrt, log2
+from math import ceil, gcd, isqrt, log2
 
 import numpy as np
 
@@ -193,13 +198,12 @@ class Character:
     refers to the table weakly: a cycle would keep the table and its group
     alive until the cyclic garbage collector runs."""
 
-    __slots__ = ("_table", "index", "degree", "_kernel_classes", "_kernel")
+    __slots__ = ("_table", "index", "degree", "_kernel")
 
     def __init__(self, table: "CharacterTable", index: int, degree: int):
         self._table = weakref.ref(table)
         self.index = index
         self.degree = degree
-        self._kernel_classes: frozenset[int] | None = None
         self._kernel: Subgroup | None = None
 
     @property
@@ -217,30 +221,9 @@ class Character:
         return table.value_pool[table.value_ids[self.index, class_index]]
 
     def kernel_classes(self) -> frozenset[int]:
-        """Indices of the classes where the value equals the degree, read
-        off the id array: the classes whose id is one of the rational pool
-        values equal to the degree.
-
-        A kernel is a normal subgroup, so the identity class (index 0) must
-        be in the set and the class sizes must sum to a divisor of |G|;
-        a row failing either is not a character of G.
-        """
-        if self._kernel_classes is None:
-            table = self.table
-            idx, coeffs = table._by_conductor()[1]  # the rational values
-            degree_ids = idx[coeffs[:, 0] == self.degree]
-            hits = table.value_ids[self.index][:, None] == degree_ids
-            members = frozenset(np.flatnonzero(hits.any(axis=1)).tolist())
-            size = sum(table.classes[j].size for j in members)
-            if 0 not in members or table.group.order % size:
-                raise TableVerificationError("character kernel is not a subgroup")
-            self._kernel_classes = members
-        return self._kernel_classes
-
-    def kernel_index(self) -> int:
-        """|G : ker chi|, from the class sizes alone."""
-        size = sum(self.table.classes[j].size for j in self.kernel_classes())
-        return self.table.group.order // size
+        """Indices of the classes where the value equals the degree: the
+        row's entries of the table's kernel mask."""
+        return frozenset(np.flatnonzero(self.table.kernels()[0][self.index]).tolist())
 
     def kernel(self) -> Subgroup:
         """The kernel as a subgroup: the union of the kernel classes."""
@@ -253,33 +236,31 @@ class Character:
             self._kernel = sub
         return self._kernel
 
-    def is_rational(self) -> bool:
-        return all(v.is_rational for v in self.values)
-
     def __repr__(self) -> str:
         return f"<Character #{self.index} degree {self.degree}>"
 
 
 class CharacterTable:
     def __init__(
-        self, group, classes, ids, pool, galois, degrees, exponent, dixon_prime, mod_table, seed
+        self, group, classes, ids, pool, by_conductor, galois, degrees, exponent, dixon_prime, seed
     ):
         self.group: PermGroup = group
         self.classes: list[ConjugacyClass] = classes
         self.degrees: list[int] = degrees
         self.exponent = exponent
         self.dixon_prime = dixon_prime
-        self.mod_table: np.ndarray = mod_table  # k x k, values mod l
         self.seed = seed
         self.value_ids: np.ndarray = ids  # k x k int32, ids into value_pool
         self.value_pool: list[Cyclotomic] = pool  # the distinct values
+        # conductor m -> (pool ids, their coefficient rows at m), as the lift built them
+        self.by_conductor: dict[int, tuple[np.ndarray, np.ndarray]] = by_conductor
         # galois[unit_index[s], i]: the row of chi_i^sigma_s, chi_i(c^s) as a
         # function of c, for each unit s mod e; unit_index is -1 elsewhere
         self.galois: np.ndarray = galois
         self.unit_index = _unit_index(exponent)
         self.chars: list[Character] = [Character(self, i, d) for i, d in enumerate(degrees)]
         self.split: dict = {}  # how the eigenlines were found (set by _build_table)
-        self._conductors: tuple[int, dict] | None = None
+        self._kernels: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def n_classes(self) -> int:
@@ -289,12 +270,22 @@ class CharacterTable:
         """The units mod the exponent, ascending."""
         return _units_mod(self.exponent)
 
-    def _by_conductor(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """_pool_by_conductor of the pool: the lift's arrays, built again
-        from the pool only when it grows."""
-        if self._conductors is None or self._conductors[0] != len(self.value_pool):
-            self._conductors = len(self.value_pool), _pool_by_conductor(self.value_pool)
-        return self._conductors[1]
+    def kernels(self) -> tuple[np.ndarray, np.ndarray]:
+        """(mask, index): mask[i, c] whether chi_i(c) is the rational pool
+        value chi_i(1), so whether class c lies in ker chi_i, and index[i] =
+        |G : ker chi_i|.  A kernel is a normal subgroup: a row that lacks the
+        identity class, or whose class sizes sum to no divisor of |G|, is not
+        a character of G (see the module docstring)."""
+        if self._kernels is None:
+            idx, coeffs = self.by_conductor[1]  # the rational values
+            id_of = dict(zip(coeffs[:, 0].tolist(), idx.tolist()))
+            degree_ids = np.array([id_of.get(d, -1) for d in self.degrees])
+            mask = self.value_ids == degree_ids[:, None]
+            sizes = mask @ np.array([c.size for c in self.classes], dtype=np.int64)
+            if not mask[:, 0].all() or (self.group.order % sizes).any():
+                raise TableVerificationError("character kernel is not a subgroup")
+            self._kernels = mask, self.group.order // sizes
+        return self._kernels
 
     def _fixes(self, i: int, units: np.ndarray) -> np.ndarray:
         """For each of the units, whether it fixes row i."""
@@ -311,11 +302,12 @@ class CharacterTable:
         return [tuple(orbit.tolist()) for orbit in np.split(rows, ends)]
 
     def field_in_pth_cyclotomic(self, chi: Character, p: int) -> bool:
-        """True iff the field of values of chi lies in Q(zeta_p)."""
-        if self.exponent % p != 0:
-            return chi.is_rational()
+        """True iff the field of values of chi lies in Q(zeta_p).  It lies in
+        Q(zeta_e), which meets Q(zeta_p) in Q(zeta_g), g = gcd(p, e): so iff
+        every unit u = 1 (mod g) fixes chi's row (every unit when g = 1)."""
+        g = gcd(p, self.exponent)
         units = self.units()
-        return bool(self._fixes(chi.index, units[units % p == 1]).all())
+        return bool(self._fixes(chi.index, units[units % g == 1 % g]).all())
 
     # -- serialization -------------------------------------------------------
 
@@ -805,7 +797,8 @@ def _lift_values(group, table_mod: np.ndarray, ell: int, w_e: int, galois: np.nd
     """(ids, pool, by_conductor): exact values from the mod-l table, as a
     k x k int32 array of ids into a pool of distinct Cyclotomics, given the
     (phi(e), k) Galois row permutations pi of its rows (step 5 of the module
-    docstring), and the pool as _pool_by_conductor has it."""
+    docstring), and the pool by conductor: m -> (pool ids, their
+    coefficient rows at m)."""
     classes = group.conjugacy_classes()
     power_maps = group.power_maps
     k, e = power_maps.shape
@@ -925,6 +918,9 @@ def _build_table(group: PermGroup, seed: int) -> CharacterTable:
 
     w_e = _find_root_of_unity(ell, e)
     ids, pool, by_conductor = _lift_values(group, table_mod, ell, w_e, galois)
+    # lifted values must reduce back to the mod-l table, which is then dropped
+    _check_lift(ids, by_conductor, len(pool), table_mod, e, ell)
+    del omegas, table_mod
 
     # deterministic row order: by degree, then the rendered values; equal ids
     # are equal values, so each pool value is rendered once and ranked.  Rows
@@ -940,10 +936,9 @@ def _build_table(group: PermGroup, seed: int) -> CharacterTable:
     where = np.empty(k, dtype=np.int32)
     where[order] = np.arange(k)
     table = CharacterTable(
-        group, classes, ids[order], pool, where[galois[:, order]], degrees[order].tolist(), e, ell,
-        table_mod[order], seed,
+        group, classes, ids[order], pool, by_conductor, where[galois[:, order]],
+        degrees[order].tolist(), e, ell, seed,
     )
-    table._conductors = len(pool), by_conductor
     table.split = split
     return table
 
@@ -966,19 +961,23 @@ def _split(group: PermGroup, ell: int, seed: int, size_inv, inv_class):
                             "widened": int(least.sum()) - r, "products": products.count}
 
 
+def _check_lift(ids, by_conductor, size: int, table_mod, e: int, ell: int) -> None:
+    """The id array's values, the pool of the given size reduced mod l, must
+    be the mod-l table, a block of rows at a time."""
+    reduced = _pool_mod(by_conductor, size, e, ell).astype(np.int64)
+    for r in _row_blocks(len(ids)):
+        if not np.array_equal(reduced[ids[r]], table_mod[r]):
+            raise TableVerificationError("lift is inconsistent with the mod-l table")
+
+
 def _verify(table: CharacterTable) -> None:
-    group, k, ell, e = table.group, table.n_classes, table.dixon_prime, table.exponent
+    group, k, e = table.group, table.n_classes, table.exponent
     if sum(d * d for d in table.degrees) != group.order:
         raise TableVerificationError("degree squares do not sum to |G|")
     pool, ids = table.value_pool, table.value_ids
     for i, d in zip(ids[:, 0].tolist(), table.degrees):
         if pool[i] != d:
             raise TableVerificationError("first column does not equal the degree")
-    # lifted values must reduce back to the mod-l table
-    reduced = _pool_mod(table._by_conductor(), len(pool), e, ell).astype(np.int64)
-    for r in _row_blocks(k):
-        if not np.array_equal(reduced[ids[r]], table.mod_table[r] % ell):
-            raise TableVerificationError("lift is inconsistent with the mod-l table")
     # rational rows match rational classes
     powers = group.power_maps
     units = _units_mod(e)
@@ -996,7 +995,7 @@ def verify_orthogonality_exact(table: CharacterTable) -> None:
     Galois orbit against all rows, modulo enough primes to exceed the bound
     (see the module docstring).  Besides the id array, one k x k array is
     kept at a time, the right factor of the product."""
-    by_conductor = table._by_conductor()
+    by_conductor = table.by_conductor
     ids, e, k = table.value_ids, table.exponent, table.n_classes
     powers = table.group.power_maps
     _check_galois_action(table, by_conductor, powers)
@@ -1079,17 +1078,6 @@ def _row_blocks(n: int, width: int | None = None) -> list[slice]:
     default), _CHECK_CELLS cells (or one row) each."""
     step = max(1, _CHECK_CELLS // (n if width is None else width))
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
-
-
-def _pool_by_conductor(pool: list[Cyclotomic]) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Conductor m -> (pool ids, their coefficient rows at m)."""
-    groups: dict[int, list[int]] = {}
-    for i, v in enumerate(pool):
-        groups.setdefault(v.conductor, []).append(i)
-    return {
-        m: (np.array(idx, dtype=np.int32), np.array([pool[i].coeffs for i in idx], dtype=np.int64))
-        for m, idx in groups.items()
-    }
 
 
 def _gram_primes(e: int, width: int, bound: int) -> list[int]:

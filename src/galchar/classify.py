@@ -76,14 +76,8 @@ class IrrPartition:
 
 
 def irr_partition(table: CharacterTable) -> IrrPartition:
-    regular = []
-    exceptional = []
-    for chi in table.chars:
-        if chi.kernel_index() % (chi.degree**2) == 0:
-            regular.append(chi.index)
-        else:
-            exceptional.append(chi.index)
-    return IrrPartition(tuple(regular), tuple(exceptional))
+    regular = table.kernels()[1] % np.array(table.degrees, dtype=np.int64) ** 2 == 0
+    return IrrPartition(*(tuple(np.flatnonzero(rows).tolist()) for rows in (regular, ~regular)))
 
 
 def is_single_galois_class(table: CharacterTable, part: IrrPartition | None = None) -> bool:
@@ -304,19 +298,12 @@ def analyze_structure(
 
     report.verdict = VERDICT_SINGLE if single else VERDICT_NOT_SINGLE
     if not single:
-        kernels = {table.chars[i].kernel_classes() for i in part.exceptional}
-        orbits = [
-            o for o in table.galois_orbits() if o[0] in set(part.exceptional)
-        ]
-        if len(kernels) > 1:
-            report.failure_reason = (
-                f"{len(part.exceptional)} exceptional characters with "
-                f"{len(kernels)} distinct kernels"
-            )
-        else:
-            report.failure_reason = (
-                f"exceptional characters split into {len(orbits)} Galois orbits"
-            )
+        kernels = _distinct_kernels(table, part)
+        orbits = sum(o[0] in part.exceptional for o in table.galois_orbits())
+        report.failure_reason = (
+            f"{len(part.exceptional)} exceptional characters with {kernels} distinct kernels"
+            if kernels > 1 else f"exceptional characters split into {orbits} Galois orbits"
+        )
         report.case_tag = None
     if single and not struct_ok:
         report.theorem_violation = f"single Galois class but structure fails: {failure}"
@@ -325,6 +312,11 @@ def analyze_structure(
             "structural checklist passed without a single Galois class"
         )
     return report
+
+
+def _distinct_kernels(table: CharacterTable, part: IrrPartition) -> int:
+    """The exceptional characters' distinct kernels: rows of the kernel mask."""
+    return len(np.unique(table.kernels()[0][list(part.exceptional)], axis=0))
 
 
 def _structural_checklist(group, table, part, report, seed) -> tuple[bool, str | None]:
@@ -364,8 +356,7 @@ def _structural_checklist(group, table, part, report, seed) -> tuple[bool, str |
     csub = group.centralizer(psub, within=hsub)
     report.order_C = csub.order
 
-    kernels = {table.chars[i].kernel_classes() for i in part.exceptional}
-    ok = len(kernels) == 1
+    ok = _distinct_kernels(table, part) == 1
     checklist["kernels_all_equal"] = ok
     if not ok:
         return False, "exceptional characters have different kernels"
@@ -452,13 +443,12 @@ def _case_tag(group, psub, usub, csub, hsub, p, n, d) -> str | None:
             return "a2"
         return None
     if u_trivial and not c_trivial:
-        q = (p**n - 1) // (p - 1)
+        # |H/C| = q prime; for n >= 2 the order formula forces q = (p^n - 1)/(p - 1)
+        q = hsub.order // csub.order
         if not is_prime(q):
             return None
         hpp = is_prime_power(hsub.order)
         if hpp is None or hpp[0] != q:
-            return None
-        if hsub.order // csub.order != q:
             return None
         qpart = q ** factorize(group.order).get(q, 0)
         return "a3" if hsub.order == qpart else None
@@ -512,12 +502,6 @@ def _case_tag(group, psub, usub, csub, hsub, p, n, d) -> str | None:
 def _quaternion_times_cyclic(hsub: Subgroup) -> bool:
     """H = Q x D with Q a generalized quaternion Sylow 2 and D cyclic odd."""
     syl = hsub.sylow_decomposition()
-    if 2 not in syl:
+    if 2 not in syl or not syl[2].is_generalized_quaternion():
         return False
-    if not syl[2].is_generalized_quaternion():
-        return False
-    odd = [s for q, s in syl.items() if q != 2]
-    for s in odd:
-        if not s.is_cyclic():
-            return False
-    return True
+    return all(s.is_cyclic() for q, s in syl.items() if q != 2)

@@ -97,29 +97,31 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    tags = tuple(args.tags.split(","))
-    primes = tuple(int(p) for p in args.primes.split(","))
-    points = sweep_parameter_points(
-        tags, primes, max_pn=args.max_pn, max_order=args.max_order
-    )
-    records = []
-    violations = 0
+def _classified_points(points, seed: int):
+    """(params, group, report) for each parameter point, or (params, None,
+    the ParamsInvalid) for a point that cannot be built."""
     for params in points:
-        record = {"params": dataclasses.asdict(params)}
         try:
             group = construct_case(params)
         except ParamsInvalid as exc:
-            record["status"] = "PARAMS-INVALID"
-            record["reason"] = exc.condition
-            records.append(record)
+            yield params, None, exc
             continue
-        report = analyze_structure(group, character_table(group, seed=args.seed), seed=args.seed)
-        record["status"] = "ok"
-        record["order"] = group.order
-        record["report"] = report.to_dict()
-        if report.theorem_violation:
-            violations += 1
+        yield params, group, analyze_structure(group, character_table(group, seed=seed), seed=seed)
+
+
+def cmd_sweep(args) -> int:
+    tags = tuple(args.tags.split(","))
+    primes = tuple(int(p) for p in args.primes.split(","))
+    points = sweep_parameter_points(tags, primes, max_pn=args.max_pn, max_order=args.max_order)
+    records = []
+    violations = 0
+    for params, group, report in _classified_points(points, args.seed):
+        record = {"params": dataclasses.asdict(params)}
+        if group is None:
+            record.update(status="PARAMS-INVALID", reason=report.condition)
+        else:
+            record.update(status="ok", order=group.order, report=report.to_dict())
+            violations += report.theorem_violation is not None
         records.append(record)
     doc = {"config": _config(args), "records": records}
     _write(_json_text(doc), args.out)
@@ -158,13 +160,11 @@ def cmd_check_theorem(args) -> int:
                 f"{entry.key}: solvable with small Fitting height",
                 group.is_solvable() and group.has_fitting_height_at_most_two(),
             )
-    for params in sweep_parameter_points(max_order=args.max_order):
-        try:
-            group = construct_case(params)
-        except ParamsInvalid as exc:
-            lines.append(f"[SKIP] {params.label()}: PARAMS-INVALID ({exc.condition})")
+    points = sweep_parameter_points(max_order=args.max_order)
+    for params, group, report in _classified_points(points, args.seed):
+        if group is None:
+            lines.append(f"[SKIP] {params.label()}: PARAMS-INVALID ({report.condition})")
             continue
-        report = analyze_structure(group, character_table(group, seed=args.seed), seed=args.seed)
         check(
             f"{params.label()}: order {group.order} -> {report.verdict}/{report.case_tag}",
             report.verdict == "SingleGaloisClass"

@@ -11,6 +11,9 @@ that no subcommand needs:
   permutation-level membership, subgroup and element-set helpers;
 - the Zsigmondy exception list (Lemma zsig) and multiplicative orders;
 - the Galois action on rows read entrywise, and a row's stabilizer;
+- a table's values by conductor rebuilt from its pool, its mod-l table
+  read back from the pool, a row's rationality read entrywise and its
+  kernel index;
 - the two stabilizer lemmas on coprime actions.
 """
 from __future__ import annotations
@@ -20,7 +23,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from galchar.chartab import Character, CharacterTable, TableVerificationError
+from galchar.chartab import Character, CharacterTable, TableVerificationError, _pool_mod
 from galchar.classify import check_frobenius_action, check_irreducible_action, vector_group
 from galchar.cyclotomic import Cyclotomic, _normal_form
 from galchar.numth import factorize, is_mersenne_prime
@@ -261,6 +264,38 @@ def galois_stabilizer(chi: Character) -> frozenset[int]:
     """Residues k mod e (units) with chi^sigma_k = chi."""
     units = chi.table.units()
     return frozenset(units[chi.table._fixes(chi.index, units)].tolist())
+
+
+# -- a table's values -------------------------------------------------------------------
+
+
+def pool_by_conductor(pool: list[Cyclotomic]) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Conductor m -> (pool ids, their coefficient rows at m), as the lift
+    builds them."""
+    groups: dict[int, list[int]] = {}
+    for i, v in enumerate(pool):
+        groups.setdefault(v.conductor, []).append(i)
+    return {
+        m: (np.array(idx, dtype=np.int32), np.array([pool[i].coeffs for i in idx], dtype=np.int64))
+        for m, idx in groups.items()
+    }
+
+
+def mod_table(table: CharacterTable) -> np.ndarray:
+    """The k x k int64 table mod the Dixon prime, read back from the pool:
+    the build checks that it is the mod-l table the lift started from."""
+    reduced = _pool_mod(table.by_conductor, len(table.value_pool), table.exponent, table.dixon_prime)
+    return reduced[table.value_ids].astype(np.int64)
+
+
+def is_rational(chi: Character) -> bool:
+    """Every value of the row is rational."""
+    return all(v.is_rational for v in chi.values)
+
+
+def kernel_index(chi: Character) -> int:
+    """|G : ker chi|, read off the table's kernels."""
+    return int(chi.table.kernels()[1][chi.index])
 
 
 # -- stabilizer lemmas ------------------------------------------------------------------

@@ -38,6 +38,7 @@ from reference import (
     element_id,
     element_set,
     identity,
+    is_rational,
     subgroup,
     zeta,
     zsigmondy_exception_expected,
@@ -287,7 +288,7 @@ def test_criterion_4_negative_controls():
     part = irr_partition(table)
     exc = [table.chars[i] for i in part.exceptional]
     assert sorted(chi.degree for chi in exc) == [4, 4]
-    assert all(chi.is_rational() for chi in exc)
+    assert all(is_rational(chi) for chi in exc)
     rep = analyze_structure(corpus_group("C3^2:C4"), table)
     assert rep.verdict == "NotSingleClass"
 

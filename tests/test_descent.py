@@ -29,6 +29,8 @@ from galchar.constructors import CaseParams, construct_case, cyclic, dihedral
 from galchar.numth import find_dixon_prime
 from galchar.perm import PermGroup
 
+from reference import mod_table
+
 GROUPS = {
     "a7(h=3)": CaseParams("a7", 2, 2, 1, 3),
     "a7(h=4)": CaseParams("a7", 2, 2, 1, 4),
@@ -75,7 +77,7 @@ def _table_omegas(table):
     ell = table.dixon_prime
     sizes = np.array([c.size for c in table.classes], dtype=np.int64)
     degree_inv = np.array([pow(d, -1, ell) for d in table.degrees], dtype=np.int64)
-    return table.mod_table * sizes % ell * degree_inv[:, None] % ell
+    return mod_table(table) * sizes % ell * degree_inv[:, None] % ell
 
 
 def assert_dense_oracle(group, omegas, galois, ell):

@@ -21,7 +21,7 @@ from galchar.cli import main
 from galchar.constructors import CaseParams, ParamsInvalid, construct_case, sweep_parameter_points
 from galchar.perm import group_to_json
 
-from reference import Cyc, cyc
+from reference import Cyc, cyc, is_rational, mod_table, pool_by_conductor
 
 
 def reference_orthogonality(table) -> bool:
@@ -121,7 +121,7 @@ def test_conjugated_entry_fails_the_galois_check(a7h3, monkeypatch):
 
 def test_swap_in_a_rational_column_fails_orthogonality_mod_p(a7h3, monkeypatch):
     pool, ids = a7h3.value_pool, a7h3.value_ids
-    rational_rows = [chi.index for chi in a7h3.chars if chi.is_rational()]
+    rational_rows = [chi.index for chi in a7h3.chars if is_rational(chi)]
     c, i, j = next(
         (c, i, j)
         for c in range(1, a7h3.n_classes)
@@ -145,9 +145,9 @@ def test_swap_with_a_nonrational_row_fails_the_galois_check(a7h3, monkeypatch):
         for c in range(1, a7h3.n_classes)
         if all(pool[v].is_rational for v in ids[:, c])
         for i in a7h3.chars
-        if i.is_rational()
+        if is_rational(i)
         for j in a7h3.chars
-        if not j.is_rational() and ids[i.index, c] != ids[j.index, c]
+        if not is_rational(j) and ids[i.index, c] != ids[j.index, c]
     )
     ids[[i, j], c] = ids[[j, i], c]
     with pytest.raises(TableVerificationError, match="Galois images of the rows"):
@@ -160,7 +160,7 @@ def test_entry_shifted_by_the_first_prime_needs_a_second(a7h3, monkeypatch):
     # its L1 norm raises the bound past p, so a second prime must catch it
     pool, ids = a7h3.value_pool, a7h3.value_ids
     (p,) = chartab._gram_primes(a7h3.exponent, a7h3.n_classes, 1)
-    i = next(chi.index for chi in a7h3.chars if chi.is_rational() and chi.degree > 1)
+    i = next(chi.index for chi in a7h3.chars if is_rational(chi) and chi.degree > 1)
     c = next(c for c in range(1, a7h3.n_classes) if pool[ids[i, c]].is_rational)
     pool.append(Cyc.of(pool[ids[i, c]]) + p)
     ids[i, c] = len(pool) - 1
@@ -331,8 +331,9 @@ def test_each_character_is_built_once(monkeypatch):
     analyze_structure(group, table, seed=1)
     assert len(built) == table.n_classes == 189
     chi = table.chars[5]
-    kernel = chi.kernel_classes()
-    assert table.chars[5] is chi and chi.kernel_classes() is kernel
+    kernels = table.kernels()
+    assert table.chars[5] is chi and table.kernels() is kernels  # one mask, kept
+    assert chi.kernel_classes() == frozenset(np.flatnonzero(kernels[0][5]).tolist())
 
 
 def test_tables_are_freed_without_the_cycle_collector():
@@ -351,12 +352,18 @@ def test_tables_are_freed_without_the_cycle_collector():
         gc.enable()
 
 
-def test_pool_reduction_matches_the_dixon_table(a7h3):
-    # the reduction of the pool at the Dixon prime is the mod-l table
-    ell, e = a7h3.dixon_prime, a7h3.exponent
-    by_conductor = chartab._pool_by_conductor(a7h3.value_pool)
-    reduced = chartab._pool_mod(by_conductor, len(a7h3.value_pool), e, ell)
-    assert np.array_equal(reduced[a7h3.value_ids], a7h3.mod_table % ell)
+def test_pool_reduction_matches_the_dixon_table(a7h3_group, monkeypatch):
+    # the reduction of the pool at the Dixon prime is the mod-l table the
+    # lift started from, which the build reads back once and then drops
+    seen, check = [], chartab._check_lift
+    monkeypatch.setattr(chartab, "_check_lift", lambda *args: seen.append(args) or check(*args))
+    table = character_table(a7h3_group, seed=1)
+    ((ids, _, size, table_mod, e, ell),) = seen
+    assert size == len(table.value_pool) and ell == table.dixon_prime
+    reduced = chartab._pool_mod(pool_by_conductor(table.value_pool), size, e, ell)
+    assert np.array_equal(reduced[ids], table_mod % ell)
+    # reference.mod_table is that table with its rows in the final order
+    assert np.array_equal(np.unique(mod_table(table), axis=0), np.unique(table_mod, axis=0))
 
 
 CORRUPTIONS = [  # each takes the table and a monkeypatch, which two of them use
@@ -384,10 +391,10 @@ def test_small_blocks_build_and_verify_the_same_table(monkeypatch):
     # every array built or read in blocks, here a few cells each, gives the
     # table the default blocks give, and passes the same checks
     groups = [construct_case(CaseParams("a7", 2, 2, 1, 3)), construct_case(CaseParams("a3", 2, 2, 1, 2))]
-    expected = [(t.to_dict(), t.mod_table, t.galois) for t in map(character_table, groups)]
+    expected = [(t.to_dict(), mod_table(t), t.galois) for t in map(character_table, groups)]
     monkeypatch.setattr(chartab, "_BLOCK_CELLS", 300)
     monkeypatch.setattr(chartab, "_CHECK_CELLS", 100)
-    for group, (doc, mod_table, galois) in zip(groups, expected):
+    for group, (doc, table_mod, galois) in zip(groups, expected):
         table = character_table(group)  # verified in blocks of one row
         assert table.to_dict() == doc
-        assert np.array_equal(table.mod_table, mod_table) and np.array_equal(table.galois, galois)
+        assert np.array_equal(mod_table(table), table_mod) and np.array_equal(table.galois, galois)

@@ -7,7 +7,7 @@ from galchar.chartab import TableVerificationError, _verify, character_table
 from galchar.constructors import CaseParams, construct_case, cyclic, symmetric
 from galchar.numth import find_dixon_prime
 
-from reference import Cyc
+from reference import Cyc, mod_table, pool_by_conductor
 
 ELL = 101
 
@@ -152,10 +152,15 @@ def test_isotropic_probe_is_refused():
 def test_corrupted_lifted_value_fails_verification():
     table = character_table(symmetric(4))
     _verify(table)
+    table_mod = mod_table(table)
     chi = table.chars[-1]
     table.value_pool.append(Cyc.of(chi(2)) + 1)
     table.value_ids[chi.index, 2] = len(table.value_pool) - 1
+    table.by_conductor = pool_by_conductor(table.value_pool)
     with pytest.raises(TableVerificationError, match="lift is inconsistent"):
+        chartab._check_lift(table.value_ids, table.by_conductor, len(table.value_pool), table_mod,
+                            table.exponent, table.dixon_prime)
+    with pytest.raises(TableVerificationError):
         _verify(table)
 
 

@@ -7,14 +7,14 @@ import pytest
 from galchar.chartab import (
     TableVerificationError,
     _find_root_of_unity,
+    _check_lift,
     _lift_values,
-    _pool_by_conductor,
     _verify,
     character_table,
 )
 from galchar.constructors import CaseParams, construct_case
 
-from reference import Cyc
+from reference import Cyc, mod_table, pool_by_conductor
 
 
 @pytest.fixture(scope="module")
@@ -39,20 +39,32 @@ def test_each_distinct_value_is_one_object(a7h3):
 def test_lift_reproduces_the_table(a7h3):
     ell, e = a7h3.dixon_prime, a7h3.exponent
     w_e = _find_root_of_unity(ell, e)
-    ids, pool, by_conductor = _lift_values(a7h3.group, a7h3.mod_table, ell, w_e, a7h3.galois)
+    ids, pool, by_conductor = _lift_values(a7h3.group, mod_table(a7h3), ell, w_e, a7h3.galois)
     for chi, row in zip(a7h3.chars, ids):
         assert [pool[i] for i in row] == list(chi.values)
-    # the lift's own arrays are those rebuilt from the pool's values
-    rebuilt = _pool_by_conductor(pool)
-    assert list(by_conductor) == list(rebuilt)
+    # the lift's own arrays, which the table keeps, are those rebuilt from the pool's values
+    rebuilt = pool_by_conductor(pool)
+    assert list(by_conductor) == list(rebuilt) == list(a7h3.by_conductor)
     for m, (idx, coeffs) in by_conductor.items():
         assert np.array_equal(idx, rebuilt[m][0]) and np.array_equal(coeffs, rebuilt[m][1])
+        kept_idx, kept_coeffs = a7h3.by_conductor[m]
+        assert np.array_equal(kept_idx, idx) and np.array_equal(kept_coeffs, coeffs)
+
+
+def test_the_table_keeps_no_mod_table(a7h3):
+    # the build checks the lift against the mod-l table and drops it; the
+    # values by conductor are set once, not rebuilt when the pool grows
+    assert not hasattr(a7h3, "mod_table") and not hasattr(a7h3, "_conductors")
+    assert set(vars(a7h3)) == {
+        "group", "classes", "degrees", "exponent", "dixon_prime", "seed", "value_ids",
+        "value_pool", "by_conductor", "galois", "unit_index", "chars", "split", "_kernels",
+    }
 
 
 @pytest.mark.parametrize("row,col,delta", [(5, 7, 1), (30, 40, 2), (62, 1, 10)])
 def test_corrupted_mod_table_breaks_the_multiplicity_bounds(a7h3, row, col, delta):
     ell, e = a7h3.dixon_prime, a7h3.exponent
-    table_mod = a7h3.mod_table.copy()
+    table_mod = mod_table(a7h3)
     table_mod[row, col] = (table_mod[row, col] + delta) % ell
     with pytest.raises(TableVerificationError, match="multiplicities"):
         _lift_values(a7h3.group, table_mod, ell, _find_root_of_unity(ell, e), a7h3.galois)
@@ -73,7 +85,12 @@ def test_shared_value_replaced_in_one_row_fails_verification():
     shared = chi.values[col]
     assert sum(v is shared for other in chars for v in other.values) > 1
     _verify(table)
+    table_mod = mod_table(table)
     table.value_pool.append(Cyc.of(shared) + 1)
     table.value_ids[row, col] = len(table.value_pool) - 1
+    table.by_conductor = pool_by_conductor(table.value_pool)
     with pytest.raises(TableVerificationError, match="lift is inconsistent"):
+        _check_lift(table.value_ids, table.by_conductor, len(table.value_pool), table_mod,
+                    table.exponent, table.dixon_prime)
+    with pytest.raises(TableVerificationError):
         _verify(table)
