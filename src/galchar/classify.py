@@ -13,6 +13,11 @@ computes two verdicts independently and cross-checks them:
   with scalar transitivity, kernel and field constraints, and one of seven
   recognised case shapes a1..a7).
 
+The table CHECKLIST names each item once, in the order the items are
+recorded, with the failure reason the report gives.  Each item goes through
+one recorder, which stores its bool and stops the checklist at the first
+failure; the report keeps None for the items after it.
+
 Agreement of the two verdicts on every input is the point of the exercise;
 a disagreement is reported as a theorem violation, never reconciled.
 """
@@ -43,24 +48,29 @@ VERDICT_NILPOTENT = "NilpotentEmpty"
 VERDICT_SINGLE = "SingleGaloisClass"
 VERDICT_NOT_SINGLE = "NotSingleClass"
 
-CHECKLIST_ITEMS = (
-    "nonnilpotent",
-    "solvable",
-    "single_galois_class",
-    "residue_is_sylow_subgroup",
-    "frattini_equals_derived",
-    "complement_found",
-    "kernels_all_equal",
-    "kernel_is_centralizer_times_frattini",
-    "action_kernel_is_centralizer",
-    "frobenius_action",
-    "irreducible_action",
-    "order_formula_holds",
-    "index_divides_p_minus_1",
-    "scalar_transitivity",
-    "values_in_prime_cyclotomic",
-    "case_recognized",
+# The checklist, in the order its items are recorded, each with the failure
+# reason the report gives when the item fails.  The first three are recorded
+# before the structural items and never stop the checklist; complement_found
+# fails only with the search's own reason.
+CHECKLIST = (
+    ("nonnilpotent", None),
+    ("solvable", None),
+    ("single_galois_class", None),
+    ("residue_is_sylow_subgroup", "nilpotent residue is not a Sylow p-subgroup"),
+    ("frattini_equals_derived", "Frattini subgroup of P differs from P'"),
+    ("complement_found", None),
+    ("kernels_all_equal", "exceptional characters have different kernels"),
+    ("kernel_is_centralizer_times_frattini", "shared kernel is not C_H(P) x Phi(P)"),
+    ("action_kernel_is_centralizer", "kernel of the P/U action is not C_H(P)"),
+    ("frobenius_action", "complement does not act Frobeniusly on P/U"),
+    ("irreducible_action", "complement does not act irreducibly on P/U"),
+    ("order_formula_holds", "|H/C| * |exceptional| differs from p^n - 1"),
+    ("index_divides_p_minus_1", "number of exceptional characters does not divide p - 1"),
+    ("scalar_transitivity", "scalars times the action are not transitive on P/U"),
+    ("values_in_prime_cyclotomic", "exceptional values leave the p-th cyclotomic field"),
+    ("case_recognized", "no recognised case shape"),
 )
+CHECKLIST_ITEMS = tuple(item for item, _ in CHECKLIST)
 
 
 class ComplementNotFound(RuntimeError):
@@ -274,9 +284,10 @@ def analyze_structure(
         checklist=checklist,
         seed=seed,
     )
+    record = _recorder(checklist)
 
     nilpotent = group.is_nilpotent()
-    checklist["nonnilpotent"] = not nilpotent
+    record(not nilpotent)
     if not part.exceptional:
         report.verdict = VERDICT_NILPOTENT
         if not nilpotent:
@@ -289,12 +300,16 @@ def analyze_structure(
         report.verdict = VERDICT_NOT_SINGLE
         return report
 
-    checklist["solvable"] = group.is_solvable()
+    record(group.is_solvable())
     single = is_single_galois_class(table, part)
-    checklist["single_galois_class"] = single
+    record(single)
     report.d = len(part.exceptional)
 
-    struct_ok, failure = _structural_checklist(group, table, part, report, seed)
+    try:
+        _structural_checklist(group, table, part, report, seed, record)
+        failure = None
+    except _ItemFailed as exc:
+        failure = str(exc)
 
     report.verdict = VERDICT_SINGLE if single else VERDICT_NOT_SINGLE
     if not single:
@@ -305,13 +320,32 @@ def analyze_structure(
             if kernels > 1 else f"exceptional characters split into {orbits} Galois orbits"
         )
         report.case_tag = None
-    if single and not struct_ok:
+    if single and failure is not None:
         report.theorem_violation = f"single Galois class but structure fails: {failure}"
-    elif struct_ok and not single:
+    elif failure is None and not single:
         report.theorem_violation = (
             "structural checklist passed without a single Galois class"
         )
     return report
+
+
+class _ItemFailed(Exception):
+    """A checklist item failed; the argument is the report's failure reason."""
+
+
+def _recorder(checklist: dict):
+    """record(ok, reason=None) stores ok as the next item of CHECKLIST and,
+    when ok is false and the call or the item has a reason, raises
+    _ItemFailed with it (the call's first)."""
+    items = iter(CHECKLIST)
+
+    def record(ok, reason=None) -> None:
+        item, own = next(items)
+        checklist[item] = ok
+        if not ok and (reason or own):
+            raise _ItemFailed(reason or own)
+
+    return record
 
 
 def _distinct_kernels(table: CharacterTable, part: IrrPartition) -> int:
@@ -319,113 +353,69 @@ def _distinct_kernels(table: CharacterTable, part: IrrPartition) -> int:
     return len(np.unique(table.kernels()[0][list(part.exceptional)], axis=0))
 
 
-def _structural_checklist(group, table, part, report, seed) -> tuple[bool, str | None]:
-    """Items (4)..(11): returns (all passed, first failure)."""
-    checklist = report.checklist
-
+def _structural_checklist(group, table, part, report, seed, record) -> None:
+    """Items (4)..(11), each through record, which raises _ItemFailed at
+    the first failure."""
     residue = group.nilpotent_residue()
     report.order_P = residue.order
     pp = is_prime_power(residue.order)
     gsize = group.order
-    ok = (
+    record(
         pp is not None
         and gsize % residue.order == 0
         and (gsize // residue.order) % pp[0] != 0
     )
-    checklist["residue_is_sylow_subgroup"] = ok
-    if not ok:
-        return False, "nilpotent residue is not a Sylow p-subgroup"
     p = pp[0]
     report.p = p
 
     psub = residue
     usub = frattini_of_pgroup(psub, p)
     report.order_U = usub.order
-    ok = usub == psub.derived_subgroup()
-    checklist["frattini_equals_derived"] = ok
-    if not ok:
-        return False, "Frattini subgroup of P differs from P'"
+    record(usub == psub.derived_subgroup())
 
     try:
         hsub = find_complement(group, psub, seed=seed)
     except ComplementNotFound as exc:
-        checklist["complement_found"] = False
-        return False, str(exc)
-    checklist["complement_found"] = True
+        record(False, str(exc))  # raises
+    record(True)
     report.order_H = hsub.order
     csub = group.centralizer(psub, within=hsub)
     report.order_C = csub.order
 
-    ok = _distinct_kernels(table, part) == 1
-    checklist["kernels_all_equal"] = ok
-    if not ok:
-        return False, "exceptional characters have different kernels"
+    record(_distinct_kernels(table, part) == 1)
     ksub = table.chars[part.exceptional[0]].kernel()
     report.order_K = ksub.order
     product = np.flatnonzero(group.mask(group.mul(csub.ids[:, None], usub.ids[None, :])))
-    ok = (
+    record(
         np.array_equal(product, ksub.ids)
         and len(np.intersect1d(csub.ids, usub.ids)) == 1
         and group.centralizer(usub, within=csub) == csub
     )
-    checklist["kernel_is_centralizer_times_frattini"] = ok
-    if not ok:
-        return False, "shared kernel is not C_H(P) x Phi(P)"
 
     try:
         mats, basis, p2, n = quotient_module_action(group, psub, usub, hsub.gen_ids)
     except ValueError as exc:
-        checklist["action_kernel_is_centralizer"] = False
-        return False, f"module action unavailable: {exc}"
+        record(False, f"module action unavailable: {exc}")  # raises
     assert p2 == p
     report.n = n
     # h acts trivially on P/U iff it fixes every basis coset
     fixes = np.ones(hsub.order, dtype=bool)
     for b in basis.tolist():
         fixes &= usub.contains(group.mul(group.conj(hsub.ids, b), group.inverse[b]))
-    ok = np.array_equal(hsub.ids[fixes], csub.ids)
-    checklist["action_kernel_is_centralizer"] = ok
-    if not ok:
-        return False, "kernel of the P/U action is not C_H(P)"
+    record(np.array_equal(hsub.ids[fixes], csub.ids))
 
-    frob = check_frobenius_action(mats, p, n)
-    checklist["frobenius_action"] = frob
-    if not frob:
-        return False, "complement does not act Frobeniusly on P/U"
-    irr = check_irreducible_action(mats, p, n)
-    checklist["irreducible_action"] = irr
-    if not irr:
-        return False, "complement does not act irreducibly on P/U"
+    record(check_frobenius_action(mats, p, n))
+    record(check_irreducible_action(mats, p, n))
 
     d = len(part.exceptional)
-    hbar = hsub.order // csub.order
-    ok = hbar * d == p**n - 1
-    checklist["order_formula_holds"] = ok
-    if not ok:
-        return False, "|H/C| * |exceptional| differs from p^n - 1"
-    ok = (p - 1) % d == 0
-    checklist["index_divides_p_minus_1"] = ok
-    if not ok:
-        return False, "number of exceptional characters does not divide p - 1"
-
-    ok = check_scalar_transitivity(mats, p, n)
-    checklist["scalar_transitivity"] = ok
-    if not ok:
-        return False, "scalars times the action are not transitive on P/U"
-
-    ok = all(
-        table.field_in_pth_cyclotomic(table.chars[i], p) for i in part.exceptional
-    )
-    checklist["values_in_prime_cyclotomic"] = ok
-    if not ok:
-        return False, "exceptional values leave the p-th cyclotomic field"
+    record(hsub.order // csub.order * d == p**n - 1)
+    record((p - 1) % d == 0)
+    record(check_scalar_transitivity(mats, p, n))
+    record(all(table.field_in_pth_cyclotomic(table.chars[i], p) for i in part.exceptional))
 
     tag = _case_tag(group, psub, usub, csub, hsub, p, n, d)
-    checklist["case_recognized"] = tag is not None
-    if tag is None:
-        return False, "no recognised case shape"
+    record(tag is not None)
     report.case_tag = tag
-    return True, None
 
 
 def _case_tag(group, psub, usub, csub, hsub, p, n, d) -> str | None:

@@ -3,7 +3,10 @@
 Every constructor returns a faithful permutation group: vector spaces get
 the affine action, extraspecial groups the regular action on their own
 elements, and cyclic covers acting through a quotient receive an extra
-regular orbit so the kernel stays visible.  Parameter points that violate
+regular orbit so the kernel stays visible.  A matrix acts on an extraspecial
+group by the automorphism given by its generator images, column j naming
+the image of generator j; _automorphism builds it and refuses images that
+define none, for p = 2 (Q8) and odd p alike.  Parameter points that violate
 the arithmetic of a case, or whose built action fails the Frobenius /
 irreducibility / scalar-transitivity verification, raise ParamsInvalid with
 the failed condition named; the sweep records these instead of hiding them.
@@ -116,36 +119,20 @@ def generalized_quaternion(order: int) -> PermGroup:
 
 def heisenberg(p: int) -> PermGroup:
     """Extraspecial group of order p^3 and exponent p (p odd) in its regular
-    action; for p = 2 the quaternion group of order 8."""
+    action; for p = 2 the quaternion group of order 8.
+
+    Point a p^2 + b p + c is (a, b, c), with (a, b, c)(a', b', c') =
+    (a + a', b + b', c + c' + a b'); the generators are left multiplication
+    by x = (1, 0, 0) and y = (0, 1, 0).
+    """
     if p == 2:
         return quaternion8()
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return PermGroup(p**3, _heisenberg_generators(p), name=f"Heis({p})")
-
-
-def _heisenberg_images(p: int, fn) -> list[int]:
-    """Images of the points a p^2 + b p + c, i.e. (a, b, c) in Heis(p),
-    under the map (a, b, c) -> fn(a, b, c) (components reduced mod p)."""
-    images = []
-    for a in range(p):
-        for b in range(p):
-            for c in range(p):
-                a2, b2, c2 = fn(a, b, c)
-                images.append(a2 * p * p + b2 * p + c2)
-    return images
-
-
-def _heisenberg_generators(p: int) -> list[list[int]]:
-    """Left multiplication by x = (1, 0, 0) and y = (0, 1, 0), where
-    (a, b, c)(a', b', c') = (a + a', b + b', c + c' + a b')."""
-
-    def left_mul(ga, gb):
-        return _heisenberg_images(
-            p, lambda a, b, c: ((ga + a) % p, (gb + b) % p, (c + ga * b) % p)
-        )
-
-    return [left_mul(1, 0), left_mul(0, 1)]
+    a, b, c = np.indices((p, p, p)).reshape(3, -1)
+    x = ((a + 1) % p * p + b) * p + (c + b) % p
+    y = (a * p + (b + 1) % p) * p + c
+    return PermGroup(p**3, [x.tolist(), y.tolist()], name=f"Heis({p})")
 
 
 # -- linear-algebra ingredients -----------------------------------------------------
@@ -266,95 +253,60 @@ def affine_semidirect(p, n, mats, central_height: int = 1, name=None) -> PermGro
     return _semidirect(translations, linear, mats, p, central_height, name, "affine")
 
 
-def _heisenberg_automorphism(p: int, g: np.ndarray) -> "callable":
-    """The automorphism of Heis(p) induced by g in GL(2,p).
+def _automorphism(base: PermGroup, images) -> list[int]:
+    """The automorphism phi of base that sends generator i to the element
+    with point images[i], as a permutation of base's points; ParamsInvalid
+    unless there is one.
 
-    On generators x=(1,0,0), y=(0,1,0) it applies g to the (a,b) coordinates
-    and multiplies the center by det(g); the quadratic correction on the
-    center makes g -> phi_g a homomorphism (p odd).
+    base acts regularly and element x is the point x(0), so phi as a point
+    map conjugates each left multiplication L_x into L_phi(x).  A walk
+    breadth-first from the identity sends x g_i to phi(x) phi(g_i) through
+    base.mul; phi is a homomorphism iff no element is reached with two
+    images, and then an automorphism iff its images are distinct.
     """
-    alpha, beta = int(g[0, 0]), int(g[0, 1])
-    gamma, delta = int(g[1, 0]), int(g[1, 1])
-    det = (alpha * delta - beta * gamma) % p
-    inv2 = pow(2, p - 2, p)
-
-    def phi(a, b, c):
-        a2 = (alpha * a + beta * b) % p
-        b2 = (gamma * a + delta * b) % p
-        corr = (alpha * gamma * a * a + beta * delta * b * b) * inv2 + beta * gamma * a * b
-        return a2, b2, (det * c + corr) % p
-
-    return phi
+    ids = np.empty(base.order, dtype=np.int64)
+    ids[base.images[:, 0]] = np.arange(base.order)  # the element at each point
+    gens, targets = base.gen_ids, ids[images]
+    phi = np.full(base.order, -1, dtype=np.int64)
+    phi[0] = 0
+    frontier = np.zeros(1, dtype=np.int64)
+    while len(frontier):
+        reached = base.mul(frontier[:, None], gens)
+        sent = base.mul(phi[frontier][:, None], targets)
+        unseen = phi < 0
+        new = unseen[reached]
+        phi[reached[new]] = sent[new]
+        if not np.array_equal(phi[reached], sent):
+            raise ParamsInvalid("generator images do not extend to a homomorphism")
+        frontier = np.flatnonzero(unseen & (phi >= 0))
+    if not np.array_equal(np.sort(phi), np.arange(base.order)):
+        raise ParamsInvalid("generator images do not define a bijection")
+    return base.images[phi[ids], 0].tolist()
 
 
 def extraspecial_semidirect(p, mats, central_height: int = 1, name=None) -> PermGroup:
-    """E(p^{1+2}) x| H with H = <mats> <= GL(2,p) acting on P/Z(P), on the
-    center by determinant.
+    """P x| H with P = heisenberg(p), the extraspecial group of order p^3
+    (Q8 for p = 2), and H = <mats> <= GL(2,p) acting on P/Z(P).
 
-    For p = 2 only the quaternion family is available: the matrix group must
-    be trivial or cyclic of order 3, realised by the automorphism
-    i -> j -> ij of Q8; central_height > 1 adds a regular orbit of the
-    cyclic cover, as in affine_semidirect.
+    Matrix m acts by the automorphism that sends generator j of P, with
+    column (a, b) = m[:, j], to x^a y^b when p = 2 (point a + 4b of
+    quaternion8) and to (a, b, ab/2) when p is odd, which acts on the center
+    by det(m); _automorphism checks that these images define one.
+    central_height > 1 adds a regular orbit of the cyclic cover, as in
+    affine_semidirect.
     """
     if central_height < 1:
         raise ValueError("central height must be >= 1")
-    if p == 2:
-        return _q8_semidirect(mats, central_height, name)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     mats = _acting_matrices(mats, p, 2)
-    autos = [_heisenberg_images(p, _heisenberg_automorphism(p, m)) for m in mats]
-    return _semidirect(
-        _heisenberg_generators(p), autos, mats, p, central_height, name, "extraspecial"
-    )
-
-
-def _q8_order3_automorphism() -> Permutation:
-    """x -> y -> xy on the labels of generalized_quaternion(8).
-
-    Point 0 is the identity in the regular action, so an element's label is
-    where its translation sends 0; the automorphism permutes those labels.
-    """
-    q8 = quaternion8()
-    x, y = q8.gen_ids
-    k = q8.mul(x, y)
-    perm = [0] * 8
-    for a in range(4):
-        for b in range(2):
-            g = q8.mul(q8.power(x, a), q8.power(y, b))
-            img = q8.mul(q8.power(y, a), q8.power(k, b))
-            perm[q8.images[g, 0]] = int(q8.images[img, 0])
-    return Permutation(perm)
-
-
-def _q8_semidirect(mats, central_height: int, name) -> PermGroup:
-    mats = _acting_matrices(mats, 2, 2)
-    q8 = quaternion8()
-    alpha = _q8_order3_automorphism()
-    if mats:
-        if len(mats) != 1:
-            raise ParamsInvalid("p = 2 supports only a cyclic order-3 action")
-        m = mats[0]
-        if matrix_order_is(m, 2, 3):
-            # match the matrix to alpha or alpha^2 by its action on e1, e2
-            std = np.array([[0, 1], [1, 1]], dtype=np.int64)
-            if np.array_equal(m, std):
-                act = alpha
-            else:
-                act = Permutation(alpha.images[a] for a in alpha.images)  # alpha^2
-        elif matrix_order_is(m, 2, 1):
-            act = None
-        else:
-            raise ParamsInvalid("p = 2 supports only trivial or order-3 actions")
-    else:
-        act = None
-
-    if act is None:
-        if central_height != 1:
-            raise ParamsInvalid("trivial action cannot have central height > 1")
-        return q8
-    base = [list(g.images) for g in q8.generators]
-    return _semidirect(base, [list(act.images)], [m], 2, central_height, name, "Q8")
+    base = heisenberg(p)
+    autos = []
+    for a, b in mats:
+        points = a + 4 * b if p == 2 else (a * p + b) * p + a * b * ((p + 1) // 2) % p
+        autos.append(_automorphism(base, points))
+    gens = [list(g.images) for g in base.generators]
+    return _semidirect(gens, autos, mats, p, central_height, name, "extraspecial")
 
 
 # -- the case constructors --------------------------------------------------------------
@@ -384,8 +336,8 @@ class CaseParams:
         return f"{self.tag}(p={self.p},n={self.n},d={self.d},h={self.height})"
 
 
-def _validated_action(mats, p, n, need_frobenius=True):
-    if need_frobenius and not check_frobenius_action(mats, p, n):
+def _validated_action(mats, p, n):
+    if not check_frobenius_action(mats, p, n):
         raise ParamsInvalid("action is not Frobenius")
     if not check_irreducible_action(mats, p, n):
         raise ParamsInvalid("action is not irreducible")
@@ -431,11 +383,12 @@ def construct_case(params: CaseParams) -> PermGroup:
     if tag == "a3":
         if h < 2:
             raise ParamsInvalid("a3 needs a nontrivial central kernel (height >= 2)")
-        q = (p**n - 1) // (p - 1)
-        if not is_prime(q):
-            raise ParamsInvalid("(p^n - 1)/(p - 1) must be prime")
+        if (p - 1) % d:
+            raise ParamsInvalid("d must divide p - 1")
+        if not is_prime((p**n - 1) // d):
+            raise ParamsInvalid("(p^n - 1)/d must be prime")
         s = singer_matrix(p, n)
-        hgen = fpmat.mat_pow(s, p - 1, p)
+        hgen = fpmat.mat_pow(s, d, p)
         _validated_action([hgen], p, n)
         return affine_semidirect(p, n, [hgen], h, name=params.label())
     if tag == "a4":

@@ -193,6 +193,28 @@ class TestLemmaChecks:
             check_frobenius_criterion([mat([[1, 0], [0, 4]])], 5, 2)
 
 
+@pytest.mark.parametrize("name,error,item,reason", [
+    ("find_complement", ComplementNotFound("no complement here"),
+     "complement_found", "no complement here"),
+    ("quotient_module_action", ValueError("no basis"),
+     "action_kernel_is_centralizer", "module action unavailable: no basis"),
+])
+def test_a_failed_step_stops_the_checklist_with_its_own_reason(
+    monkeypatch, name, error, item, reason
+):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(classify, name, fail)
+    report = analyze_structure(symmetric(3))
+    items = list(report.checklist)
+    after = items[items.index(item) + 1:]
+    assert report.checklist[item] is False
+    assert all(report.checklist[i] for i in items[:items.index(item)])
+    assert all(report.checklist[i] is None for i in after)
+    assert report.theorem_violation == f"single Galois class but structure fails: {reason}"
+
+
 def test_report_roundtrip():
     report = analyze_structure(symmetric(3))
     doc = report.to_dict()

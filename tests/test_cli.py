@@ -50,6 +50,19 @@ def test_construct_invalid_exit_code(capsys):
     assert "PARAMS-INVALID" in err
 
 
+def test_construct_then_classify_a3_with_n_1(tmp_path, capsys):
+    gf = tmp_path / "a3.json"
+    argv = ["construct", "a3", "--p", "7", "--n", "1", "--height", "2"]
+    code, _, _ = run(argv + ["--d", "2", "--out", str(gf)], capsys)
+    assert code == 0
+    code, out, _ = run(["classify", str(gf)], capsys)
+    assert code == 0
+    assert "case: a3  (p=7, n=1, d=2)" in out and "THEOREM-VIOLATION" not in out
+    # q = (7 - 1)/1 = 6 is not prime
+    code, _, err = run(argv + ["--d", "1"], capsys)
+    assert code == 1 and "PARAMS-INVALID" in err
+
+
 def test_chartab_json_schema(tmp_path, capsys):
     gf = tmp_path / "q8.json"
     save_group(build("Q8"), gf)

@@ -10,6 +10,7 @@ from galchar.classify import analyze_structure, check_frobenius_action
 from galchar.constructors import (
     CaseParams,
     ParamsInvalid,
+    _automorphism,
     affine_semidirect,
     construct_case,
     dihedral,
@@ -152,6 +153,27 @@ def test_heisenberg_automorphism_is_homomorphism():
     assert g.order == 27 * 4
 
 
+def test_automorphism_refuses_a_map_that_is_not_one():
+    # x -> x, y -> x: a homomorphism onto <x>, but not a bijection
+    heis = heisenberg(3)
+    with pytest.raises(ParamsInvalid, match="bijection"):
+        _automorphism(heis, [9, 9])
+    assert _automorphism(heis, [9, 3]) == list(range(27))
+    # x -> x, y -> x^2 in Q8: y^2 = x^2 would go to 1 = x^2
+    with pytest.raises(ParamsInvalid, match="homomorphism"):
+        _automorphism(quaternion8(), [1, 2])
+
+
+def test_extraspecial_semidirect_p2_takes_any_matrix_group():
+    # the swap x <-> y of Q8
+    assert extraspecial_semidirect(2, [[[0, 1], [1, 0]]]).order == 16
+    # the images x^a y^b define automorphisms, but no action of GL(2,2)
+    with pytest.raises(ParamsInvalid, match="not faithful"):
+        extraspecial_semidirect(2, [[[0, 1], [1, 1]], [[0, 1], [1, 0]]])
+    q8 = extraspecial_semidirect(2, [], name="E")
+    assert (q8.order, q8.name) == (8, "E")
+
+
 def test_construct_case_examples():
     d10 = construct_case(CaseParams("a1", 5, 1, 2))
     assert d10.order == 10
@@ -182,6 +204,18 @@ def test_construct_case_invalid_params():
         construct_case(CaseParams("a3", 2, 2, 1, height=1))  # needs C > 1
     with pytest.raises(ParamsInvalid):
         construct_case(CaseParams("a2", 5, 2, 1))  # 5 is not Mersenne
+
+
+def test_construct_a3_takes_d():
+    # n = 1: q = (p - 1)/d prime, H = C_q^h acting through C_q
+    group = construct_case(CaseParams("a3", 7, 1, 2, height=2))
+    assert group.order == 7 * 9
+    assert analyze_structure(group).case_tag == "a3"
+    # n >= 2 needs d = p - 1: (3^3 - 1)/1 = 26 is not prime
+    with pytest.raises(ParamsInvalid, match="must be prime"):
+        construct_case(CaseParams("a3", 3, 3, 1, height=2))
+    with pytest.raises(ParamsInvalid, match="divide"):
+        construct_case(CaseParams("a3", 7, 1, 4, height=2))
 
 
 def test_constructed_frobenius_property():

@@ -63,7 +63,8 @@ def test_output_digest(key, seed):
 
 
 # the default sweep, the classify benchmark's four points, and the corpus
-# groups built by affine_semidirect(3, 2, ...) and extraspecial_semidirect(3, ...)
+# groups built by affine_semidirect(3, 2, ...) and extraspecial_semidirect,
+# so every extraspecial group of the corpus and the default sweep
 GROUP_FILES = {
     "a1(p=2,n=1,d=1,h=1)": "6d35d417206a86571570e00deebb0e33c791d4b0535664b473419a63ad21498a",
     "a1(p=2,n=2,d=1,h=1)": "472c51870346d9915b14f5426dd3ff7558172763213f19714a144f049ab96beb",
@@ -114,6 +115,8 @@ GROUP_FILES = {
     "C3^2:Q8": "d49945ac9aadcf63a6d42572d9da27301fb21201b08f2cfeb4944f26da5ba2bb",
     "Heis3:C8": "00fa40502b4673cb039f50dd042fc304b5e3e7eb54938f50e490f933fc02c74f",
     "Heis3:Q8": "11d24052d341d683dd1d4f419cac854ddc0adb3167ba60a12ab4066e018f4f9e",
+    "SL(2,3)": "aa8700c48be8088f61f622217721ecd914cbf3ddb19f01fd7d6625b7d987f094",
+    "Q8:C9": "f02c5ee29c8988daa6f9ff609433e1cfbb089047414b12d2af2e671725ac68fe",
 }
 POINTS = {
     params.label(): params
