@@ -83,18 +83,19 @@ The table of a group G is computed in five steps:
 4. degrees from <omega, omega> = |G| / chi(1)^2 mod l, at the least row of
    each Galois orbit only: permuting the classes by c -> c^s keeps the
    form, so the degree holds on the orbit.  Then the values mod l;
-5. exact values, as a k x k int32 array of ids into a pool of the table's
-   few distinct Cyclotomics, found by their coefficients among the lift's
-   rows of each conductor, which the table keeps.  Only at
-   one representative g per power-orbit of classes (the least class c^s, s
-   a unit mod e) does an inverse DFT mod l of the distinct rows of the
-   columns of the powers g^s give the multiplicities of the roots of unity,
-   and so each value at g; each multiplicity row must sum to chi(1).  A
-   unit permutes the rows as it permutes the classes (Brauer's permutation
-   lemma; Isaacs, Character Theory of Finite Groups, 6.32): the
-   (phi(e), k) int32 array pi holds, for the t-th unit s mod e, pi[t, i]
-   the row of chi_i^sigma_s, so chi_i(c^s) = chi_pi[t, i](c).  pi comes
-   only from the descent, with the rows (step 3).  Every column is then one
+5. exact values, as ids into a pool of the table's few distinct
+   Cyclotomics, found by their coefficients among the lift's rows of each
+   conductor, which the table keeps.  Only at the r representatives g, one
+   per power-orbit of classes (the least class c^s, s a unit mod e), does
+   an inverse DFT mod l of the distinct rows of the columns of the powers
+   g^s of the int32 mod-l table give the multiplicities of the roots of
+   unity, and so each value at g, into a (k, r) int32 array of ids; each
+   multiplicity row must sum to chi(1).  A unit permutes the rows as it
+   permutes the classes (Brauer's permutation lemma; Isaacs, Character
+   Theory of Finite Groups, 6.32): the (phi(e), k) int32 array pi holds,
+   for the t-th unit s mod e, pi[t, i] the row of chi_i^sigma_s, so
+   chi_i(c^s) = chi_pi[t, i](c).  pi comes only from the descent, with the
+   rows (step 3).  Every column of the k x k int32 id array is then one
    gather from its representative's, ids[:, g^s] = ids[pi[t], g].  The
    multiplicity checks run before pi is read, so a corrupted mod-l table
    is reported by them.  The rows are sorted by degree, then by the ranks
@@ -105,8 +106,11 @@ The build checks the lift before it reorders the rows: the pool reduced
 mod l, one product per conductor, must give back the mod-l table through
 the id array, and then the mod-l table is dropped.  The finished table is
 verified before it is returned: degree sum, first column and the
-rational-row = rational-class count.  The checks read the k x k arrays a
-block of rows at a time.  Orthogonality is then checked exactly, at every
+rational-row = rational-class count.  Every k x k array that the build
+and the checks do not keep (the lift's inverse-DFT products, the
+expansion of a combination from its least rows, the checks' products) is
+made a block of rows at a time, of the one block size perm._BLOCK_CELLS
+cells (or one row).  Orthogonality is then checked exactly, at every
 table size, at the cost of one row per Galois orbit (Cohen, A Course in
 Computational Algebraic Number Theory, 1993, 1.3.3).  R is the set of
 least rows of the orbits, s' the inverse of a unit s mod e, and
@@ -186,7 +190,6 @@ from .perm import _BLOCK_CELLS, ConjugacyClass, PermGroup, Subgroup, _check_cell
 EXACT_BUDGET = 2**53  # n (p - 1)^2 below it keeps the exact check's products exact
 _LEVEL0_ROUNDS = 64  # refining rounds at level 0 before the descent gives up
 _DESCENT_PASSES = 32  # passes over failing orbits before it does
-_CHECK_CELLS = 1 << 20  # cells of a block of rows of a k x k check or of the lift
 
 
 class TableVerificationError(AssertionError):
@@ -364,26 +367,25 @@ def _roots_mod(polys: np.ndarray, ell: int) -> np.ndarray:
 def _berlekamp_massey(seq: np.ndarray, ell: int) -> np.ndarray:
     """Ascending coefficients of the least monic f = x^L + c_1 x^(L-1) + ...
     + c_L with seq[n] + c_1 seq[n-1] + ... + c_L seq[n-L] = 0 mod l for every
-    n from L to len(seq) - 1 (Massey 1969)."""
-    size = len(seq)
-    conn = np.zeros(size + 1, dtype=np.int64)  # 1 + c_1 x + ... + c_L x^L
-    conn[0] = 1
-    prev = conn.copy()  # the connection polynomial before the last length change
+    n from L to len(seq) - 1 (Massey 1969), as an int64 array.  The
+    sequences are short, so the recurrence runs on Python ints."""
+    seq = seq.tolist()
+    conn = [1] + [0] * len(seq)  # 1 + c_1 x + ... + c_L x^L
+    prev = conn  # the connection polynomial before the last length change
     length, gap, last = 0, 1, 1
-    for n in range(size):
-        d = int(seq[n - length : n + 1] @ conn[length::-1]) % ell
+    for n in range(len(seq)):
+        d = sum(c * s for c, s in zip(conn[: length + 1], seq[n::-1])) % ell
         if not d:
             gap += 1
             continue
         coef = d * pow(last, ell - 2, ell) % ell
-        grows = 2 * length <= n
-        kept = conn.copy() if grows else None
-        conn[gap:] = (conn[gap:] - coef * prev[: size + 1 - gap]) % ell
-        if grows:
+        kept = conn
+        conn = conn[:gap] + [(c - coef * q) % ell for c, q in zip(conn[gap:], prev)]
+        if 2 * length <= n:
             length, prev, last, gap = n + 1 - length, kept, d, 1
         else:
             gap += 1
-    return conn[length::-1].copy()
+    return np.array(conn[length::-1], dtype=np.int64)
 
 
 def _krylov(vectors: np.ndarray, a: np.ndarray, bound: int, ell: int, form):
@@ -481,15 +483,16 @@ class _Products:
                 yield held[lo : lo + step], products[lo : lo + step], classes
 
     def combination(self, rows: np.ndarray, coeffs: np.ndarray, support: np.ndarray) -> np.ndarray:
-        """The float64 k x k matrix of sum_c coeffs[c] M_c, c over the
-        support, acting on rows (x -> x @ result): row m, for the given rows
-        (the others are 0), sums coeffs[c] at j over the x in C_c with
+        """The given rows m, ascending, of the float64 k x k matrix of
+        sum_c coeffs[c] M_c, c over the support, acting on rows
+        (x -> x @ matrix): row m sums coeffs[c] at j over the x in C_c with
         x^-1 . z_m in C_j, exactly while |G| l < 2**53 (not reduced mod l)."""
         k = len(self.reps)
-        out = np.zeros((k, k))
+        out = np.zeros((len(rows), k))
         for at, products, classes in self.blocks(rows, support):
             flat = products + (np.arange(len(at)) * k)[:, None]
             weights = np.tile(coeffs[classes].astype(np.float64), len(at))
+            at = np.searchsorted(rows, at)
             out[at] += np.bincount(flat.ravel(), weights, minlength=len(at) * k).reshape(-1, k)
         return out
 
@@ -503,7 +506,8 @@ def _invariant_combinations(products: _Products, power_maps: np.ndarray, ell: in
     Such a combination is fixed by T: its entry (m^t, j^t) is its entry
     (m, j), because class multiplication coefficients are rational and so
     fixed by the Galois action.  Only the rows of the least classes are
-    summed; row r^t is read off row r, its entry j^t being that of j.
+    summed; row r^t is read off row r, its entry j^t being that of j, a
+    block of rows at a time.
     """
     k, e = power_maps.shape
     units = _units_mod(e)
@@ -514,12 +518,14 @@ def _invariant_combinations(products: _Products, power_maps: np.ndarray, ell: in
     def draw(orbits, support: np.ndarray) -> np.ndarray:
         rep_of, step = orbits
         coeffs = rng.integers(0, ell, size=k, dtype=np.int64)[rep_of] * support
-        reps = np.flatnonzero(rep_of == np.arange(k))
-        summed = products.combination(reps, coeffs, support)
-        if len(reps) == k:
+        is_rep = rep_of == np.arange(k)
+        summed = products.combination(np.flatnonzero(is_rep), coeffs, support)
+        if is_rep.all():
             return summed
-        # entry (r^t, j) is entry (r, j^(1/t))
-        return np.take(summed, (rep_of * k)[:, None] + classes_to[inverse[step]])
+        out, at = np.empty((k, k)), (np.cumsum(is_rep) - 1)[rep_of] * k  # row r's, flat
+        for r in _row_blocks(k):  # entry (r^t, j) is entry (r, j^(1/t))
+            out[r] = np.take(summed, at[r, None] + classes_to[inverse[step[r]]])
+        return out
 
     return draw
 
@@ -538,7 +544,8 @@ def _eigen_checker(products: _Products, least: np.ndarray, ell: int, rng):
             least[:] |= (counts > 1).any()
         images = np.zeros(coeffs.shape, dtype=np.int64)  # column t: M_t r_t
         for at, held, classes in products.blocks(np.arange(len(least)), least):
-            images[at] += (probes[held] * coeffs[classes] % ell).sum(axis=1)  # [m, x, t] summed
+            for t, (probe, coeff) in enumerate(zip(probes.T, coeffs.T)):  # one probe at a time
+                images[at, t] += (probe[held] * coeff[classes] % ell).sum(axis=1)  # [m, x] summed
         lam = fpmat.mul(rows, coeffs * least[:, None], ell)
         rhs = fpmat.mul(rows, probes, ell) * lam % ell
         return (counts[inverse] > 1) | (fpmat.mul(rows, images % ell, ell) != rhs).any(axis=1)
@@ -755,7 +762,7 @@ def _degrees_from_omegas(group, omegas: np.ndarray, ell: int, size_inv, inv_clas
     """chi(1) from <omega, omega> = |G| / chi(1)^2 mod l, a block of rows at a time."""
     forms = np.concatenate([
         (omegas[r] * omegas[r][:, inv_class] % ell * size_inv % ell).sum(axis=1) % ell
-        for r in _row_blocks(len(omegas))
+        for r in _row_blocks(*omegas.shape)
     ])
     squares = np.array([group.order * pow(int(s), ell - 2, ell) % ell for s in forms])
     root = np.zeros(ell, dtype=np.int64)  # root[t^2 mod l] = t for 0 < t <= l/2
@@ -794,15 +801,15 @@ def _inverse_dft(m: int, e: int, ell: int, w_e: int) -> np.ndarray:
 
 
 def _lift_values(group, table_mod: np.ndarray, ell: int, w_e: int, galois: np.ndarray):
-    """(ids, pool, by_conductor): exact values from the mod-l table, as a
-    k x k int32 array of ids into a pool of distinct Cyclotomics, given the
-    (phi(e), k) Galois row permutations pi of its rows (step 5 of the module
-    docstring), and the pool by conductor: m -> (pool ids, their
-    coefficient rows at m)."""
+    """(ids, pool, by_conductor): exact values from the integer mod-l table,
+    as a k x k int32 array of ids into a pool of distinct Cyclotomics, given
+    the (phi(e), k) Galois row permutations pi of its rows (step 5 of the
+    module docstring), and the pool by conductor: m -> (pool ids, their
+    coefficient rows at m).  The ids are found at the r representatives of
+    the power-orbits, into a (k, r) array, and gathered from it."""
     classes = group.conjugacy_classes()
     power_maps = group.power_maps
     k, e = power_maps.shape
-    ids = np.full(table_mod.shape, -1, dtype=np.int32)
     pool: list[Cyclotomic] = []
     by_conductor: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -829,16 +836,14 @@ def _lift_values(group, table_mod: np.ndarray, ell: int, w_e: int, galois: np.nd
                 out[pick] = add(rows, first[pick], at)
         return out[inverse]
 
-    if ell >= 2**31:
-        raise ValueError("the Dixon prime does not fit the int32 row keys")
-    rows = table_mod.astype(np.int32)
-    units = _units_mod(e)
-    rep_of, step = _orbits(power_maps, units)  # one representative per power-orbit
-    for j in np.flatnonzero(rep_of == np.arange(k)).tolist():
+    rep_of, step = _orbits(power_maps, _units_mod(e))  # one representative per power-orbit
+    is_rep = rep_of == np.arange(k)
+    rep_ids = np.empty((k, int(is_rep.sum())), dtype=np.int32)
+    for q, j in enumerate(np.flatnonzero(is_rep).tolist()):
         m = classes[j].order
         # inverse DFT of the distinct rows of the columns of the classes g^s:
         # mult[t] = m^{-1} sum_s table[:, class(g^s)] w_m^{-st}, w_m = w_e^(e/m)
-        cols = np.take(rows, power_maps[j, :m], axis=1)
+        cols = np.take(table_mod, power_maps[j, :m], axis=1)
         first, inverse = _distinct_rows(cols)
         cached = m * m <= 4 * _BLOCK_CELLS  # m <= 512
         dft = (_inverse_dft if cached else _inverse_dft.__wrapped__)(m, e, ell, w_e)
@@ -848,22 +853,24 @@ def _lift_values(group, table_mod: np.ndarray, ell: int, w_e: int, galois: np.nd
         # chi(g) is a sum of chi(1) = table_mod[:, 0] roots of unity (Isaacs, Lemma 2.15)
         if not np.array_equal(mults.sum(axis=1)[inverse], table_mod[:, 0]):
             raise TableVerificationError("root-of-unity multiplicities do not sum to chi(1)")
-        ids[:, j] = intern(_galois_image(mults, _monomials(m), 1), m)[inverse]
+        rep_ids[:, q] = intern(_galois_image(mults, _monomials(m), 1), m)[inverse]
     # chi_i(rep^s) = chi_pi_s(i)(rep): every column is a gather of its
     # representative's, made a block of columns at a time
-    out, at = np.empty_like(ids), _unit_index(e)[step]
+    ids, at, col = np.empty((k, k), np.int32), _unit_index(e)[step], (np.cumsum(is_rep) - 1)[rep_of]
     for c in _row_blocks(k):
-        out[:, c] = ids[galois[at[c]].T, rep_of[c]]
-    return out, pool, by_conductor
+        ids[:, c] = rep_ids[galois[at[c]].T, col[c]]
+    return ids, pool, by_conductor
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(first, inverse) for integer rows: the index of one row per distinct
-    row, in byte order, and for each row the position of its own among them."""
+    row, in byte order, and for each row the position of its own among them.
+    Neighbours in that order are compared a block of rows at a time."""
     keys = _void(rows)
     order = np.argsort(keys)
     new = np.ones(len(keys), dtype=bool)
-    new[1:] = keys[order[1:]] != keys[order[:-1]]
+    for r in _row_blocks(len(keys) - 1, max(1, rows.shape[1])):
+        new[r.start + 1 : r.stop + 1] = keys[order[r.start + 1 : r.stop + 1]] != keys[order[r]]
     inverse = np.empty(len(keys), dtype=np.intp)
     inverse[order] = np.cumsum(new) - 1
     return order[new], inverse
@@ -910,17 +917,20 @@ def _build_table(group: PermGroup, seed: int) -> CharacterTable:
     # a degree is constant on its Galois orbit: one per orbit's least row
     reps, orbit_of = np.unique(galois.min(axis=0), return_inverse=True)
     degrees = _degrees_from_omegas(group, omegas[reps], ell, size_inv, inv_class)[orbit_of]
-    table_mod = omegas  # omega chi(1) / |C_c| mod l, in place
-    table_mod *= degrees[:, None]
-    table_mod %= ell
-    table_mod *= size_inv
-    table_mod %= ell
+    omegas *= degrees[:, None]  # omega chi(1) / |C_c| mod l, in place
+    omegas %= ell
+    omegas *= size_inv
+    omegas %= ell
+    if ell >= 2**31:
+        raise ValueError("the Dixon prime does not fit the int32 mod-l table")
+    table_mod = omegas.astype(np.int32)  # held once, for the lift and its check
+    del omegas
 
     w_e = _find_root_of_unity(ell, e)
     ids, pool, by_conductor = _lift_values(group, table_mod, ell, w_e, galois)
     # lifted values must reduce back to the mod-l table, which is then dropped
     _check_lift(ids, by_conductor, len(pool), table_mod, e, ell)
-    del omegas, table_mod
+    del table_mod
 
     # deterministic row order: by degree, then the rendered values; equal ids
     # are equal values, so each pool value is rendered once and ranked.  Rows
@@ -931,8 +941,10 @@ def _build_table(group: PermGroup, seed: int) -> CharacterTable:
     ranks = np.array([rank[label] for label in labels], dtype=">i4")
     keys = np.empty((k, k + 1), dtype=">i4")
     keys[:, 0] = degrees
-    np.take(ranks, ids, out=keys[:, 1:])
+    for r in _row_blocks(k):
+        keys[r, 1:] = ranks[ids[r]]
     order = np.argsort(_void(keys), kind="stable")
+    del keys  # before the reordered copy of ids
     where = np.empty(k, dtype=np.int32)
     where[order] = np.arange(k)
     table = CharacterTable(
@@ -1075,8 +1087,8 @@ def _find_rows(rows: np.ndarray, among: np.ndarray) -> np.ndarray:
 
 def _row_blocks(n: int, width: int | None = None) -> list[slice]:
     """Slices of consecutive rows of an n x width array (width n by
-    default), _CHECK_CELLS cells (or one row) each."""
-    step = max(1, _CHECK_CELLS // (n if width is None else width))
+    default), _BLOCK_CELLS cells (or one row) each: the one block size."""
+    step = max(1, _BLOCK_CELLS // (n if width is None else width))
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 

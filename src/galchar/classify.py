@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import fpmat
-from .chartab import CharacterTable, character_table
+from .chartab import CharacterTable, _distinct_rows, character_table
 from .numth import factorize, is_mersenne_prime, is_prime, is_prime_power, primitive_root
 from .perm import (
     ORDER_BOUND,
@@ -350,7 +350,7 @@ def _recorder(checklist: dict):
 
 def _distinct_kernels(table: CharacterTable, part: IrrPartition) -> int:
     """The exceptional characters' distinct kernels: rows of the kernel mask."""
-    return len(np.unique(table.kernels()[0][list(part.exceptional)], axis=0))
+    return len(_distinct_rows(table.kernels()[0][list(part.exceptional)])[0])
 
 
 def _structural_checklist(group, table, part, report, seed, record) -> None:

@@ -85,7 +85,7 @@ from .numth import factorize, is_prime_power, unit_generators
 
 ORDER_BOUND = 500_000
 CELL_BUDGET = 40_000_000  # cells of the largest derived array (k e, k^2 or products kept)
-_BLOCK_CELLS = 1 << 16  # cells of a block of an array built or read in blocks: 0.5 MiB of int64
+_BLOCK_CELLS = 1 << 16  # the one block size: cells of a block of any array built or read in blocks
 
 
 class OrderBoundExceeded(RuntimeError):

@@ -283,3 +283,12 @@ def test_find_complement_matches_the_earlier_loop(monkeypatch):
             ours, ref = find_complement(group, psub, seed=seed), reference_complement(group, psub, seed)
             assert np.array_equal(ours.ids, ref.ids), (label, seed)
             assert np.array_equal(ours.gen_ids, ref.gen_ids), (label, seed)
+
+
+def test_distinct_kernels_are_the_distinct_rows_of_the_kernel_mask(corpus_keys, get_table):
+    for key in corpus_keys:
+        table = get_table(key)
+        part = irr_partition(table)
+        if part.exceptional:
+            rows = table.kernels()[0][sorted(part.exceptional)]
+            assert classify._distinct_kernels(table, part) == len(np.unique(rows, axis=0))

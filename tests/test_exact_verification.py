@@ -382,18 +382,19 @@ CORRUPTIONS = [  # each takes the table and a monkeypatch, which two of them use
 @pytest.mark.parametrize("corrupt", CORRUPTIONS, ids=[c.__name__[5:] for c in CORRUPTIONS])
 def test_checks_read_in_small_blocks_fail_alike(corrupt, a7h3_group, monkeypatch):
     # the k x k checks read blocks of rows; with two rows per block the
-    # corruptions that the default single block catches must still be caught
-    monkeypatch.setattr(chartab, "_CHECK_CELLS", 2 * 63)
+    # corruptions that the default blocks catch must still be caught
+    monkeypatch.setattr(chartab, "_BLOCK_CELLS", 2 * 63)
     corrupt(character_table(a7h3_group, seed=1), monkeypatch)
 
 
 def test_small_blocks_build_and_verify_the_same_table(monkeypatch):
-    # every array built or read in blocks, here a few cells each, gives the
-    # table the default blocks give, and passes the same checks
+    # every array built or read in blocks, here a few cells each (so the
+    # expansion of a combination from its least rows and the lift's
+    # gathers run a row or a few at a time), gives the table the default
+    # blocks give, and passes the same checks
     groups = [construct_case(CaseParams("a7", 2, 2, 1, 3)), construct_case(CaseParams("a3", 2, 2, 1, 2))]
     expected = [(t.to_dict(), mod_table(t), t.galois) for t in map(character_table, groups)]
-    monkeypatch.setattr(chartab, "_BLOCK_CELLS", 300)
-    monkeypatch.setattr(chartab, "_CHECK_CELLS", 100)
+    monkeypatch.setattr(chartab, "_BLOCK_CELLS", 100)
     for group, (doc, table_mod, galois) in zip(groups, expected):
         table = character_table(group)  # verified in blocks of one row
         assert table.to_dict() == doc

@@ -1,6 +1,6 @@
 """Image arrays in the narrowest unsigned type: the type chosen, products
 that would wrap if any arithmetic stayed in it, class representatives kept
-as rows, and the memory that building a group takes."""
+as rows, and the memory that building a group or a table takes."""
 import tracemalloc
 
 import numpy as np
@@ -91,3 +91,21 @@ def test_a_second_table_takes_every_inverse_dft_from_the_cache():
     assert before.misses == before.currsize == len(orders)  # one matrix per order
     assert after.misses == before.misses and after.hits > before.hits
     assert second.text_lines() == first.text_lines()
+
+
+def test_a_table_peaks_at_a_few_mb_above_its_start():
+    # with the classes built and the caches warm, what a7(h=5)'s table
+    # (k = 567) allocates beside the arrays it keeps stays within one block:
+    # a k x k table of -1s, a k x k int64 index of a combination's
+    # expansion and int64 blocks of 2^20 cells once took it to 18.0 MB
+    group = construct_case(CaseParams("a7", 2, 2, 1, 5))
+    character_table(group)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        table = character_table(group)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.n_classes == 567
+    assert peak - start < 12e6

@@ -137,6 +137,47 @@ def test_class_matrix_annihilator_is_the_reference_or_refused(build, seeds):
     assert accepted >= seeds // 2
 
 
+def reference_berlekamp_massey(seq, ell):
+    """Berlekamp-Massey with the connection polynomial as one int64 array."""
+    size = len(seq)
+    conn = np.zeros(size + 1, dtype=np.int64)
+    conn[0] = 1
+    prev = conn.copy()
+    length, gap, last = 0, 1, 1
+    for n in range(size):
+        d = int(seq[n - length : n + 1] @ conn[length::-1]) % ell
+        if not d:
+            gap += 1
+            continue
+        coef = d * pow(last, ell - 2, ell) % ell
+        kept = conn.copy()
+        conn[gap:] = (conn[gap:] - coef * prev[: size + 1 - gap]) % ell
+        if 2 * length <= n:
+            length, prev, last, gap = n + 1 - length, kept, d, 1
+        else:
+            gap += 1
+    return conn[length::-1].copy()
+
+
+@pytest.mark.parametrize("ell", [7, 101, 2917])
+def test_berlekamp_massey_matches_the_array_version(ell):
+    # sequences with a short recurrence, random ones and ones with zeros
+    rng = np.random.default_rng(ell)
+    for trial in range(200):
+        size = int(rng.integers(0, 40))
+        seq = rng.integers(0, ell, size=size, dtype=np.int64)
+        if trial % 3 == 0 and size > 4:
+            for n in range(3, size):
+                seq[n] = (seq[n - 1] + 2 * seq[n - 3]) % ell
+        elif trial % 3 == 1:
+            seq[rng.random(size) < 0.5] = 0
+        f = chartab._berlekamp_massey(seq, ell)
+        assert f.dtype == np.int64 and f[-1] == 1
+        assert np.array_equal(f, reference_berlekamp_massey(seq, ell))
+        for n in range(len(f) - 1, size):  # f's recurrence holds on seq
+            assert int(seq[n - len(f) + 1 : n + 1] @ f) % ell == 0
+
+
 def test_isotropic_probe_is_refused():
     # a = diag(1, 1, 2) under the form sum_c x[c] y[c]: the first probe's part
     # (1, 10, 0) of the 1-eigenspace has norm 101 = 0 mod 101, so its
