@@ -106,11 +106,10 @@ The build checks the lift before it reorders the rows: the pool reduced
 mod l, one product per conductor, must give back the mod-l table through
 the id array, and then the mod-l table is dropped.  The finished table is
 verified before it is returned: degree sum, first column and the
-rational-row = rational-class count.  Every k x k array that the build
-and the checks do not keep (the lift's inverse-DFT products, the
-expansion of a combination from its least rows, the checks' products) is
-made a block of rows at a time, of the one block size perm._BLOCK_CELLS
-cells (or one row).  Orthogonality is then checked exactly, at every
+rational-row = rational-class count.  Their temporaries (the lift's
+inverse-DFT products, the expansion of a combination from its least rows,
+the checks' products) are made a block of rows at a time, of the one
+block size perm._BLOCK_CELLS cells (or one row).  Orthogonality is then checked exactly, at every
 table size, at the cost of one row per Galois orbit (Cohen, A Course in
 Computational Algebraic Number Theory, 1993, 1.3.3).  R is the set of
 least rows of the orbits, s' the inverse of a unit s mod e, and
@@ -492,8 +491,8 @@ class _Products:
         for at, products, classes in self.blocks(rows, support):
             flat = products + (np.arange(len(at)) * k)[:, None]
             weights = np.tile(coeffs[classes].astype(np.float64), len(at))
-            at = np.searchsorted(rows, at)
-            out[at] += np.bincount(flat.ravel(), weights, minlength=len(at) * k).reshape(-1, k)
+            summed = np.bincount(flat.ravel(), weights, minlength=len(at) * k).reshape(-1, k)
+            out[np.searchsorted(rows, at)] += summed
         return out
 
 
@@ -522,7 +521,7 @@ def _invariant_combinations(products: _Products, power_maps: np.ndarray, ell: in
         summed = products.combination(np.flatnonzero(is_rep), coeffs, support)
         if is_rep.all():
             return summed
-        out, at = np.empty((k, k)), (np.cumsum(is_rep) - 1)[rep_of] * k  # row r's, flat
+        out, at = np.empty((k, k)), (np.cumsum(is_rep) - 1)[rep_of] * k  # c's row in summed, flat
         for r in _row_blocks(k):  # entry (r^t, j) is entry (r, j^(1/t))
             out[r] = np.take(summed, at[r, None] + classes_to[inverse[step[r]]])
         return out
@@ -793,9 +792,11 @@ def _inverse_dft(m: int, e: int, ell: int, w_e: int) -> np.ndarray:
     """The read-only m x m matrix w_m^-(s t) over F_l, w_m = w_e^(e/m), in
     fpmat.mul's dtype for rows of length m.  _lift_values takes it from the
     cache where it has at most 4 _BLOCK_CELLS cells (m <= 512) and builds it
-    otherwise."""
+    otherwise.  It is filled a block of rows at a time."""
     powers = np.array([pow(w_e, -(e // m) * t, ell) for t in range(m)])  # w_m^-t
-    out = powers[np.outer(np.arange(m), np.arange(m)) % m].astype(fpmat.exact_dtype(m, ell))
+    out, ts = np.empty((m, m), dtype=fpmat.exact_dtype(m, ell)), np.arange(m)
+    for r in _row_blocks(m):
+        out[r] = powers[np.outer(ts[r], ts) % m]
     out.flags.writeable = False
     return out
 
@@ -853,6 +854,7 @@ def _lift_values(group, table_mod: np.ndarray, ell: int, w_e: int, galois: np.nd
         # chi(g) is a sum of chi(1) = table_mod[:, 0] roots of unity (Isaacs, Lemma 2.15)
         if not np.array_equal(mults.sum(axis=1)[inverse], table_mod[:, 0]):
             raise TableVerificationError("root-of-unity multiplicities do not sum to chi(1)")
+        del cols, dft  # before the coefficient rows are made
         rep_ids[:, q] = intern(_galois_image(mults, _monomials(m), 1), m)[inverse]
     # chi_i(rep^s) = chi_pi_s(i)(rep): every column is a gather of its
     # representative's, made a block of columns at a time
@@ -869,7 +871,7 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     keys = _void(rows)
     order = np.argsort(keys)
     new = np.ones(len(keys), dtype=bool)
-    for r in _row_blocks(len(keys) - 1, max(1, rows.shape[1])):
+    for r in _row_blocks(len(keys) - 1, rows.shape[1]):
         new[r.start + 1 : r.stop + 1] = keys[order[r.start + 1 : r.stop + 1]] != keys[order[r]]
     inverse = np.empty(len(keys), dtype=np.intp)
     inverse[order] = np.cumsum(new) - 1
@@ -909,6 +911,8 @@ def _build_table(group: PermGroup, seed: int) -> CharacterTable:
     _check_conductor(classes[-1].order)
     e = group.exponent
     ell = find_dixon_prime(e, group.order)
+    if ell >= 2**31:
+        raise ValueError("the Dixon prime does not fit the int32 mod-l table")
 
     sizes = np.array([c.size for c in classes], dtype=np.int64)
     size_inv = np.array([pow(int(s), ell - 2, ell) for s in sizes], dtype=np.int64)
@@ -921,8 +925,6 @@ def _build_table(group: PermGroup, seed: int) -> CharacterTable:
     omegas %= ell
     omegas *= size_inv
     omegas %= ell
-    if ell >= 2**31:
-        raise ValueError("the Dixon prime does not fit the int32 mod-l table")
     table_mod = omegas.astype(np.int32)  # held once, for the lift and its check
     del omegas
 
