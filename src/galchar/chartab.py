@@ -79,7 +79,9 @@ The table of a group G is computed in five steps:
    (x M_c)[0] = x(c), lies in the span of the omega_j equal to x on S.  k
    rows pairwise distinct on S meet k disjoint nonempty sets of the k
    omega_j, so each meets one, and x[0] = 1 = omega_j(1) makes x = omega_j.
-   Everything is deterministic given the seed;
+   Everything is deterministic given the seed: the descent draws from
+   random.Random(f"descent:{seed}"), the eigen-check from (f"check:{seed}"),
+   uniformly by rejection of 64-bit words (_uniform);
 4. degrees from <omega, omega> = |G| / chi(1)^2 mod l, at the least row of
    each Galois orbit only: permuting the classes by c -> c^s keeps the
    form, so the degree holds on the orbit.  Then the values mod l;
@@ -146,9 +148,9 @@ Gram(x, y) = sum_c |C_c| x(c) conj y(c):
   exact, are taken largest first until their product exceeds
   2 (B + |G|); usually one suffices.  For each, the pool is reduced
   under zeta_e -> an element of order e in F_p, and one product of the r
-  rows of R, times |C_c| at c^-1, by the k x k right factor checks
-  Gram(chi_rho, .); agreement mod every p is exact equality.  If the
-  primes run out first, verification fails.
+  rows of R, times |C_c| at c^-1, by the k x k right factor, made a block
+  of its columns at a time, checks Gram(chi_rho, .); agreement mod every p
+  is exact equality.  If the primes run out first, verification fails.
 - Frobenius-Schur indicators.  Mod each of those primes, one product over
   the square power-map column gives sum_c |C_c| chi(c^2) on R, which must
   be nu |G| with nu in {-1, 0, 1} the same for every prime, and nu != 0
@@ -516,7 +518,7 @@ def _invariant_combinations(products: _Products, power_maps: np.ndarray, ell: in
 
     def draw(orbits, support: np.ndarray) -> np.ndarray:
         rep_of, step = orbits
-        coeffs = rng.integers(0, ell, size=k, dtype=np.int64)[rep_of] * support
+        coeffs = _uniform(rng, ell, k)[rep_of] * support
         is_rep = rep_of == np.arange(k)
         summed = products.combination(np.flatnonzero(is_rep), coeffs, support)
         if is_rep.all():
@@ -534,7 +536,7 @@ def _eigen_checker(products: _Products, least: np.ndarray, ell: int, rng):
     fails the eigen-check of step 3 of the module docstring over S = least,
     which widens in place to every class unless the rows are distinct on S.
     lambda = (x M)[0] = x . c for the coefficients c: x^-1 z_m = 1 iff x = z_m."""
-    coeffs, probes = rng.integers(0, ell, (2, len(least), ceil(30 / log2(ell / 2))), dtype=np.int64)
+    coeffs, probes = _uniform(rng, ell, (2, len(least), ceil(30 / log2(ell / 2))))
 
     def failing(rows: np.ndarray) -> np.ndarray:
         for _ in range(2):  # S widens to every class if two rows are equal on it
@@ -585,13 +587,13 @@ def _descent_levels(power_maps: np.ndarray) -> list[tuple[tuple, int]]:
     and the level would split nothing."""
     units = _units_mod(power_maps.shape[1])
     levels, size, modulus = [], len(units), 1
-    count = len(np.unique(_orbits(power_maps, units)[0]))
+    count = np.count_nonzero(np.bincount(_orbits(power_maps, units)[0]))
     for p, a in sorted(factorize(power_maps.shape[1]).items()):
         for _ in range(a):
             modulus *= p
             subgroup = units[units % modulus == 1]
             orbits = _orbits(power_maps, subgroup)
-            finer = len(np.unique(orbits[0]))
+            finer = np.count_nonzero(np.bincount(orbits[0]))
             if finer > count:
                 levels.append((orbits, size // len(subgroup)))
             size, count = len(subgroup), finer
@@ -633,7 +635,7 @@ class _Descent:
             if not len(todo):
                 omegas, galois = _galois_rows(lines, self.power_maps, self.ell, self.rng)
                 line_of = np.unique(galois.min(axis=0), return_inverse=True)[1]  # by orbit
-                todo = np.unique(line_of[self.failing(omegas)])
+                todo = np.flatnonzero(np.bincount(line_of[self.failing(omegas)]))
                 if not len(todo) and len(omegas) < len(lines[0]):
                     raise TableVerificationError("the eigenline conjugates give fewer than k rows")
                 if not len(todo):
@@ -651,7 +653,7 @@ class _Descent:
         power-orbits of classes (step 3 of the module docstring)."""
         k, e = self.power_maps.shape
         orbits = _orbits(self.power_maps, _units_mod(e))
-        r = len(np.unique(orbits[0]))
+        r = np.count_nonzero(np.bincount(orbits[0]))
         vectors = np.zeros((1, k), dtype=np.int64)
         vectors[0, 0] = 1
         while len(vectors) < r:
@@ -685,7 +687,7 @@ class _Descent:
             live = np.flatnonzero(ok)
             if not len(live):
                 break
-            a = self._matrix(orbits, np.isin(orbits[0], orbits[0][least]))
+            a = self._matrix(orbits, np.bincount(orbits[0][least], minlength=len(least))[orbits[0]] > 0)
             chain, found = self._annihilators(vectors[live], a, index)
             quotients = np.zeros((len(live), index), dtype=self.dtype)
             for j, fr in enumerate(found):
@@ -740,7 +742,7 @@ def _galois_rows(lines: np.ndarray, power_maps: np.ndarray, ell: int, rng):
     units = _units_mod(e)
     position = _unit_index(e)
     columns = power_maps[:, units].T  # row s: c -> c^s
-    z = rng.integers(0, 2**53 // (k * ell), size=k).astype(np.float64)
+    z = _uniform(rng, 2**53 // (k * ell), k).astype(np.float64)
     scattered = np.empty(columns.shape)
     scattered[np.arange(len(units))[:, None], columns] = z
     prints = lines.astype(np.float64) @ scattered.T  # exact: k l z < 2**53
@@ -957,13 +959,28 @@ def _build_table(group: PermGroup, seed: int) -> CharacterTable:
     return table
 
 
+def _uniform(rng, high: int, shape) -> np.ndarray:
+    """Draws uniform on [0, high) from rng, a random.Random: little-endian 64-bit
+    words of rng.randbytes below the largest multiple of high up to 2**64, mod
+    high, the others drawn again.  int64 (uint64 for high above 2**63)."""
+    out = np.empty(shape, dtype=np.uint64)
+    flat, todo, last = out.reshape(-1), np.arange(out.size), np.uint64(2**64 - 1 - 2**64 % high)
+    while len(todo):
+        words = np.frombuffer(rng.randbytes(8 * len(todo)), dtype="<u8")
+        kept = words <= last
+        flat[todo[kept]] = words[kept] % np.uint64(high)
+        todo = todo[~kept]
+    return out.astype(np.int64 if high <= 2**63 else np.uint64)
+
+
 def _split(group: PermGroup, ell: int, seed: int, size_inv, inv_class):
     """(omegas, galois, split): the eigenlines (step 3 of the module
     docstring) as class functions with value 1 at the identity class, their
     Galois row permutations, and how they were found.  S (least) is the least
     class of each power-orbit of classes."""
+    from random import Random  # already loaded by classify
     # the descent and the eigen-check draw from streams of their own
-    descent_rng, check_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
+    descent_rng, check_rng = Random(f"descent:{seed}"), Random(f"check:{seed}")
     products, power_maps = _Products(group), group.power_maps
     least = _orbits(power_maps, _units_mod(group.exponent))[0] == np.arange(len(power_maps))
     failing = _eigen_checker(products, least, ell, check_rng)  # widens least in place
@@ -1007,13 +1024,13 @@ def verify_orthogonality_exact(table: CharacterTable) -> None:
     value pool and the row permutations pi, an integer bound on the Gram
     entries, and per prime one product of the rows of one character per
     Galois orbit against all rows, modulo enough primes to exceed the bound
-    (see the module docstring).  Besides the id array, one k x k array is
-    kept at a time, the right factor of the product."""
+    (see the module docstring).  Besides the id array and the pool mod p,
+    the products are made a block of rows and of columns at a time."""
     by_conductor = table.by_conductor
     ids, e, k = table.value_ids, table.exponent, table.n_classes
     powers = table.group.power_maps
     _check_galois_action(table, by_conductor, powers)
-    reps = np.unique(table.galois.min(axis=0))  # the least row of each orbit
+    reps = np.flatnonzero(np.bincount(table.galois.min(axis=0)))  # the least row of each orbit
     order = table.group.order
     sizes = np.array([c.size for c in table.classes], dtype=np.int64)
     inv, square = powers[:, -1], powers[:, 2 % e]
@@ -1032,14 +1049,14 @@ def verify_orthogonality_exact(table: CharacterTable) -> None:
     indicators = None
     for p in _gram_primes(e, width, bound):
         x = _pool_mod(by_conductor, len(table.value_pool), e, p)
-        right = x[ids].T  # sum_c |C_c| chi(c^-1) psi(c) = sum_c |C_c| chi(c) conj psi(c)
         for r in _row_blocks(len(reps), k):
             # float64 x |C_c| < p |G| < 2^53
-            gram = fpmat.mul(x[rep_ids[r][:, inv]] * sizes % p, right, p)
+            left = x[rep_ids[r][:, inv]] * sizes % p
+            # sum_c |C_c| chi(c^-1) psi(c) = sum_c |C_c| chi(c) conj psi(c)
+            gram = np.hstack([fpmat.mul(left, x[ids[cols]].T, p) for cols in _row_blocks(k)])
             gram[np.arange(len(gram)), reps[r]] -= order % p
             if gram.any():
                 raise TableVerificationError(f"row orthogonality fails mod {p}")
-        del right
         twisted = fpmat.mul(x[rep_ids[:, square]], sizes[:, None] % p, p)[:, 0]  # sum_c |C_c| chi(c^2)
         nu = np.select([twisted == 0, twisted == order % p, twisted == -order % p], [0, 1, -1], 2)
         if indicators is None:

@@ -388,7 +388,7 @@ def _structural_checklist(group, table, part, report, seed, record) -> None:
     product = np.flatnonzero(group.mask(group.mul(csub.ids[:, None], usub.ids[None, :])))
     record(
         np.array_equal(product, ksub.ids)
-        and len(np.intersect1d(csub.ids, usub.ids)) == 1
+        and np.count_nonzero(group.mask(csub.ids)[usub.ids]) == 1
         and group.centralizer(usub, within=csub) == csub
     )
 

@@ -636,8 +636,9 @@ class Subgroup:
         return len(self.ids)
 
     def contains(self, ids) -> np.ndarray:
-        """Which of the element ids lie in this subgroup."""
-        return np.isin(ids, self.ids)
+        """Which of the element ids lie in this subgroup, read off its mask
+        over the parent's elements."""
+        return self.parent.mask(self.ids)[ids]
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Subgroup):

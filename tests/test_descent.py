@@ -9,6 +9,7 @@ columns.
 """
 import hashlib
 import json
+import random
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from galchar.chartab import (
     _galois_rows,
     _Products,
     _split,
+    _uniform,
     _units_mod,
     character_table,
 )
@@ -157,9 +159,11 @@ def test_c2_8_descends_from_level_zero_refinement():
 
 def test_small_tables_never_run_out_of_passes():
     # C11 at l = 23 has one level of index 10, whose least eigenvalue is often
-    # shared; at seed 17 four passes were not enough
+    # shared; at seed 3646, the least such seed, four passes were not enough
     for seed in range(40):
         character_table(cyclic(11), seed=seed)
+    # one orbit is redone per pass after the first: six passes
+    assert character_table(cyclic(11), seed=3646).split["redone"] == 5
     for group in [cyclic(n) for n in range(2, 40)] + [dihedral(n) for n in range(3, 20)]:
         for seed in range(8):
             character_table(group, seed=seed)
@@ -177,7 +181,7 @@ def test_galois_rows_raise_unless_they_give_k_rows(monkeypatch):
     ell = table.dixon_prime
     omegas = _table_omegas(table)
     lines = omegas[[orbit[0] for orbit in table.galois_orbits()]]
-    rng = np.random.default_rng(0)
+    rng = random.Random(0)
     rows, _ = _galois_rows(lines, group.power_maps, ell, rng)
     assert len(rows) == len(omegas)
     assert len(_galois_rows(lines[1:], group.power_maps, ell, rng)[0]) < len(omegas)
@@ -237,10 +241,10 @@ def test_eigen_check_flags_exactly_the_merged_rows(monkeypatch):
     ell, size_inv, inv_class = _setup(group)
     truth = {row.tobytes() for row in _table_omegas(character_table(group, seed=0))}
     _coarse_last_level(monkeypatch, group)
-    rng = np.random.default_rng(3)
+    rng = random.Random(3)
     products, least = _Products(group), _least(group)
     draw = chartab._invariant_combinations(products, group.power_maps, ell, rng)
-    failing = _eigen_checker(products, least, ell, np.random.default_rng(4))
+    failing = _eigen_checker(products, least, ell, random.Random(4))
     descent = _Descent(draw, group.power_maps, ell, rng, size_inv, inv_class, failing)
     lines, ok = descent._descend(descent._starts(), _descent_levels(group.power_maps), least)
     assert ok.all()  # every chain was accepted
@@ -263,7 +267,7 @@ def test_eigen_check_flags_a_corrupted_row():
     corrupted = [(5, outside[3]), (40, outside[-1]), (62, inside[1]), (7, inside[-1])]
     for seed in range(3):
         s = least.copy()
-        failing = _eigen_checker(_Products(group), s, ell, np.random.default_rng(seed))
+        failing = _eigen_checker(_Products(group), s, ell, random.Random(seed))
         assert not failing(omegas).any()
         for row, col in corrupted:
             bad = omegas.copy()
@@ -299,3 +303,34 @@ def test_a_non_separating_s_widens_to_the_same_table(monkeypatch, key):
     assert table.split["widened"] > 0 and table.split["redone"] > 0
     assert table.to_dict() == expected.to_dict()
     assert np.array_equal(table.galois, expected.galois)
+
+
+def test_uniform_draws_repeat_by_seed_and_cover_the_range():
+    draws = _uniform(random.Random(5), 7, (3, 400))
+    assert np.array_equal(draws, _uniform(random.Random(5), 7, (3, 400)))
+    assert draws.shape == (3, 400) and draws.dtype == np.int64
+    assert 0 <= draws.min() and draws.max() < 7
+    assert np.bincount(draws.ravel()).all() and len(np.bincount(draws.ravel())) == 7
+    assert _uniform(random.Random(5), 2**53 // 3, 9).shape == (9,)
+
+
+class _CountingRandom(random.Random):
+    """A random.Random that records the byte counts asked of randbytes."""
+
+    def randbytes(self, n):
+        self.asked.append(n)
+        return super().randbytes(n)
+
+
+def test_uniform_redraws_the_words_above_the_largest_multiple():
+    # 2**64 % (2**63 + 1) = 2**63 - 1, so a word is kept iff it is at most
+    # 2**63: about half are drawn again
+    high, rng = 2**63 + 1, _CountingRandom(3)
+    rng.asked = []
+    draws = _uniform(rng, high, 1000)
+    assert len(rng.asked) > 2 and 1700 * 8 < sum(rng.asked) < 2300 * 8
+    assert all(0 <= int(v) < high for v in draws.tolist())
+    words = np.frombuffer(random.Random(3).randbytes(8000), dtype="<u8")
+    kept = words <= 2**63
+    assert 400 < kept.sum() < 600
+    assert np.array_equal(draws[kept], words[kept])  # kept words are their own residues

@@ -5,6 +5,9 @@ from __future__ import annotations
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import galchar
@@ -228,3 +231,27 @@ def test_detects_a_defined_name():
     assert _defines("galchar.chartab:Character", "_kernel")  # a slot
     assert not _defines("galchar.perm:Permutation", "__init_subclass__")  # object's
     assert _defines("galchar.numth", "factorize")
+
+
+_TABLE_AND_REPORT = """
+import sys
+from galchar import character_table
+from galchar.classify import analyze_structure
+from galchar.corpus import build
+
+group = build("C7:C3")
+analyze_structure(group, character_table(group))
+print(sorted({"numpy.random", "numpy.ma", "secrets", "hashlib"} & set(sys.modules)))
+"""
+
+
+def test_a_table_and_its_report_load_neither_numpy_random_nor_numpy_ma():
+    # numpy.random brings secrets, hashlib and OpenSSL; numpy.ma is what plain
+    # np.unique, np.isin and np.intersect1d import.  C7:C3 descends two
+    # levels and runs the structural checklist
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", _TABLE_AND_REPORT], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
