@@ -80,8 +80,8 @@ The table of a group G is computed in five steps:
    rows pairwise distinct on S meet k disjoint nonempty sets of the k
    omega_j, so each meets one, and x[0] = 1 = omega_j(1) makes x = omega_j.
    Everything is deterministic given the seed: the descent draws from
-   random.Random(f"descent:{seed}"), the eigen-check from (f"check:{seed}"),
-   uniformly by rejection of 64-bit words (_uniform);
+   random.Random(f"descent:{seed}"), the check from (f"check:{seed}"), a
+   value below n as w mod n from 64-bit words w < 2^64 - (2^64 mod n);
 4. degrees from <omega, omega> = |G| / chi(1)^2 mod l, at the least row of
    each Galois orbit only: permuting the classes by c -> c^s keeps the
    form, so the degree holds on the orbit.  Then the values mod l;
@@ -979,7 +979,7 @@ def _split(group: PermGroup, ell: int, seed: int, size_inv, inv_class):
     Galois row permutations, and how they were found.  S (least) is the least
     class of each power-orbit of classes."""
     from random import Random  # already loaded by classify
-    # the descent and the eigen-check draw from streams of their own
+    # the descent and the eigen-check draw from streams of their own, by _uniform
     descent_rng, check_rng = Random(f"descent:{seed}"), Random(f"check:{seed}")
     products, power_maps = _Products(group), group.power_maps
     least = _orbits(power_maps, _units_mod(group.exponent))[0] == np.arange(len(power_maps))
