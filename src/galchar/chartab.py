@@ -783,8 +783,9 @@ def _find_root_of_unity(ell: int, e: int) -> int:
 @lru_cache(maxsize=None)
 def _monomials(m: int) -> np.ndarray:
     """_monomial_table(m) as a read-only (m, phi(m)) int64 array: row t is
-    z_m^t in the power basis."""
-    out = np.array(_monomial_table(m), dtype=np.int64)
+    z_m^t in the power basis.  It is built past that function's cache, which
+    would keep the same table as tuples."""
+    out = np.array(_monomial_table.__wrapped__(m), dtype=np.int64)
     out.flags.writeable = False
     return out
 

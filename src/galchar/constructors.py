@@ -6,9 +6,18 @@ elements, and cyclic covers acting through a quotient receive an extra
 regular orbit so the kernel stays visible.  A matrix acts on an extraspecial
 group by the automorphism given by its generator images, column j naming
 the image of generator j; _automorphism builds it and refuses images that
-define none, for p = 2 (Q8) and odd p alike.  Parameter points that violate
-the arithmetic of a case, or whose built action fails the Frobenius /
-irreducibility / scalar-transitivity verification, raise ParamsInvalid with
+define none, for p = 2 (Q8) and odd p alike.
+
+The families a1..a7 are one table, CASES.  Each is P x| H, with P either
+(C_p)^n or extraspecial of order p^3 (then n = 2), and H acting through
+matrices: powers s^d of the Singer cycle s of GL(n, p), or a quaternion
+subgroup of SL(2, p).  Each entry gives the rule on (p, n, d, h), which
+refuses every point the family does not build and names why, the type of P,
+and the matrices.  One formula projects every order:
+|G| = |P| |H| = p^(n + 1 if P is extraspecial, else n) ((p^n - 1)/d)^h.
+construct_case and sweep_parameter_points both read the table.  Points the
+rule admits but whose matrices or built action fail the Frobenius /
+irreducibility / scalar-transitivity verification raise ParamsInvalid with
 the failed condition named; the sweep records these instead of hiding them.
 """
 from __future__ import annotations
@@ -35,9 +44,6 @@ from .numth import (
     primitive_root,
 )
 from .perm import ORDER_BOUND, OrderBoundExceeded, PermGroup, Permutation
-
-CASE_TAGS = ("a1", "a2", "a3", "a4", "a5", "a6", "a7")
-
 
 class ParamsInvalid(ValueError):
     """A parameter point does not yield a group of the requested case."""
@@ -309,7 +315,7 @@ def extraspecial_semidirect(p, mats, central_height: int = 1, name=None) -> Perm
     return _semidirect(gens, autos, mats, p, central_height, name, "extraspecial")
 
 
-# -- the case constructors --------------------------------------------------------------
+# -- the case table ---------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -325,7 +331,7 @@ class CaseParams:
     height: int = 1
 
     def __post_init__(self):
-        if self.tag not in CASE_TAGS:
+        if self.tag not in CASES:
             raise ValueError(f"unknown case tag {self.tag}")
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
@@ -334,6 +340,97 @@ class CaseParams:
 
     def label(self) -> str:
         return f"{self.tag}(p={self.p},n={self.n},d={self.d},h={self.height})"
+
+
+@dataclass(frozen=True)
+class Case:
+    """One family of the table.  conditions are (test(p, n, d), reason)
+    pairs tried in order; central says whether the height is at least 2
+    rather than 1; extraspecial whether P is p^{1+2} rather than (C_p)^n;
+    matrices(p, n, d) gives the acting matrices."""
+
+    conditions: tuple
+    central: bool
+    extraspecial: bool
+    matrices: "callable"
+
+    def refusal(self, p: int, n: int, d: int, h: int) -> str | None:
+        """Why the rule refuses the point, or None if it admits it."""
+        if (h > 1) != self.central:
+            return "h must be at least 2" if self.central else "h must be 1"
+        return next((reason for test, reason in self.conditions if not test(p, n, d)), None)
+
+    def sizes(self, p: int, n: int, d: int, h: int) -> tuple[int, int]:
+        """|P| = p^(n + 1 if P is extraspecial, else n) and |H| = ((p^n - 1)/d)^h,
+        whose product is the projected |G|."""
+        return p ** (n + self.extraspecial), ((p**n - 1) // d) ** h
+
+
+def _singer_power(p: int, n: int, d: int) -> list[np.ndarray]:
+    """s^d for s = singer_matrix(p, n), of order (p^n - 1)/d."""
+    if (p**n - 1) // d < 2:
+        raise ParamsInvalid("complement would be trivial")
+    return [fpmat.mat_pow(singer_matrix(p, n), d, p)]
+
+
+def _quaternion(p: int, n: int, d: int) -> list[np.ndarray]:
+    """A quaternion subgroup of SL(2, p) of order (p^2 - 1)/d."""
+    return list(quaternion_subgroup_SL2(p, (p * p - 1) // d))
+
+
+def _quaternion_and_scalars(p: int, n: int, d: int) -> list[np.ndarray]:
+    """A quaternion subgroup of SL(2, p), of order 2(p + 1) for odd d and
+    p + 1 for even d, with the scalars that bring the order to (p^2 - 1)/d."""
+    if d % 2 and (p - 1) % (2 * d):
+        raise ParamsInvalid("odd d must divide (p - 1)/2")
+    q_order = 2 * (p + 1) if d % 2 else p + 1
+    scalar_order = (p * p - 1) // d // q_order
+    gens = list(quaternion_subgroup_SL2(p, q_order))
+    if scalar_order > 1:
+        r = pow(primitive_root(p), (p - 1) // scalar_order, p)
+        gens.append(r * np.eye(2, dtype=np.int64) % p)
+    return gens
+
+
+_D = (lambda p, n, d: (p - 1) % d == 0, "d must divide p - 1")
+_N2 = (lambda p, n, d: n == 2, "n must be 2")
+
+CASES = {
+    "a1": Case((_D,), central=False, extraspecial=False, matrices=_singer_power),
+    "a2": Case(
+        (_N2, (lambda p, n, d: is_mersenne_prime(p), "p must be a Mersenne prime"), _D),
+        central=False, extraspecial=False, matrices=_quaternion_and_scalars,
+    ),
+    "a3": Case(
+        (_D, (lambda p, n, d: is_prime((p**n - 1) // d), "(p^n - 1)/d must be prime")),
+        central=True, extraspecial=False, matrices=_singer_power,
+    ),
+    "a4": Case(
+        (
+            _N2,
+            (lambda p, n, d: p > 2, "p must be odd"),
+            (lambda p, n, d: d == (p - 1) // 2, "d must be (p - 1)/2"),
+        ),
+        central=False, extraspecial=True, matrices=_singer_power,
+    ),
+    "a5": Case(
+        (_N2, (lambda p, n, d: d == p - 1, "d must be p - 1")),
+        central=False, extraspecial=True, matrices=_singer_power,
+    ),
+    "a6": Case(
+        (
+            _N2,
+            (lambda p, n, d: p > 2 and is_mersenne_prime(p), "p must be an odd Mersenne prime"),
+            (lambda p, n, d: d in ((p - 1) // 2, p - 1), "d must be (p - 1)/2 or p - 1"),
+        ),
+        central=False, extraspecial=True, matrices=_quaternion,
+    ),
+    "a7": Case(
+        ((lambda p, n, d: p == 2, "p must be 2"), _N2, (lambda p, n, d: d == 1, "d must be 1")),
+        central=True, extraspecial=True, matrices=_singer_power,
+    ),
+}
+CASE_TAGS = tuple(CASES)
 
 
 def _validated_action(mats, p, n):
@@ -346,90 +443,25 @@ def _validated_action(mats, p, n):
 
 
 def construct_case(params: CaseParams) -> PermGroup:
-    """Build the family member for params, or raise ParamsInvalid."""
-    tag, p, n, d, h = params.tag, params.p, params.n, params.d, params.height
-    if tag == "a1":
-        if (p - 1) % d:
-            raise ParamsInvalid("d must divide p - 1")
-        if (p**n - 1) // d < 2:
-            raise ParamsInvalid("complement would be trivial")
-        s = singer_matrix(p, n)
-        hgen = fpmat.mat_pow(s, d, p)
-        _validated_action([hgen], p, n)
-        return affine_semidirect(p, n, [hgen], 1, name=params.label())
-    if tag == "a2":
-        if n != 2:
-            raise ParamsInvalid("the quaternion complement case needs n = 2")
-        if not is_mersenne_prime(p):
-            raise ParamsInvalid("p must be a Mersenne prime")
-        if (p - 1) % d:
-            raise ParamsInvalid("d must divide p - 1")
-        if d % 2:
-            q_order = 2 * (p + 1)
-            d_order = (p - 1) // (2 * d) if (p - 1) % (2 * d) == 0 else None
-        else:
-            q_order = p + 1
-            d_order = (p - 1) // d
-        if d_order is None:
-            raise ParamsInvalid("odd d must divide (p - 1)/2")
-        x, y = quaternion_subgroup_SL2(p, q_order)
-        gens = [x, y]
-        if d_order > 1:
-            r = primitive_root(p)
-            scal = pow(r, (p - 1) // d_order, p) * np.eye(2, dtype=np.int64) % p
-            gens.append(scal)
-        _validated_action(gens, p, 2)
-        return affine_semidirect(p, 2, gens, 1, name=params.label())
-    if tag == "a3":
-        if h < 2:
-            raise ParamsInvalid("a3 needs a nontrivial central kernel (height >= 2)")
-        if (p - 1) % d:
-            raise ParamsInvalid("d must divide p - 1")
-        if not is_prime((p**n - 1) // d):
-            raise ParamsInvalid("(p^n - 1)/d must be prime")
-        s = singer_matrix(p, n)
-        hgen = fpmat.mat_pow(s, d, p)
-        _validated_action([hgen], p, n)
-        return affine_semidirect(p, n, [hgen], h, name=params.label())
-    if tag == "a4":
-        if p == 2 or not is_prime(p):
-            raise ParamsInvalid("a4 needs an odd prime")
-        if d != (p - 1) // 2:
-            raise ParamsInvalid("a4 has d = (p - 1)/2")
-        s = singer_matrix(p, 2)
-        hgen = fpmat.mat_pow(s, (p - 1) // 2, p)
-        _validated_action([hgen], p, 2)
-        return extraspecial_semidirect(p, [hgen], 1, name=params.label())
-    if tag == "a5":
-        if d != p - 1:
-            raise ParamsInvalid("a5 has d = p - 1")
-        if p == 2:
-            std = np.array([[0, 1], [1, 1]], dtype=np.int64)
-            _validated_action([std], 2, 2)
-            return extraspecial_semidirect(2, [std], 1, name=params.label())
-        s = singer_matrix(p, 2)
-        hgen = fpmat.mat_pow(s, p - 1, p)
-        _validated_action([hgen], p, 2)
-        return extraspecial_semidirect(p, [hgen], 1, name=params.label())
-    if tag == "a6":
-        if not is_mersenne_prime(p) or p == 2:
-            raise ParamsInvalid("a6 needs an odd Mersenne prime")
-        if d not in ((p - 1) // 2, p - 1):
-            raise ParamsInvalid("a6 has d in {(p-1)/2, p-1}")
-        if (p * p - 1) % d:
-            raise ParamsInvalid("d must divide p^2 - 1")
-        x, y = quaternion_subgroup_SL2(p, (p * p - 1) // d)
-        _validated_action([x, y], p, 2)
-        return extraspecial_semidirect(p, [x, y], 1, name=params.label())
-    if tag == "a7":
-        if p != 2:
-            raise ParamsInvalid("a7 lives over p = 2")
-        if h < 2:
-            raise ParamsInvalid("a7 needs a nontrivial central kernel (height >= 2)")
-        std = np.array([[0, 1], [1, 1]], dtype=np.int64)
-        _validated_action([std], 2, 2)
-        return extraspecial_semidirect(2, [std], h, name=params.label())
-    raise ValueError(f"unknown tag {tag}")
+    """Build the family member for params.  Its case's rule refuses it with
+    ParamsInvalid, and its projected order past ORDER_BOUND with
+    OrderBoundExceeded, before any matrix is made; the action is then checked
+    and P x| H built."""
+    case, p, n, d, h = CASES[params.tag], params.p, params.n, params.d, params.height
+    reason = case.refusal(p, n, d, h)
+    if reason:
+        raise ParamsInvalid(reason)
+    size_p, size_h = case.sizes(p, n, d, h)
+    if size_p * size_h > ORDER_BOUND:
+        raise OrderBoundExceeded(
+            f"expected order {size_p} * {size_h} = {size_p * size_h}"
+            f" exceeds the order bound {ORDER_BOUND}"
+        )
+    mats = case.matrices(p, n, d)
+    _validated_action(mats, p, n)
+    if case.extraspecial:
+        return extraspecial_semidirect(p, mats, h, name=params.label())
+    return affine_semidirect(p, n, mats, h, name=params.label())
 
 
 def sweep_parameter_points(
@@ -438,66 +470,28 @@ def sweep_parameter_points(
     max_pn: int = 81,
     max_order: int = 1000,
 ) -> list[CaseParams]:
-    """Deterministic enumeration of parameter points within the bounds.
+    """The points that their case's rule admits, in the order of the grid:
+    tag, p in primes, n with p^n <= max_pn, d | p - 1, and h = 1 or
+    h >= 2, keeping those of projected order at most max_order.
 
-    Points whose projected order exceeds max_order are skipped; everything
-    else is attempted, including infeasible points, so the sweep reports the
+    Points the builders refuse stay in, so the sweep reports the
     realizability landscape.
     """
     points: list[CaseParams] = []
     for tag in tags:
+        if tag not in CASES:
+            raise ValueError(f"unknown case tag {tag}")
+        case = CASES[tag]
+        # q^h <= max_order with q >= 2 bounds the heights
+        heights = range(2, max_order.bit_length()) if case.central else (1,)
         for p in primes:
-            if tag == "a1":
-                n = 1
-                while p**n <= max_pn:
-                    for d in divisors(p - 1):
-                        order = p**n * (p**n - 1) // d
-                        if 2 <= order <= max_order:
-                            points.append(CaseParams("a1", p, n, d))
-                    n += 1
-            elif tag == "a2":
-                if not is_mersenne_prime(p) or p * p > max_pn:
-                    continue
+            n = 2 if tag == "a3" else 1  # a3's n = 1 points wait for a new galbench/expected.json
+            while p**n <= max_pn:
                 for d in divisors(p - 1):
-                    order = p * p * (p * p - 1) // d
-                    if order <= max_order:
-                        points.append(CaseParams("a2", p, 2, d))
-            elif tag == "a3":
-                n = 2
-                while p**n <= max_pn:
-                    q = (p**n - 1) // (p - 1)
-                    if is_prime(q):
-                        height = 2
-                        while p**n * q**height <= max_order:
-                            points.append(CaseParams("a3", p, n, p - 1, height))
-                            height += 1
-                    n += 1
-            elif tag == "a4":
-                if p == 2 or p * p > max_pn:
-                    continue
-                order = p**3 * 2 * (p + 1)
-                if order <= max_order:
-                    points.append(CaseParams("a4", p, 2, (p - 1) // 2))
-            elif tag == "a5":
-                if p * p > max_pn:
-                    continue
-                order = p**3 * (p + 1)
-                if order <= max_order:
-                    points.append(CaseParams("a5", p, 2, p - 1))
-            elif tag == "a6":
-                if not is_mersenne_prime(p) or p == 2:
-                    continue
-                for d in ((p - 1) // 2, p - 1):
-                    if d < 1 or (p * p - 1) % d:
-                        continue
-                    order = p**3 * (p * p - 1) // d
-                    if order <= max_order:
-                        points.append(CaseParams("a6", p, 2, d))
-            elif tag == "a7":
-                if p != 2:
-                    continue
-                height = 2
-                while 8 * 3**height <= max_order:
-                    points.append(CaseParams("a7", 2, 2, 1, height))
-                    height += 1
+                    for h in heights:
+                        size_p, size_h = case.sizes(p, n, d, h)
+                        if case.refusal(p, n, d, h) or size_p * size_h > max_order:
+                            break
+                        points.append(CaseParams(tag, p, n, d, h))
+                n += 1
     return points

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,8 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-from galchar.classify import analyze_structure, check_frobenius_action
+from galchar.classify import VERDICT_SINGLE, analyze_structure, check_frobenius_action
 from galchar.constructors import (
+    CASES,
     CaseParams,
     ParamsInvalid,
     _automorphism,
@@ -23,8 +26,9 @@ from galchar.constructors import (
     sweep_parameter_points,
     symmetric,
 )
+from galchar.corpus import CORPUS, build
 from galchar.fpmat import vector_action
-from galchar.numth import matrix_order_is, primitive_root
+from galchar.numth import divisors, matrix_order_is, primitive_root
 from galchar.perm import ORDER_BOUND, PermGroup, Permutation
 
 from reference import element_set, order
@@ -255,6 +259,109 @@ def test_sweep_enumeration():
     assert [p.label() for p in sweep_parameter_points()] == [
         p.label() for p in points
     ]
+
+
+def _projected_order(tag, p, n, d, h):
+    # stated apart from CASES: P is p^{1+2} for a4..a7, (C_p)^n otherwise
+    return p ** (n + (tag in ("a4", "a5", "a6", "a7"))) * ((p**n - 1) // d) ** h
+
+
+def test_every_label_names_the_group_it_builds_or_is_refused():
+    # a1(5,1,2,3) once built D10 and a7(2,2,5,2) the d = 1 group of order 72
+    grid = [
+        (tag, p, n, d, h)
+        for tag in CASES
+        for p in (2, 3, 5, 7, 11, 13)
+        for n in range(1, 5)
+        for d in divisors(p**n - 1)
+        for h in range(1, 5)
+        if _projected_order(tag, p, n, d, h) <= 5000
+    ]
+    built = 0
+    for point in grid:
+        params = CaseParams(*point)
+        try:
+            group = construct_case(params)
+        except ParamsInvalid:
+            continue
+        built += 1
+        report = analyze_structure(group)
+        assert group.order == _projected_order(*point), params.label()
+        assert (report.case_tag, report.p, report.n, report.d) == point[:4], params.label()
+        assert report.theorem_violation is None, params.label()
+    assert built == 63
+
+
+def test_construct_refuses_the_fields_a_case_does_not_use():
+    for params, reason in (
+        (CaseParams("a1", 5, 1, 2, 3), "h must be 1"),
+        (CaseParams("a4", 3, 1, 1, 1), "n must be 2"),
+        (CaseParams("a7", 2, 2, 5, 2), "d must be 1"),
+        (CaseParams("a7", 2, 2, 1, 1), "h must be at least 2"),
+        (CaseParams("a6", 7, 2, 2), r"d must be \(p - 1\)/2 or p - 1"),
+    ):
+        with pytest.raises(ParamsInvalid, match=reason):
+            construct_case(params)
+
+
+def test_each_corpus_positive_is_admitted_at_exactly_one_height():
+    heights = {}
+    for entry in CORPUS:
+        if entry.verdict != VERDICT_SINGLE:
+            continue
+        case, order = CASES[entry.tag], build(entry.key).order
+        heights[entry.key] = [
+            h
+            for h in range(1, order.bit_length())
+            if case.refusal(entry.p, entry.n, entry.d, h) is None
+            and math.prod(case.sizes(entry.p, entry.n, entry.d, h)) == order
+        ]
+    assert len(heights) == 13
+    assert heights == {key: [2 if key in ("V4:C9", "Q8:C9") else 1] for key in heights}
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        {},
+        {"max_order": 20000, "max_pn": 25},
+        {"max_order": 5000, "max_pn": 3},
+        {"primes": (2, 3, 5, 7, 11, 13), "max_pn": 400, "max_order": 20000},
+    ],
+)
+def test_every_swept_point_is_within_the_bounds(bounds):
+    # a6(p=7) was once swept at max_pn = 25, and a7 at any max_pn
+    points = sweep_parameter_points(**bounds)
+    assert points
+    for params in points:
+        assert params.p**params.n <= bounds.get("max_pn", 81), params.label()
+        assert params.p in bounds.get("primes", (2, 3, 5, 7)), params.label()
+        order = _projected_order(params.tag, params.p, params.n, params.d, params.height)
+        assert order <= bounds.get("max_order", 1000), params.label()
+
+
+def test_sweep_refuses_an_unknown_tag():
+    with pytest.raises(ValueError, match="unknown case tag a8"):
+        sweep_parameter_points(tags=("a1", "a8"))
+
+
+# sha256 over the labels of the sweep, one a line; the default sweep is
+# pinned by the stdout digest of tests/test_cli.py
+SWEEP_LABELS = [
+    ({"max_order": 5000}, 54, "081357a9a6c3502f607596f1b36ffc4cb4097c7b7b4f5004c637758e617955cf"),
+    (
+        {"primes": (2, 3, 5, 7, 11, 13), "max_pn": 400, "max_order": 20000},
+        86,
+        "4a967585a9986f46a2bbf03a9a9073affdc739948871671f76e63d8842af5398",
+    ),
+]
+
+
+@pytest.mark.parametrize("bounds, count, digest", SWEEP_LABELS)
+def test_sweep_grids_are_pinned(bounds, count, digest):
+    labels = [params.label() for params in sweep_parameter_points(**bounds)]
+    assert len(labels) == count
+    assert hashlib.sha256("\n".join(labels).encode()).hexdigest() == digest
 
 
 # Child process: build 7^{1+2} x| H for H = <diag(3, 1), [[0, 6], [1, 1]]> of

@@ -109,3 +109,13 @@ def test_a_table_peaks_at_a_few_mb_above_its_start():
         tracemalloc.stop()
     assert table.n_classes == 567
     assert peak - start < 12e6
+
+
+def test_a_table_keeps_one_copy_of_each_monomial_table():
+    # the dense array of _monomials is the only copy: the tuples of
+    # cyclotomic._monomial_table are not cached beside it
+    chartab._monomials.cache_clear()
+    chartab._monomial_table.cache_clear()
+    character_table(construct_case(CaseParams("a7", 2, 2, 1, 3)))
+    assert chartab._monomials.cache_info().currsize > 0
+    assert chartab._monomial_table.cache_info().currsize == 0
