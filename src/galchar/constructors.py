@@ -392,41 +392,41 @@ def _quaternion_and_scalars(p: int, n: int, d: int) -> list[np.ndarray]:
     return gens
 
 
-_D = (lambda p, n, d: (p - 1) % d == 0, "d must divide p - 1")
-_N2 = (lambda p, n, d: n == 2, "n must be 2")
+_D_DIVIDES = (lambda p, n, d: (p - 1) % d == 0, "d must divide p - 1")
+_N_IS_2 = (lambda p, n, d: n == 2, "n must be 2")
 
 CASES = {
-    "a1": Case((_D,), central=False, extraspecial=False, matrices=_singer_power),
+    "a1": Case((_D_DIVIDES,), central=False, extraspecial=False, matrices=_singer_power),
     "a2": Case(
-        (_N2, (lambda p, n, d: is_mersenne_prime(p), "p must be a Mersenne prime"), _D),
+        (_N_IS_2, (lambda p, n, d: is_mersenne_prime(p), "p must be a Mersenne prime"), _D_DIVIDES),
         central=False, extraspecial=False, matrices=_quaternion_and_scalars,
     ),
     "a3": Case(
-        (_D, (lambda p, n, d: is_prime((p**n - 1) // d), "(p^n - 1)/d must be prime")),
+        (_D_DIVIDES, (lambda p, n, d: is_prime((p**n - 1) // d), "(p^n - 1)/d must be prime")),
         central=True, extraspecial=False, matrices=_singer_power,
     ),
     "a4": Case(
         (
-            _N2,
+            _N_IS_2,
             (lambda p, n, d: p > 2, "p must be odd"),
             (lambda p, n, d: d == (p - 1) // 2, "d must be (p - 1)/2"),
         ),
         central=False, extraspecial=True, matrices=_singer_power,
     ),
     "a5": Case(
-        (_N2, (lambda p, n, d: d == p - 1, "d must be p - 1")),
+        (_N_IS_2, (lambda p, n, d: d == p - 1, "d must be p - 1")),
         central=False, extraspecial=True, matrices=_singer_power,
     ),
     "a6": Case(
         (
-            _N2,
+            _N_IS_2,
             (lambda p, n, d: p > 2 and is_mersenne_prime(p), "p must be an odd Mersenne prime"),
             (lambda p, n, d: d in ((p - 1) // 2, p - 1), "d must be (p - 1)/2 or p - 1"),
         ),
         central=False, extraspecial=True, matrices=_quaternion,
     ),
     "a7": Case(
-        ((lambda p, n, d: p == 2, "p must be 2"), _N2, (lambda p, n, d: d == 1, "d must be 1")),
+        ((lambda p, n, d: p == 2, "p must be 2"), _N_IS_2, (lambda p, n, d: d == 1, "d must be 1")),
         central=True, extraspecial=True, matrices=_singer_power,
     ),
 }
