@@ -14,6 +14,9 @@ from .perm import (
     PermGroup,
     Permutation,
     Subgroup,
+    check_frobenius_action,
+    check_irreducible_action,
+    check_scalar_transitivity,
     direct_product,
     frattini_of_pgroup,
     group_from_json,
@@ -32,9 +35,6 @@ from .classify import (
     ClassificationReport,
     IrrPartition,
     analyze_structure,
-    check_frobenius_action,
-    check_irreducible_action,
-    check_scalar_transitivity,
     find_complement,
     irr_partition,
     is_extraspecial_p3,

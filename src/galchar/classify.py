@@ -13,6 +13,10 @@ computes two verdicts independently and cross-checks them:
   with scalar transitivity, kernel and field constraints, and one of seven
   recognised case shapes a1..a7).
 
+The case tag is the first of constructors.CASES whose rule admits the
+report's (p, n, d) at the height |H| gives and whose group shape, from the
+table _SHAPES, the group has: a1..a7 are stated once, in CASES.
+
 The table CHECKLIST names each item once, in the order the items are
 recorded, with the failure reason the report gives.  Each item goes through
 one recorder, which stores its bool and stops the checklist at the first
@@ -28,16 +32,16 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from . import fpmat
 from .chartab import CharacterTable, _distinct_rows, character_table
-from .numth import factorize, is_mersenne_prime, is_prime, is_prime_power, primitive_root
+from .constructors import CASES
+from .numth import is_prime_power
 from .perm import (
-    ORDER_BOUND,
-    OrderBoundExceeded,
     PermGroup,
     Subgroup,
+    check_frobenius_action,
+    check_irreducible_action,
+    check_scalar_transitivity,
     frattini_of_pgroup,
-    orbit_labels,
     quotient_module_action,
 )
 
@@ -120,70 +124,6 @@ class ClassificationReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-# -- action checks: matrix groups as permutation groups on F_p^n ---------------
-
-
-def _action_images(mats, p: int, n: int) -> list[list[int]]:
-    """For each of mats, the numbers of the images of the p^n vectors of
-    F_p^n, numbered as in `fpmat.all_vectors`: <mats> acting on p^n points.
-    Every action check starts here.
-
-    A group containing V x| <mats> has order at least p^n |<mats>|, so
-    p^n > ORDER_BOUND raises OrderBoundExceeded before any vector is built.
-    """
-    if p**n > ORDER_BOUND:
-        raise OrderBoundExceeded(f"p^n = {p}^{n} = {p**n} exceeds the order bound {ORDER_BOUND}")
-    for m in mats:
-        if fpmat.mat_rank(m, p) < n:
-            raise ValueError("matrices must be invertible")
-    return fpmat.vector_action(mats, p)
-
-
-def vector_group(mats, p: int, n: int) -> PermGroup:
-    """<mats> as a permutation group on the p^n vectors of F_p^n (see
-    _action_images), so the identity is element 0 and vector 0 is point 0.
-    A matrix group with more than ORDER_BOUND // p^n elements raises
-    OrderBoundExceeded as soon as its enumeration passes that bound.
-    """
-    return PermGroup(p**n, _action_images(mats, p, n), order_bound=ORDER_BOUND // p**n)
-
-
-def check_frobenius_action(mats, p: int, n: int) -> bool:
-    """Every nonidentity element of <mats> fixes only the zero vector: each
-    image row after the identity's has exactly one fixed point.  The one
-    action check that enumerates <mats>.
-
-    A trivial group does not act Frobeniusly (the acting group must be
-    nontrivial), so identity-only input returns False.
-    """
-    group = vector_group(mats, p, n)
-    fixed = (group.images[1:] == np.arange(p**n)).sum(axis=1)
-    return group.order > 1 and bool((fixed == 1).all())
-
-
-def check_irreducible_action(mats, p: int, n: int) -> bool:
-    """The span of every nonzero vector's orbit is the whole space.
-
-    One rank per orbit, since the vectors of one orbit span one subspace;
-    orbit c is members[ends[c - 1]:ends[c]], and orbit 0 is the zero vector.
-    """
-    label = orbit_labels(p**n, _action_images(mats, p, n))
-    members, ends = np.argsort(label, kind="stable"), np.cumsum(np.bincount(label))
-    vectors = fpmat.all_vectors(p, n)
-    return all(
-        fpmat.mat_rank(vectors[members[a:b]], p) == n for a, b in zip(ends, ends[1:])
-    )
-
-
-def check_scalar_transitivity(mats, p: int, n: int) -> bool:
-    """<mats> together with the scalars acts transitively on nonzero vectors:
-    the orbit of e_1 under the generators and a primitive-root scalar has
-    p^n - 1 points."""
-    scalar = primitive_root(p) * np.eye(n, dtype=np.int64)
-    label = orbit_labels(p**n, _action_images([*mats, scalar], p, n))
-    return int((label == label[p ** (n - 1)]).sum()) == p**n - 1
 
 
 # -- complements ------------------------------------------------------------------
@@ -419,74 +359,28 @@ def _structural_checklist(group, table, part, report, seed, record) -> None:
 
 
 def _case_tag(group, psub, usub, csub, hsub, p, n, d) -> str | None:
-    u_trivial = usub.order == 1
-    c_trivial = csub.order == 1
-    if u_trivial and c_trivial:
-        if hsub.is_cyclic():
-            return "a1"
-        if (
-            n == 2
-            and is_mersenne_prime(p)
-            and hsub.is_nilpotent()
-            and _quaternion_times_cyclic(hsub)
-        ):
-            return "a2"
+    """The first tag of CASES whose P is extraspecial iff U > 1, whose
+    height is at least 2 iff C > 1, whose rule admits (p, n, d, h) and whose
+    shape the group has.  h is 1 for C = 1 and log_q |H| for H a q-group with
+    q = |H/C|; no case has C > 1 otherwise."""
+    extraspecial, central = usub.order > 1, csub.order > 1
+    if extraspecial and not is_extraspecial_p3(psub, p):
         return None
-    if u_trivial and not c_trivial:
-        # |H/C| = q prime; for n >= 2 the order formula forces q = (p^n - 1)/(p - 1)
-        q = hsub.order // csub.order
-        if not is_prime(q):
-            return None
+    h = 1
+    if central:
         hpp = is_prime_power(hsub.order)
-        if hpp is None or hpp[0] != q:
+        if hpp is None or hpp[0] != hsub.order // csub.order:
             return None
-        qpart = q ** factorize(group.order).get(q, 0)
-        return "a3" if hsub.order == qpart else None
-    if not u_trivial and c_trivial:
-        if not is_extraspecial_p3(psub, p):
-            return None
-        chu = group.centralizer(usub, within=hsub)
-        h_cyclic = hsub.is_cyclic()
-        if (
-            h_cyclic
-            and hsub.order == 2 * (p + 1)
-            and chu.order * 2 == hsub.order
-        ):
-            return "a4"
-        if h_cyclic and chu == hsub and hsub.order == p + 1:
-            return "a5"
-        if (
-            chu == hsub
-            and hsub.is_generalized_quaternion()
-            and is_mersenne_prime(p)
-            and hsub.order * d == p * p - 1
-            and d in ((p - 1) // 2, p - 1)
-        ):
-            return "a6"
-        return None
-    # U > 1 and C > 1
-    if p != 2 or psub.order != 8 or not is_extraspecial_p3(psub, p):
-        return None
-    hpp = is_prime_power(hsub.order)
-    if hpp is None or hpp[0] != 3:
-        return None
-    tpart = 3 ** factorize(group.order).get(3, 0)
-    if hsub.order != tpart:
-        return None
-    quot, _ = group.quotient(csub)
-    if quot.order != 24:
-        return None
-    orders = quot.order_of(np.arange(quot.order))
-    syl2 = Subgroup(quot, np.flatnonzero((orders & (orders - 1)) == 0))
-    if syl2.order != 8 or not syl2.is_normal():
-        return None
-    if not syl2.is_generalized_quaternion():
-        return None
-    if quot.center().order != 2:
-        return None
-    if quot.derived_subgroup().order != 8:
-        return None
-    return "a7"
+        h = hpp[1]
+    return next(
+        (
+            tag for tag, case in CASES.items()
+            if case.extraspecial == extraspecial and case.central == central
+            and case.refusal(p, n, d, h) is None
+            and _SHAPES[tag](group, usub, csub, hsub)
+        ),
+        None,
+    )
 
 
 def _quaternion_times_cyclic(hsub: Subgroup) -> bool:
@@ -495,3 +389,37 @@ def _quaternion_times_cyclic(hsub: Subgroup) -> bool:
     if 2 not in syl or not syl[2].is_generalized_quaternion():
         return False
     return all(s.is_cyclic() for q, s in syl.items() if q != 2)
+
+
+def _sl23_quotient(group, csub) -> bool:
+    """G/C is SL(2, 3): order 24, a normal generalized quaternion Sylow 2,
+    center of order 2 and derived subgroup of order 8."""
+    quot, _ = group.quotient(csub)
+    if quot.order != 24:
+        return False
+    orders = quot.order_of(np.arange(quot.order))
+    syl2 = Subgroup(quot, np.flatnonzero((orders & (orders - 1)) == 0))
+    return (
+        syl2.order == 8 and syl2.is_normal() and syl2.is_generalized_quaternion()
+        and quot.center().order == 2 and quot.derived_subgroup().order == 8
+    )
+
+
+# The shape of each case beyond its rule on (p, n, d, h) in CASES, as a test
+# of (group, U, C, H); the rule reads |H| and d through the order formula
+# |H/C| d = p^n - 1 and d | p - 1, which the checklist records first.
+_SHAPES = {
+    "a1": lambda group, usub, csub, hsub: hsub.is_cyclic(),
+    "a2": lambda group, usub, csub, hsub: hsub.is_nilpotent() and _quaternion_times_cyclic(hsub),
+    "a3": lambda group, usub, csub, hsub: True,
+    "a4": lambda group, usub, csub, hsub: (
+        hsub.is_cyclic() and group.centralizer(usub, within=hsub).order * 2 == hsub.order
+    ),
+    "a5": lambda group, usub, csub, hsub: (
+        hsub.is_cyclic() and group.centralizer(usub, within=hsub) == hsub
+    ),
+    "a6": lambda group, usub, csub, hsub: (
+        group.centralizer(usub, within=hsub) == hsub and hsub.is_generalized_quaternion()
+    ),
+    "a7": lambda group, usub, csub, hsub: _sl23_quotient(group, csub),
+}

@@ -15,10 +15,13 @@ subgroup of SL(2, p).  Each entry gives the rule on (p, n, d, h), which
 refuses every point the family does not build and names why, the type of P,
 and the matrices.  One formula projects every order:
 |G| = |P| |H| = p^(n + 1 if P is extraspecial, else n) ((p^n - 1)/d)^h.
-construct_case and sweep_parameter_points both read the table.  Points the
-rule admits but whose matrices or built action fail the Frobenius /
-irreducibility / scalar-transitivity verification raise ParamsInvalid with
-the failed condition named; the sweep records these instead of hiding them.
+The table has four readers: construct_case, sweep_parameter_points, the
+classifier's recognizer, which tags a group by the first case whose rule
+admits its witnesses, and the corpus, whose case positives are its points.
+Points the rule admits but whose matrices or built action fail the
+Frobenius / irreducibility / scalar-transitivity verification raise
+ParamsInvalid with the failed condition named; the sweep records these
+instead of hiding them.
 """
 from __future__ import annotations
 
@@ -27,12 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fpmat
-from .classify import (
-    check_frobenius_action,
-    check_irreducible_action,
-    check_scalar_transitivity,
-    vector_group,
-)
 from .numth import (
     PN_BOUND,
     divisors,
@@ -43,7 +40,17 @@ from .numth import (
     primitive_polynomial,
     primitive_root,
 )
-from .perm import ORDER_BOUND, OrderBoundExceeded, PermGroup, Permutation
+from .perm import (
+    ORDER_BOUND,
+    OrderBoundExceeded,
+    PermGroup,
+    Permutation,
+    check_frobenius_action,
+    check_irreducible_action,
+    check_scalar_transitivity,
+    vector_group,
+)
+
 
 class ParamsInvalid(ValueError):
     """A parameter point does not yield a group of the requested case."""

@@ -67,6 +67,13 @@ on groups with many classes: a character table needs k^2 <= 4e7, so an
 abelian group (k = |G|) of more than 6,324 elements, C80 x C80 for one, is
 refused.
 
+A matrix group over F_p is a permutation group on the p^n numbered vectors
+of F_p^n (`vector_group`), and its action checks (Frobenius, irreducible,
+transitive with the scalars) read that action, as `quotient_module_action`
+reads a group's action on an elementary abelian section as matrices.  The
+constructors validate their actions with these checks, and the classifier
+runs them on the quotient action.
+
 All orderings are deterministic: ids follow the breadth-first order over
 the generator list, classes are sorted by (element order, class size,
 minimal member), cosets by minimal member, where members compare as image
@@ -81,7 +88,8 @@ from math import lcm
 
 import numpy as np
 
-from .numth import factorize, is_prime_power, unit_generators
+from . import fpmat
+from .numth import factorize, is_prime_power, primitive_root, unit_generators
 
 ORDER_BOUND = 500_000
 CELL_BUDGET = 40_000_000  # cells of the largest derived array (k e, k^2 or products kept)
@@ -784,6 +792,70 @@ def direct_product(a: PermGroup, b: PermGroup, name=None) -> PermGroup:
         for g in b.generators
     ]
     return PermGroup(d, gens, name=name)
+
+
+# -- action checks: matrix groups as permutation groups on F_p^n ---------------
+
+
+def _action_images(mats, p: int, n: int) -> list[list[int]]:
+    """For each of mats, the numbers of the images of the p^n vectors of
+    F_p^n, numbered as in `fpmat.all_vectors`: <mats> acting on p^n points.
+    Every action check starts here.
+
+    A group containing V x| <mats> has order at least p^n |<mats>|, so
+    p^n > ORDER_BOUND raises OrderBoundExceeded before any vector is built.
+    """
+    if p**n > ORDER_BOUND:
+        raise OrderBoundExceeded(f"p^n = {p}^{n} = {p**n} exceeds the order bound {ORDER_BOUND}")
+    for m in mats:
+        if fpmat.mat_rank(m, p) < n:
+            raise ValueError("matrices must be invertible")
+    return fpmat.vector_action(mats, p)
+
+
+def vector_group(mats, p: int, n: int) -> PermGroup:
+    """<mats> as a permutation group on the p^n vectors of F_p^n (see
+    _action_images), so the identity is element 0 and vector 0 is point 0.
+    A matrix group with more than ORDER_BOUND // p^n elements raises
+    OrderBoundExceeded as soon as its enumeration passes that bound.
+    """
+    return PermGroup(p**n, _action_images(mats, p, n), order_bound=ORDER_BOUND // p**n)
+
+
+def check_frobenius_action(mats, p: int, n: int) -> bool:
+    """Every nonidentity element of <mats> fixes only the zero vector: each
+    image row after the identity's has exactly one fixed point.  The one
+    action check that enumerates <mats>.
+
+    A trivial group does not act Frobeniusly (the acting group must be
+    nontrivial), so identity-only input returns False.
+    """
+    group = vector_group(mats, p, n)
+    fixed = (group.images[1:] == np.arange(p**n)).sum(axis=1)
+    return group.order > 1 and bool((fixed == 1).all())
+
+
+def check_irreducible_action(mats, p: int, n: int) -> bool:
+    """The span of every nonzero vector's orbit is the whole space.
+
+    One rank per orbit, since the vectors of one orbit span one subspace;
+    orbit c is members[ends[c - 1]:ends[c]], and orbit 0 is the zero vector.
+    """
+    label = orbit_labels(p**n, _action_images(mats, p, n))
+    members, ends = np.argsort(label, kind="stable"), np.cumsum(np.bincount(label))
+    vectors = fpmat.all_vectors(p, n)
+    return all(
+        fpmat.mat_rank(vectors[members[a:b]], p) == n for a, b in zip(ends, ends[1:])
+    )
+
+
+def check_scalar_transitivity(mats, p: int, n: int) -> bool:
+    """<mats> together with the scalars acts transitively on nonzero vectors:
+    the orbit of e_1 under the generators and a primitive-root scalar has
+    p^n - 1 points."""
+    scalar = primitive_root(p) * np.eye(n, dtype=np.int64)
+    label = orbit_labels(p**n, _action_images([*mats, scalar], p, n))
+    return int((label == label[p ** (n - 1)]).sum()) == p**n - 1
 
 
 # -- group files -------------------------------------------------------------------

@@ -24,10 +24,16 @@ from math import gcd, lcm
 import numpy as np
 
 from galchar.chartab import Character, CharacterTable, TableVerificationError, _pool_mod
-from galchar.classify import check_frobenius_action, check_irreducible_action, vector_group
 from galchar.cyclotomic import Cyclotomic, _normal_form
 from galchar.numth import factorize, is_mersenne_prime
-from galchar.perm import PermGroup, Permutation, Subgroup
+from galchar.perm import (
+    PermGroup,
+    Permutation,
+    Subgroup,
+    check_frobenius_action,
+    check_irreducible_action,
+    vector_group,
+)
 
 # -- cyclotomic integers -----------------------------------------------------------
 

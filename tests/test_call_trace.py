@@ -37,7 +37,6 @@ NEVER_CALLED = {
     "perm.save_group": "public API: writes a group file, as load_group reads one",
     "cyclotomic._normal_form": "reference path: the checked constructor and == between conductors",
     "cyclotomic.Cyclotomic._terms": "reference path: == between conductors",
-    "corpus.entry": "bench-pinned: galbench's smoke workload reads corpus entries",
     "chartab.Character.values": "bench-pinned: galbench's fingerprint reads each row",
 }
 REASONS = ("tracer-pinned", "debug output", "public API", "reference path", "bench-pinned")

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -18,6 +19,8 @@ from galchar.classify import (
     is_single_galois_class,
 )
 from galchar.constructors import (
+    CASES,
+    CaseParams,
     ParamsInvalid,
     affine_semidirect,
     alternating,
@@ -213,6 +216,21 @@ def test_a_failed_step_stops_the_checklist_with_its_own_reason(
     assert all(report.checklist[i] for i in items[:items.index(item)])
     assert all(report.checklist[i] is None for i in after)
     assert report.theorem_violation == f"single Galois class but structure fails: {reason}"
+
+
+def test_the_recognizer_reads_the_case_table(monkeypatch):
+    # SL(2,3) is a5; once CASES refuses every a5 point, no case fits it
+    group = construct_case(CaseParams("a5", 2, 2, 1))
+    table = character_table(group)
+    assert analyze_structure(group, table).case_tag == "a5"
+    refused = ((lambda p, n, d: False, "refused"),)
+    monkeypatch.setitem(CASES, "a5", dataclasses.replace(CASES["a5"], conditions=refused))
+    report = analyze_structure(group, table)
+    assert report.case_tag is None
+    assert report.checklist["case_recognized"] is False
+    assert report.theorem_violation == (
+        "single Galois class but structure fails: no recognised case shape"
+    )
 
 
 def test_report_roundtrip():

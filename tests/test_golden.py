@@ -22,7 +22,7 @@ from galchar.constructors import (
     construct_case,
     sweep_parameter_points,
 )
-from galchar.corpus import build
+from galchar.corpus import CORPUS, build
 from galchar.perm import group_to_json
 
 GOLDEN = {
@@ -62,9 +62,8 @@ def test_output_digest(key, seed):
     assert digest == GOLDEN[(key, seed)]
 
 
-# the default sweep, the classify benchmark's four points, and the corpus
-# groups built by affine_semidirect(3, 2, ...) and extraspecial_semidirect,
-# so every extraspecial group of the corpus and the default sweep
+# the default sweep, the classify benchmark's four points, and every corpus
+# group, so every extraspecial group of the corpus and the default sweep
 GROUP_FILES = {
     "a1(p=2,n=1,d=1,h=1)": "6d35d417206a86571570e00deebb0e33c791d4b0535664b473419a63ad21498a",
     "a1(p=2,n=2,d=1,h=1)": "472c51870346d9915b14f5426dd3ff7558172763213f19714a144f049ab96beb",
@@ -117,6 +116,30 @@ GROUP_FILES = {
     "Heis3:Q8": "11d24052d341d683dd1d4f419cac854ddc0adb3167ba60a12ab4066e018f4f9e",
     "SL(2,3)": "aa8700c48be8088f61f622217721ecd914cbf3ddb19f01fd7d6625b7d987f094",
     "Q8:C9": "f02c5ee29c8988daa6f9ff609433e1cfbb089047414b12d2af2e671725ac68fe",
+    # the rest of the corpus, taken before its CASES positives were built by
+    # construct_case
+    "C1": "60e36465cc66cd0e6d9f2d5e5260e56154d9b6b37006fcbe5c83829f27f8fb93",
+    "C2": "bcc02006ac8c100c70b29b70187ac513c3c610fdde6b0aa6defa28fbf2bb553a",
+    "C3": "a2cd0328a5f20efc1bb2770128f5e869bba881430d90a1a146a1e10f5a833e5e",
+    "C5": "33a505eae220ed3dae682ea4a18d8fc36930ffd63e1d4beb9df34aa2b92754ce",
+    "C6": "dc67f9daed21bdef1f91a43c50c9972371d08d3de3026185862fb08f6c671a7d",
+    "C12": "45286911b0d78634fe433a6283eb2f80f6dec3a7fa98be518a369b1ebbe280f6",
+    "C2xC2": "3851e6fde4d5f5a9b8c84ee9cfb2c75d6f72cec893b8fda7f7d5fb2ccc7f429a",
+    "D8": "1fe9b470469fc25627a4d9bf167a57a1c012754a1e0aef8147e91d6bc6c3c7c4",
+    "Q8": "ce3441f4d2d439dc08f4e185f95eb06d9845c691f070f8f969024449cd31e3c5",
+    "Q16": "d5cdb44f108c4cb4e1283d07cb0472c4e123f6a551298feb71d455864d474967",
+    "Heis3": "3cc2211bbd06d9fb4e2efa9e76485285b4299134ea751913b04004e9503f4ce2",
+    "C3xQ8": "3f5d989b36e42263fbf0f71fc310b2b9d375f74d8c82f420efe40545d459c0f3",
+    "S3": "19df627b9377a1edc91a04f116bb7313484e688f3ba9d7b3de27b6ce366a6dc2",
+    "D10": "234f62eb2e46497a4216fbfadf40574a2503e3a3b0a0d2bee096a8d1295b04ff",
+    "D14": "1a0fb883e59f5a2102108bb32910f7eb2f6144cef6e2fed676c906905dd01459",
+    "C7:C3": "f2cb8e1a0237a4e32292b635edf9fd9081b9f1fc742fdd68efaad7d6df038ad9",
+    "F5:C4": "1be3061362152afd17ee21093b66efed03caacdce75d21cd724b91f5d0c34a8a",
+    "A4": "403ed68011f16b945fbad8d6c2782177f4adb605cf0657293eb19b0eb25af97c",
+    "F8:C7": "632cff163f27c64728ed3faa43c4a60eb909edae894b2f82780b0a86d75b5018",
+    "V4:C9": "7aa18bcb20e20e8f6a4cc279fbb07cf78a603b94a3770c66415584077ce0802d",
+    "S4": "b77b1a03b53c33e74299ae3176f6ada1db7d2f835ff95b0642a6d791cef8d59d",
+    "A4xC2": "81fda8d1dc15ab5f91518562595cbe7b06f25bc04f6d33ba9b7fd6fde36f866a",
 }
 POINTS = {
     params.label(): params
@@ -132,6 +155,10 @@ POINTS = {
 
 def test_group_files_cover_the_sweep():
     assert set(POINTS) <= set(GROUP_FILES)
+
+
+def test_group_files_cover_the_corpus():
+    assert {entry.key for entry in CORPUS} <= set(GROUP_FILES)
 
 
 @pytest.mark.parametrize("key", sorted(GROUP_FILES))

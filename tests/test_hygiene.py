@@ -115,6 +115,54 @@ def test_detects_an_unreferenced_private_definition():
     assert _unreferenced_private({"m.py": ast.parse(source)}) == ["m.py:1 _dead"]
 
 
+# The modules in layers: each may import, at any level, only modules before it.
+LAYERS = ("fpmat", "numth", "perm", "cyclotomic", "chartab", "constructors", "classify",
+          "corpus", "cli")
+
+
+def _package_imports(tree: ast.Module) -> set[str]:
+    """The galchar modules a module imports, relatively or by full name."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["galchar" if node.level else "", node.module]))
+            names += [f"{module}.{a.name}" if module == "galchar" else module for a in node.names]
+    return {name.split(".")[1] for name in names if name.startswith("galchar.")}
+
+
+def _upward_imports(trees: dict[str, ast.Module]) -> list[str]:
+    """module -> imported, for each import of a module not before it in LAYERS."""
+    return [
+        f"{module} -> {imported}"
+        for module, tree in trees.items()
+        for imported in sorted(_package_imports(tree))
+        if imported not in LAYERS[:LAYERS.index(module)]
+    ]
+
+
+def test_modules_import_only_the_layers_before_them():
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+    assert sorted(trees) == sorted(LAYERS)
+    assert _upward_imports(trees) == []
+
+
+def test_detects_an_upward_import():
+    sources = {
+        "fpmat": "import numpy\n",
+        "numth": "from .fpmat import mul\n",
+        "perm": "def f():\n    from . import chartab\n",
+        "chartab": "import galchar.classify\nfrom galchar import perm\n",
+        "classify": "from galchar.chartab import x\nfrom .cli import main\n",
+    }
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    assert _upward_imports(trees) == [
+        "perm -> chartab", "chartab -> classify", "classify -> cli",
+    ]
+
+
 # Public definitions that nothing in src/galchar refers to, each with the
 # reason it stays: tracer-pinned (galbench/tracer.py patches or reads it) or
 # public I/O.  Tests alone are no reason: their references and oracles live

@@ -1,7 +1,7 @@
 """The theorem check against groups no constructor builds: direct products
-with P = C_p, U = 1 and C = C_H(P) != 1 (the n = 1 family of case a3), and
-random subgroups of S_5..S_10, each of which must classify with no theorem
-violation."""
+with P = C_p, U = 1 and C = C_H(P) != 1 (the n = 1 family of case a3), the
+corpus's case positives times small cyclic groups, and random subgroups of
+S_5..S_10, each of which must classify with no theorem violation."""
 import random
 
 import numpy as np
@@ -11,6 +11,7 @@ from galchar.chartab import character_table
 from galchar.classify import analyze_structure
 from galchar.cli import main
 from galchar.constructors import affine_semidirect, cyclic, dihedral, quaternion8, symmetric
+from galchar.corpus import build
 from galchar.perm import OrderBoundExceeded, PermGroup, direct_product, save_group
 
 
@@ -77,6 +78,50 @@ def test_classify_exits_0_on_the_n1_family(name, tmp_path, capsys):
     assert main(["classify", str(path)]) == 0
     out = capsys.readouterr().out
     assert "case: a3  (p=3, n=1, d=1)" in out and "THEOREM-VIOLATION" not in out
+
+
+# the corpus's CASES positives times C_m: (verdict, case tag, (p, n, d)), as
+# the recognizer gave them when it restated the cases' rules.  A factor C3 or
+# C9 of V4:C9, SL(2,3) or Q8:C9 keeps H a 3-group with |H/C| = 3, so the
+# C > 1 cases a3 and a7; no other product is one Galois class
+NEAR_MISSES = {
+    ("F8:C7", 2): ("NotSingleClass", None, (None, None, 2)),
+    ("F8:C7", 3): ("NotSingleClass", None, (2, None, 3)),
+    ("F8:C7", 5): ("NotSingleClass", None, (2, None, 5)),
+    ("F8:C7", 9): ("NotSingleClass", None, (2, None, 9)),
+    ("C3^2:Q8", 2): ("NotSingleClass", None, (3, None, 2)),
+    ("C3^2:Q8", 3): ("NotSingleClass", None, (None, None, 3)),
+    ("C3^2:Q8", 5): ("NotSingleClass", None, (3, None, 5)),
+    ("C3^2:Q8", 9): ("NotSingleClass", None, (None, None, 9)),
+    ("V4:C9", 2): ("NotSingleClass", None, (None, None, 2)),
+    ("V4:C9", 3): ("SingleGaloisClass", "a3", (2, 2, 1)),
+    ("V4:C9", 5): ("NotSingleClass", None, (2, None, 5)),
+    ("V4:C9", 9): ("SingleGaloisClass", "a3", (2, 2, 1)),
+    ("Heis3:C8", 2): ("NotSingleClass", None, (3, None, 2)),
+    ("Heis3:C8", 3): ("NotSingleClass", None, (None, None, 3)),
+    ("Heis3:C8", 5): ("NotSingleClass", None, (3, None, 5)),
+    ("Heis3:C8", 9): ("NotSingleClass", None, (None, None, 9)),
+    ("SL(2,3)", 2): ("NotSingleClass", None, (None, None, 2)),
+    ("SL(2,3)", 3): ("SingleGaloisClass", "a7", (2, 2, 1)),
+    ("SL(2,3)", 5): ("NotSingleClass", None, (2, None, 5)),
+    ("SL(2,3)", 9): ("SingleGaloisClass", "a7", (2, 2, 1)),
+    ("Heis3:Q8", 2): ("NotSingleClass", None, (3, None, 2)),
+    ("Heis3:Q8", 3): ("NotSingleClass", None, (None, None, 3)),
+    ("Heis3:Q8", 5): ("NotSingleClass", None, (3, None, 5)),
+    ("Heis3:Q8", 9): ("NotSingleClass", None, (None, None, 9)),
+    ("Q8:C9", 2): ("NotSingleClass", None, (None, None, 2)),
+    ("Q8:C9", 3): ("SingleGaloisClass", "a7", (2, 2, 1)),
+    ("Q8:C9", 5): ("NotSingleClass", None, (2, None, 5)),
+    ("Q8:C9", 9): ("SingleGaloisClass", "a7", (2, 2, 1)),
+}
+
+
+@pytest.mark.parametrize("key,m", sorted(NEAR_MISSES))
+def test_case_positives_times_a_cyclic_group(key, m):
+    group = direct_product(build(key), cyclic(m))
+    report = analyze_structure(group, character_table(group))
+    assert report.theorem_violation is None
+    assert (report.verdict, report.case_tag, (report.p, report.n, report.d)) == NEAR_MISSES[key, m]
 
 
 def random_subgroups(seeds, max_order=5000):

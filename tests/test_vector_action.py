@@ -16,16 +16,19 @@ import pytest
 
 from galchar import fpmat
 from galchar.chartab import character_table
-from galchar.classify import (
-    analyze_structure,
+from galchar.classify import analyze_structure
+from galchar.constructors import CaseParams, construct_case, quaternion_subgroup_SL2, singer_matrix
+from galchar.numth import matrix_order_is, primitive_root
+from galchar.perm import (
+    ORDER_BOUND,
+    OrderBoundExceeded,
+    PermGroup,
+    Permutation,
     check_frobenius_action,
     check_irreducible_action,
     check_scalar_transitivity,
     vector_group,
 )
-from galchar.constructors import CaseParams, construct_case, quaternion_subgroup_SL2, singer_matrix
-from galchar.numth import matrix_order_is, primitive_root
-from galchar.perm import ORDER_BOUND, OrderBoundExceeded, PermGroup, Permutation
 
 from reference import check_frobenius_criterion
 
