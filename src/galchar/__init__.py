@@ -2,7 +2,7 @@
 classification of groups whose exceptional irreducible characters form a
 single Galois conjugacy class."""
 
-from .cyclotomic import Cyclotomic, cyc
+from .cyclotomic import Cyclotomic
 from .numth import (
     find_dixon_prime,
     is_mersenne_prime,

@@ -85,8 +85,9 @@ The table of a group G is computed in five steps:
 4. degrees from <omega, omega> = |G| / chi(1)^2 mod l, at the least row of
    each Galois orbit only: permuting the classes by c -> c^s keeps the
    form, so the degree holds on the orbit.  Then the values mod l;
-5. exact values, as ids into a pool of the table's few distinct
-   Cyclotomics, found by their coefficients among the lift's rows of each
+5. exact values, as ids into a pool of the table's few distinct values,
+   each held once as an int64 coefficient row at its conductor (a rational
+   one as the row (n,) at conductor 1), found among the lift's rows of each
    conductor, which the table keeps.  Only at the r representatives g, one
    per power-orbit of classes (the least class c^s, s a unit mod e), does
    an inverse DFT mod l of the distinct rows of the columns of the powers
@@ -158,14 +159,16 @@ Gram(x, y) = sum_c |C_c| x(c) conj y(c):
   rational integer that B covers, so the check is exact; both it and
   being real are constant on Galois orbits, so R stands for all rows.
 
-The table keeps the id array, the pool, the lift's rows of each conductor,
-pi in its final row order, and unit_index, the row of pi of each residue
-mod e (-1 for the others); it keeps no mod-l table.  galois_orbits labels
-each row by the least row of its orbit, the minimum of pi over its rows,
-and field_in_pth_cyclotomic reads pi too: chi's field lies in Q(zeta_p)
-iff every unit u = 1 (mod gcd(p, e)) fixes chi's row.  A Character's
-values are read through the id array and the pool.  The F_l products come
-from fpmat.
+The table keeps the id array, the lift's rows of each conductor (the one
+store of the values), pi in its final row order, and unit_index, the row
+of pi of each residue mod e (-1 for the others); it keeps no mod-l table.
+galois_orbits labels each row by the least row of its orbit, the minimum
+of pi over its rows, and field_in_pth_cyclotomic reads pi too: chi's field
+lies in Q(zeta_p) iff every unit u = 1 (mod gcd(p, e)) fixes chi's row.
+A Character's values are read through the id array and value_pool, made
+from the rows on its first read, one Cyclotomic per value; the row order
+and the text output render each value from its row.  The F_l products
+come from fpmat.
 
 Kernels are one (k, k) bool mask of classes, built on first use: c lies in
 ker chi iff chi(c) has the id of the rational pool value chi(1), looked up
@@ -178,13 +181,13 @@ elements, and it checks that the closure of its generators is the set.
 from __future__ import annotations
 
 import weakref
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import ceil, gcd, isqrt, log2
 
 import numpy as np
 
 from . import fpmat
-from .cyclotomic import Cyclotomic, _check_conductor, _monomial_table, cyc
+from .cyclotomic import Cyclotomic, _check_conductor, _monomial_table
 from .numth import factorize, find_dixon_prime, is_prime, primitive_root, unit_generators
 from .perm import _BLOCK_CELLS, ConjugacyClass, PermGroup, Subgroup, _check_cells, _void
 
@@ -245,9 +248,7 @@ class Character:
 
 
 class CharacterTable:
-    def __init__(
-        self, group, classes, ids, pool, by_conductor, galois, degrees, exponent, dixon_prime, seed
-    ):
+    def __init__(self, group, classes, ids, by_conductor, galois, degrees, exponent, dixon_prime, seed):
         self.group: PermGroup = group
         self.classes: list[ConjugacyClass] = classes
         self.degrees: list[int] = degrees
@@ -255,8 +256,8 @@ class CharacterTable:
         self.dixon_prime = dixon_prime
         self.seed = seed
         self.value_ids: np.ndarray = ids  # k x k int32, ids into value_pool
-        self.value_pool: list[Cyclotomic] = pool  # the distinct values
-        # conductor m -> (pool ids, their coefficient rows at m), as the lift built them
+        # conductor m -> (pool ids, their int64 coefficient rows at m), as the
+        # lift built them: the only store of the values
         self.by_conductor: dict[int, tuple[np.ndarray, np.ndarray]] = by_conductor
         # galois[unit_index[s], i]: the row of chi_i^sigma_s, chi_i(c^s) as a
         # function of c, for each unit s mod e; unit_index is -1 elsewhere
@@ -269,6 +270,11 @@ class CharacterTable:
     @property
     def n_classes(self) -> int:
         return len(self.classes)
+
+    @cached_property
+    def value_pool(self) -> list[Cyclotomic]:
+        """The distinct values by id, each one object, made on first read."""
+        return _read_pool(self.by_conductor)
 
     def units(self) -> np.ndarray:
         """The units mod the exponent, ascending."""
@@ -317,7 +323,7 @@ class CharacterTable:
 
     def _rendered_rows(self) -> list[list[str]]:
         """Each row's values as strings, each pool value rendered once."""
-        labels = [str(v) for v in self.value_pool]
+        labels = _read_pool(self.by_conductor, str)
         return [[labels[i] for i in row] for row in self.value_ids.tolist()]
 
     def to_dict(self) -> dict:
@@ -780,16 +786,6 @@ def _find_root_of_unity(ell: int, e: int) -> int:
     return pow(primitive_root(ell), (ell - 1) // e, ell)
 
 
-@lru_cache(maxsize=None)
-def _monomials(m: int) -> np.ndarray:
-    """_monomial_table(m) as a read-only (m, phi(m)) int64 array: row t is
-    z_m^t in the power basis.  It is built past that function's cache, which
-    would keep the same table as tuples."""
-    out = np.array(_monomial_table.__wrapped__(m), dtype=np.int64)
-    out.flags.writeable = False
-    return out
-
-
 @lru_cache(maxsize=64)
 def _inverse_dft(m: int, e: int, ell: int, w_e: int) -> np.ndarray:
     """The read-only m x m matrix w_m^-(s t) over F_l, w_m = w_e^(e/m), in
@@ -805,16 +801,15 @@ def _inverse_dft(m: int, e: int, ell: int, w_e: int) -> np.ndarray:
 
 
 def _lift_values(group, table_mod: np.ndarray, ell: int, w_e: int, galois: np.ndarray):
-    """(ids, pool, by_conductor): exact values from the integer mod-l table,
-    as a k x k int32 array of ids into a pool of distinct Cyclotomics, given
-    the (phi(e), k) Galois row permutations pi of its rows (step 5 of the
-    module docstring), and the pool by conductor: m -> (pool ids, their
+    """(ids, by_conductor): exact values from the integer mod-l table, as a
+    k x k int32 array of ids into a pool of distinct values, given the
+    (phi(e), k) Galois row permutations pi of its rows (step 5 of the module
+    docstring), and the pool by conductor: m -> (pool ids, their int64
     coefficient rows at m).  The ids are found at the r representatives of
     the power-orbits, into a (k, r) array, and gathered from it."""
     classes = group.conjugacy_classes()
     power_maps = group.power_maps
     k, e = power_maps.shape
-    pool: list[Cyclotomic] = []
     by_conductor: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def add(rows: np.ndarray, pick: np.ndarray, m: int) -> np.ndarray:
@@ -825,9 +820,8 @@ def _lift_values(group, table_mod: np.ndarray, ell: int, w_e: int, galois: np.nd
         new = found < 0
         added = rows[pick[new]]
         found[new] = len(known) + np.arange(len(added))
-        idx = np.concatenate([idx, np.arange(len(pool), len(pool) + len(added), dtype=np.int32)])
-        pool.extend(cyc(int(row[0])) if m == 1 else Cyclotomic(m, tuple(row.tolist()), _raw=True)
-                    for row in added)
+        size = _pool_size(by_conductor)
+        idx = np.concatenate([idx, np.arange(size, size + len(added), dtype=np.int32)])
         by_conductor[m] = idx, np.concatenate([known, added]) if len(known) else added
         return idx[found]
 
@@ -858,13 +852,28 @@ def _lift_values(group, table_mod: np.ndarray, ell: int, w_e: int, galois: np.nd
         if not np.array_equal(mults.sum(axis=1)[inverse], table_mod[:, 0]):
             raise TableVerificationError("root-of-unity multiplicities do not sum to chi(1)")
         del cols, dft  # before the coefficient rows are made
-        rep_ids[:, q] = intern(_galois_image(mults, _monomials(m), 1), m)[inverse]
+        rep_ids[:, q] = intern(_galois_image(mults, _monomial_table(m), 1), m)[inverse]
     # chi_i(rep^s) = chi_pi_s(i)(rep): every column is a gather of its
     # representative's, made a block of columns at a time
     ids, at, col = np.empty((k, k), np.int32), _unit_index(e)[step], (np.cumsum(is_rep) - 1)[rep_of]
     for c in _row_blocks(k):
         ids[:, c] = rep_ids[galois[at[c]].T, col[c]]
-    return ids, pool, by_conductor
+    return ids, by_conductor
+
+
+def _pool_size(by_conductor) -> int:
+    """The number of pool values, over every conductor."""
+    return sum(len(idx) for idx, _ in by_conductor.values())
+
+
+def _read_pool(by_conductor, read=lambda value: value) -> list:
+    """read(v) for each pool value v by id, v a Cyclotomic made from its
+    coefficient row at its conductor, one row at a time."""
+    out = [None] * _pool_size(by_conductor)
+    for m, (idx, coeffs) in by_conductor.items():
+        for i, row in zip(idx.tolist(), coeffs):
+            out[i] = read(Cyclotomic(m, tuple(row.tolist()), _raw=True))
+    return out
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -932,16 +941,16 @@ def _build_table(group: PermGroup, seed: int) -> CharacterTable:
     del omegas
 
     w_e = _find_root_of_unity(ell, e)
-    ids, pool, by_conductor = _lift_values(group, table_mod, ell, w_e, galois)
+    ids, by_conductor = _lift_values(group, table_mod, ell, w_e, galois)
     # lifted values must reduce back to the mod-l table, which is then dropped
-    _check_lift(ids, by_conductor, len(pool), table_mod, e, ell)
+    _check_lift(ids, by_conductor, _pool_size(by_conductor), table_mod, e, ell)
     del table_mod
 
     # deterministic row order: by degree, then the rendered values; equal ids
     # are equal values, so each pool value is rendered once and ranked.  Rows
     # of big-endian nonnegative int32 keys compare as bytes as they do as
     # numbers, so one stable sort of the rows as bytes is np.lexsort's order
-    labels = [str(v) for v in pool]
+    labels = _read_pool(by_conductor, str)
     rank = {label: r for r, label in enumerate(sorted(set(labels)))}
     ranks = np.array([rank[label] for label in labels], dtype=">i4")
     keys = np.empty((k, k + 1), dtype=">i4")
@@ -953,7 +962,7 @@ def _build_table(group: PermGroup, seed: int) -> CharacterTable:
     where = np.empty(k, dtype=np.int32)
     where[order] = np.arange(k)
     table = CharacterTable(
-        group, classes, ids[order], pool, by_conductor, where[galois[:, order]],
+        group, classes, ids[order], by_conductor, where[galois[:, order]],
         degrees[order].tolist(), e, ell, seed,
     )
     table.split = split
@@ -1006,15 +1015,17 @@ def _verify(table: CharacterTable) -> None:
     group, k, e = table.group, table.n_classes, table.exponent
     if sum(d * d for d in table.degrees) != group.order:
         raise TableVerificationError("degree squares do not sum to |G|")
-    pool, ids = table.value_pool, table.value_ids
-    for i, d in zip(ids[:, 0].tolist(), table.degrees):
-        if pool[i] != d:
-            raise TableVerificationError("first column does not equal the degree")
+    # each id's rational value, 0 at the others: column 0 must be the degrees >= 1
+    ids, (idx, coeffs) = table.value_ids, table.by_conductor[1]
+    value = np.zeros(_pool_size(table.by_conductor), dtype=np.int64)
+    value[idx] = coeffs[:, 0]
+    if not np.array_equal(value[ids[:, 0]], table.degrees):
+        raise TableVerificationError("first column does not equal the degree")
     # rational rows match rational classes
     powers = group.power_maps
     units = _units_mod(e)
     rational_classes = int((powers[:, units] == np.arange(k)[:, None]).all(axis=1).sum())
-    rational = np.array([v.is_rational for v in pool], dtype=bool)
+    rational = np.bincount(idx, minlength=len(value)).astype(bool)
     if rational_classes != int(rational[ids].all(axis=1).sum()):
         raise TableVerificationError("rational row/class counts differ")
     verify_orthogonality_exact(table)
@@ -1028,7 +1039,7 @@ def verify_orthogonality_exact(table: CharacterTable) -> None:
     (see the module docstring).  Besides the id array and the pool mod p,
     the products are made a block of rows and of columns at a time."""
     by_conductor = table.by_conductor
-    ids, e, k = table.value_ids, table.exponent, table.n_classes
+    ids, e, k, size = table.value_ids, table.exponent, table.n_classes, _pool_size(by_conductor)
     powers = table.group.power_maps
     _check_galois_action(table, by_conductor, powers)
     reps = np.flatnonzero(np.bincount(table.galois.min(axis=0)))  # the least row of each orbit
@@ -1038,7 +1049,7 @@ def verify_orthogonality_exact(table: CharacterTable) -> None:
     # each Gram entry is dominated by a positive semidefinite form in the L1
     # norms of the values, whose largest entry is on its diagonal; rows of
     # one orbit hold the same ids on permuted classes, so reps attain it
-    l1 = np.empty(len(table.value_pool))
+    l1 = np.empty(size)
     for idx, coeffs in by_conductor.values():
         l1[idx] = np.abs(coeffs).sum(axis=1)
     rep_ids = ids[reps]
@@ -1049,7 +1060,7 @@ def verify_orthogonality_exact(table: CharacterTable) -> None:
     real = (rep_ids[:, inv] == rep_ids).all(axis=1)
     indicators = None
     for p in _gram_primes(e, width, bound):
-        x = _pool_mod(by_conductor, len(table.value_pool), e, p)
+        x = _pool_mod(by_conductor, size, e, p)
         for r in _row_blocks(len(reps), k):
             # float64 x |C_c| < p |G| < 2^53
             left = x[rep_ids[r][:, inv]] * sizes % p
@@ -1079,10 +1090,10 @@ def _check_galois_action(table: CharacterTable, by_conductor, powers: np.ndarray
     if not np.array_equal(galois[at[1 % e]], np.arange(k)):
         raise TableVerificationError("the Galois row permutation of the unit 1 is not the identity")
     for u in unit_generators(e):
-        lut = np.arange(len(table.value_pool), dtype=ids.dtype)  # rationals are fixed
+        lut = np.arange(_pool_size(by_conductor), dtype=ids.dtype)  # rationals are fixed
         for m, (idx, coeffs) in by_conductor.items():
             if m > 1:
-                found = _find_rows(_galois_image(coeffs, _monomials(m), u % m), coeffs)
+                found = _find_rows(_galois_image(coeffs, _monomial_table(m), u % m), coeffs)
                 lut[idx] = np.where(found >= 0, idx[found], -1)
         pi_u = galois[at[u]]
         for r in _row_blocks(k):

@@ -407,10 +407,12 @@ def _sl23_quotient(group, csub) -> bool:
 
 # The shape of each case beyond its rule on (p, n, d, h) in CASES, as a test
 # of (group, U, C, H); the rule reads |H| and d through the order formula
-# |H/C| d = p^n - 1 and d | p - 1, which the checklist records first.
+# |H/C| d = p^n - 1 and d | p - 1, which the checklist records first.  H is
+# nilpotent: it complements the nilpotent residue P, the last term of the
+# lower central series, so H = HP/P = G/P is nilpotent.
 _SHAPES = {
     "a1": lambda group, usub, csub, hsub: hsub.is_cyclic(),
-    "a2": lambda group, usub, csub, hsub: hsub.is_nilpotent() and _quaternion_times_cyclic(hsub),
+    "a2": lambda group, usub, csub, hsub: _quaternion_times_cyclic(hsub),
     "a3": lambda group, usub, csub, hsub: True,
     "a4": lambda group, usub, csub, hsub: (
         hsub.is_cyclic() and group.centralizer(usub, within=hsub).order * 2 == hsub.order

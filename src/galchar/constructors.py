@@ -142,6 +142,8 @@ def heisenberg(p: int) -> PermGroup:
         return quaternion8()
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    if p**3 > ORDER_BOUND:  # refused before its p^3 points are numbered
+        raise OrderBoundExceeded(f"order p^3 = {p**3} exceeds the order bound {ORDER_BOUND}")
     a, b, c = np.indices((p, p, p)).reshape(3, -1)
     x = ((a + 1) % p * p + b) * p + (c + b) % p
     y = (a * p + (b + 1) % p) * p + c
@@ -255,8 +257,8 @@ def affine_semidirect(p, n, mats, central_height: int = 1, name=None) -> PermGro
     group, realised faithfully by adding one regular orbit of the cyclic
     group.
     """
-    if p**n > PN_BOUND:
-        raise ValueError("p^n exceeds the construction bound")
+    if p**n > ORDER_BOUND:  # refused before the p^n vectors are built
+        raise OrderBoundExceeded(f"p^n = {p}^{n} = {p**n} exceeds the order bound {ORDER_BOUND}")
     mats = _acting_matrices(mats, p, n)
     if central_height < 1:
         raise ValueError("central height must be >= 1")

@@ -7,21 +7,23 @@ the representation is a unique normal form; values whose coefficients beyond
 index 0 vanish are rational and are normalised to conductor 1.  Coefficients
 are plain Python integers, so there is no overflow to guard against.
 
-The library builds every value in that form already: a character table's
-lift writes each value at its class order through the _raw constructor, and
-from_int writes a rational one.  So values are compared and rendered here,
-not combined.  One routine, _normal_form, makes the form from any sum of
-terms c * z_e**t: it folds the exponents mod e and adds each residue's
-power-basis row once.  It serves the checked constructor and == between
-conductors, which holds when the terms of the difference over z_lcm fold to
-zero.  Conductors past CONDUCTOR_BOUND raise ConductorOverflow, in
-_normal_form and, through _check_conductor, in character_table before a
-table is split.
+A character table keeps its values in that form already, as int64 rows per
+conductor (a rational one as (n,) at conductor 1), and makes a Cyclotomic
+from a row through the _raw constructor when a value is read or rendered:
+values are compared and rendered here, not combined.  _monomial_table holds
+z^t as power-basis rows, one read-only array per conductor, and _normal_form
+makes the form from any sum of terms c * z_e**t by folding the exponents mod
+e and adding each residue's row once.  It serves the checked constructor and
+== between conductors, which holds when the terms of the difference over
+z_lcm fold to zero.  Conductors past CONDUCTOR_BOUND raise ConductorOverflow,
+in _normal_form and, through _check_conductor, before a table is split.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 from math import lcm
+
+import numpy as np
 
 CONDUCTOR_BOUND = 10**4
 
@@ -78,23 +80,18 @@ def phi(e: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _monomial_table(e: int) -> tuple[tuple[int, ...], ...]:
-    """Canonical vectors of z^t for t in 0..e-1 at conductor e."""
+def _monomial_table(e: int) -> np.ndarray:
+    """The read-only (e, phi(e)) int64 array whose row t is z^t at conductor
+    e in the power basis: z times row t - 1, reduced by Phi_e."""
     d = phi(e)
-    poly = cyclotomic_polynomial(e)
-    rows: list[tuple[int, ...]] = []
-    cur = [0] * d
-    cur[0] = 1
-    rows.append(tuple(cur))
-    for _ in range(1, e):
-        nxt = [0] + cur[: d - 1]
-        top = cur[d - 1]
-        if top:
-            for j in range(d):
-                nxt[j] -= top * poly[j]
-        rows.append(tuple(nxt))
-        cur = nxt
-    return tuple(rows)
+    poly = np.array(cyclotomic_polynomial(e)[:d], dtype=np.int64)
+    out = np.zeros((e, d), dtype=np.int64)
+    out[0, 0] = 1
+    for t in range(1, e):
+        out[t, 1:] = out[t - 1, :-1]
+        out[t] -= out[t - 1, -1] * poly
+    out.flags.writeable = False
+    return out
 
 
 def _normal_form(e: int, terms) -> "Cyclotomic":
@@ -105,12 +102,10 @@ def _normal_form(e: int, terms) -> "Cyclotomic":
     folded = [0] * e
     for t, c in terms:
         folded[t % e] += c
-    d = phi(e)
-    out = [0] * d
-    for row, c in zip(_monomial_table(e), folded):
+    out, rows = [0] * phi(e), _monomial_table(e)
+    for t, c in enumerate(folded):
         if c:
-            for j in range(d):
-                out[j] += c * row[j]
+            out = [x + c * y for x, y in zip(out, rows[t].tolist())]
     if e > 1 and not any(out[1:]):
         return Cyclotomic(1, (out[0],), _raw=True)
     return Cyclotomic(e, tuple(out), _raw=True)
@@ -134,12 +129,6 @@ class Cyclotomic:
         value = _normal_form(conductor, enumerate(coeffs))
         self.conductor = value.conductor
         self.coeffs = value.coeffs
-
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def from_int(n: int) -> "Cyclotomic":
-        return Cyclotomic(1, (n,), _raw=True)
 
     # -- structure ---------------------------------------------------------
 
@@ -181,9 +170,4 @@ class Cyclotomic:
 
     def __repr__(self) -> str:
         return f"Cyclotomic({self})"
-
-
-def cyc(n: int) -> Cyclotomic:
-    """Shorthand for a rational cyclotomic value."""
-    return Cyclotomic.from_int(n)
 

@@ -78,7 +78,7 @@ class Cyc(Cyclotomic):
 
     def __add__(self, other) -> "Cyc":
         if isinstance(other, int):
-            other = Cyclotomic.from_int(other)
+            other = cyc(other)
         big = lcm(self.conductor, other.conductor)
         return _sum(big, self._terms(big) + other._terms(big))
 
@@ -89,7 +89,7 @@ class Cyc(Cyclotomic):
 
     def __sub__(self, other) -> "Cyc":
         if isinstance(other, int):
-            other = Cyclotomic.from_int(other)
+            other = cyc(other)
         return self + (-Cyc.of(other))
 
     def __rsub__(self, other) -> "Cyc":
@@ -97,7 +97,7 @@ class Cyc(Cyclotomic):
 
     def __mul__(self, other) -> "Cyc":
         if isinstance(other, int):
-            other = Cyclotomic.from_int(other)
+            other = cyc(other)
         big = lcm(self.conductor, other.conductor)
         theirs = other._terms(big)
         return _sum(big, ((s + t, c * d) for s, c in self._terms(big) for t, d in theirs))

@@ -38,6 +38,8 @@ NEVER_CALLED = {
     "cyclotomic._normal_form": "reference path: the checked constructor and == between conductors",
     "cyclotomic.Cyclotomic._terms": "reference path: == between conductors",
     "chartab.Character.values": "bench-pinned: galbench's fingerprint reads each row",
+    "chartab.CharacterTable.value_pool": "bench-pinned: galbench's fingerprint reads the values",
+    "cyclotomic.Cyclotomic.__eq__": "bench-pinned: galbench's fingerprint compares values with degrees",
 }
 REASONS = ("tracer-pinned", "debug output", "public API", "reference path", "bench-pinned")
 

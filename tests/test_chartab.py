@@ -20,9 +20,8 @@ from galchar.constructors import (
     symmetric,
 )
 from galchar.corpus import CORPUS, build
-from galchar.cyclotomic import cyc
 
-from reference import Cyc, element_set, galois_conjugate, galois_stabilizer, is_rational, zeta
+from reference import Cyc, cyc, element_set, galois_conjugate, galois_stabilizer, is_rational, zeta
 
 
 def test_s3_table():

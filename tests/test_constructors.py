@@ -364,18 +364,17 @@ def test_sweep_grids_are_pinned(bounds, count, digest):
     assert hashlib.sha256("\n".join(labels).encode()).hexdigest() == digest
 
 
-# Child process: build 7^{1+2} x| H for H = <diag(3, 1), [[0, 6], [1, 1]]> of
-# order 2,016 in GL(2, 7), and report the seconds of the call and the
-# ru_maxrss growth (kB) until it is refused.  Exit 3 if nothing raised.
+# Child process: make one call of _REFUSED, and report the seconds of the call
+# and the ru_maxrss growth (kB) until it is refused.  Exit 3 if nothing raised.
 _REFUSE = """
 import json, resource, sys, time
 import numpy as np
-from galchar.constructors import extraspecial_semidirect
+from galchar.constructors import affine_semidirect, extraspecial_semidirect, heisenberg
 from galchar.perm import OrderBoundExceeded
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 t0 = time.perf_counter()
 try:
-    extraspecial_semidirect(7, [np.diag([3, 1]), [[0, 6], [1, 1]]])
+    {call}
 except OrderBoundExceeded as exc:
     grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
     print(json.dumps([time.perf_counter() - t0, grown, str(exc)]))
@@ -384,15 +383,29 @@ sys.exit(3)
 """
 
 
+# (call, the order its refusal names)
+_REFUSED = [
+    # 7^{1+2} x| H for H = <diag(3, 1), [[0, 6], [1, 1]]> of order 2,016 in
+    # GL(2, 7): |G| = 343 * 2,016 = 691,488.  Enumerating 500,000 elements
+    # first took seconds and more than a GB
+    ("extraspecial_semidirect(7, [np.diag([3, 1]), [[0, 6], [1, 1]]])", 691488),
+    # F_7^7 x| C_7 under a cyclic shift of the coordinates: p^n = 823,543 was
+    # refused only after its vectors and their images were built, about 450 MB
+    ("affine_semidirect(7, 7, [np.roll(np.eye(7, dtype=int), 1, axis=0)])", 823543),
+    # 83^3 = 571,787 points, numbered before any bound was read
+    ("heisenberg(83)", 571787),
+]
+
+
 def test_semidirect_past_the_order_bound_is_refused_before_enumeration():
-    # |G| = 343 * 2,016 = 691,488: enumerating 500,000 elements first took
-    # seconds and more than a GB
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    done = subprocess.run(
-        [sys.executable, "-c", _REFUSE], capture_output=True, text=True, env=env, timeout=60
-    )
-    assert done.returncode == 0, done.stderr
-    seconds, grown_kb, message = json.loads(done.stdout)
-    assert "691488" in message and str(ORDER_BOUND) in message
-    assert seconds < 1.0
-    assert grown_kb < 50 * 1024
+    for call, order in _REFUSED:
+        done = subprocess.run(
+            [sys.executable, "-c", _REFUSE.format(call=call)], capture_output=True, text=True,
+            env=env, timeout=60,
+        )
+        assert done.returncode == 0, (call, done.stderr)
+        seconds, grown_kb, message = json.loads(done.stdout)
+        assert str(order) in message and str(ORDER_BOUND) in message, call
+        assert seconds < 1.0, call
+        assert grown_kb < 50 * 1024, call

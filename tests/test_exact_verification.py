@@ -163,6 +163,7 @@ def test_entry_shifted_by_the_first_prime_needs_a_second(a7h3, monkeypatch):
     i = next(chi.index for chi in a7h3.chars if is_rational(chi) and chi.degree > 1)
     c = next(c for c in range(1, a7h3.n_classes) if pool[ids[i, c]].is_rational)
     pool.append(Cyc.of(pool[ids[i, c]]) + p)
+    a7h3.by_conductor = pool_by_conductor(pool)
     ids[i, c] = len(pool) - 1
     with pytest.raises(TableVerificationError, match="orthogonality fails mod"):
         verify_orthogonality_exact(a7h3)

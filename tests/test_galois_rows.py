@@ -17,9 +17,9 @@ from galchar.chartab import (
     character_table,
 )
 from galchar.corpus import CORPUS
-from galchar.cyclotomic import Cyclotomic, _monomial_table, cyc
+from galchar.cyclotomic import Cyclotomic, _monomial_table
 from galchar.numth import factorize, unit_generators
-from reference import galois_stabilizer, is_rational, mod_table
+from reference import cyc, galois_stabilizer, is_rational, mod_table
 from test_metamorphic import relabelling
 from test_power_maps import SWEEP, _group
 

@@ -226,15 +226,16 @@ def test_detects_an_unreferenced_public_definition():
 
 # Names the library must not define, as "module" or "module:Class" -> names:
 # only tests used them, and tests/reference.py holds them, or the table holds
-# their fact once elsewhere (the kernel mask, the lift's values by conductor).
+# their fact once elsewhere (the kernel mask, the lift's values by conductor,
+# cyclotomic's one monomial table).
 MOVED = {
-    "galchar": ("zeta", "check_isaacs_bound", "check_frobenius_criterion"),
-    "galchar.cyclotomic": ("zeta", "cmath"),
+    "galchar": ("zeta", "check_isaacs_bound", "check_frobenius_criterion", "cyc"),
+    "galchar.cyclotomic": ("zeta", "cmath", "cyc"),
     "galchar.numth": ("multiplicative_order", "zsigmondy_exception_expected"),
     "galchar.classify": ("check_isaacs_bound", "check_frobenius_criterion"),
-    "galchar.chartab": ("_pool_by_conductor",),
+    "galchar.chartab": ("_pool_by_conductor", "_monomials"),
     "galchar.cyclotomic:Cyclotomic": (
-        "zeta", "from_root_multiplicities", "is_zero", "rational_value", "__add__",
+        "from_int", "zeta", "from_root_multiplicities", "is_zero", "rational_value", "__add__",
         "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__pow__", "__neg__",
         "galois_apply", "conjugate", "to_complex", "parse",
     ),

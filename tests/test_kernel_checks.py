@@ -3,9 +3,8 @@ import pytest
 
 from galchar.chartab import TableVerificationError, character_table
 from galchar.constructors import cyclic, symmetric
-from galchar.cyclotomic import cyc
 
-from reference import kernel_index, pool_by_conductor
+from reference import cyc, kernel_index, pool_by_conductor
 
 
 def _set_values(table, row, classes, value):

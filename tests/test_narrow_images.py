@@ -112,10 +112,11 @@ def test_a_table_peaks_at_a_few_mb_above_its_start():
 
 
 def test_a_table_keeps_one_copy_of_each_monomial_table():
-    # the dense array of _monomials is the only copy: the tuples of
-    # cyclotomic._monomial_table are not cached beside it
-    chartab._monomials.cache_clear()
+    # the read-only array of cyclotomic._monomial_table is the only copy: no
+    # second cache of the same table is kept beside it
     chartab._monomial_table.cache_clear()
     character_table(construct_case(CaseParams("a7", 2, 2, 1, 3)))
-    assert chartab._monomials.cache_info().currsize > 0
-    assert chartab._monomial_table.cache_info().currsize == 0
+    assert chartab._monomial_table.cache_info().currsize > 0
+    assert not hasattr(chartab, "_monomials")
+    table = chartab._monomial_table(12)
+    assert table.dtype == np.int64 and table.shape == (12, 4) and not table.flags.writeable

@@ -1,6 +1,7 @@
 """Character values held as a k x k id array into a pool of distinct values,
-on a table with 63 classes: sharing, and the checks that must still see a
-value changed in one entry or a corrupted mod-l table."""
+on a table with 63 classes: the values kept once as coefficient rows, one
+object per value made on read, and the checks that must still see a value
+changed in one entry or a corrupted mod-l table."""
 import numpy as np
 import pytest
 
@@ -9,9 +10,11 @@ from galchar.chartab import (
     _find_root_of_unity,
     _check_lift,
     _lift_values,
+    _read_pool,
     _verify,
     character_table,
 )
+from galchar.classify import analyze_structure
 from galchar.constructors import CaseParams, construct_case
 
 from reference import Cyc, mod_table, pool_by_conductor
@@ -39,7 +42,8 @@ def test_each_distinct_value_is_one_object(a7h3):
 def test_lift_reproduces_the_table(a7h3):
     ell, e = a7h3.dixon_prime, a7h3.exponent
     w_e = _find_root_of_unity(ell, e)
-    ids, pool, by_conductor = _lift_values(a7h3.group, mod_table(a7h3), ell, w_e, a7h3.galois)
+    ids, by_conductor = _lift_values(a7h3.group, mod_table(a7h3), ell, w_e, a7h3.galois)
+    pool = _read_pool(by_conductor)
     for chi, row in zip(a7h3.chars, ids):
         assert [pool[i] for i in row] == list(chi.values)
     # the lift's own arrays, which the table keeps, are those rebuilt from the pool's values
@@ -53,12 +57,32 @@ def test_lift_reproduces_the_table(a7h3):
 
 def test_the_table_keeps_no_mod_table(a7h3):
     # the build checks the lift against the mod-l table and drops it; the
-    # values by conductor are set once, not rebuilt when the pool grows
+    # values by conductor are set once, not rebuilt when the pool grows.
+    # value_pool is there only once the values have been read
     assert not hasattr(a7h3, "mod_table") and not hasattr(a7h3, "_conductors")
-    assert set(vars(a7h3)) == {
+    assert set(vars(a7h3)) - {"value_pool"} == {
         "group", "classes", "degrees", "exponent", "dixon_prime", "seed", "value_ids",
-        "value_pool", "by_conductor", "galois", "unit_index", "chars", "split", "_kernels",
+        "by_conductor", "galois", "unit_index", "chars", "split", "_kernels",
     }
+
+
+def test_values_are_rows_until_they_are_read():
+    # the build, the checks, the report and both renderings read the rows;
+    # the first read of the values makes one object per value
+    group = construct_case(CaseParams("a7", 2, 2, 1, 3))
+    table = character_table(group, seed=1)
+    analyze_structure(group, table, seed=1)
+    table.to_dict()
+    table.text_lines()
+    assert "value_pool" not in vars(table)
+    rows = [chi.values for chi in table.chars]
+    pool = table.value_pool
+    assert "value_pool" in vars(table)
+    assert len(pool) == sum(len(idx) for idx, _ in table.by_conductor.values())
+    assert len({id(v) for row in rows for v in row}) == len(pool)
+    for chi, row, ids in zip(table.chars, rows, table.value_ids):
+        assert all(v is pool[i] for v, i in zip(row, ids))
+        assert all(v is w for v, w in zip(row, chi.values))  # the same objects on every read
 
 
 @pytest.mark.parametrize("row,col,delta", [(5, 7, 1), (30, 40, 2), (62, 1, 10)])
