@@ -93,7 +93,10 @@ The table of a group G is computed in five steps:
    an inverse DFT mod l of the distinct rows of the columns of the powers
    g^s of the int32 mod-l table give the multiplicities of the roots of
    unity, and so each value at g, into a (k, r) int32 array of ids; each
-   multiplicity row must sum to chi(1).  A unit permutes the rows as it
+   multiplicity row must sum to chi(1).  The DFT of length m = m1 m2 takes
+   four steps (Bailey, J. Supercomputing 4, 1990): a product of length m2,
+   a twiddle, a product of length m1 and a transpose, by factors made per
+   call.  A unit permutes the rows as it
    permutes the classes (Brauer's permutation lemma; Isaacs, Character
    Theory of Finite Groups, 6.32): the (phi(e), k) int32 array pi holds,
    for the t-th unit s mod e, pi[t, i] the row of chi_i^sigma_s, so
@@ -103,7 +106,8 @@ The table of a group G is computed in five steps:
    multiplicity checks run before pi is read, so a corrupted mod-l table
    is reported by them.  The rows are sorted by degree, then by the ranks
    of their rendered values: big-endian int32 keys >= 0 compare as bytes
-   as they do as numbers, so one stable sort of the key rows as bytes.
+   as they do as numbers, so a stable sort of the rank rows as bytes, then
+   a stable sort by degree.
 
 The build checks the lift before it reorders the rows: the pool reduced
 mod l, one product per conductor, must give back the mod-l table through
@@ -181,7 +185,7 @@ elements, and it checks that the closure of its generators is the set.
 from __future__ import annotations
 
 import weakref
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import ceil, gcd, isqrt, log2
 
 import numpy as np
@@ -786,18 +790,28 @@ def _find_root_of_unity(ell: int, e: int) -> int:
     return pow(primitive_root(ell), (ell - 1) // e, ell)
 
 
-@lru_cache(maxsize=64)
-def _inverse_dft(m: int, e: int, ell: int, w_e: int) -> np.ndarray:
-    """The read-only m x m matrix w_m^-(s t) over F_l, w_m = w_e^(e/m), in
-    fpmat.mul's dtype for rows of length m.  _lift_values takes it from the
-    cache where it has at most 4 _BLOCK_CELLS cells (m <= 512) and builds it
-    otherwise.  It is filled a block of rows at a time."""
+def _inverse_dft(m: int, e: int, ell: int, w_e: int):
+    """The inverse DFT mod l of length m in four steps: a function of (n, m)
+    rows x in [0, l), giving the int64 rows m^-1 sum_s x[:, s] w_m^-(s t),
+    w_m = w_e^(e/m).  m1 is the largest divisor of m up to sqrt(m), and
+    with s = s1 + m1 s2 and t = t2 + m2 t1, s t = m1 s2 t2 + s1 t2 + m2 s1 t1
+    (mod m): x as [s1, s2] times f2 = w_m^-(m1 s2 t2), then the twiddle
+    w_m^-(s1 t2), then over s1 times f1 = w_m^-(m2 s1 t1) / m.  A prime m
+    has m1 = 1: one dense product."""
+    m1 = max(d for d in range(1, isqrt(m) + 1) if m % d == 0)
+    m2 = m // m1
     powers = np.array([pow(w_e, -(e // m) * t, ell) for t in range(m)])  # w_m^-t
-    out, ts = np.empty((m, m), dtype=fpmat.exact_dtype(m, ell)), np.arange(m)
-    for r in _row_blocks(m):
-        out[r] = powers[np.outer(ts[r], ts) % m]
-    out.flags.writeable = False
-    return out
+    f2 = powers[np.outer(np.arange(m2), m1 * np.arange(m2)) % m].astype(fpmat.exact_dtype(m2, ell))
+    twiddle = powers[np.outer(np.arange(m1), np.arange(m2)) % m]
+    f1 = powers[np.outer(np.arange(m1), m2 * np.arange(m1)) % m] * pow(m, -1, ell) % ell
+
+    def transform(x: np.ndarray) -> np.ndarray:
+        n = len(x)
+        y = x.reshape(n, m2, m1).transpose(0, 2, 1).reshape(n * m1, m2)  # [s1, s2]
+        y = fpmat.mul(y, f2, ell).reshape(n, m1, m2) * twiddle % ell
+        z = fpmat.mul(y.transpose(0, 2, 1).reshape(n * m2, m1), f1, ell)  # [t2, t1]
+        return z.reshape(n, m2, m1).transpose(0, 2, 1).reshape(n, m)
+    return transform
 
 
 def _lift_values(group, table_mod: np.ndarray, ell: int, w_e: int, galois: np.ndarray):
@@ -843,11 +857,10 @@ def _lift_values(group, table_mod: np.ndarray, ell: int, w_e: int, galois: np.nd
         # mult[t] = m^{-1} sum_s table[:, class(g^s)] w_m^{-st}, w_m = w_e^(e/m)
         cols = np.take(table_mod, power_maps[j, :m], axis=1)
         first, inverse = _distinct_rows(cols)
-        cached = m * m <= 4 * _BLOCK_CELLS  # m <= 512
-        dft = (_inverse_dft if cached else _inverse_dft.__wrapped__)(m, e, ell, w_e)
+        dft = _inverse_dft(m, e, ell, w_e)
         mults = np.empty((len(first), m), dtype=np.int32)  # entries below l < 2^31
         for r in _row_blocks(len(first), m):
-            mults[r] = fpmat.mul(cols[first[r]], dft, ell) * pow(m, -1, ell) % ell
+            mults[r] = dft(cols[first[r]])
         # chi(g) is a sum of chi(1) = table_mod[:, 0] roots of unity (Isaacs, Lemma 2.15)
         if not np.array_equal(mults.sum(axis=1)[inverse], table_mod[:, 0]):
             raise TableVerificationError("root-of-unity multiplicities do not sum to chi(1)")
@@ -943,21 +956,22 @@ def _build_table(group: PermGroup, seed: int) -> CharacterTable:
     w_e = _find_root_of_unity(ell, e)
     ids, by_conductor = _lift_values(group, table_mod, ell, w_e, galois)
     # lifted values must reduce back to the mod-l table, which is then dropped
-    _check_lift(ids, by_conductor, _pool_size(by_conductor), table_mod, e, ell)
+    _check_lift(ids, by_conductor, table_mod, e, ell)
     del table_mod
 
     # deterministic row order: by degree, then the rendered values; equal ids
     # are equal values, so each pool value is rendered once and ranked.  Rows
     # of big-endian nonnegative int32 keys compare as bytes as they do as
-    # numbers, so one stable sort of the rows as bytes is np.lexsort's order
+    # numbers, so a stable sort of the k x k rank rows as bytes, then one by
+    # degree, is np.lexsort's order; the rows fit where the mod-l table was
     labels = _read_pool(by_conductor, str)
     rank = {label: r for r, label in enumerate(sorted(set(labels)))}
     ranks = np.array([rank[label] for label in labels], dtype=">i4")
-    keys = np.empty((k, k + 1), dtype=">i4")
-    keys[:, 0] = degrees
+    keys = np.empty((k, k), dtype=">i4")
     for r in _row_blocks(k):
-        keys[r, 1:] = ranks[ids[r]]
+        keys[r] = ranks[ids[r]]
     order = np.argsort(_void(keys), kind="stable")
+    order = order[np.argsort(degrees[order], kind="stable")]
     del keys  # before the reordered copy of ids
     where = np.empty(k, dtype=np.int32)
     where[order] = np.arange(k)
@@ -1002,10 +1016,10 @@ def _split(group: PermGroup, ell: int, seed: int, size_inv, inv_class):
                             "widened": int(least.sum()) - r, "products": products.count}
 
 
-def _check_lift(ids, by_conductor, size: int, table_mod, e: int, ell: int) -> None:
-    """The id array's values, the pool of the given size reduced mod l, must
-    be the mod-l table, a block of rows at a time."""
-    reduced = _pool_mod(by_conductor, size, e, ell).astype(np.int64)
+def _check_lift(ids, by_conductor, table_mod, e: int, ell: int) -> None:
+    """The id array's values, the pool reduced mod l, must be the mod-l
+    table, a block of rows at a time."""
+    reduced = _pool_mod(by_conductor, e, ell).astype(np.int64)
     for r in _row_blocks(len(ids)):
         if not np.array_equal(reduced[ids[r]], table_mod[r]):
             raise TableVerificationError("lift is inconsistent with the mod-l table")
@@ -1060,7 +1074,7 @@ def verify_orthogonality_exact(table: CharacterTable) -> None:
     real = (rep_ids[:, inv] == rep_ids).all(axis=1)
     indicators = None
     for p in _gram_primes(e, width, bound):
-        x = _pool_mod(by_conductor, size, e, p)
+        x = _pool_mod(by_conductor, e, p)
         for r in _row_blocks(len(reps), k):
             # float64 x |C_c| < p |G| < 2^53
             left = x[rep_ids[r][:, inv]] * sizes % p
@@ -1140,10 +1154,10 @@ def _gram_primes(e: int, width: int, bound: int) -> list[int]:
     return primes
 
 
-def _pool_mod(by_conductor, size: int, e: int, p: int) -> np.ndarray:
+def _pool_mod(by_conductor, e: int, p: int) -> np.ndarray:
     """Each pool value mod p under zeta_e -> an element of order e in F_p."""
     w_e = _find_root_of_unity(p, e)
-    out = np.empty(size)
+    out = np.empty(_pool_size(by_conductor))
     for m, (idx, coeffs) in by_conductor.items():
         if e % m:
             raise ValueError("conductor does not divide the exponent")

@@ -14,6 +14,7 @@ that no subcommand needs:
 - a table's values by conductor rebuilt from its pool, its mod-l table
   read back from the pool, a row's rationality read entrywise and its
   kernel index;
+- the lift's inverse DFT mod l as the dense sum in Python ints;
 - the two stabilizer lemmas on coprime actions.
 """
 from __future__ import annotations
@@ -290,8 +291,19 @@ def pool_by_conductor(pool: list[Cyclotomic]) -> dict[int, tuple[np.ndarray, np.
 def mod_table(table: CharacterTable) -> np.ndarray:
     """The k x k int64 table mod the Dixon prime, read back from the pool:
     the build checks that it is the mod-l table the lift started from."""
-    reduced = _pool_mod(table.by_conductor, len(table.value_pool), table.exponent, table.dixon_prime)
+    reduced = _pool_mod(table.by_conductor, table.exponent, table.dixon_prime)
     return reduced[table.value_ids].astype(np.int64)
+
+
+def inverse_dft(rows, m: int, ell: int, w_m: int, ts=None) -> list[list[int]]:
+    """m^-1 sum_s row[s] w_m^-(s t) mod l for each row and each t of ts
+    (every t < m by default): the dense sum, in Python ints."""
+    powers = [pow(w_m, -t, ell) for t in range(m)]
+    inv = pow(m, -1, ell)
+    return [
+        [inv * sum(int(x) * powers[s * t % m] for s, x in enumerate(row)) % ell for t in ts or range(m)]
+        for row in rows
+    ]
 
 
 def is_rational(chi: Character) -> bool:

@@ -359,9 +359,10 @@ def test_pool_reduction_matches_the_dixon_table(a7h3_group, monkeypatch):
     seen, check = [], chartab._check_lift
     monkeypatch.setattr(chartab, "_check_lift", lambda *args: seen.append(args) or check(*args))
     table = character_table(a7h3_group, seed=1)
-    ((ids, _, size, table_mod, e, ell),) = seen
+    ((ids, by_conductor, table_mod, e, ell),) = seen
+    size = chartab._pool_size(by_conductor)
     assert size == len(table.value_pool) and ell == table.dixon_prime
-    reduced = chartab._pool_mod(pool_by_conductor(table.value_pool), size, e, ell)
+    reduced = chartab._pool_mod(pool_by_conductor(table.value_pool), e, ell)
     assert np.array_equal(reduced[ids], table_mod % ell)
     # reference.mod_table is that table with its rows in the final order
     assert np.array_equal(np.unique(mod_table(table), axis=0), np.unique(table_mod, axis=0))

@@ -199,8 +199,8 @@ def test_corrupted_lifted_value_fails_verification():
     table.value_ids[chi.index, 2] = len(table.value_pool) - 1
     table.by_conductor = pool_by_conductor(table.value_pool)
     with pytest.raises(TableVerificationError, match="lift is inconsistent"):
-        chartab._check_lift(table.value_ids, table.by_conductor, len(table.value_pool), table_mod,
-                            table.exponent, table.dixon_prime)
+        chartab._check_lift(table.value_ids, table.by_conductor, table_mod, table.exponent,
+                            table.dixon_prime)
     with pytest.raises(TableVerificationError):
         _verify(table)
 

@@ -114,7 +114,6 @@ def test_shared_value_replaced_in_one_row_fails_verification():
     table.value_ids[row, col] = len(table.value_pool) - 1
     table.by_conductor = pool_by_conductor(table.value_pool)
     with pytest.raises(TableVerificationError, match="lift is inconsistent"):
-        _check_lift(table.value_ids, table.by_conductor, len(table.value_pool), table_mod,
-                    table.exponent, table.dixon_prime)
+        _check_lift(table.value_ids, table.by_conductor, table_mod, table.exponent, table.dixon_prime)
     with pytest.raises(TableVerificationError):
         _verify(table)
