@@ -92,12 +92,13 @@ The table of a group G is computed in five steps:
    per power-orbit of classes (the least class c^s, s a unit mod e), does
    an inverse DFT mod l of the distinct rows of the columns of the powers
    g^s of the int32 mod-l table give the multiplicities of the roots of
-   unity, and so each value at g, into a (k, r) int32 array of ids; each
-   multiplicity row must sum to chi(1).  The DFT of length m = m1 m2 takes
-   four steps (Bailey, J. Supercomputing 4, 1990): a product of length m2,
-   a twiddle, a product of length m1 and a transpose, by factors made per
-   call.  A unit permutes the rows as it
-   permutes the classes (Brauer's permutation lemma; Isaacs, Character
+   unity, and so each value at g, into a (k, r) int32 array of ids.  The
+   DFT of length m = m1 m2 takes four steps (Bailey, J. Supercomputing 4,
+   1990): a product of length m2, a twiddle, a product of length m1 and a
+   transpose, by factors made per call.  Each block of multiplicity rows
+   must sum to chi(1), and goes to the power basis through the table of
+   q = rad(m) alone, as Phi_m(x) = Phi_q(x^(m/q)).  A unit permutes the rows
+   as it permutes the classes (Brauer's permutation lemma; Isaacs, Character
    Theory of Finite Groups, 6.32): the (phi(e), k) int32 array pi holds,
    for the t-th unit s mod e, pi[t, i] the row of chi_i^sigma_s, so
    chi_i(c^s) = chi_pi[t, i](c).  pi comes only from the descent, with the
@@ -191,7 +192,7 @@ from math import ceil, gcd, isqrt, log2
 import numpy as np
 
 from . import fpmat
-from .cyclotomic import Cyclotomic, _check_conductor, _monomial_table
+from .cyclotomic import Cyclotomic, _check_conductor, _power_basis, phi
 from .numth import factorize, find_dixon_prime, is_prime, primitive_root, unit_generators
 from .perm import _BLOCK_CELLS, ConjugacyClass, PermGroup, Subgroup, _check_cells, _void
 
@@ -858,14 +859,15 @@ def _lift_values(group, table_mod: np.ndarray, ell: int, w_e: int, galois: np.nd
         cols = np.take(table_mod, power_maps[j, :m], axis=1)
         first, inverse = _distinct_rows(cols)
         dft = _inverse_dft(m, e, ell, w_e)
-        mults = np.empty((len(first), m), dtype=np.int32)  # entries below l < 2^31
+        coeffs = np.empty((len(first), phi(m)), dtype=np.int64)
         for r in _row_blocks(len(first), m):
-            mults[r] = dft(cols[first[r]])
-        # chi(g) is a sum of chi(1) = table_mod[:, 0] roots of unity (Isaacs, Lemma 2.15)
-        if not np.array_equal(mults.sum(axis=1)[inverse], table_mod[:, 0]):
-            raise TableVerificationError("root-of-unity multiplicities do not sum to chi(1)")
-        del cols, dft  # before the coefficient rows are made
-        rep_ids[:, q] = intern(_galois_image(mults, _monomial_table(m), 1), m)[inverse]
+            mults = dft(cols[first[r]])
+            # chi(g) is a sum of chi(1) = table_mod[:, 0] roots of unity (Isaacs, Lemma 2.15)
+            if not np.array_equal(mults.sum(axis=1), table_mod[first[r], 0]):
+                raise TableVerificationError("root-of-unity multiplicities do not sum to chi(1)")
+            coeffs[r] = _power_basis(mults, m)
+        del cols, dft  # before intern sorts the rows
+        rep_ids[:, q] = intern(coeffs, m)[inverse]
     # chi_i(rep^s) = chi_pi_s(i)(rep): every column is a gather of its
     # representative's, made a block of columns at a time
     ids, at, col = np.empty((k, k), np.int32), _unit_index(e)[step], (np.cumsum(is_rep) - 1)[rep_of]
@@ -901,23 +903,6 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     inverse = np.empty(len(keys), dtype=np.intp)
     inverse[order] = np.cumsum(new) - 1
     return order[new], inverse
-
-
-def _galois_image(weights: np.ndarray, monomials: np.ndarray, kk: int) -> np.ndarray:
-    """Rows sum_t weights[r, t] z_m^(t kk) in the power basis; monomials[t] is
-    z_m^t.  Each nonzero weight gives one term, a monomial row, and the
-    terms are summed a block of rows at a time, about _BLOCK_CELLS cells of
-    terms (or one row) each."""
-    out = np.zeros((len(weights), monomials.shape[1]), dtype=np.int64)
-    cells = np.cumsum(np.count_nonzero(weights, axis=1)) * monomials.shape[1]
-    total = cells[-1] if len(cells) else 0
-    ends = np.searchsorted(cells, np.arange(_BLOCK_CELLS, total, _BLOCK_CELLS))
-    for lo, hi in zip([0, *ends.tolist()], [*ends.tolist(), len(weights)]):
-        rows, ts = np.nonzero(weights[lo:hi])  # row-major: each row's entries adjacent
-        present, starts = np.unique(rows, return_index=True)
-        terms = weights[lo + rows, ts][:, None] * monomials[ts * kk % len(monomials)]
-        out[lo + present] = np.add.reduceat(terms, starts, axis=0)
-    return out
 
 
 def character_table(group: PermGroup, seed: int = 0) -> CharacterTable:
@@ -1107,7 +1092,12 @@ def _check_galois_action(table: CharacterTable, by_conductor, powers: np.ndarray
         lut = np.arange(_pool_size(by_conductor), dtype=ids.dtype)  # rationals are fixed
         for m, (idx, coeffs) in by_conductor.items():
             if m > 1:
-                found = _find_rows(_galois_image(coeffs, _monomial_table(m), u % m), coeffs)
+                image, at_u = np.empty_like(coeffs), np.arange(coeffs.shape[1]) * u % m
+                for r in _row_blocks(len(coeffs), m):  # z^c -> z^(c u)
+                    terms = np.zeros((r.stop - r.start, m), dtype=np.int64)
+                    terms[:, at_u] = coeffs[r]
+                    image[r] = _power_basis(terms, m)
+                found = _find_rows(image, coeffs)
                 lut[idx] = np.where(found >= 0, idx[found], -1)
         pi_u = galois[at[u]]
         for r in _row_blocks(k):

@@ -10,20 +10,24 @@ are plain Python integers, so there is no overflow to guard against.
 A character table keeps its values in that form already, as int64 rows per
 conductor (a rational one as (n,) at conductor 1), and makes a Cyclotomic
 from a row through the _raw constructor when a value is read or rendered:
-values are compared and rendered here, not combined.  _monomial_table holds
-z^t as power-basis rows, one read-only array per conductor, and _normal_form
-makes the form from any sum of terms c * z_e**t by folding the exponents mod
-e and adding each residue's row once.  It serves the checked constructor and
-== between conductors, which holds when the terms of the difference over
-z_lcm fold to zero.  Conductors past CONDUCTOR_BOUND raise ConductorOverflow,
-in _normal_form and, through _check_conductor, before a table is split.
+values are compared and rendered here, not combined.  _power_basis maps
+sums of terms c * z_m**t to power-basis rows with the table of r = rad(m)
+alone, one kept per squarefree r: Phi_m(x) = Phi_r(x^s) for s = m / r
+(Washington, Introduction to Cyclotomic Fields, GTM 83), so z^(i + j s),
+i < s, is row j of r's table at the columns i + c s.  _normal_form folds its
+terms mod e and maps them once, for the checked constructor and == between
+conductors, which holds when the terms of the difference over z_lcm fold to
+zero.  Conductors past CONDUCTOR_BOUND raise ConductorOverflow, in
+_normal_form and, through _check_conductor, before a table is split.
 """
 from __future__ import annotations
 
 from functools import lru_cache
-from math import lcm
+from math import lcm, prod
 
 import numpy as np
+
+from .numth import factorize
 
 CONDUCTOR_BOUND = 10**4
 
@@ -43,12 +47,8 @@ def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
     """Ascending coefficients of the e-th cyclotomic polynomial."""
     if e < 1:
         raise ValueError("conductor must be positive")
-    if e == 1:
-        return (-1, 1)
     # (x^e - 1) / prod_{d | e, d < e} Phi_d, by exact polynomial division.
-    num = [0] * (e + 1)
-    num[0] = -1
-    num[e] = 1
+    num = [-1] + [0] * (e - 1) + [1]
     for d in range(1, e):
         if e % d == 0:
             num = _poly_div_exact(num, list(cyclotomic_polynomial(d)))
@@ -74,9 +74,8 @@ def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
 def phi(e: int) -> int:
-    return len(cyclotomic_polynomial(e)) - 1
+    return prod(p ** (a - 1) * (p - 1) for p, a in factorize(e).items())
 
 
 @lru_cache(maxsize=None)
@@ -94,18 +93,29 @@ def _monomial_table(e: int) -> np.ndarray:
     return out
 
 
+def _power_basis(x: np.ndarray, m: int) -> np.ndarray:
+    """Rows sum_t x[:, t] z_m^t of an (n, m) array x in the power basis at m,
+    int64 (Python ints for an object x): one product with the rows of rad(m)'s
+    table that x reads, in float64 (BLAS) while each partial sum is < 2**52."""
+    r, n = prod(factorize(m)), len(x)
+    y = x.reshape(n, r, m // r).transpose(1, 0, 2)  # y[j, :, i] weighs z^(j m/r + i)
+    used = y.any(axis=(1, 2))
+    table = _monomial_table(r)[used]
+    fast = x.dtype != object and abs(x).sum(1, float).max(initial=0) * abs(table).max(initial=0) < 2**52
+    y = y[used].astype(np.float64 if fast else x.dtype, copy=False).reshape(len(table), x.size // r)
+    out = (table.T @ y).reshape(table.shape[1], n, m // r).transpose(1, 0, 2)
+    return out.astype(np.result_type(x.dtype, table.dtype), order="C").reshape(n, -1)
+
+
 def _normal_form(e: int, terms) -> "Cyclotomic":
     """The value sum c * z_e**t over the (t, c) terms, in normal form."""
     if e < 1:
         raise ValueError("conductor must be positive")
     _check_conductor(e)
-    folded = [0] * e
+    folded = np.zeros((1, e), dtype=object)  # Python ints, which do not overflow
     for t, c in terms:
-        folded[t % e] += c
-    out, rows = [0] * phi(e), _monomial_table(e)
-    for t, c in enumerate(folded):
-        if c:
-            out = [x + c * y for x, y in zip(out, rows[t].tolist())]
+        folded[0, t % e] += c
+    out = _power_basis(folded, e)[0].tolist()
     if e > 1 and not any(out[1:]):
         return Cyclotomic(1, (out[0],), _raw=True)
     return Cyclotomic(e, tuple(out), _raw=True)

@@ -3,6 +3,7 @@ import hashlib
 import random
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +11,8 @@ from galchar.cyclotomic import (
     CONDUCTOR_BOUND,
     ConductorOverflow,
     Cyclotomic,
+    _monomial_table,
+    _power_basis,
     cyclotomic_polynomial,
     phi,
 )
@@ -25,6 +28,15 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(6) == (1, -1, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
     assert phi(12) == 4
+
+
+def test_phi_from_the_factorization_is_the_degree_of_phi_m():
+    assert [phi(m) for m in range(1, 301)] == [
+        len(cyclotomic_polynomial(m)) - 1 for m in range(1, 301)
+    ]
+    for m in (0, -4):
+        with pytest.raises(ValueError):
+            phi(m)
 
 
 def test_root_multiplicities_examples():
@@ -221,3 +233,29 @@ def test_representations_are_pinned_across_conductors():
     # Any change of conductor, coefficient vector or rendering of any
     # result, or of any equality, changes the digest.
     assert representation_digest(pinned_results(0, 1500)) == PINNED_DIGEST
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 12, 105, 385, 1155, 2401, 4374])
+def test_power_basis_is_the_dense_product_with_m_s_own_table(m):
+    # _power_basis reads the rows of rad(m)'s table at stride m / rad(m); the
+    # reference is m's dense table, built here and not cached
+    dense = _monomial_table.__wrapped__(m)
+    if m in (105, 385, 1155):  # entries past 1 in absolute value
+        assert np.abs(dense).max() == {105: 2, 385: 3, 1155: 9}[m]
+    rng = np.random.default_rng(m)
+    x = rng.integers(-(2**20), 2**20, size=(7, m))
+    big = x.copy()
+    big[:, 0] = 2**53  # past the float64 bound of 2**52: an int64 product
+    sparse = np.where(rng.random(m) < 0.1, x, 0)  # at m = rad(m), most table rows unread
+    for rows in (x, big, sparse, 0 * x[:1]):
+        got = _power_basis(rows, m)
+        assert got.dtype == np.int64 and np.array_equal(got, rows @ dense)
+    # coefficients past 2^63 go through the object path of the constructor
+    coeffs = [0] * m
+    for t in rng.choice(m, size=min(m, 20), replace=False).tolist():
+        coeffs[t] = int(rng.integers(1, 2**20)) * 2**64 + t
+    want = sum(c * dense[t].astype(object) for t, c in enumerate(coeffs) if c).tolist()
+    value = Cyclotomic(m, tuple(coeffs))
+    if m > 1 and not any(want[1:]):
+        want = want[:1]
+    assert value.coeffs == tuple(want) and max(map(abs, want)) >= 2**63

@@ -13,7 +13,6 @@ from galchar import fpmat
 from galchar.chartab import (
     TableVerificationError,
     _find_root_of_unity,
-    _galois_image,
     character_table,
 )
 from galchar.corpus import CORPUS
@@ -41,7 +40,8 @@ def _table(key, relabel):
 def reference_lift(group, table_mod, ell, w_e):
     """(ids, pool): per power-orbit, the inverse DFT at its first class, then
     each other class reached from a filled one by a generator u of the units
-    mod m, its column the image of that one under z -> z^u."""
+    mod m, its column the image of that one under z -> z^u.  Both are dense
+    products with m's own monomial table, not the strided one of rad(m)."""
     classes = group.conjugacy_classes()
     power_maps = group.power_maps
     e = power_maps.shape[1]
@@ -72,8 +72,8 @@ def reference_lift(group, table_mod, ell, w_e):
         mults = fpmat.mul(cols, dft, ell) * pow(m, -1, ell) % ell
         if not np.array_equal(mults.sum(axis=1)[inverse], table_mod[:, 0]):
             raise TableVerificationError("root-of-unity multiplicities do not sum to chi(1)")
-        monomials = np.array(_monomial_table(m), dtype=np.int64)
-        vals, which = np.unique(_galois_image(mults, monomials, 1), axis=0, return_inverse=True)
+        monomials = _monomial_table(m)  # the dense (m, phi(m)) table, not rad(m)'s
+        vals, which = np.unique(mults @ monomials, axis=0, return_inverse=True)
         ids[:, j] = intern(vals, m)[which.reshape(-1)[inverse]]
         image_of = {u: np.empty(0, dtype=np.int32) for u in unit_generators(m)}
         frontier = [j]
@@ -88,7 +88,8 @@ def reference_lift(group, table_mod, ell, w_e):
                         zero = np.zeros(monomials.shape[1], dtype=np.int64)
                         rows = np.array([sum((c * monomials[t] for t, c in pool[i]._terms(m)), zero)
                                          for i in new.tolist()])
-                        lut[new] = intern(_galois_image(rows, monomials, u), m)
+                        images = monomials[np.arange(monomials.shape[1]) * u % m]
+                        lut[new] = intern(rows @ images, m)
                     ids[:, jn] = lut[ids[:, jc]]
                     frontier.append(jn)
     return ids, pool

@@ -6,9 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from galchar import chartab
+from galchar import chartab, cyclotomic
 from galchar.chartab import character_table
 from galchar.constructors import CaseParams, construct_case, cyclic, symmetric
+from galchar.cyclotomic import phi
+from galchar.numth import factorize
 from galchar.perm import ConjugacyClass, Permutation
 
 
@@ -103,12 +105,17 @@ def test_a_table_peaks_at_a_few_mb_above_its_start():
     assert peak - start < 12e6
 
 
-def test_a_table_keeps_one_copy_of_each_monomial_table():
-    # the read-only array of cyclotomic._monomial_table is the only copy: no
-    # second cache of the same table is kept beside it
-    chartab._monomial_table.cache_clear()
-    character_table(construct_case(CaseParams("a7", 2, 2, 1, 3)))
-    assert chartab._monomial_table.cache_info().currsize > 0
-    assert not hasattr(chartab, "_monomials")
-    table = chartab._monomial_table(12)
-    assert table.dtype == np.int64 and table.shape == (12, 4) and not table.flags.writeable
+def test_a_table_reads_monomial_tables_only_at_squarefree_conductors(monkeypatch):
+    # Phi_m(x) = Phi_r(x^(m/r)), r = rad(m): the lift, the Galois check and
+    # _normal_form read r's table at stride m / r, so no dense m x phi(m)
+    # table is made at a class order m with a square factor
+    seen, table_at = [], cyclotomic._monomial_table
+    monkeypatch.setattr(cyclotomic, "_monomial_table", lambda r: seen.append(r) or table_at(r))
+    group = construct_case(CaseParams("a7", 2, 2, 1, 4))
+    assert any(max(factorize(c.order).values(), default=1) > 1 for c in group.conjugacy_classes())
+    character_table(group)
+    assert seen and all(max(factorize(r).values(), default=1) == 1 for r in seen)
+    assert not hasattr(chartab, "_galois_image")
+    table = table_at(max(seen))
+    assert table.dtype == np.int64 and table.shape == (max(seen), phi(max(seen)))
+    assert not table.flags.writeable
